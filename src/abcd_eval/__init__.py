@@ -54,7 +54,6 @@ from .decompose import (
     default_pack_path,
     load_prompt_pack,
     parse_decomposition,
-    serialize_decomposition,
 )
 from .model import (
     ANSWER_TAG,

@@ -1,11 +1,14 @@
 """Command-line interface for the evaluation pipeline.
 
-Subcommands mirror the pipeline stages. ``evaluate`` runs everything for a
-question file; ``decompose``, ``answer``, ``verify`` and ``score`` run one
-stage against the previous stage's output files; ``report`` renders stored
-evaluations; ``annotate`` collects manual correctness labels; ``baseline``
-asks the whole-question control question; ``build-obscureqa`` constructs the
-obscure-question dataset from a raw quizbowl dump.
+Subcommands mirror the stages of :mod:`abcd_eval.pipeline`. ``evaluate``
+runs every stage for a question file; ``decompose``, ``answer``, ``verify``
+and ``score`` each run one stage on outcomes filled from the previous
+stages' output files, so a question fails, and is logged, the same way in
+both; ``report`` renders stored evaluations; ``annotate`` collects manual
+correctness labels; ``baseline`` asks the whole-question control question;
+``build-obscureqa`` constructs the obscure-question dataset from a raw
+quizbowl dump. An input file that does not parse is a configuration error
+naming its path and line.
 
 Exit codes: 0 success, 1 configuration or environment problem, 2 partial
 failure (some questions processed), 3 total failure (none processed).
@@ -20,14 +23,11 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import records
-from .answers import DEFAULT_ANSWER_MAX_TOKENS, generate_answers
 from .datasets import (
     DatasetLoadError,
     QuestionFormat,
@@ -38,34 +38,24 @@ from .datasets import (
     parse_quizbowl_record,
     sample_questions,
 )
-from .decompose import (
-    DEFAULT_DECOMPOSE_MAX_TOKENS,
-    PromptPackError,
-    decompose,
-    default_pack_path,
-    load_prompt_pack,
-)
+from .decompose import PromptPackError, default_pack_path, load_prompt_pack
 from .model import AggregateReport, Question, QuestionEvaluation
-from .providers import (
-    API_KEY_ENV_VAR,
-    CachingProvider,
-    CountingProvider,
-    LiveProvider,
-    Provider,
-    ProviderError,
-    ReplayProvider,
-    ResponseCache,
-    ScriptedProvider,
-    load_script_rules,
+from .pipeline import (
+    EVALUATE_STAGES,
+    ConfigError,
+    QuestionOutcome,
+    Run,
+    RunConfig,
+    build_provider_bundle,
+    run_stages,
 )
-from .scoring import aggregate, score_true
-from .verify import (
-    DEFAULT_VERIFY_MAX_TOKENS,
-    MatchMode,
-    VerdictParseConfig,
-    baseline_whole_question,
-    verify_all,
-)
+from .providers import API_KEY_ENV_VAR
+from .scoring import aggregate
+from .verify import MatchMode
+
+# Not called here, but perfbench/tests/test_bench.py checks that the tracer
+# rebinds every alias of verify_all, this one included.
+from .verify import verify_all  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -73,244 +63,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PARTIAL = 2
 EXIT_TOTAL = 3
-
-STAGES = ("decompose", "answer", "verify", "verify_gt", "baseline")
-
-
-class ConfigError(Exception):
-    """Bad flags, missing files, missing credentials: exit code 1."""
-
-
-# --------------------------------------------------------------------------
-# run configuration and provider assembly
-
-
-@dataclass
-class RunConfig:
-    provider_mode: str = "scripted"
-    script_path: Optional[Path] = None
-    cache_dir: Optional[Path] = None
-    base_url: Optional[str] = None
-    decompose_model: str = "default"
-    answer_model: str = "default"
-    verify_model: str = "default"
-    match_mode: MatchMode = MatchMode.SUBSTRING
-    restatement_override: bool = True
-    decompose_max_tokens: int = DEFAULT_DECOMPOSE_MAX_TOKENS
-    answer_max_tokens: int = DEFAULT_ANSWER_MAX_TOKENS
-    verify_max_tokens: int = DEFAULT_VERIFY_MAX_TOKENS
-    ground_truth: bool = False
-    lenient: bool = False
-    concurrency: int = 1
-    limit: Optional[int] = None
-    sample: Optional[int] = None
-    seed: int = 0
-
-    @property
-    def parse_config(self) -> VerdictParseConfig:
-        return VerdictParseConfig(
-            match_mode=self.match_mode,
-            restatement_override=self.restatement_override,
-        )
-
-    def validate(self) -> None:
-        if self.provider_mode not in ("scripted", "live", "replay"):
-            raise ConfigError(f"unknown provider mode {self.provider_mode!r}")
-        if self.provider_mode == "scripted":
-            if self.script_path is None:
-                raise ConfigError("scripted mode needs --script")
-            if not Path(self.script_path).is_file():
-                raise ConfigError(f"script file not found: {self.script_path}")
-        elif self.provider_mode == "live":
-            if not self.base_url:
-                raise ConfigError("live mode needs --base-url")
-        elif self.provider_mode == "replay":
-            if self.cache_dir is None:
-                raise ConfigError("replay mode needs --cache-dir")
-            if not Path(self.cache_dir).is_dir():
-                raise ConfigError(f"cache directory not found: {self.cache_dir}")
-        if self.concurrency < 1:
-            raise ConfigError("--concurrency must be at least 1")
-        if self.limit is not None and self.sample is not None:
-            raise ConfigError("--limit and --sample are mutually exclusive")
-
-    def to_record(self) -> dict:
-        return {
-            "provider_mode": self.provider_mode,
-            "script": str(self.script_path) if self.script_path else None,
-            "cache_dir": str(self.cache_dir) if self.cache_dir else None,
-            "base_url": self.base_url,
-            "models": {
-                "decompose": self.decompose_model,
-                "answer": self.answer_model,
-                "verify": self.verify_model,
-            },
-            "match_mode": self.match_mode.value,
-            "restatement_override": self.restatement_override,
-            "max_tokens": {
-                "decompose": self.decompose_max_tokens,
-                "answer": self.answer_max_tokens,
-                "verify": self.verify_max_tokens,
-            },
-            "ground_truth": self.ground_truth,
-            "lenient": self.lenient,
-            "concurrency": self.concurrency,
-            "limit": self.limit,
-            "sample": self.sample,
-            "seed": self.seed,
-        }
-
-
-@dataclass
-class ProviderBundle:
-    """One provider per pipeline stage, each behind its own call counter."""
-
-    stage_providers: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-
-    def provider(self, stage: str) -> Provider:
-        return self.stage_providers[stage]
-
-    def call_counts(self) -> dict:
-        return {stage: counter.call_count for stage, counter in self.counters.items()}
-
-
-def build_provider_bundle(config: RunConfig) -> ProviderBundle:
-    """Assemble the per-stage provider stack for the configured mode.
-
-    Counters sit inside the caching layer, so in caching modes they count
-    upstream calls (cache misses); in replay mode they count completions
-    served from the cache.
-    """
-    config.validate()
-    cache = ResponseCache(config.cache_dir) if config.cache_dir else None
-
-    def base_provider() -> Provider:
-        if config.provider_mode == "scripted":
-            return ScriptedProvider(load_script_rules(config.script_path))
-        if config.provider_mode == "live":
-            try:
-                return LiveProvider(base_url=config.base_url)
-            except ProviderError as exc:
-                raise ConfigError(str(exc)) from exc
-        return ReplayProvider(cache)
-
-    bundle = ProviderBundle()
-    base = base_provider()
-    for stage in STAGES:
-        counter = CountingProvider(base)
-        bundle.counters[stage] = counter
-        if cache is not None and config.provider_mode != "replay":
-            bundle.stage_providers[stage] = CachingProvider(counter, cache)
-        else:
-            bundle.stage_providers[stage] = counter
-    return bundle
-
-
-# --------------------------------------------------------------------------
-# pipeline for one question
-
-
-@dataclass
-class QuestionOutcome:
-    question: Question
-    evaluation: Optional[QuestionEvaluation] = None
-    gt_results: Optional[list] = None
-    failed_stage: Optional[str] = None
-    failure_reason: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.evaluation is not None
-
-
-def evaluate_question(
-    question: Question,
-    pack,
-    bundle: ProviderBundle,
-    config: RunConfig,
-    labels: dict,
-) -> QuestionOutcome:
-    """Run decompose, answer, verify (and optionally the gold-answer
-    re-verification) for one question, capturing failures per stage."""
-    stage = "decompose"
-    try:
-        parsed = decompose(
-            question,
-            pack,
-            bundle.provider("decompose"),
-            model=config.decompose_model,
-            max_tokens=config.decompose_max_tokens,
-        )
-        claim_set = parsed.claim_set
-
-        stage = "answer"
-        assignment = generate_answers(
-            question,
-            claim_set,
-            bundle.provider("answer"),
-            model=config.answer_model,
-            max_tokens=config.answer_max_tokens,
-        )
-
-        stage = "verify"
-        results = verify_all(
-            claim_set,
-            assignment,
-            bundle.provider("verify"),
-            config.parse_config,
-            model=config.verify_model,
-            max_tokens=config.verify_max_tokens,
-            lenient=config.lenient,
-        )
-
-        gt_results = None
-        gt_score = None
-        if config.ground_truth:
-            stage = "verify_gt"
-            gt_results = verify_all(
-                claim_set,
-                assignment,
-                bundle.provider("verify_gt"),
-                config.parse_config,
-                override_answer=question.gold_answer,
-                model=config.verify_model,
-                max_tokens=config.verify_max_tokens,
-                lenient=config.lenient,
-            )
-            gt_score = score_true([result.verdict for result in gt_results])
-
-        stage = "score"
-        score = score_true([result.verdict for result in results])
-        correct, error_category = labels.get(question.id, (None, None))
-        evaluation = QuestionEvaluation(
-            question=question,
-            claim_set=claim_set,
-            assignment=assignment,
-            results=tuple(results),
-            score_true=score,
-            correct=correct,
-            error_category=error_category,
-            gt_score_true=gt_score,
-        )
-        return QuestionOutcome(
-            question=question, evaluation=evaluation, gt_results=gt_results
-        )
-    except Exception as exc:
-        logger.error("question %s failed at %s: %s", question.id, stage, exc)
-        return QuestionOutcome(
-            question=question,
-            failed_stage=stage,
-            failure_reason=f"{type(exc).__name__}: {exc}",
-        )
-
-
-def _run_over_questions(questions, worker: Callable, concurrency: int) -> list:
-    """Apply *worker* to every question, preserving input order."""
-    if concurrency <= 1:
-        return [worker(question) for question in questions]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(worker, questions))
 
 
 # --------------------------------------------------------------------------
@@ -491,12 +243,55 @@ def _load_questions_for_cli(args: argparse.Namespace, config: RunConfig) -> list
     return questions
 
 
+def _load_records(path: Path, from_record: Callable[[dict], object]) -> list:
+    """Read a JSONL file through a ``records.*_from_record`` function.
+
+    A missing file, malformed JSON or a record that does not convert is a
+    :class:`ConfigError` naming ``path:line``.
+    """
+    if not Path(path).is_file():
+        raise ConfigError(f"file not found: {path}")
+    try:
+        rows = records.read_jsonl(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    converted = []
+    for lineno, record in rows:
+        try:
+            converted.append(from_record(record))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: bad record: {type(exc).__name__}: {exc}"
+            ) from exc
+    return converted
+
+
 def _load_labels_for_cli(path: Optional[Path]) -> dict:
     if path is None:
         return {}
-    if not Path(path).is_file():
-        raise ConfigError(f"labels file not found: {path}")
-    return records.load_labels(path)
+    return dict(_load_records(path, records.label_from_record))
+
+
+def _load_evaluations(path: Path) -> list[QuestionEvaluation]:
+    evaluations = _load_records(path, records.evaluation_from_record)
+    if not evaluations:
+        raise ConfigError(f"{path}: no evaluations")
+    return evaluations
+
+
+def _claim_sets_by_id(path: Path) -> dict:
+    return {
+        claim_set.question_id: claim_set
+        for claim_set in _load_records(path, records.claim_set_from_record)
+    }
+
+
+def _assignments_by_id(path: Path) -> dict:
+    return dict(_load_records(path, records.assignment_from_record))
+
+
+def _verifications_by_id(path: Path) -> dict:
+    return dict(_load_records(path, records.verifications_from_record))
 
 
 def _load_pack_for_cli(path: Optional[Path]):
@@ -504,6 +299,48 @@ def _load_pack_for_cli(path: Optional[Path]):
         return load_prompt_pack(path if path is not None else default_pack_path())
     except PromptPackError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _prefilled(questions: list[Question], **inputs: dict) -> list[QuestionOutcome]:
+    """One outcome per question, carrying what earlier stages wrote: each
+    keyword names an outcome field and maps question ids to its values."""
+    return [
+        QuestionOutcome(
+            question, **{name: by_id.get(question.id) for name, by_id in inputs.items()}
+        )
+        for question in questions
+    ]
+
+
+# The record written for each stage result, by outcome field.
+_STAGE_RECORDS = {
+    "claim_set": lambda o: records.claim_set_to_record(o.claim_set),
+    "assignment": lambda o: records.assignment_to_record(o.question.id, o.assignment),
+    "results": lambda o: records.verifications_to_record(o.question.id, o.results),
+    "gt_results": lambda o: records.verifications_to_record(
+        o.question.id, o.gt_results
+    ),
+    "evaluation": lambda o: records.evaluation_to_record(o.evaluation),
+    "baseline": lambda o: {
+        "question_id": o.question.id,
+        "answer": o.evaluation.assignment.answer,
+        "verdict": o.baseline.verdict.value,
+        "raw_response": o.baseline.raw_response,
+        "score_true": records.fraction_to_str(o.evaluation.score_true),
+    },
+}
+
+
+def _write_stage_records(path: Path, outcomes, field: str) -> int:
+    """Write the *field* record of every successful outcome; return how many."""
+    ok = [outcome for outcome in outcomes if outcome.ok]
+    records.write_jsonl_atomic(path, (_STAGE_RECORDS[field](o) for o in ok))
+    return len(ok)
+
+
+def _stage_summary(verb: str, n_ok: int, outcomes: list, out: Path) -> int:
+    print(f"{verb} {n_ok}/{len(outcomes)} questions -> {out}")
+    return _exit_code(n_ok, len(outcomes) - n_ok)
 
 
 def _exit_code(n_ok: int, n_failed: int) -> int:
@@ -525,67 +362,36 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     questions = _load_questions_for_cli(args, config)
     labels = _load_labels_for_cli(args.labels)
     pack = _load_pack_for_cli(args.pack)
-    bundle = build_provider_bundle(config)
+    run = Run(config, build_provider_bundle(config), pack=pack, labels=labels)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started_at = _utc_now()
-    outcomes = _run_over_questions(
-        questions,
-        lambda question: evaluate_question(question, pack, bundle, config, labels),
-        config.concurrency,
-    )
+    outcomes = run_stages(run, _prefilled(questions), EVALUATE_STAGES)
     finished_at = _utc_now()
 
-    evaluations = [outcome.evaluation for outcome in outcomes if outcome.ok]
-    records.write_jsonl_atomic(
-        out_dir / "claim_sets.jsonl",
-        (records.claim_set_to_record(e.claim_set) for e in evaluations),
-    )
-    records.write_jsonl_atomic(
-        out_dir / "assignments.jsonl",
-        (
-            records.assignment_to_record(e.question.id, e.assignment)
-            for e in evaluations
-        ),
-    )
-    records.write_jsonl_atomic(
-        out_dir / "verifications.jsonl",
-        (
-            records.verifications_to_record(e.question.id, e.results)
-            for e in evaluations
-        ),
-    )
+    _write_stage_records(out_dir / "claim_sets.jsonl", outcomes, "claim_set")
+    _write_stage_records(out_dir / "assignments.jsonl", outcomes, "assignment")
+    _write_stage_records(out_dir / "verifications.jsonl", outcomes, "results")
     if config.ground_truth:
-        records.write_jsonl_atomic(
-            out_dir / "gt_verifications.jsonl",
-            (
-                records.verifications_to_record(
-                    outcome.question.id, outcome.gt_results
-                )
-                for outcome in outcomes
-                if outcome.ok and outcome.gt_results is not None
-            ),
-        )
-    records.write_jsonl_atomic(
-        out_dir / "evaluations.jsonl",
-        (records.evaluation_to_record(e) for e in evaluations),
-    )
+        _write_stage_records(out_dir / "gt_verifications.jsonl", outcomes, "gt_results")
+    n_ok = _write_stage_records(out_dir / "evaluations.jsonl", outcomes, "evaluation")
 
-    reports = build_reports(evaluations)
+    reports = build_reports([outcome.evaluation for outcome in outcomes if outcome.ok])
     records.write_json_atomic(
         out_dir / "report.json", [records.report_to_record(r) for r in reports]
     )
     report_text = render_report_text(reports)
     records.write_text_atomic(out_dir / "report.txt", report_text)
 
+    n_failed = len(outcomes) - n_ok
     manifest = {
         "config": config.to_record(),
         "started_at": started_at,
         "finished_at": finished_at,
         "n_questions": len(outcomes),
-        "n_ok": len(evaluations),
-        "n_failed": len(outcomes) - len(evaluations),
+        "n_ok": n_ok,
+        "n_failed": n_failed,
         "questions": {
             outcome.question.id: (
                 {"status": "ok"}
@@ -598,224 +404,79 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
             for outcome in outcomes
         },
-        "provider_calls": bundle.call_counts(),
+        "provider_calls": run.bundle.call_counts(),
     }
     records.write_json_atomic(out_dir / "manifest.json", manifest)
 
     print(report_text, end="")
-    n_failed = len(outcomes) - len(evaluations)
     if n_failed:
         print(f"{n_failed} of {len(outcomes)} questions failed; see manifest.json",
               file=sys.stderr)
-    return _exit_code(len(evaluations), n_failed)
+    return _exit_code(n_ok, n_failed)
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     questions = _load_questions_for_cli(args, config)
     pack = _load_pack_for_cli(args.pack)
-    bundle = build_provider_bundle(config)
-
-    def worker(question):
-        try:
-            parsed = decompose(
-                question,
-                pack,
-                bundle.provider("decompose"),
-                model=config.decompose_model,
-                max_tokens=config.decompose_max_tokens,
-            )
-            return question, parsed.claim_set, None
-        except Exception as exc:
-            logger.error("question %s: %s", question.id, exc)
-            return question, None, f"{type(exc).__name__}: {exc}"
-
-    results = _run_over_questions(questions, worker, config.concurrency)
-    claim_sets = [claim_set for _, claim_set, _ in results if claim_set is not None]
-    records.write_jsonl_atomic(
-        args.out, (records.claim_set_to_record(cs) for cs in claim_sets)
-    )
-    n_failed = len(results) - len(claim_sets)
-    print(f"decomposed {len(claim_sets)}/{len(results)} questions -> {args.out}")
-    return _exit_code(len(claim_sets), n_failed)
+    run = Run(config, build_provider_bundle(config), pack=pack)
+    outcomes = run_stages(run, _prefilled(questions), ("decompose",))
+    n_ok = _write_stage_records(args.out, outcomes, "claim_set")
+    return _stage_summary("decomposed", n_ok, outcomes, args.out)
 
 
 def cmd_answer(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     questions = _load_questions_for_cli(args, config)
-    claim_sets = {
-        record["question_id"]: records.claim_set_from_record(record)
-        for _, record in records.read_jsonl(args.claims)
-    }
-    bundle = build_provider_bundle(config)
-
-    def worker(question):
-        claim_set = claim_sets.get(question.id)
-        if claim_set is None:
-            logger.error("question %s: no claim set", question.id)
-            return question, None
-        try:
-            assignment = generate_answers(
-                question,
-                claim_set,
-                bundle.provider("answer"),
-                model=config.answer_model,
-                max_tokens=config.answer_max_tokens,
-            )
-            return question, assignment
-        except Exception as exc:
-            logger.error("question %s: %s", question.id, exc)
-            return question, None
-
-    results = _run_over_questions(questions, worker, config.concurrency)
-    ok = [(q, a) for q, a in results if a is not None]
-    records.write_jsonl_atomic(
-        args.out, (records.assignment_to_record(q.id, a) for q, a in ok)
-    )
-    print(f"answered {len(ok)}/{len(results)} questions -> {args.out}")
-    return _exit_code(len(ok), len(results) - len(ok))
+    claim_sets = _claim_sets_by_id(args.claims)
+    run = Run(config, build_provider_bundle(config))
+    outcomes = run_stages(run, _prefilled(questions, claim_set=claim_sets), ("answer",))
+    n_ok = _write_stage_records(args.out, outcomes, "assignment")
+    return _stage_summary("answered", n_ok, outcomes, args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.ground_truth and args.gt_out is None:
+        raise ConfigError("--ground-truth needs --gt-out")
     config = config_from_args(args)
     questions = _load_questions_for_cli(args, config)
-    claim_sets = {
-        record["question_id"]: records.claim_set_from_record(record)
-        for _, record in records.read_jsonl(args.claims)
-    }
-    assignments = dict(
-        records.assignment_from_record(record)
-        for _, record in records.read_jsonl(args.assignments)
+    claim_sets = _claim_sets_by_id(args.claims)
+    assignments = _assignments_by_id(args.assignments)
+    run = Run(config, build_provider_bundle(config))
+    outcomes = run_stages(
+        run,
+        _prefilled(questions, claim_set=claim_sets, assignment=assignments),
+        ("verify", "verify_gt"),
     )
-    bundle = build_provider_bundle(config)
-
-    def worker(question):
-        claim_set = claim_sets.get(question.id)
-        assignment = assignments.get(question.id)
-        if claim_set is None or assignment is None:
-            logger.error("question %s: missing claim set or assignment", question.id)
-            return question, None, None
-        try:
-            results = verify_all(
-                claim_set,
-                assignment,
-                bundle.provider("verify"),
-                config.parse_config,
-                model=config.verify_model,
-                max_tokens=config.verify_max_tokens,
-                lenient=config.lenient,
-            )
-            gt_results = None
-            if config.ground_truth:
-                gt_results = verify_all(
-                    claim_set,
-                    assignment,
-                    bundle.provider("verify_gt"),
-                    config.parse_config,
-                    override_answer=question.gold_answer,
-                    model=config.verify_model,
-                    max_tokens=config.verify_max_tokens,
-                    lenient=config.lenient,
-                )
-            return question, results, gt_results
-        except Exception as exc:
-            logger.error("question %s: %s", question.id, exc)
-            return question, None, None
-
-    outcomes = _run_over_questions(questions, worker, config.concurrency)
-    ok = [(q, r, g) for q, r, g in outcomes if r is not None]
-    records.write_jsonl_atomic(
-        args.out, (records.verifications_to_record(q.id, r) for q, r, _ in ok)
-    )
+    n_ok = _write_stage_records(args.out, outcomes, "results")
     if config.ground_truth:
-        records.write_jsonl_atomic(
-            args.gt_out,
-            (
-                records.verifications_to_record(q.id, g)
-                for q, _, g in ok
-                if g is not None
-            ),
-        )
-    print(f"verified {len(ok)}/{len(outcomes)} questions -> {args.out}")
-    return _exit_code(len(ok), len(outcomes) - len(ok))
+        _write_stage_records(args.gt_out, outcomes, "gt_results")
+    return _stage_summary("verified", n_ok, outcomes, args.out)
 
 
 def cmd_score(args: argparse.Namespace) -> int:
     # Scoring combines stage files; there is no provider to configure.
     config = RunConfig(limit=args.limit, sample=args.sample, seed=args.seed)
     questions = _load_questions_for_cli(args, config)
-    claim_sets = {
-        record["question_id"]: records.claim_set_from_record(record)
-        for _, record in records.read_jsonl(args.claims)
-    }
-    assignments = dict(
-        records.assignment_from_record(record)
-        for _, record in records.read_jsonl(args.assignments)
+    outcomes = _prefilled(
+        questions,
+        claim_set=_claim_sets_by_id(args.claims),
+        assignment=_assignments_by_id(args.assignments),
+        results=_verifications_by_id(args.verifications),
+        gt_results=(
+            _verifications_by_id(args.gt_verifications)
+            if args.gt_verifications is not None
+            else {}
+        ),
     )
-    verifications = dict(
-        records.verifications_from_record(record)
-        for _, record in records.read_jsonl(args.verifications)
-    )
-    gt_verifications = {}
-    if args.gt_verifications is not None:
-        gt_verifications = dict(
-            records.verifications_from_record(record)
-            for _, record in records.read_jsonl(args.gt_verifications)
-        )
-    labels = _load_labels_for_cli(args.labels)
-
-    evaluations = []
-    n_failed = 0
-    for question in questions:
-        claim_set = claim_sets.get(question.id)
-        assignment = assignments.get(question.id)
-        results = verifications.get(question.id)
-        if claim_set is None or assignment is None or results is None:
-            logger.error(
-                "question %s: missing stage output, cannot score", question.id
-            )
-            n_failed += 1
-            continue
-        try:
-            gt_results = gt_verifications.get(question.id)
-            correct, error_category = labels.get(question.id, (None, None))
-            evaluations.append(
-                QuestionEvaluation(
-                    question=question,
-                    claim_set=claim_set,
-                    assignment=assignment,
-                    results=tuple(results),
-                    score_true=score_true([r.verdict for r in results]),
-                    correct=correct,
-                    error_category=error_category,
-                    gt_score_true=(
-                        score_true([r.verdict for r in gt_results])
-                        if gt_results is not None
-                        else None
-                    ),
-                )
-            )
-        except Exception as exc:
-            logger.error("question %s: %s", question.id, exc)
-            n_failed += 1
-
-    records.write_jsonl_atomic(
-        args.out, (records.evaluation_to_record(e) for e in evaluations)
-    )
-    print(f"scored {len(evaluations)}/{len(questions)} questions -> {args.out}")
-    return _exit_code(len(evaluations), n_failed)
+    run = Run(config, labels=_load_labels_for_cli(args.labels))
+    outcomes = run_stages(run, outcomes, ("score",))
+    n_ok = _write_stage_records(args.out, outcomes, "evaluation")
+    return _stage_summary("scored", n_ok, outcomes, args.out)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    if not Path(args.records).is_file():
-        raise ConfigError(f"records file not found: {args.records}")
-    evaluations = [
-        records.evaluation_from_record(record)
-        for _, record in records.read_jsonl(args.records)
-    ]
-    if not evaluations:
-        raise ConfigError(f"{args.records}: no evaluations to report on")
-    reports = build_reports(evaluations)
+    reports = build_reports(_load_evaluations(args.records))
     if args.out_json is not None:
         records.write_json_atomic(
             args.out_json, [records.report_to_record(r) for r in reports]
@@ -832,14 +493,9 @@ def cmd_annotate(
     input_fn: Callable[[str], str] = input,
     print_fn: Callable[[str], None] = print,
 ) -> int:
-    if not Path(args.records).is_file():
-        raise ConfigError(f"records file not found: {args.records}")
-    evaluations = [
-        records.evaluation_from_record(record)
-        for _, record in records.read_jsonl(args.records)
-    ]
+    evaluations = _load_records(args.records, records.evaluation_from_record)
     labels_path = Path(args.labels)
-    existing = records.load_labels(labels_path) if labels_path.is_file() else {}
+    existing = _load_labels_for_cli(labels_path) if labels_path.is_file() else {}
 
     pending = [e for e in evaluations if e.question.id not in existing]
     print_fn(
@@ -878,54 +534,22 @@ def cmd_annotate(
             labels_path, question.id, correct=(choice == "c"),
             error_category=error_category,
         )
-    final = records.load_labels(labels_path) if labels_path.is_file() else {}
+    final = _load_labels_for_cli(labels_path) if labels_path.is_file() else {}
     print_fn(f"\n{len(final)} labels now in {labels_path}")
     return EXIT_OK
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     config = config_from_args(args)
-    if not Path(args.records).is_file():
-        raise ConfigError(f"records file not found: {args.records}")
-    evaluations = [
-        records.evaluation_from_record(record)
-        for _, record in records.read_jsonl(args.records)
-    ]
-    if not evaluations:
-        raise ConfigError(f"{args.records}: no evaluations to run the baseline on")
-    bundle = build_provider_bundle(config)
-
-    def worker(evaluation):
-        try:
-            result = baseline_whole_question(
-                evaluation.question,
-                evaluation.assignment.answer,
-                bundle.provider("baseline"),
-                model=config.verify_model,
-                max_tokens=config.verify_max_tokens,
-            )
-            return evaluation, result
-        except Exception as exc:
-            logger.error("question %s: %s", evaluation.question.id, exc)
-            return evaluation, None
-
-    outcomes = _run_over_questions(evaluations, worker, config.concurrency)
-    ok = [(e, r) for e, r in outcomes if r is not None]
-    records.write_jsonl_atomic(
-        args.out,
-        (
-            {
-                "question_id": evaluation.question.id,
-                "answer": evaluation.assignment.answer,
-                "verdict": result.verdict.value,
-                "raw_response": result.raw_response,
-                "score_true": records.fraction_to_str(evaluation.score_true),
-            }
-            for evaluation, result in ok
-        ),
+    evaluations = _load_evaluations(args.records)
+    run = Run(config, build_provider_bundle(config))
+    outcomes = run_stages(
+        run,
+        [QuestionOutcome(e.question, evaluation=e) for e in evaluations],
+        ("baseline",),
     )
-    print(f"baseline checked {len(ok)}/{len(outcomes)} questions -> {args.out}")
-    return _exit_code(len(ok), len(outcomes) - len(ok))
+    n_ok = _write_stage_records(args.out, outcomes, "baseline")
+    return _stage_summary("baseline checked", n_ok, outcomes, args.out)
 
 
 def cmd_build_obscureqa(args: argparse.Namespace) -> int:

@@ -226,7 +226,7 @@ def parse_decomposition(
 
     claims = []
     for position, (_, text) in enumerate(raw_claims, start=1):
-        claim = ClaimTemplate.from_text(position, text)
+        claim = ClaimTemplate(position, text)
         if ANSWER_TAG not in claim.tags:
             warnings.append(
                 ParseWarning(
@@ -245,32 +245,12 @@ def parse_decomposition(
         reasoning_lines.append(stripped)
     entity_reasoning: Optional[str] = " ".join(reasoning_lines) or None
 
-    claim_set = ClaimSet.build(
+    claim_set = ClaimSet(
         question_id=question_id,
         claims=claims,
         entity_reasoning=entity_reasoning,
     )
     return ParsedDecomposition(claim_set=claim_set, warnings=tuple(warnings))
-
-
-def serialize_decomposition(
-    claim_set: ClaimSet,
-    markers: DecompositionMarkers = DEFAULT_MARKERS,
-) -> str:
-    """Canonical text form of a claim set, the inverse of parsing.
-
-    ``parse_decomposition(serialize_decomposition(cs), cs.question_id)``
-    reproduces ``cs`` for any set whose claims are single-line and numbered
-    1..n, which holds for every parser-produced set.
-    """
-    lines = [markers.step1]
-    if claim_set.entity_reasoning:
-        lines.append(claim_set.entity_reasoning)
-    lines.append(markers.step2)
-    lines.append(markers.step3)
-    for claim in claim_set.claims:
-        lines.append(f"{claim.index}. {claim.text}")
-    return "\n".join(lines)
 
 
 def decompose(

@@ -14,7 +14,7 @@ that should *report* rather than raise live in :func:`validate_claim_set`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -112,24 +112,15 @@ class Question:
 
 @dataclass(frozen=True)
 class ClaimTemplate:
-    """One templated claim, e.g. ``<answer> wrote the play <play>``.
-
-    ``tags`` caches the tags extractable from ``text``. The constructor does
-    not force the two to agree; :func:`validate_claim_set` reports mismatches
-    so that malformed model output can be inspected instead of thrown away.
-    """
+    """One templated claim, e.g. ``<answer> wrote the play <play>``."""
 
     index: int
     text: str
-    tags: tuple[Tag, ...] = field(default=())
 
-    def __post_init__(self):
-        object.__setattr__(self, "tags", tuple(self.tags))
-
-    @classmethod
-    def from_text(cls, index: int, text: str) -> "ClaimTemplate":
-        """Build a template with ``tags`` derived from *text*."""
-        return cls(index=index, text=text, tags=tuple(extract_tags(text)))
+    @property
+    def tags(self) -> tuple[Tag, ...]:
+        """The tags in ``text``, in order of first occurrence."""
+        return tuple(extract_tags(self.text))
 
 
 @dataclass(frozen=True)
@@ -137,37 +128,20 @@ class ClaimSet:
     """The decomposition of one question into claim templates.
 
     By convention the first claim is the entity-type claim ("<answer> is a
-    novelist") and mentions no tag other than ``<answer>``. ``tags`` is the
-    union of the claims' tags in first-occurrence order.
+    novelist") and mentions no tag other than ``<answer>``.
     """
 
     question_id: str
     claims: tuple[ClaimTemplate, ...]
     entity_reasoning: Optional[str] = None
-    tags: tuple[Tag, ...] = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "claims", tuple(self.claims))
-        object.__setattr__(self, "tags", tuple(self.tags))
 
-    @classmethod
-    def build(
-        cls,
-        question_id: str,
-        claims: list[ClaimTemplate] | tuple[ClaimTemplate, ...],
-        entity_reasoning: Optional[str] = None,
-    ) -> "ClaimSet":
-        """Build a claim set, deriving the tag inventory from the claims."""
-        inventory: dict[str, Tag] = {}
-        for claim in claims:
-            for tag in extract_tags(claim.text):
-                inventory.setdefault(tag.name, tag)
-        return cls(
-            question_id=question_id,
-            claims=tuple(claims),
-            entity_reasoning=entity_reasoning,
-            tags=tuple(inventory.values()),
-        )
+    @property
+    def tags(self) -> tuple[Tag, ...]:
+        """The union of the claims' tags, in order of first occurrence."""
+        return tuple(dict.fromkeys(tag for claim in self.claims for tag in claim.tags))
 
 
 def validate_claim_set(claim_set: ClaimSet) -> list[str]:
@@ -178,9 +152,7 @@ def validate_claim_set(claim_set: ClaimSet) -> list[str]:
 
     * at least one claim, with indices exactly 1..n in order;
     * every claim mentions ``<answer>``;
-    * the first claim mentions only ``<answer>``;
-    * each claim's declared ``tags`` match the tags in its text;
-    * the set's tag inventory matches the union over claims.
+    * the first claim mentions only ``<answer>``.
     """
     violations: list[str] = []
     claims = claim_set.claims
@@ -194,31 +166,16 @@ def validate_claim_set(claim_set: ClaimSet) -> list[str]:
             f"claim indices {indices} are not contiguous 1..{len(claims)}"
         )
 
-    inventory: dict[str, Tag] = {}
     for position, claim in enumerate(claims):
-        extracted = extract_tags(claim.text)
-        for tag in extracted:
-            inventory.setdefault(tag.name, tag)
-        if tuple(extracted) != claim.tags:
-            violations.append(
-                f"claim {claim.index}: declared tags "
-                f"{[t.name for t in claim.tags]} do not match tags in text "
-                f"{[t.name for t in extracted]}"
-            )
-        if ANSWER_TAG not in extracted:
+        tags = claim.tags
+        if ANSWER_TAG not in tags:
             violations.append(f"claim {claim.index}: missing the <answer> tag")
-        elif position == 0 and set(extracted) != {ANSWER_TAG}:
-            extras = [t.name for t in extracted if t != ANSWER_TAG]
+        elif position == 0 and set(tags) != {ANSWER_TAG}:
+            extras = [t.name for t in tags if t != ANSWER_TAG]
             violations.append(
                 f"claim {claim.index}: entity-type claim must mention only "
                 f"<answer>, found {extras}"
             )
-
-    if tuple(inventory.values()) != claim_set.tags:
-        violations.append(
-            f"claim set tag inventory {[t.name for t in claim_set.tags]} does "
-            f"not match union over claims {list(inventory)}"
-        )
     return violations
 
 

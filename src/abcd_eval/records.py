@@ -27,7 +27,6 @@ from .model import (
     GroundTruthComparison,
     Question,
     QuestionEvaluation,
-    Tag,
     VerificationResult,
     Verdict,
 )
@@ -88,14 +87,9 @@ def claim_set_from_record(record: dict) -> ClaimSet:
         question_id=record["question_id"],
         entity_reasoning=record.get("entity_reasoning"),
         claims=tuple(
-            ClaimTemplate(
-                index=claim["index"],
-                text=claim["text"],
-                tags=tuple(Tag(name) for name in claim["tags"]),
-            )
+            ClaimTemplate(index=claim["index"], text=claim["text"])
             for claim in record["claims"]
         ),
-        tags=tuple(Tag(name) for name in record["tags"]),
     )
 
 
@@ -228,19 +222,20 @@ def report_from_record(record: dict) -> AggregateReport:
 # labels
 
 
+def label_from_record(record: dict) -> tuple[str, tuple[bool, Optional[str]]]:
+    return record["question_id"], (
+        bool(record["correct"]),
+        record.get("error_category"),
+    )
+
+
 def load_labels(path: str | Path) -> dict[str, tuple[bool, Optional[str]]]:
     """Read manual labels; later lines for the same question win.
 
     Last-wins lets an annotation session correct an earlier mistake by
     appending instead of editing the file.
     """
-    labels: dict[str, tuple[bool, Optional[str]]] = {}
-    for _, record in read_jsonl(path):
-        labels[record["question_id"]] = (
-            bool(record["correct"]),
-            record.get("error_category"),
-        )
-    return labels
+    return dict(label_from_record(record) for _, record in read_jsonl(path))
 
 
 def append_label(

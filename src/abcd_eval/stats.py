@@ -1,6 +1,6 @@
 """Two-sample t statistics without a scipy dependency.
 
-The default test is Welch's unequal-variance t-test with the
+The test is Welch's unequal-variance t-test with the
 Welch-Satterthwaite degrees of freedom. The two-sided p-value comes from the
 identity
 
@@ -121,18 +121,9 @@ def _mean_and_sample_variance(values: Sequence[float]) -> tuple[float, float]:
     return mean, variance
 
 
-def welch_t_test(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    *,
-    pooled: bool = False,
-) -> TTestResult:
-    """Two-sided two-sample t-test of mean(xs) - mean(ys).
-
-    With ``pooled=False`` (the default) this is Welch's unequal-variance test
-    with Welch-Satterthwaite degrees of freedom; ``pooled=True`` switches to
-    the classic equal-variance Student test with n1 + n2 - 2 degrees of
-    freedom.
+def welch_t_test(xs: Sequence[float], ys: Sequence[float]) -> TTestResult:
+    """Welch's two-sided unequal-variance t-test of mean(xs) - mean(ys),
+    with Welch-Satterthwaite degrees of freedom.
 
     Raises :class:`DegenerateInputError` if either sample has fewer than two
     observations or both sample variances are zero.
@@ -147,17 +138,10 @@ def welch_t_test(
     if var1 == 0.0 and var2 == 0.0:
         raise DegenerateInputError("both samples have zero variance")
 
-    if pooled:
-        pooled_var = ((n1 - 1) * var1 + (n2 - 1) * var2) / (n1 + n2 - 2)
-        standard_error = math.sqrt(pooled_var * (1.0 / n1 + 1.0 / n2))
-        df = float(n1 + n2 - 2)
-    else:
-        se1 = var1 / n1
-        se2 = var2 / n2
-        standard_error = math.sqrt(se1 + se2)
-        df = (se1 + se2) ** 2 / (
-            se1 ** 2 / (n1 - 1) + se2 ** 2 / (n2 - 1)
-        )
+    se1 = var1 / n1
+    se2 = var2 / n2
+    standard_error = math.sqrt(se1 + se2)
+    df = (se1 + se2) ** 2 / (se1 ** 2 / (n1 - 1) + se2 ** 2 / (n2 - 1))
 
     t_stat = (mean1 - mean2) / standard_error
     return TTestResult(

@@ -57,8 +57,9 @@ def instantiate(template: ClaimTemplate, assignment: AnswerAssignment) -> str:
 
     Raises :class:`InstantiationError` with kind ``MISSING_ASSIGNMENT`` when
     the assignment lacks one of the template's tags, and ``LEFTOVER_TAG`` if
-    a serialized tag survives substitution (possible only for templates whose
-    declared ``tags`` disagree with their text).
+    tag-shaped text survives substitution. That happens when literal
+    brackets around a tag weld onto its value: ``<<answer>>`` with answer
+    ``X`` renders as ``<X>``.
     """
     values: dict[str, str] = {}
     for tag in extract_tags(template.text):

@@ -36,13 +36,13 @@ def build_evaluation(
     n = len(verdict_symbols)
     assert n >= 1
     claims = tuple(
-        ClaimTemplate.from_text(
+        ClaimTemplate(
             i,
             "<answer> is an entity" if i == 1 else f"<answer> has property {i}",
         )
         for i in range(1, n + 1)
     )
-    claim_set = ClaimSet.build(qid, claims)
+    claim_set = ClaimSet(qid, claims)
     assignment = AnswerAssignment.from_dict({"answer": f"thing-{qid}"})
     verdicts = verdicts_from(verdict_symbols)
     results = tuple(

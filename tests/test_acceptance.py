@@ -354,7 +354,7 @@ def test_acceptance_7_template_round_trip_properties(announce):
             assert [tag.name for tag in extracted] == first_seen
 
             # Instantiation: exact substitution, nothing tag-like survives.
-            claim = ClaimTemplate.from_text(1, template_text)
+            claim = ClaimTemplate(1, template_text)
             assignment = AnswerAssignment.from_dict(values)
             result = instantiate(claim, assignment)
             assert result == "".join(expected_parts)

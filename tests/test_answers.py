@@ -147,11 +147,11 @@ class RecordingProvider:
 
 class TestGenerateAnswers:
     def claim_set(self):
-        return ClaimSet.build(
+        return ClaimSet(
             "q1",
             (
-                ClaimTemplate.from_text(1, "<answer> is an architect."),
-                ClaimTemplate.from_text(2, "<answer> designed a museum in <city>."),
+                ClaimTemplate(1, "<answer> is an architect."),
+                ClaimTemplate(2, "<answer> designed a museum in <city>."),
             ),
         )
 
@@ -167,8 +167,8 @@ class TestGenerateAnswers:
     def test_degenerate_set_still_requests_answer(self):
         # Every claim lost its answer tag; the slot is forced back in so
         # scoring and the gold-answer re-run still have a value to use.
-        claim_set = ClaimSet.build(
-            "q1", (ClaimTemplate.from_text(1, "The museum is in <city>."),)
+        claim_set = ClaimSet(
+            "q1", (ClaimTemplate(1, "The museum is in <city>."),)
         )
         provider = RecordingProvider("<answer>: Frank Gehry\n<city>: Bilbao")
         assignment = generate_answers(QUESTION, claim_set, provider)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests driven by the scripted 12-question fixture."""
 
 import json
+import logging
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from abcd_eval.cli import (
 )
 from abcd_eval.datasets import SplitSpec, split_sizes
 from abcd_eval.model import Verdict
+from abcd_eval.providers import ScriptedProvider
 from e2e_fixture import (
     EXPECTED_CACHE_ENTRIES,
     EXPECTED_CALLS_NO_CACHE,
@@ -404,6 +406,76 @@ class TestStageCommands:
         assert (out_dir / "evaluations.jsonl").read_bytes() == \
             (reference / "evaluations.jsonl").read_bytes()
 
+    @pytest.mark.parametrize(
+        "command, inputs",
+        [("answer", ("--claims",)), ("verify", ("--claims", "--assignments"))],
+    )
+    def test_missing_input_fails_like_evaluate(
+        self, fixture_paths, tmp_path, caplog, command, inputs
+    ):
+        reference = tmp_path / "reference"
+        assert main(evaluate_args(fixture_paths, reference)) == EXIT_OK
+        files = {
+            "--claims": reference / "claim_sets.jsonl",
+            "--assignments": reference / "assignments.jsonl",
+        }
+        # The last input loses q01's record.
+        lacking = files[inputs[-1]]
+        rows = [
+            row for _, row in records.read_jsonl(lacking)
+            if row["question_id"] != "q01"
+        ]
+        records.write_jsonl_atomic(lacking, rows)
+        out = tmp_path / "out.jsonl"
+        argv = [
+            command,
+            "--questions", str(fixture_paths["questions"]),
+            "--script", str(fixture_paths["rules"]),
+            "--out", str(out),
+        ]
+        for flag in inputs:
+            argv += [flag, str(files[flag])]
+
+        with caplog.at_level(logging.ERROR):
+            assert main(argv) == EXIT_PARTIAL
+        failures = [
+            r.getMessage() for r in caplog.records if r.levelno == logging.ERROR
+        ]
+        assert len(failures) == 1
+        assert failures[0].startswith(f"question q01 failed at {command}: ")
+        assert [row["question_id"] for _, row in records.read_jsonl(out)] == [
+            fq.qid for fq in QUESTIONS[1:]
+        ]
+
+    def test_verify_ground_truth_without_gt_out_calls_nothing(
+        self, fixture_paths, tmp_path, monkeypatch, capsys
+    ):
+        reference = tmp_path / "reference"
+        assert main(evaluate_args(fixture_paths, reference)) == EXIT_OK
+        calls = []
+
+        def refuse(self, request):
+            calls.append(request)
+            raise AssertionError("provider called")
+
+        monkeypatch.setattr(ScriptedProvider, "complete", refuse)
+        out = tmp_path / "verifications.jsonl"
+        code = main(
+            [
+                "verify",
+                "--questions", str(fixture_paths["questions"]),
+                "--script", str(fixture_paths["rules"]),
+                "--claims", str(reference / "claim_sets.jsonl"),
+                "--assignments", str(reference / "assignments.jsonl"),
+                "--ground-truth",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_CONFIG
+        assert "--gt-out" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
     def test_report_command(self, fixture_paths, tmp_path, capsys):
         reference = tmp_path / "reference"
         assert main(evaluate_args(fixture_paths, reference)) == EXIT_OK
@@ -430,6 +502,65 @@ class TestStageCommands:
     def test_report_on_missing_file_is_config_error(self, tmp_path):
         assert main(["report", "--records", str(tmp_path / "nope.jsonl")]) \
             == EXIT_CONFIG
+
+
+# Input flags of each command that reads files; the bad-file test swaps one
+# of them for a malformed copy.
+INPUT_FLAGS = {
+    "evaluate": ("--questions", "--script", "--labels"),
+    "answer": ("--questions", "--script", "--claims"),
+    "verify": ("--questions", "--script", "--claims", "--assignments"),
+    "score": ("--questions", "--claims", "--assignments", "--verifications",
+              "--gt-verifications", "--labels"),
+    "report": ("--records",),
+    "annotate": ("--records", "--labels"),
+    "baseline": ("--records", "--script"),
+}
+OUTPUT_FLAGS = {
+    "evaluate": "--out-dir", "answer": "--out", "verify": "--out",
+    "score": "--out", "baseline": "--out",
+}
+
+
+@pytest.mark.parametrize("content", ["{not json\n", '{"question_id": "q01"}\n'])
+@pytest.mark.parametrize(
+    "command, bad_flag",
+    [
+        (command, flag)
+        for command, flags in INPUT_FLAGS.items()
+        for flag in flags
+        if flag not in ("--questions", "--script")
+    ],
+)
+def test_bad_input_file_is_config_error(
+    fixture_paths, tmp_path, capsys, command, bad_flag, content
+):
+    reference = tmp_path / "reference"
+    assert main(evaluate_args(fixture_paths, reference)) == EXIT_OK
+    capsys.readouterr()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(content, encoding="utf-8")
+    files = {
+        "--questions": fixture_paths["questions"],
+        "--script": fixture_paths["rules"],
+        "--labels": fixture_paths["labels"],
+        "--claims": reference / "claim_sets.jsonl",
+        "--assignments": reference / "assignments.jsonl",
+        "--verifications": reference / "verifications.jsonl",
+        "--gt-verifications": reference / "gt_verifications.jsonl",
+        "--records": reference / "evaluations.jsonl",
+        bad_flag: bad,
+    }
+    argv = [command]
+    for flag in INPUT_FLAGS[command]:
+        argv += [flag, str(files[flag])]
+    if command in OUTPUT_FLAGS:
+        argv += [OUTPUT_FLAGS[command], str(tmp_path / "out")]
+
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:1: ")
+    assert "Traceback" not in err
 
 
 class ScriptedInput:

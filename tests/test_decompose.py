@@ -14,9 +14,8 @@ from abcd_eval.decompose import (
     default_pack_path,
     load_prompt_pack,
     parse_decomposition,
-    serialize_decomposition,
 )
-from abcd_eval.model import ClaimSet, ClaimTemplate, Dataset, Question
+from abcd_eval.model import Dataset, Question
 from abcd_eval.providers import CompletionResponse
 
 QUESTION = Question(
@@ -142,29 +141,6 @@ class TestParseErrors:
         assert parsed.claim_set.entity_reasoning == "a person."
         with pytest.raises(DecompositionParseError):
             parse_decomposition("Step 3:\n1. <answer> lived.", "q", markers=markers)
-
-
-class TestSerializeRoundTrip:
-    def test_parse_inverts_serialize(self):
-        claim_set = ClaimSet.build(
-            "q3",
-            (
-                ClaimTemplate.from_text(1, "<answer> is a playwright."),
-                ClaimTemplate.from_text(2, "<answer> wrote <play>."),
-            ),
-            entity_reasoning="The answer is a person.",
-        )
-        text = serialize_decomposition(claim_set)
-        parsed = parse_decomposition(text, "q3")
-        assert parsed.claim_set == claim_set
-        assert parsed.warnings == ()
-
-    def test_round_trip_without_reasoning(self):
-        claim_set = ClaimSet.build(
-            "q4", (ClaimTemplate.from_text(1, "<answer> is a river."),)
-        )
-        parsed = parse_decomposition(serialize_decomposition(claim_set), "q4")
-        assert parsed.claim_set == claim_set
 
 
 VALID_EXAMPLE = (

@@ -86,15 +86,6 @@ class TestWelchEdges:
         assert forward.t_stat == pytest.approx(-backward.t_stat, abs=1e-12)
         assert forward.p_value == pytest.approx(backward.p_value, abs=1e-12)
 
-    def test_pooled_variant_uses_student_df(self):
-        xs, ys = random_fixture(11)
-        pooled = welch_t_test(xs, ys, pooled=True)
-        assert pooled.degrees_freedom == len(xs) + len(ys) - 2
-        scipy_stats = pytest.importorskip("scipy.stats")
-        theirs = scipy_stats.ttest_ind(xs, ys, equal_var=True)
-        assert pooled.t_stat == pytest.approx(theirs.statistic, abs=1e-10)
-        assert pooled.p_value == pytest.approx(theirs.pvalue, abs=1e-10)
-
 
 class TestIncompleteBeta:
     def test_bounds(self):

@@ -13,7 +13,7 @@ from abcd_eval.template import (
 
 
 def template(text, index=1):
-    return ClaimTemplate.from_text(index, text)
+    return ClaimTemplate(index, text)
 
 
 class TestInstantiate:
@@ -107,7 +107,7 @@ def test_round_trip_recovers_template(names, fillers, data):
     values.setdefault("answer", "[[answer]]")
     assignment = AnswerAssignment.from_dict(values)
 
-    claim = ClaimTemplate.from_text(1, text)
+    claim = ClaimTemplate(1, text)
     rendered = instantiate(claim, assignment)
 
     recovered = rendered
@@ -116,7 +116,7 @@ def test_round_trip_recovers_template(names, fillers, data):
     assert recovered == text
 
     # And the tags surviving in recovered text match the original template's.
-    assert ClaimTemplate.from_text(1, recovered).tags == claim.tags
+    assert ClaimTemplate(1, recovered).tags == claim.tags
 
 
 @given(st.text(alphabet="<>ab c_1-", max_size=40))
@@ -129,7 +129,7 @@ def test_no_silent_tag_survival(text):
     """
     from abcd_eval.model import TAG_RE
 
-    claim = ClaimTemplate.from_text(1, text)
+    claim = ClaimTemplate(1, text)
     values = {tag.name: "v" for tag in claim.tags}
     values.setdefault("answer", "v")
     try:
@@ -145,5 +145,5 @@ def test_no_silent_tag_survival(text):
 def test_bracket_welding_raises_leftover():
     assignment = AnswerAssignment.from_dict({"answer": "v"})
     with pytest.raises(InstantiationError) as excinfo:
-        instantiate(ClaimTemplate.from_text(1, "<<answer>>"), assignment)
+        instantiate(ClaimTemplate(1, "<<answer>>"), assignment)
     assert excinfo.value.kind is InstantiationErrorKind.LEFTOVER_TAG

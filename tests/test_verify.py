@@ -126,11 +126,11 @@ class TestVerifyClaim:
 
 
 def museum_fixture():
-    claim_set = ClaimSet.build(
+    claim_set = ClaimSet(
         "q7",
         (
-            ClaimTemplate.from_text(1, "<answer> is an architect"),
-            ClaimTemplate.from_text(2, "<answer> designed a museum in <city>"),
+            ClaimTemplate(1, "<answer> is an architect"),
+            ClaimTemplate(2, "<answer> designed a museum in <city>"),
         ),
     )
     assignment = AnswerAssignment.from_dict(
