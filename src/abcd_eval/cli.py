@@ -7,11 +7,18 @@ stages' output files, so a question fails, and is logged, the same way in
 both; ``report`` renders stored evaluations; ``annotate`` collects manual
 correctness labels; ``baseline`` asks the whole-question control question;
 ``build-obscureqa`` constructs the obscure-question dataset from a raw
-quizbowl dump. An input file that does not parse is a configuration error
-naming its path and line.
+quizbowl dump. An input file that does not decode or parse is a
+configuration error naming the file.
 
-Exit codes: 0 success, 1 configuration or environment problem, 2 partial
-failure (some questions processed), 3 total failure (none processed).
+Each option is declared once in :data:`OPTIONS`, and :data:`COMMANDS` lists
+the options of each subcommand. An option that sets a
+:class:`~abcd_eval.pipeline.RunConfig` field has that field as its dest, so
+:func:`config_from_args` copies fields by name and the config checks the
+values, the same way for every command.
+
+Exit codes: 0 success, 1 usage error, out-of-range option value,
+configuration or environment problem, 2 partial failure (some questions
+processed), 3 total failure (none processed).
 
 Record and report files are timestamp-free so that scripted and replay runs
 are byte-for-byte reproducible; wall-clock times go only to the manifest.
@@ -23,6 +30,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -38,7 +46,12 @@ from .datasets import (
     parse_quizbowl_record,
     sample_questions,
 )
-from .decompose import PromptPackError, default_pack_path, load_prompt_pack
+from .answers import DEFAULT_ANSWER_MAX_TOKENS
+from .decompose import (
+    DEFAULT_DECOMPOSE_MAX_TOKENS,
+    default_pack_path,
+    load_prompt_pack,
+)
 from .model import AggregateReport, Question, QuestionEvaluation
 from .pipeline import (
     EVALUATE_STAGES,
@@ -46,12 +59,12 @@ from .pipeline import (
     QuestionOutcome,
     Run,
     RunConfig,
-    build_provider_bundle,
+    build_providers,
     run_stages,
 )
 from .providers import API_KEY_ENV_VAR
 from .scoring import aggregate
-from .verify import MatchMode
+from .verify import DEFAULT_VERIFY_MAX_TOKENS, MatchMode
 
 # Not called here, but perfbench/tests/test_bench.py checks that the tracer
 # rebinds every alias of verify_all, this one included.
@@ -127,95 +140,89 @@ def build_reports(evaluations: Sequence[QuestionEvaluation]) -> list[AggregateRe
 
 
 # --------------------------------------------------------------------------
-# shared option plumbing
+# options
 
 
-def _add_provider_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("provider")
-    group.add_argument(
-        "--provider",
-        choices=["scripted", "live", "replay"],
-        default="scripted",
-        help="completion backend (default: scripted)",
-    )
-    group.add_argument(
-        "--script", type=Path, default=None,
-        help="JSONL rule file for the scripted provider",
-    )
-    group.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="response cache directory (required for replay)",
-    )
-    group.add_argument(
-        "--base-url", default=None,
-        help=f"live API root; key comes from ${API_KEY_ENV_VAR}",
-    )
-    group.add_argument("--decompose-model", default="default")
-    group.add_argument("--answer-model", default="default")
-    group.add_argument("--verify-model", default="default")
-    group.add_argument(
-        "--concurrency", type=int, default=1,
-        help="questions processed in parallel (default: 1)",
-    )
-
-
-def _add_parse_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("verdict parsing")
-    group.add_argument(
-        "--match-mode",
-        choices=[mode.value for mode in MatchMode],
-        default=MatchMode.SUBSTRING.value,
-        help="how 'true'/'false' are found in replies (default: substring)",
-    )
-    group.add_argument(
-        "--no-restatement-override",
-        action="store_true",
-        help="disable the claim-restatement special case",
-    )
-
-
-def _add_question_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--questions", type=Path, required=True,
-                        help="JSONL question file")
-    parser.add_argument(
-        "--format",
+# Every option of the commands, declared once: flag -> add_argument keywords.
+# An option that sets a RunConfig field has that field as its dest.
+OPTIONS = {
+    "--questions": dict(type=Path, required=True, help="JSONL question file"),
+    "--format": dict(
         choices=[fmt.value for fmt in QuestionFormat],
         default=QuestionFormat.GENERIC.value,
         help="question file format (default: generic)",
-    )
-    parser.add_argument("--limit", type=int, default=None,
-                        help="take only the first N questions")
-    parser.add_argument("--sample", type=int, default=None,
-                        help="take a seeded random sample of N questions")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for --sample (default: 0)")
+    ),
+    "--limit": dict(type=int, help="take only the first N questions"),
+    "--sample": dict(type=int, help="take a seeded random sample of N questions"),
+    "--seed": dict(type=int, default=0, help="seed for --sample (default: 0)"),
+    "--pack": dict(type=Path, help="prompt pack directory (default: bundled pack)"),
+    "--labels": dict(type=Path, help="JSONL manual labels to join"),
+    "--claims": dict(type=Path, required=True),
+    "--assignments": dict(type=Path, required=True),
+    "--verifications": dict(type=Path, required=True),
+    "--gt-verifications": dict(type=Path),
+    "--records": dict(type=Path, required=True),
+    "--dump": dict(type=Path, required=True, help="raw quizbowl JSONL dump"),
+    "--out": dict(type=Path, required=True),
+    "--out-dir": dict(type=Path, required=True),
+    "--gt-out": dict(type=Path),
+    "--out-json": dict(type=Path),
+    "--out-text": dict(type=Path),
+    "--ground-truth": dict(
+        action="store_true", help="also verify claims under the gold answer"
+    ),
+    "--lenient": dict(
+        action="store_true",
+        help="record non-response instead of failing a question when the "
+             "provider errors",
+    ),
+    "--decompose-max-tokens": dict(type=int, default=DEFAULT_DECOMPOSE_MAX_TOKENS),
+    "--answer-max-tokens": dict(type=int, default=DEFAULT_ANSWER_MAX_TOKENS),
+    "--verify-max-tokens": dict(type=int, default=DEFAULT_VERIFY_MAX_TOKENS),
+    "--provider": dict(
+        dest="provider_mode",
+        choices=["scripted", "live", "replay"],
+        default="scripted",
+        help="completion backend (default: scripted)",
+    ),
+    "--script": dict(
+        dest="script_path", type=Path, help="JSONL rule file for the scripted provider"
+    ),
+    "--cache-dir": dict(type=Path, help="response cache (required for replay)"),
+    "--base-url": dict(help=f"live API root; key comes from ${API_KEY_ENV_VAR}"),
+    "--decompose-model": dict(default="default"),
+    "--answer-model": dict(default="default"),
+    "--verify-model": dict(default="default"),
+    "--concurrency": dict(
+        type=int, default=1, help="questions processed in parallel (default: 1)"
+    ),
+    "--match-mode": dict(
+        choices=[mode.value for mode in MatchMode],
+        default=MatchMode.SUBSTRING.value,
+        help="how 'true'/'false' are found in replies (default: substring)",
+    ),
+    "--no-restatement-override": dict(
+        dest="restatement_override",
+        action="store_false",
+        help="disable the claim-restatement special case",
+    ),
+}
+
+_QUESTIONS = ("--questions", "--format", "--limit", "--sample", "--seed")
+_PROVIDER = (
+    "--provider", "--script", "--cache-dir", "--base-url",
+    "--decompose-model", "--answer-model", "--verify-model", "--concurrency",
+)
+_PARSING = ("--match-mode", "--no-restatement-override")
+
+_CONFIG_FIELDS = frozenset(field.name for field in fields(RunConfig))
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(
-        provider_mode=args.provider,
-        script_path=args.script,
-        cache_dir=args.cache_dir,
-        base_url=args.base_url,
-        decompose_model=args.decompose_model,
-        answer_model=args.answer_model,
-        verify_model=args.verify_model,
-        concurrency=args.concurrency,
-        limit=getattr(args, "limit", None),
-        sample=getattr(args, "sample", None),
-        seed=getattr(args, "seed", 0),
+    """The command's RunConfig: each parsed option whose dest is a field."""
+    return RunConfig(
+        **{name: value for name, value in vars(args).items() if name in _CONFIG_FIELDS}
     )
-    if hasattr(args, "match_mode"):
-        config.match_mode = MatchMode(args.match_mode)
-        config.restatement_override = not args.no_restatement_override
-    if hasattr(args, "ground_truth"):
-        config.ground_truth = args.ground_truth
-    if hasattr(args, "lenient"):
-        config.lenient = args.lenient
-    for name in ("decompose_max_tokens", "answer_max_tokens", "verify_max_tokens"):
-        if getattr(args, name, None) is not None:
-            setattr(config, name, getattr(args, name))
-    return config
 
 
 def _load_questions_for_cli(args: argparse.Namespace, config: RunConfig) -> list[Question]:
@@ -223,7 +230,7 @@ def _load_questions_for_cli(args: argparse.Namespace, config: RunConfig) -> list
         raise ConfigError(f"question file not found: {args.questions}")
     try:
         report = load_questions(args.questions, QuestionFormat(args.format))
-    except DatasetLoadError as exc:
+    except (DatasetLoadError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     for lineno, message in report.line_errors:
         logger.warning("%s:%d: %s", args.questions, lineno, message)
@@ -246,8 +253,8 @@ def _load_questions_for_cli(args: argparse.Namespace, config: RunConfig) -> list
 def _load_records(path: Path, from_record: Callable[[dict], object]) -> list:
     """Read a JSONL file through a ``records.*_from_record`` function.
 
-    A missing file, malformed JSON or a record that does not convert is a
-    :class:`ConfigError` naming ``path:line``.
+    A missing file, text that is not UTF-8, malformed JSON or a record that
+    does not convert is a :class:`ConfigError` naming the file.
     """
     if not Path(path).is_file():
         raise ConfigError(f"file not found: {path}")
@@ -297,7 +304,7 @@ def _verifications_by_id(path: Path) -> dict:
 def _load_pack_for_cli(path: Optional[Path]):
     try:
         return load_prompt_pack(path if path is not None else default_pack_path())
-    except PromptPackError as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -362,7 +369,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     questions = _load_questions_for_cli(args, config)
     labels = _load_labels_for_cli(args.labels)
     pack = _load_pack_for_cli(args.pack)
-    run = Run(config, build_provider_bundle(config), pack=pack, labels=labels)
+    run = Run(config, *build_providers(config), pack=pack, labels=labels)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -404,7 +411,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
             for outcome in outcomes
         },
-        "provider_calls": run.bundle.call_counts(),
+        "provider_calls": {
+            stage: counter.call_count for stage, counter in run.counters.items()
+        },
     }
     records.write_json_atomic(out_dir / "manifest.json", manifest)
 
@@ -419,7 +428,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     questions = _load_questions_for_cli(args, config)
     pack = _load_pack_for_cli(args.pack)
-    run = Run(config, build_provider_bundle(config), pack=pack)
+    run = Run(config, *build_providers(config), pack=pack)
     outcomes = run_stages(run, _prefilled(questions), ("decompose",))
     n_ok = _write_stage_records(args.out, outcomes, "claim_set")
     return _stage_summary("decomposed", n_ok, outcomes, args.out)
@@ -429,7 +438,7 @@ def cmd_answer(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     questions = _load_questions_for_cli(args, config)
     claim_sets = _claim_sets_by_id(args.claims)
-    run = Run(config, build_provider_bundle(config))
+    run = Run(config, *build_providers(config))
     outcomes = run_stages(run, _prefilled(questions, claim_set=claim_sets), ("answer",))
     n_ok = _write_stage_records(args.out, outcomes, "assignment")
     return _stage_summary("answered", n_ok, outcomes, args.out)
@@ -442,7 +451,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     questions = _load_questions_for_cli(args, config)
     claim_sets = _claim_sets_by_id(args.claims)
     assignments = _assignments_by_id(args.assignments)
-    run = Run(config, build_provider_bundle(config))
+    run = Run(config, *build_providers(config))
     outcomes = run_stages(
         run,
         _prefilled(questions, claim_set=claim_sets, assignment=assignments),
@@ -455,8 +464,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    # Scoring combines stage files; there is no provider to configure.
-    config = RunConfig(limit=args.limit, sample=args.sample, seed=args.seed)
+    config = config_from_args(args)
     questions = _load_questions_for_cli(args, config)
     outcomes = _prefilled(
         questions,
@@ -469,6 +477,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             else {}
         ),
     )
+    # Scoring combines stage files; there is no provider to build.
     run = Run(config, labels=_load_labels_for_cli(args.labels))
     outcomes = run_stages(run, outcomes, ("score",))
     n_ok = _write_stage_records(args.out, outcomes, "evaluation")
@@ -542,7 +551,7 @@ def cmd_annotate(
 def cmd_baseline(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     evaluations = _load_evaluations(args.records)
-    run = Run(config, build_provider_bundle(config))
+    run = Run(config, *build_providers(config))
     outcomes = run_stages(
         run,
         [QuestionOutcome(e.question, evaluation=e) for e in evaluations],
@@ -562,16 +571,17 @@ def cmd_build_obscureqa(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
+    try:
+        lines = records.read_lines(args.dump)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     raw_records = []
     line_errors = []
-    with open(args.dump, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw_records.append(parse_quizbowl_record(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                line_errors.append((lineno, str(exc)))
+    for lineno, line in lines:
+        try:
+            raw_records.append(parse_quizbowl_record(json.loads(line)))
+        except (ValueError, KeyError, TypeError) as exc:
+            line_errors.append((lineno, str(exc)))
     for lineno, message in line_errors:
         logger.warning("%s:%d: %s", args.dump, lineno, message)
     if not raw_records:
@@ -615,8 +625,52 @@ def cmd_build_obscureqa(args: argparse.Namespace) -> int:
 # parser wiring
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_CONFIG; subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+# Subcommand -> (handler, help, its options from OPTIONS).
+COMMANDS = {
+    "evaluate": (cmd_evaluate, "run the full pipeline for a question file", (
+        *_QUESTIONS, "--pack", "--labels", "--out-dir", "--ground-truth",
+        "--lenient", "--decompose-max-tokens", "--answer-max-tokens",
+        "--verify-max-tokens", *_PROVIDER, *_PARSING,
+    )),
+    "decompose": (cmd_decompose, "turn questions into claim templates", (
+        *_QUESTIONS, "--pack", "--out", "--decompose-max-tokens", *_PROVIDER,
+    )),
+    "answer": (cmd_answer, "fill claim-set tags with generated answers", (
+        *_QUESTIONS, "--claims", "--out", "--answer-max-tokens", *_PROVIDER,
+    )),
+    "verify": (cmd_verify, "verify instantiated claims true or false", (
+        *_QUESTIONS, "--claims", "--assignments", "--out", "--ground-truth",
+        "--gt-out", "--lenient", "--verify-max-tokens", *_PROVIDER, *_PARSING,
+    )),
+    "score": (cmd_score, "combine stage outputs into scored evaluations", (
+        *_QUESTIONS, "--claims", "--assignments", "--verifications",
+        "--gt-verifications", "--labels", "--out",
+    )),
+    "report": (cmd_report, "aggregate stored evaluations", (
+        "--records", "--out-json", "--out-text",
+    )),
+    "annotate": (cmd_annotate, "interactively label evaluations correct/incorrect", (
+        "--records",
+    )),
+    "baseline": (cmd_baseline, "whole-question correctness check for comparison", (
+        "--records", "--out", "--verify-max-tokens", *_PROVIDER,
+    )),
+    "build-obscureqa": (cmd_build_obscureqa, "construct the obscure-question dataset", (
+        "--dump", "--out-dir",
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="abcd-eval",
         description=(
             "Answer-based claim decomposition: decompose questions into "
@@ -627,109 +681,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true",
                         help="log per-question progress to stderr")
     commands = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, options) in COMMANDS.items():
+        command = commands.add_parser(name, help=help_text)
+        for flag in options:
+            command.add_argument(flag, **OPTIONS[flag])
+        command.set_defaults(handler=handler)
 
-    evaluate = commands.add_parser(
-        "evaluate", help="run the full pipeline for a question file"
-    )
-    _add_question_options(evaluate)
-    evaluate.add_argument("--pack", type=Path, default=None,
-                          help="prompt pack directory (default: bundled pack)")
-    evaluate.add_argument("--labels", type=Path, default=None,
-                          help="JSONL manual labels to join")
-    evaluate.add_argument("--out-dir", type=Path, required=True)
-    evaluate.add_argument("--ground-truth", action="store_true",
-                          help="also verify claims under the gold answer")
-    evaluate.add_argument("--lenient", action="store_true",
-                          help="record non-response instead of failing a "
-                               "question when the provider errors")
-    evaluate.add_argument("--decompose-max-tokens", type=int, default=None)
-    evaluate.add_argument("--answer-max-tokens", type=int, default=None)
-    evaluate.add_argument("--verify-max-tokens", type=int, default=None)
-    _add_provider_options(evaluate)
-    _add_parse_options(evaluate)
-    evaluate.set_defaults(handler=cmd_evaluate)
-
-    decompose_cmd = commands.add_parser(
-        "decompose", help="turn questions into claim templates"
-    )
-    _add_question_options(decompose_cmd)
-    decompose_cmd.add_argument("--pack", type=Path, default=None)
-    decompose_cmd.add_argument("--out", type=Path, required=True)
-    decompose_cmd.add_argument("--decompose-max-tokens", type=int, default=None)
-    _add_provider_options(decompose_cmd)
-    decompose_cmd.set_defaults(handler=cmd_decompose)
-
-    answer = commands.add_parser(
-        "answer", help="fill claim-set tags with generated answers"
-    )
-    _add_question_options(answer)
-    answer.add_argument("--claims", type=Path, required=True)
-    answer.add_argument("--out", type=Path, required=True)
-    answer.add_argument("--answer-max-tokens", type=int, default=None)
-    _add_provider_options(answer)
-    answer.set_defaults(handler=cmd_answer)
-
-    verify_cmd = commands.add_parser(
-        "verify", help="verify instantiated claims true or false"
-    )
-    _add_question_options(verify_cmd)
-    verify_cmd.add_argument("--claims", type=Path, required=True)
-    verify_cmd.add_argument("--assignments", type=Path, required=True)
-    verify_cmd.add_argument("--out", type=Path, required=True)
-    verify_cmd.add_argument("--ground-truth", action="store_true")
-    verify_cmd.add_argument("--gt-out", type=Path, default=None)
-    verify_cmd.add_argument("--lenient", action="store_true")
-    verify_cmd.add_argument("--verify-max-tokens", type=int, default=None)
-    _add_provider_options(verify_cmd)
-    _add_parse_options(verify_cmd)
-    verify_cmd.set_defaults(handler=cmd_verify)
-
-    score = commands.add_parser(
-        "score", help="combine stage outputs into scored evaluations"
-    )
-    _add_question_options(score)
-    score.add_argument("--claims", type=Path, required=True)
-    score.add_argument("--assignments", type=Path, required=True)
-    score.add_argument("--verifications", type=Path, required=True)
-    score.add_argument("--gt-verifications", type=Path, default=None)
-    score.add_argument("--labels", type=Path, default=None)
-    score.add_argument("--out", type=Path, required=True)
-    score.set_defaults(handler=cmd_score)
-
-    report = commands.add_parser("report", help="aggregate stored evaluations")
-    report.add_argument("--records", type=Path, required=True)
-    report.add_argument("--out-json", type=Path, default=None)
-    report.add_argument("--out-text", type=Path, default=None)
-    report.set_defaults(handler=cmd_report)
-
-    annotate = commands.add_parser(
-        "annotate", help="interactively label evaluations correct/incorrect"
-    )
-    annotate.add_argument("--records", type=Path, required=True)
-    annotate.add_argument("--labels", type=Path, required=True)
-    annotate.set_defaults(handler=cmd_annotate)
-
-    baseline = commands.add_parser(
-        "baseline", help="whole-question correctness check for comparison"
-    )
-    baseline.add_argument("--records", type=Path, required=True)
-    baseline.add_argument("--out", type=Path, required=True)
-    baseline.add_argument("--verify-max-tokens", type=int, default=None)
-    _add_provider_options(baseline)
-    baseline.set_defaults(handler=cmd_baseline)
-
-    build_cmd = commands.add_parser(
-        "build-obscureqa", help="construct the obscure-question dataset"
-    )
-    build_cmd.add_argument("--dump", type=Path, required=True,
-                           help="raw quizbowl JSONL dump")
-    build_cmd.add_argument("--out-dir", type=Path, required=True)
+    # Options that differ from the OPTIONS entry of the same name.
+    commands.choices["annotate"].add_argument("--labels", type=Path, required=True)
+    build_cmd = commands.choices["build-obscureqa"]
     build_cmd.add_argument("--train", type=float, default=0.7)
     build_cmd.add_argument("--valid", type=float, default=0.1)
     build_cmd.add_argument("--test", type=float, default=0.2)
     build_cmd.add_argument("--seed", type=int, default=0)
-    build_cmd.set_defaults(handler=cmd_build_obscureqa)
-
     return parser
 
 

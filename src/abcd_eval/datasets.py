@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .model import Dataset, Question
+from .records import read_lines
 
 # --------------------------------------------------------------------------
 # text cleaning
@@ -371,45 +372,42 @@ def load_questions(path: str | Path, fmt: QuestionFormat) -> LoadReport:
 
     A bad line never aborts the load; it lands in ``line_errors`` with its
     line number. Only a file from which *nothing* parses raises
-    :class:`DatasetLoadError`. Duplicate ids are per-line errors (first
+    :class:`DatasetLoadError`, and a file that is not UTF-8 a ``ValueError``
+    naming it. Duplicate ids are per-line errors (first
     occurrence wins). The hotpotqa format keeps bridge-type records at the
     easy and medium levels and counts everything else as skipped.
     """
     path = Path(path)
     report = LoadReport()
     seen_ids: set[str] = set()
-    n_lines = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            n_lines += 1
-            try:
-                row = json.loads(line)
-                if not isinstance(row, dict):
-                    raise ValueError("line is not a JSON object")
-                if fmt is QuestionFormat.TRIVIAQA:
-                    question = _parse_triviaqa(row, lineno)
-                elif fmt is QuestionFormat.HOTPOTQA:
-                    question = _parse_hotpotqa(row, lineno)
-                    if question is None:
-                        report.skipped += 1
-                        continue
-                else:
-                    question = _parse_generic(row, lineno, fmt)
-                if question.id in seen_ids:
-                    raise ValueError(f"duplicate question id {question.id!r}")
-            except (ValueError, KeyError, TypeError) as exc:
-                report.line_errors.append((lineno, str(exc)))
-                continue
-            seen_ids.add(question.id)
-            report.questions.append(question)
+    lines = read_lines(path)
+    for lineno, line in lines:
+        try:
+            row = json.loads(line)
+            if not isinstance(row, dict):
+                raise ValueError("line is not a JSON object")
+            if fmt is QuestionFormat.TRIVIAQA:
+                question = _parse_triviaqa(row, lineno)
+            elif fmt is QuestionFormat.HOTPOTQA:
+                question = _parse_hotpotqa(row, lineno)
+                if question is None:
+                    report.skipped += 1
+                    continue
+            else:
+                question = _parse_generic(row, lineno, fmt)
+            if question.id in seen_ids:
+                raise ValueError(f"duplicate question id {question.id!r}")
+        except (ValueError, KeyError, TypeError) as exc:
+            report.line_errors.append((lineno, str(exc)))
+            continue
+        seen_ids.add(question.id)
+        report.questions.append(question)
 
-    if n_lines == 0:
+    if not lines:
         raise DatasetLoadError(f"{path}: file holds no records")
     if not report.questions and not report.skipped:
         raise DatasetLoadError(
-            f"{path}: none of {n_lines} lines parsed "
+            f"{path}: none of {len(lines)} lines parsed "
             f"(first error: line {report.line_errors[0][0]}: "
             f"{report.line_errors[0][1]})"
         )

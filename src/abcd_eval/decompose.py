@@ -25,6 +25,7 @@ from typing import Optional
 
 from .model import ANSWER_TAG, ClaimSet, ClaimTemplate, Question
 from .providers import CompletionRequest, Provider
+from .records import read_text
 
 logger = logging.getLogger(__name__)
 
@@ -124,11 +125,11 @@ def load_prompt_pack(directory: str | Path) -> PromptPack:
     for path in (instructions_path, examples_path):
         if not path.is_file():
             raise PromptPackError(f"prompt pack file missing: {path}")
-    instructions = instructions_path.read_text(encoding="utf-8").strip()
+    instructions = read_text(instructions_path).strip()
 
     blocks: list[str] = []
     current: list[str] = []
-    for line in examples_path.read_text(encoding="utf-8").splitlines():
+    for line in read_text(examples_path).splitlines():
         if line.strip() == _EXAMPLE_SEPARATOR:
             if any(l.strip() for l in current):
                 blocks.append("\n".join(current).strip())

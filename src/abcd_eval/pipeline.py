@@ -7,6 +7,12 @@ adds its own result. ``evaluate`` runs every stage on a fresh outcome; a
 stage command fills the outcome from earlier stages' files and runs one.
 ``baseline`` is a stage of its own over stored evaluations.
 
+:class:`RunConfig` holds every setting of a run and checks its values when
+it is built, so every command that builds one rejects the same bad values.
+:func:`build_providers` checks the provider settings and gives each
+model-calling stage its own provider and call counter; both go on the
+:class:`Run` the stages share.
+
 :func:`run_stages` is the only per-question failure boundary: an exception
 in a stage marks the outcome failed at that stage and the question's
 remaining stages are skipped, while the other questions go on.
@@ -66,6 +72,8 @@ class MissingInputError(Exception):
 
 @dataclass
 class RunConfig:
+    """Every setting of a run; the values are checked when it is built."""
+
     provider_mode: str = "scripted"
     script_path: Optional[Path] = None
     cache_dir: Optional[Path] = None
@@ -85,33 +93,23 @@ class RunConfig:
     sample: Optional[int] = None
     seed: int = 0
 
+    def __post_init__(self):
+        self.match_mode = MatchMode(self.match_mode)
+        for name in ("concurrency", "limit", "sample", "decompose_max_tokens",
+                     "answer_max_tokens", "verify_max_tokens"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                flag = "--" + name.replace("_", "-")
+                raise ConfigError(f"{flag} must be at least 1, got {value}")
+        if self.limit is not None and self.sample is not None:
+            raise ConfigError("--limit and --sample are mutually exclusive")
+
     @property
     def parse_config(self) -> VerdictParseConfig:
         return VerdictParseConfig(
             match_mode=self.match_mode,
             restatement_override=self.restatement_override,
         )
-
-    def validate(self) -> None:
-        if self.provider_mode not in ("scripted", "live", "replay"):
-            raise ConfigError(f"unknown provider mode {self.provider_mode!r}")
-        if self.provider_mode == "scripted":
-            if self.script_path is None:
-                raise ConfigError("scripted mode needs --script")
-            if not Path(self.script_path).is_file():
-                raise ConfigError(f"script file not found: {self.script_path}")
-        elif self.provider_mode == "live":
-            if not self.base_url:
-                raise ConfigError("live mode needs --base-url")
-        elif self.provider_mode == "replay":
-            if self.cache_dir is None:
-                raise ConfigError("replay mode needs --cache-dir")
-            if not Path(self.cache_dir).is_dir():
-                raise ConfigError(f"cache directory not found: {self.cache_dir}")
-        if self.concurrency < 1:
-            raise ConfigError("--concurrency must be at least 1")
-        if self.limit is not None and self.sample is not None:
-            raise ConfigError("--limit and --sample are mutually exclusive")
 
     def to_record(self) -> dict:
         return {
@@ -140,58 +138,62 @@ class RunConfig:
         }
 
 
-@dataclass
-class ProviderBundle:
-    """One provider per pipeline stage, each behind its own call counter."""
+def _base_provider(config: RunConfig) -> Provider:
+    mode = config.provider_mode
+    if mode == "scripted":
+        if config.script_path is None:
+            raise ConfigError("scripted mode needs --script")
+        if not Path(config.script_path).is_file():
+            raise ConfigError(f"script file not found: {config.script_path}")
+        try:
+            return ScriptedProvider(load_script_rules(config.script_path))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    if mode == "live":
+        if not config.base_url:
+            raise ConfigError("live mode needs --base-url")
+        try:
+            return LiveProvider(base_url=config.base_url)
+        except ProviderError as exc:
+            raise ConfigError(str(exc)) from exc
+    if mode == "replay":
+        if config.cache_dir is None:
+            raise ConfigError("replay mode needs --cache-dir")
+        if not Path(config.cache_dir).is_dir():
+            raise ConfigError(f"cache directory not found: {config.cache_dir}")
+        return ReplayProvider(ResponseCache(config.cache_dir))
+    raise ConfigError(f"unknown provider mode {mode!r}")
 
-    stage_providers: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
 
-    def provider(self, stage: str) -> Provider:
-        return self.stage_providers[stage]
-
-    def call_counts(self) -> dict:
-        return {stage: counter.call_count for stage, counter in self.counters.items()}
-
-
-def build_provider_bundle(config: RunConfig) -> ProviderBundle:
-    """Assemble the per-stage provider stack for the configured mode.
+def build_providers(config: RunConfig) -> tuple[dict, dict]:
+    """One provider and one call counter per model-calling stage.
 
     Counters sit inside the caching layer, so in caching modes they count
     upstream calls (cache misses); in replay mode they count completions
     served from the cache.
     """
-    config.validate()
-    cache = ResponseCache(config.cache_dir) if config.cache_dir else None
-
-    def base_provider() -> Provider:
-        if config.provider_mode == "scripted":
-            return ScriptedProvider(load_script_rules(config.script_path))
-        if config.provider_mode == "live":
-            try:
-                return LiveProvider(base_url=config.base_url)
-            except ProviderError as exc:
-                raise ConfigError(str(exc)) from exc
-        return ReplayProvider(cache)
-
-    bundle = ProviderBundle()
-    base = base_provider()
+    base = _base_provider(config)
+    cache = None
+    if config.cache_dir is not None and config.provider_mode != "replay":
+        cache = ResponseCache(config.cache_dir)
+    providers, counters = {}, {}
     for stage in PROVIDER_STAGES:
-        counter = CountingProvider(base)
-        bundle.counters[stage] = counter
-        if cache is not None and config.provider_mode != "replay":
-            bundle.stage_providers[stage] = CachingProvider(counter, cache)
-        else:
-            bundle.stage_providers[stage] = counter
-    return bundle
+        counters[stage] = CountingProvider(base)
+        providers[stage] = (
+            CachingProvider(counters[stage], cache) if cache else counters[stage]
+        )
+    return providers, counters
 
 
 @dataclass
 class Run:
-    """What the stages share across questions."""
+    """What the stages share across questions: the configuration, the
+    provider of each model-calling stage with its call counter, the prompt
+    pack and the manual labels."""
 
     config: RunConfig
-    bundle: Optional[ProviderBundle] = None
+    providers: dict = field(default_factory=dict)
+    counters: dict = field(default_factory=dict)
     pack: Optional[PromptPack] = None
     labels: dict = field(default_factory=dict)
 
@@ -229,7 +231,7 @@ def _decompose(run: Run, outcome: QuestionOutcome) -> None:
     outcome.claim_set = decompose(
         outcome.question,
         run.pack,
-        run.bundle.provider("decompose"),
+        run.providers["decompose"],
         model=run.config.decompose_model,
         max_tokens=run.config.decompose_max_tokens,
     ).claim_set
@@ -239,7 +241,7 @@ def _answer(run: Run, outcome: QuestionOutcome) -> None:
     outcome.assignment = generate_answers(
         outcome.question,
         _need(outcome.claim_set, "claim set"),
-        run.bundle.provider("answer"),
+        run.providers["answer"],
         model=run.config.answer_model,
         max_tokens=run.config.answer_max_tokens,
     )
@@ -251,7 +253,7 @@ def _verify_claims(
     return verify_all(
         _need(outcome.claim_set, "claim set"),
         _need(outcome.assignment, "assignment"),
-        run.bundle.provider(stage),
+        run.providers[stage],
         run.config.parse_config,
         override_answer=override_answer,
         model=run.config.verify_model,
@@ -296,7 +298,7 @@ def _baseline(run: Run, outcome: QuestionOutcome) -> None:
     outcome.baseline = baseline_whole_question(
         outcome.question,
         outcome.evaluation.assignment.answer,
-        run.bundle.provider("baseline"),
+        run.providers["baseline"],
         model=run.config.verify_model,
         max_tokens=run.config.verify_max_tokens,
     )

@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import random
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -25,6 +24,8 @@ from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence
 
 import requests
+
+from .records import atomic_write, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -141,6 +142,8 @@ class ScriptRule:
     finish_reason: FinishReason = FinishReason.STOP
 
     def __post_init__(self):
+        if not (isinstance(self.match, str) and isinstance(self.response, str)):
+            raise ValueError("script rule match and response must be strings")
         if self.mode not in ("substring", "exact"):
             raise ValueError(f"unknown script rule mode: {self.mode!r}")
 
@@ -178,21 +181,18 @@ class ScriptedProvider:
 def load_script_rules(path: str | Path) -> list[ScriptRule]:
     """Read script rules from a JSONL file of {match, response, mode?} rows."""
     rules = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                rules.append(
-                    ScriptRule(
-                        match=row["match"],
-                        response=row["response"],
-                        mode=row.get("mode", "substring"),
-                    )
+    for lineno, line in read_lines(path):
+        try:
+            row = json.loads(line)
+            rules.append(
+                ScriptRule(
+                    match=row["match"],
+                    response=row["response"],
+                    mode=row.get("mode", "substring"),
                 )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad script rule: {exc}") from exc
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad script rule: {exc}") from exc
     return rules
 
 
@@ -383,21 +383,9 @@ class ResponseCache:
             "response": _response_to_record(response),
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
-        path = self._path(digest)
+        text = json.dumps(entry, ensure_ascii=False, indent=2)
         with self._lock:
-            fd, temp_path = tempfile.mkstemp(
-                dir=self.directory, prefix=".tmp-", suffix=".json"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(entry, handle, ensure_ascii=False, indent=2)
-                os.replace(temp_path, path)
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self._path(digest), text)
 
     def delete(self, digest: str) -> None:
         self._path(digest).unlink(missing_ok=True)

@@ -55,9 +55,15 @@ def question_to_record(question: Question) -> dict:
     }
 
 
+def _question_id(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"question id must be a string, got {value!r}")
+    return value
+
+
 def question_from_record(record: dict) -> Question:
     return Question(
-        id=record["id"],
+        id=_question_id(record["id"]),
         text=record["text"],
         gold_answer=record["gold_answer"],
         dataset=Dataset(record["dataset"]),
@@ -84,7 +90,7 @@ def claim_set_to_record(claim_set: ClaimSet) -> dict:
 
 def claim_set_from_record(record: dict) -> ClaimSet:
     return ClaimSet(
-        question_id=record["question_id"],
+        question_id=_question_id(record["question_id"]),
         entity_reasoning=record.get("entity_reasoning"),
         claims=tuple(
             ClaimTemplate(index=claim["index"], text=claim["text"])
@@ -98,7 +104,8 @@ def assignment_to_record(question_id: str, assignment: AnswerAssignment) -> dict
 
 
 def assignment_from_record(record: dict) -> tuple[str, AnswerAssignment]:
-    return record["question_id"], AnswerAssignment.from_dict(record["entries"])
+    question_id = _question_id(record["question_id"])
+    return question_id, AnswerAssignment.from_dict(record["entries"])
 
 
 def verification_result_to_record(result: VerificationResult) -> dict:
@@ -130,7 +137,7 @@ def verifications_to_record(
 
 def verifications_from_record(record: dict) -> tuple[str, list[VerificationResult]]:
     return (
-        record["question_id"],
+        _question_id(record["question_id"]),
         [verification_result_from_record(row) for row in record["results"]],
     )
 
@@ -223,7 +230,7 @@ def report_from_record(record: dict) -> AggregateReport:
 
 
 def label_from_record(record: dict) -> tuple[str, tuple[bool, Optional[str]]]:
-    return record["question_id"], (
+    return _question_id(record["question_id"]), (
         bool(record["correct"]),
         record.get("error_category"),
     )
@@ -255,6 +262,22 @@ def append_label(
 # file primitives
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's content; undecodable bytes are a ``ValueError``
+    naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(lineno, line) pairs of the non-blank lines of a UTF-8 text file."""
+    lines = enumerate(read_text(path).split("\n"), start=1)
+    return [(lineno, line) for lineno, line in lines if line.strip()]
+
+
 def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     """Read (lineno, record) pairs, raising on any malformed line.
 
@@ -262,21 +285,19 @@ def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     bad line means corruption, not user error.
     """
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}:{lineno}: expected a JSON object")
-            rows.append((lineno, record))
+    for lineno, line in read_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ValueError(f"{path}:{lineno}: expected a JSON object")
+        rows.append((lineno, record))
     return rows
 
 
-def _atomic_write(path: str | Path, content: str) -> None:
+def atomic_write(path: str | Path, content: str) -> None:
+    """Write *content* to a temp file beside *path*, then rename it into place."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, temp_path = tempfile.mkstemp(
@@ -296,12 +317,12 @@ def _atomic_write(path: str | Path, content: str) -> None:
 
 def write_jsonl_atomic(path: str | Path, rows: Iterable[dict]) -> None:
     content = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
-    _atomic_write(path, content)
+    atomic_write(path, content)
 
 
 def write_json_atomic(path: str | Path, obj) -> None:
-    _atomic_write(path, json.dumps(obj, ensure_ascii=False, indent=2) + "\n")
+    atomic_write(path, json.dumps(obj, ensure_ascii=False, indent=2) + "\n")
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    _atomic_write(path, text)
+    atomic_write(path, text)

@@ -8,6 +8,7 @@ import pytest
 
 from abcd_eval import records
 from abcd_eval.cli import (
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARTIAL,
@@ -17,6 +18,7 @@ from abcd_eval.cli import (
     main,
 )
 from abcd_eval.datasets import SplitSpec, split_sizes
+from abcd_eval.decompose import default_pack_path
 from abcd_eval.model import Verdict
 from abcd_eval.providers import ScriptedProvider
 from e2e_fixture import (
@@ -517,12 +519,18 @@ INPUT_FLAGS = {
     "baseline": ("--records", "--script"),
 }
 OUTPUT_FLAGS = {
-    "evaluate": "--out-dir", "answer": "--out", "verify": "--out",
-    "score": "--out", "baseline": "--out",
+    "evaluate": "--out-dir", "decompose": "--out", "answer": "--out",
+    "verify": "--out", "score": "--out", "baseline": "--out",
 }
 
 
-@pytest.mark.parametrize("content", ["{not json\n", '{"question_id": "q01"}\n'])
+# Stands for the input file's first record with its question id made a list.
+LIST_ID = "list question id"
+
+
+@pytest.mark.parametrize(
+    "content", ["{not json\n", '{"question_id": "q01"}\n', LIST_ID]
+)
 @pytest.mark.parametrize(
     "command, bad_flag",
     [
@@ -539,7 +547,6 @@ def test_bad_input_file_is_config_error(
     assert main(evaluate_args(fixture_paths, reference)) == EXIT_OK
     capsys.readouterr()
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(content, encoding="utf-8")
     files = {
         "--questions": fixture_paths["questions"],
         "--script": fixture_paths["rules"],
@@ -549,8 +556,16 @@ def test_bad_input_file_is_config_error(
         "--verifications": reference / "verifications.jsonl",
         "--gt-verifications": reference / "gt_verifications.jsonl",
         "--records": reference / "evaluations.jsonl",
-        bad_flag: bad,
     }
+    if content == LIST_ID:
+        record = records.read_jsonl(files[bad_flag])[0][1]
+        if "question" in record:
+            record["question"]["id"] = ["q01"]
+        else:
+            record["question_id"] = ["q01"]
+        content = json.dumps(record) + "\n"
+    bad.write_text(content, encoding="utf-8")
+    files[bad_flag] = bad
     argv = [command]
     for flag in INPUT_FLAGS[command]:
         argv += [flag, str(files[flag])]
@@ -561,6 +576,136 @@ def test_bad_input_file_is_config_error(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:1: ")
     assert "Traceback" not in err
+
+
+NOT_UTF8 = b'{"id": "q01", "question": "caf\xe9?", "answer": "x"}\n'
+
+
+def _bad_pack(directory):
+    """A copy of the bundled pack whose instructions are not UTF-8."""
+    directory.mkdir()
+    examples = (default_pack_path() / "examples.txt").read_bytes()
+    (directory / "examples.txt").write_bytes(examples)
+    (directory / "instructions.txt").write_bytes(b"Decompose \xff\n")
+    return directory / "instructions.txt"
+
+
+@pytest.mark.parametrize(
+    "command, bad_flag, content",
+    [
+        ("evaluate", "--questions", NOT_UTF8),
+        ("evaluate", "--script", NOT_UTF8),
+        ("evaluate", "--script", b'{"match": 1}\n'),
+        ("evaluate", "--script", b'{"match": 1, "response": "True"}\n'),
+        ("evaluate", "--pack", None),
+        ("evaluate", "--labels", NOT_UTF8),
+        ("answer", "--claims", NOT_UTF8),
+        ("build-obscureqa", "--dump", NOT_UTF8),
+    ],
+)
+def test_unreadable_input_file_is_config_error(
+    fixture_paths, tmp_path, capsys, command, bad_flag, content
+):
+    if content is None:
+        bad_arg = tmp_path / "pack"
+        bad = _bad_pack(bad_arg)
+    else:
+        bad = bad_arg = tmp_path / "bad"
+        bad.write_bytes(content)
+    out = tmp_path / "out"
+    if command == "build-obscureqa":
+        argv = [command, "--dump", str(bad_arg), "--out-dir", str(out)]
+    else:
+        argv = [
+            command,
+            "--questions", str(fixture_paths["questions"]),
+            "--script", str(fixture_paths["rules"]),
+            bad_flag, str(bad_arg),  # the last occurrence of a flag wins
+            OUTPUT_FLAGS[command], str(out),
+        ]
+
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(bad) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_usage_errors_exit_config(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["evaluate", "--out-dir", "x"])
+    assert exc_info.value.code == EXIT_CONFIG
+    assert "--questions" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc_info:
+        main(["evaluate", "--questions", "q", "--out-dir", "x", "--format", "nope"])
+    assert exc_info.value.code == EXIT_CONFIG
+    assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc_info:
+        main(["evaluate", "--help"])
+    assert exc_info.value.code == EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory):
+    """The fixture's paths and the stage files of one evaluate run."""
+    root = tmp_path_factory.mktemp("reference")
+    paths = write_fixture(root / "fixture")
+    assert main(evaluate_args(paths, root / "run")) == EXIT_OK
+    return paths, root / "run"
+
+
+BAD_VALUES = [
+    ("--limit", "0"),
+    ("--limit", "-1"),
+    ("--sample", "-1"),
+    ("--limit", "3", "--sample", "2"),
+    ("--concurrency", "0"),
+    ("--decompose-max-tokens", "0"),
+    ("--answer-max-tokens", "0"),
+    ("--verify-max-tokens", "0"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, bad_args",
+    [
+        pytest.param(command, bad_args, id=f"{command} {' '.join(bad_args)}")
+        for command, (_, _, options) in COMMANDS.items()
+        for bad_args in BAD_VALUES
+        if all(flag in options for flag in bad_args[::2])
+    ],
+)
+def test_out_of_range_option_is_config_error(
+    reference_run, tmp_path, capsys, monkeypatch, command, bad_args
+):
+    paths, reference = reference_run
+    calls = []
+    monkeypatch.setattr(
+        ScriptedProvider, "complete", lambda self, request: calls.append(request)
+    )
+    files = {
+        "--questions": paths["questions"],
+        "--script": paths["rules"],
+        "--labels": paths["labels"],
+        "--claims": reference / "claim_sets.jsonl",
+        "--assignments": reference / "assignments.jsonl",
+        "--verifications": reference / "verifications.jsonl",
+        "--records": reference / "evaluations.jsonl",
+    }
+    options = COMMANDS[command][2]
+    argv = [command, *bad_args, OUTPUT_FLAGS[command], str(tmp_path / "out")]
+    for flag, path in files.items():
+        if flag in options:
+            argv += [flag, str(path)]
+    capsys.readouterr()
+
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 class ScriptedInput:
