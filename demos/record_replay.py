@@ -24,7 +24,6 @@ request = CompletionRequest(
     model="default",
     prompt="True or False: water boils at 100 degrees Celsius at sea level",
     max_tokens=64,
-    temperature=0.0,
 )
 print("digest:", cache_key(request))
 
@@ -46,7 +45,6 @@ other = CompletionRequest(
     model="default",
     prompt="True or False: water boils at 50 degrees Celsius at sea level",
     max_tokens=64,
-    temperature=0.0,
 )
 recording.complete(other)
 print("upstream calls after a new request:", upstream.call_count)

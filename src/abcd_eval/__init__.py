@@ -42,7 +42,6 @@ from .datasets import (
     transliterate,
 )
 from .decompose import (
-    DecompositionMarkers,
     DecompositionParseError,
     ParsedDecomposition,
     ParseWarning,
@@ -69,7 +68,6 @@ from .model import (
     VerificationResult,
     Verdict,
     extract_tags,
-    validate_claim_set,
 )
 from .providers import (
     CachingProvider,

@@ -121,7 +121,6 @@ def generate_answers(
         model=model,
         prompt=build_answer_prompt(question, tags),
         max_tokens=max_tokens,
-        temperature=0.0,
     )
     response = provider.complete(request)
     return parse_answers(response.text, tags)

@@ -32,19 +32,13 @@ logger = logging.getLogger(__name__)
 DEFAULT_DECOMPOSE_MAX_TOKENS = 512
 _EXAMPLE_SEPARATOR = "---"
 
+STEP1_MARKER = "Step 1:"
+STEP2_MARKER = "Step 2:"
+STEP3_MARKER = "Step 3:"
+
 _CLAIM_LINE_RE = re.compile(r"^\s*(\d+)\.\s*(\S.*?)\s*$")
 # Lines that mean "the answer to this question has ended".
 _BOUNDARY_RE = re.compile(r"^\s*(?:---+\s*$|Question\s*:)")
-
-
-@dataclass(frozen=True)
-class DecompositionMarkers:
-    step1: str = "Step 1:"
-    step2: str = "Step 2:"
-    step3: str = "Step 3:"
-
-
-DEFAULT_MARKERS = DecompositionMarkers()
 
 
 class DecompositionParseErrorKind(str, Enum):
@@ -92,7 +86,6 @@ class PromptPack:
 
     instructions: str
     examples: tuple[str, ...]
-    markers: DecompositionMarkers = DEFAULT_MARKERS
 
     def __post_init__(self):
         object.__setattr__(self, "examples", tuple(self.examples))
@@ -104,10 +97,7 @@ class PromptPack:
             )
         for position, example in enumerate(self.examples, start=1):
             try:
-                parse_decomposition(
-                    example, question_id=f"pack-example-{position}",
-                    markers=self.markers,
-                )
+                parse_decomposition(example, question_id=f"pack-example-{position}")
             except DecompositionParseError as exc:
                 raise PromptPackError(
                     f"pack example {position} does not parse: {exc}"
@@ -150,7 +140,7 @@ def default_pack_path() -> Path:
 def build_decomposition_prompt(question: Question, pack: PromptPack) -> str:
     parts = [pack.instructions.strip()]
     parts.extend(example.strip() for example in pack.examples)
-    parts.append(f"Question: {question.text}\n{pack.markers.step1}")
+    parts.append(f"Question: {question.text}\n{STEP1_MARKER}")
     return "\n\n".join(parts)
 
 
@@ -165,11 +155,7 @@ def _section(raw: str, start_marker: str, end_markers: list[str]) -> str:
     return raw[begin:end]
 
 
-def parse_decomposition(
-    raw: str,
-    question_id: str,
-    markers: DecompositionMarkers = DEFAULT_MARKERS,
-) -> ParsedDecomposition:
+def parse_decomposition(raw: str, question_id: str) -> ParsedDecomposition:
     """Parse one decomposition completion into a claim set.
 
     Claims come from ``N. text`` lines after the step-3 marker, stopping at
@@ -180,15 +166,15 @@ def parse_decomposition(
     """
     warnings: list[ParseWarning] = []
 
-    step3_at = raw.find(markers.step3)
+    step3_at = raw.find(STEP3_MARKER)
     if step3_at == -1:
         raise DecompositionParseError(
             DecompositionParseErrorKind.MISSING_STEP_MARKER,
-            f"question {question_id}: no {markers.step3!r} marker in completion",
+            f"question {question_id}: no {STEP3_MARKER!r} marker in completion",
         )
 
     raw_claims: list[tuple[int, str]] = []
-    region = raw[step3_at + len(markers.step3):]
+    region = raw[step3_at + len(STEP3_MARKER):]
     for line in region.splitlines():
         if _BOUNDARY_RE.match(line):
             break
@@ -237,7 +223,7 @@ def parse_decomposition(
             )
         claims.append(claim)
 
-    reasoning_section = _section(raw, markers.step1, [markers.step2, markers.step3])
+    reasoning_section = _section(raw, STEP1_MARKER, [STEP2_MARKER, STEP3_MARKER])
     reasoning_lines = []
     for line in reasoning_section.splitlines():
         stripped = line.strip()
@@ -267,12 +253,9 @@ def decompose(
         model=model,
         prompt=build_decomposition_prompt(question, pack),
         max_tokens=max_tokens,
-        temperature=0.0,
     )
     response = provider.complete(request)
-    parsed = parse_decomposition(
-        response.text, question_id=question.id, markers=pack.markers
-    )
+    parsed = parse_decomposition(response.text, question_id=question.id)
     for warning in parsed.warnings:
         logger.warning("question %s: %s", question.id, warning.detail)
     return parsed

@@ -7,8 +7,7 @@ answer strings, each instantiated claim is verified as true or false, and
 per-question scores are rolled up into aggregate reports.
 
 Everything in this module is an immutable value object. Validation that can
-reject a value outright lives in ``__post_init__``; softer structural checks
-that should *report* rather than raise live in :func:`validate_claim_set`.
+reject a value outright lives in ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -142,41 +141,6 @@ class ClaimSet:
     def tags(self) -> tuple[Tag, ...]:
         """The union of the claims' tags, in order of first occurrence."""
         return tuple(dict.fromkeys(tag for claim in self.claims for tag in claim.tags))
-
-
-def validate_claim_set(claim_set: ClaimSet) -> list[str]:
-    """Check the structural conventions of a claim set.
-
-    Returns human-readable violation strings, empty when the set is
-    well-formed:
-
-    * at least one claim, with indices exactly 1..n in order;
-    * every claim mentions ``<answer>``;
-    * the first claim mentions only ``<answer>``.
-    """
-    violations: list[str] = []
-    claims = claim_set.claims
-    if not claims:
-        violations.append("claim set has no claims")
-        return violations
-
-    indices = [claim.index for claim in claims]
-    if indices != list(range(1, len(claims) + 1)):
-        violations.append(
-            f"claim indices {indices} are not contiguous 1..{len(claims)}"
-        )
-
-    for position, claim in enumerate(claims):
-        tags = claim.tags
-        if ANSWER_TAG not in tags:
-            violations.append(f"claim {claim.index}: missing the <answer> tag")
-        elif position == 0 and set(tags) != {ANSWER_TAG}:
-            extras = [t.name for t in tags if t != ANSWER_TAG]
-            violations.append(
-                f"claim {claim.index}: entity-type claim must mention only "
-                f"<answer>, found {extras}"
-            )
-    return violations
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -34,6 +34,10 @@ DEFAULT_TIMEOUT_SECONDS = 60.0
 DEFAULT_MAX_ATTEMPTS = 5
 _BACKOFF_BASE_SECONDS = 1.0
 _BACKOFF_CAP_SECONDS = 30.0
+# Every request is sent at temperature 0: responses are cached and replayed
+# under a digest of the request, which only makes sense for deterministic
+# sampling.
+TEMPERATURE = 0.0
 
 
 class FinishReason(str, Enum):
@@ -45,25 +49,17 @@ class FinishReason(str, Enum):
 
 @dataclass(frozen=True)
 class CompletionRequest:
-    """One deterministic completion call.
-
-    Temperature is coerced to float so that equal requests written from
-    different call sites (``0`` vs ``0.0``) hash identically.
-    """
+    """One deterministic completion call, sent at :data:`TEMPERATURE`."""
 
     model: str
     prompt: str
     max_tokens: int
-    temperature: float = 0.0
 
     def __post_init__(self):
         if not self.model:
             raise ValueError("request model must be non-empty")
         if self.max_tokens < 1:
             raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        object.__setattr__(self, "temperature", float(self.temperature))
 
 
 @dataclass(frozen=True)
@@ -108,15 +104,19 @@ class Provider(Protocol):
         ...
 
 
+def _request_to_record(request: CompletionRequest) -> dict:
+    return {
+        "model": request.model,
+        "prompt": request.prompt,
+        "temperature": TEMPERATURE,
+        "max_tokens": request.max_tokens,
+    }
+
+
 def cache_key(request: CompletionRequest) -> str:
     """Hex sha256 digest of the request's canonical JSON encoding."""
     canonical = json.dumps(
-        {
-            "max_tokens": request.max_tokens,
-            "model": request.model,
-            "prompt": request.prompt,
-            "temperature": request.temperature,
-        },
+        _request_to_record(request),
         sort_keys=True,
         separators=(",", ":"),
         ensure_ascii=True,
@@ -139,7 +139,6 @@ class ScriptRule:
     match: str
     response: str
     mode: str = "substring"
-    finish_reason: FinishReason = FinishReason.STOP
 
     def __post_init__(self):
         if not (isinstance(self.match, str) and isinstance(self.response, str)):
@@ -167,9 +166,7 @@ class ScriptedProvider:
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         for rule in self.rules:
             if rule.matches(request.prompt):
-                finish = rule.finish_reason
-                if rule.response == "" and finish is FinishReason.STOP:
-                    finish = FinishReason.OTHER
+                finish = FinishReason.STOP if rule.response else FinishReason.OTHER
                 return CompletionResponse(text=rule.response, finish_reason=finish)
         preview = request.prompt[:120].replace("\n", "\\n")
         raise ProviderError(
@@ -282,7 +279,7 @@ class LiveProvider:
         body = {
             "model": request.model,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.temperature,
+            "temperature": TEMPERATURE,
             "max_tokens": request.max_tokens,
         }
         try:
@@ -327,15 +324,6 @@ class LiveProvider:
 
 # --------------------------------------------------------------------------
 # cache, replay, counting
-
-
-def _request_to_record(request: CompletionRequest) -> dict:
-    return {
-        "model": request.model,
-        "prompt": request.prompt,
-        "temperature": request.temperature,
-        "max_tokens": request.max_tokens,
-    }
 
 
 def _response_to_record(response: CompletionResponse) -> dict:
@@ -429,7 +417,6 @@ class ReplayProvider:
         return cached
 
 
-@dataclass
 class CountingProvider:
     """Count completed calls that reach the wrapped provider.
 
@@ -437,16 +424,13 @@ class CountingProvider:
     number that matters for run manifests (actual upstream calls).
     """
 
-    inner: Provider
-    counts: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    def __init__(self, inner: Provider):
+        self.inner = inner
+        self.call_count = 0
+        self._lock = threading.Lock()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         response = self.inner.complete(request)
         with self._lock:
-            self.counts["calls"] = self.counts.get("calls", 0) + 1
+            self.call_count += 1
         return response
-
-    @property
-    def call_count(self) -> int:
-        return self.counts.get("calls", 0)

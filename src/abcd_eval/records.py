@@ -61,6 +61,13 @@ def _question_id(value) -> str:
     return value
 
 
+def _correct(value, *, nullable: bool) -> Optional[bool]:
+    if isinstance(value, bool) or (nullable and value is None):
+        return value
+    allowed = "true, false or null" if nullable else "true or false"
+    raise ValueError(f"correct must be {allowed}, got {value!r}")
+
+
 def question_from_record(record: dict) -> Question:
     return Question(
         id=_question_id(record["id"]),
@@ -166,7 +173,7 @@ def evaluation_from_record(record: dict) -> QuestionEvaluation:
             verification_result_from_record(row) for row in record["results"]
         ),
         score_true=fraction_from_str(record.get("score_true")),
-        correct=record.get("correct"),
+        correct=_correct(record.get("correct"), nullable=True),
         error_category=record.get("error_category"),
         gt_score_true=fraction_from_str(record.get("gt_score_true")),
     )
@@ -231,7 +238,7 @@ def report_from_record(record: dict) -> AggregateReport:
 
 def label_from_record(record: dict) -> tuple[str, tuple[bool, Optional[str]]]:
     return _question_id(record["question_id"]), (
-        bool(record["correct"]),
+        _correct(record["correct"], nullable=False),
         record.get("error_category"),
     )
 

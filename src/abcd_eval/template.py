@@ -14,14 +14,6 @@ from typing import Optional
 
 from .model import TAG_RE, AnswerAssignment, ClaimTemplate, Tag, extract_tags
 
-__all__ = [
-    "InstantiationError",
-    "InstantiationErrorKind",
-    "extract_tags",
-    "instantiate",
-    "instantiate_with_override",
-]
-
 
 class InstantiationErrorKind(str, Enum):
     MISSING_ASSIGNMENT = "missing_assignment"

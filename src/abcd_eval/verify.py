@@ -110,7 +110,6 @@ def verify_claim(
         model=model,
         prompt=VERIFY_PROMPT_PREFIX + instantiated_text,
         max_tokens=max_tokens,
-        temperature=0.0,
     )
     response = provider.complete(request)
     verdict = parse_verdict(response.text, instantiated_text, config)
@@ -224,7 +223,6 @@ def baseline_whole_question(
         model=model,
         prompt=build_baseline_prompt(question, answer),
         max_tokens=max_tokens,
-        temperature=0.0,
     )
     response = provider.complete(request)
     config = VerdictParseConfig(

@@ -160,7 +160,6 @@ class TestGenerateAnswers:
         assignment = generate_answers(QUESTION, self.claim_set(), provider)
         assert assignment.as_dict() == {"answer": "Frank Gehry", "city": "Bilbao"}
         request = provider.requests[0]
-        assert request.temperature == 0.0
         assert request.max_tokens == 256
         assert "Question: " + QUESTION.text in request.prompt
 

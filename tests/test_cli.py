@@ -405,8 +405,15 @@ class TestStageCommands:
         )
         assert code == EXIT_OK
 
-        assert (out_dir / "evaluations.jsonl").read_bytes() == \
-            (reference / "evaluations.jsonl").read_bytes()
+        for chain_name, evaluate_name in [
+            ("claims.jsonl", "claim_sets.jsonl"),
+            ("assignments.jsonl", "assignments.jsonl"),
+            ("verifications.jsonl", "verifications.jsonl"),
+            ("gt_verifications.jsonl", "gt_verifications.jsonl"),
+            ("evaluations.jsonl", "evaluations.jsonl"),
+        ]:
+            assert (out_dir / chain_name).read_bytes() == \
+                (reference / evaluate_name).read_bytes(), chain_name
 
     @pytest.mark.parametrize(
         "command, inputs",
@@ -706,6 +713,50 @@ def test_out_of_range_option_is_config_error(
     assert "Traceback" not in err
     assert calls == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, bad_flag, value",
+    [
+        *(
+            (command, "--labels", value)
+            for command in ("evaluate", "score")
+            for value in ("false", 0, None)
+        ),
+        ("report", "--records", "no"),
+    ],
+)
+def test_non_boolean_correct_is_config_error(
+    reference_run, tmp_path, capsys, command, bad_flag, value
+):
+    paths, reference = reference_run
+    files = {
+        "--questions": paths["questions"],
+        "--script": paths["rules"],
+        "--labels": paths["labels"],
+        "--claims": reference / "claim_sets.jsonl",
+        "--assignments": reference / "assignments.jsonl",
+        "--verifications": reference / "verifications.jsonl",
+        "--gt-verifications": reference / "gt_verifications.jsonl",
+        "--records": reference / "evaluations.jsonl",
+    }
+    rows = [record for _, record in records.read_jsonl(files[bad_flag])]
+    rows[0]["correct"] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    files[bad_flag] = bad
+    argv = [command]
+    for flag in INPUT_FLAGS[command]:
+        argv += [flag, str(files[flag])]
+    if command in OUTPUT_FLAGS:
+        argv += [OUTPUT_FLAGS[command], str(tmp_path / "out")]
+    capsys.readouterr()
+
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:1: bad record: ValueError: ")
+    assert f"got {value!r}" in err
+
 
 
 class ScriptedInput:

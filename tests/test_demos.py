@@ -1,23 +1,30 @@
 """Each demo script must stay runnable against the current API."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_DIR = ROOT / "demos"
 
 
 @pytest.mark.parametrize(
     "script", sorted(DEMO_DIR.glob("*.py")), ids=lambda p: p.stem
 )
 def test_demo_runs_clean(script):
+    # The demos import abcd_eval, which need not be installed.
+    pythonpath = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
     completed = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip(), "demo printed nothing"

@@ -16,7 +16,6 @@ from abcd_eval.model import (
     VerificationResult,
     Verdict,
     extract_tags,
-    validate_claim_set,
 )
 
 
@@ -82,43 +81,6 @@ def well_formed_claim_set():
         ClaimTemplate(3, "<answer> lived in <city>"),
     )
     return ClaimSet("q1", claims)
-
-
-class TestValidateClaimSet:
-    def test_well_formed_set_has_no_violations(self):
-        assert validate_claim_set(well_formed_claim_set()) == []
-
-    def test_empty_set(self):
-        violations = validate_claim_set(ClaimSet(question_id="q1", claims=()))
-        assert violations == ["claim set has no claims"]
-
-    def test_missing_answer_tag_names_the_claim(self):
-        claims = (
-            ClaimTemplate(1, "<answer> is a playwright"),
-            ClaimTemplate(2, "the play <play> is a tragedy"),
-        )
-        violations = validate_claim_set(ClaimSet("q1", claims))
-        assert len(violations) == 1
-        assert "claim 2" in violations[0]
-        assert "<answer>" in violations[0]
-
-    def test_duplicate_indices_flagged_once(self):
-        claims = (
-            ClaimTemplate(1, "<answer> is a playwright"),
-            ClaimTemplate(1, "<answer> wrote a play"),
-            ClaimTemplate(2, "<answer> lived in London"),
-        )
-        violations = validate_claim_set(ClaimSet("q1", claims))
-        assert len(violations) == 1
-        assert "contiguous" in violations[0]
-
-    def test_first_claim_must_be_entity_type_only(self):
-        claims = (
-            ClaimTemplate(1, "<answer> wrote <play>"),
-            ClaimTemplate(2, "<answer> is famous"),
-        )
-        violations = validate_claim_set(ClaimSet("q1", claims))
-        assert any("entity-type" in v for v in violations)
 
 
 class TestAnswerAssignment:

@@ -119,7 +119,6 @@ class TestVerifyClaim:
         assert request.prompt == "True or False: Mars is a planet"
         assert not request.prompt.endswith("\n")
         assert request.max_tokens == 64
-        assert request.temperature == 0.0
         assert result.claim_index == 2
         assert result.verdict is Verdict.TRUE
         assert result.raw_response == "True."
