@@ -2,13 +2,13 @@
 
 Subcommands mirror the stages of :mod:`abcd_eval.pipeline`. ``evaluate``
 runs every stage for a question file; ``decompose``, ``answer``, ``verify``
-and ``score`` each run one stage on outcomes filled from the previous
-stages' output files, so a question fails, and is logged, the same way in
-both; ``report`` renders stored evaluations; ``annotate`` collects manual
-correctness labels; ``baseline`` asks the whole-question control question;
-``build-obscureqa`` constructs the obscure-question dataset from a raw
-quizbowl dump. An input file that does not decode or parse is a
-configuration error naming the file.
+and ``score`` share one handler that runs the command's stages on outcomes
+filled from the previous stages' output files, so a question fails, and is
+logged, the same way in both; ``report`` renders stored evaluations;
+``annotate`` collects manual correctness labels; ``baseline`` asks the
+whole-question control question; ``build-obscureqa`` constructs the
+obscure-question dataset from a raw quizbowl dump. An input file that does
+not decode or parse is a configuration error naming the file.
 
 Each option is declared once in :data:`OPTIONS`, and :data:`COMMANDS` lists
 the options of each subcommand. An option that sets a
@@ -55,6 +55,7 @@ from .decompose import (
 from .model import AggregateReport, Question, QuestionEvaluation
 from .pipeline import (
     EVALUATE_STAGES,
+    PROVIDER_STAGES,
     ConfigError,
     QuestionOutcome,
     Run,
@@ -286,19 +287,16 @@ def _load_evaluations(path: Path) -> list[QuestionEvaluation]:
     return evaluations
 
 
-def _claim_sets_by_id(path: Path) -> dict:
-    return {
-        claim_set.question_id: claim_set
-        for claim_set in _load_records(path, records.claim_set_from_record)
-    }
-
-
-def _assignments_by_id(path: Path) -> dict:
-    return dict(_load_records(path, records.assignment_from_record))
-
-
-def _verifications_by_id(path: Path) -> dict:
-    return dict(_load_records(path, records.verifications_from_record))
+# Stage input option (its dest) -> (the outcome field it fills, the reader
+# of one record into (question id, value)), in the order they are read.
+_STAGE_INPUTS = {
+    "claims": (
+        "claim_set", lambda r: (r["question_id"], records.claim_set_from_record(r))
+    ),
+    "assignments": ("assignment", records.assignment_from_record),
+    "verifications": ("results", records.verifications_from_record),
+    "gt_verifications": ("gt_results", records.verifications_from_record),
+}
 
 
 def _load_pack_for_cli(path: Optional[Path]):
@@ -308,14 +306,31 @@ def _load_pack_for_cli(path: Optional[Path]):
         raise ConfigError(str(exc)) from exc
 
 
-def _prefilled(questions: list[Question], **inputs: dict) -> list[QuestionOutcome]:
-    """One outcome per question, carrying what earlier stages wrote: each
-    keyword names an outcome field and maps question ids to its values."""
-    return [
-        QuestionOutcome(
-            question, **{name: by_id.get(question.id) for name, by_id in inputs.items()}
-        )
-        for question in questions
+def _prepare(
+    args: argparse.Namespace, stages: Sequence[str]
+) -> tuple[Run, list[QuestionOutcome]]:
+    """The run for *stages* and one outcome per selected question, carrying
+    what the command's stage input files hold for it.
+
+    Loads config, questions, stage inputs, labels, then the prompt pack
+    (only for ``decompose``) and the providers (only for a stage that
+    calls a model), so each bad input fails at the same point.
+    """
+    options = vars(args)
+    config = config_from_args(args)
+    questions = _load_questions_for_cli(args, config)
+    inputs = {
+        field: dict(_load_records(options[option], reader))
+        for option, (field, reader) in _STAGE_INPUTS.items()
+        if options.get(option) is not None
+    }
+    labels = _load_labels_for_cli(options.get("labels"))
+    pack = _load_pack_for_cli(args.pack) if "decompose" in stages else None
+    providers = () if set(stages).isdisjoint(PROVIDER_STAGES) else build_providers(config)
+    run = Run(config, *providers, pack=pack, labels=labels)
+    return run, [
+        QuestionOutcome(q, **{field: by_id.get(q.id) for field, by_id in inputs.items()})
+        for q in questions
     ]
 
 
@@ -328,13 +343,7 @@ _STAGE_RECORDS = {
         o.question.id, o.gt_results
     ),
     "evaluation": lambda o: records.evaluation_to_record(o.evaluation),
-    "baseline": lambda o: {
-        "question_id": o.question.id,
-        "answer": o.evaluation.assignment.answer,
-        "verdict": o.baseline.verdict.value,
-        "raw_response": o.baseline.raw_response,
-        "score_true": records.fraction_to_str(o.evaluation.score_true),
-    },
+    "baseline": lambda o: records.baseline_to_record(o.evaluation, o.baseline),
 }
 
 
@@ -348,6 +357,22 @@ def _write_stage_records(path: Path, outcomes, field: str) -> int:
 def _stage_summary(verb: str, n_ok: int, outcomes: list, out: Path) -> int:
     print(f"{verb} {n_ok}/{len(outcomes)} questions -> {out}")
     return _exit_code(n_ok, len(outcomes) - n_ok)
+
+
+def _write_reports(
+    evaluations: list, out_json: Optional[Path], out_text: Optional[Path]
+) -> str:
+    """Aggregate *evaluations*, write the JSON and text reports where a path
+    is given, and return the text."""
+    reports = build_reports(evaluations)
+    if out_json is not None:
+        records.write_json_atomic(
+            out_json, [records.report_to_record(r) for r in reports]
+        )
+    text = render_report_text(reports)
+    if out_text is not None:
+        records.write_text_atomic(out_text, text)
+    return text
 
 
 def _exit_code(n_ok: int, n_failed: int) -> int:
@@ -365,16 +390,13 @@ def _utc_now() -> str:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    questions = _load_questions_for_cli(args, config)
-    labels = _load_labels_for_cli(args.labels)
-    pack = _load_pack_for_cli(args.pack)
-    run = Run(config, *build_providers(config), pack=pack, labels=labels)
+    run, outcomes = _prepare(args, EVALUATE_STAGES)
+    config = run.config
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started_at = _utc_now()
-    outcomes = run_stages(run, _prefilled(questions), EVALUATE_STAGES)
+    outcomes = run_stages(run, outcomes, EVALUATE_STAGES)
     finished_at = _utc_now()
 
     _write_stage_records(out_dir / "claim_sets.jsonl", outcomes, "claim_set")
@@ -384,12 +406,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         _write_stage_records(out_dir / "gt_verifications.jsonl", outcomes, "gt_results")
     n_ok = _write_stage_records(out_dir / "evaluations.jsonl", outcomes, "evaluation")
 
-    reports = build_reports([outcome.evaluation for outcome in outcomes if outcome.ok])
-    records.write_json_atomic(
-        out_dir / "report.json", [records.report_to_record(r) for r in reports]
+    report_text = _write_reports(
+        [outcome.evaluation for outcome in outcomes if outcome.ok],
+        out_dir / "report.json",
+        out_dir / "report.txt",
     )
-    report_text = render_report_text(reports)
-    records.write_text_atomic(out_dir / "report.txt", report_text)
 
     n_failed = len(outcomes) - n_ok
     manifest = {
@@ -424,75 +445,31 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return _exit_code(n_ok, n_failed)
 
 
-def cmd_decompose(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    questions = _load_questions_for_cli(args, config)
-    pack = _load_pack_for_cli(args.pack)
-    run = Run(config, *build_providers(config), pack=pack)
-    outcomes = run_stages(run, _prefilled(questions), ("decompose",))
-    n_ok = _write_stage_records(args.out, outcomes, "claim_set")
-    return _stage_summary("decomposed", n_ok, outcomes, args.out)
+# Stage command -> (its stages, the outcome field it writes to --out, the
+# verb of its summary line).
+_STAGE_COMMANDS = {
+    "decompose": (("decompose",), "claim_set", "decomposed"),
+    "answer": (("answer",), "assignment", "answered"),
+    "verify": (("verify", "verify_gt"), "results", "verified"),
+    "score": (("score",), "evaluation", "scored"),
+}
 
 
-def cmd_answer(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    questions = _load_questions_for_cli(args, config)
-    claim_sets = _claim_sets_by_id(args.claims)
-    run = Run(config, *build_providers(config))
-    outcomes = run_stages(run, _prefilled(questions, claim_set=claim_sets), ("answer",))
-    n_ok = _write_stage_records(args.out, outcomes, "assignment")
-    return _stage_summary("answered", n_ok, outcomes, args.out)
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    if args.ground_truth and args.gt_out is None:
+def cmd_stage(args: argparse.Namespace) -> int:
+    """Run one stage command over the files earlier stages wrote."""
+    if vars(args).get("ground_truth") and args.gt_out is None:
         raise ConfigError("--ground-truth needs --gt-out")
-    config = config_from_args(args)
-    questions = _load_questions_for_cli(args, config)
-    claim_sets = _claim_sets_by_id(args.claims)
-    assignments = _assignments_by_id(args.assignments)
-    run = Run(config, *build_providers(config))
-    outcomes = run_stages(
-        run,
-        _prefilled(questions, claim_set=claim_sets, assignment=assignments),
-        ("verify", "verify_gt"),
-    )
-    n_ok = _write_stage_records(args.out, outcomes, "results")
-    if config.ground_truth:
+    stages, field, verb = _STAGE_COMMANDS[args.command]
+    run, outcomes = _prepare(args, stages)
+    outcomes = run_stages(run, outcomes, stages)
+    n_ok = _write_stage_records(args.out, outcomes, field)
+    if run.config.ground_truth:
         _write_stage_records(args.gt_out, outcomes, "gt_results")
-    return _stage_summary("verified", n_ok, outcomes, args.out)
-
-
-def cmd_score(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    questions = _load_questions_for_cli(args, config)
-    outcomes = _prefilled(
-        questions,
-        claim_set=_claim_sets_by_id(args.claims),
-        assignment=_assignments_by_id(args.assignments),
-        results=_verifications_by_id(args.verifications),
-        gt_results=(
-            _verifications_by_id(args.gt_verifications)
-            if args.gt_verifications is not None
-            else {}
-        ),
-    )
-    # Scoring combines stage files; there is no provider to build.
-    run = Run(config, labels=_load_labels_for_cli(args.labels))
-    outcomes = run_stages(run, outcomes, ("score",))
-    n_ok = _write_stage_records(args.out, outcomes, "evaluation")
-    return _stage_summary("scored", n_ok, outcomes, args.out)
+    return _stage_summary(verb, n_ok, outcomes, args.out)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    reports = build_reports(_load_evaluations(args.records))
-    if args.out_json is not None:
-        records.write_json_atomic(
-            args.out_json, [records.report_to_record(r) for r in reports]
-        )
-    text = render_report_text(reports)
-    if args.out_text is not None:
-        records.write_text_atomic(args.out_text, text)
+    text = _write_reports(_load_evaluations(args.records), args.out_json, args.out_text)
     print(text, end="")
     return EXIT_OK
 
@@ -640,17 +617,17 @@ COMMANDS = {
         "--lenient", "--decompose-max-tokens", "--answer-max-tokens",
         "--verify-max-tokens", *_PROVIDER, *_PARSING,
     )),
-    "decompose": (cmd_decompose, "turn questions into claim templates", (
+    "decompose": (cmd_stage, "turn questions into claim templates", (
         *_QUESTIONS, "--pack", "--out", "--decompose-max-tokens", *_PROVIDER,
     )),
-    "answer": (cmd_answer, "fill claim-set tags with generated answers", (
+    "answer": (cmd_stage, "fill claim-set tags with generated answers", (
         *_QUESTIONS, "--claims", "--out", "--answer-max-tokens", *_PROVIDER,
     )),
-    "verify": (cmd_verify, "verify instantiated claims true or false", (
+    "verify": (cmd_stage, "verify instantiated claims true or false", (
         *_QUESTIONS, "--claims", "--assignments", "--out", "--ground-truth",
         "--gt-out", "--lenient", "--verify-max-tokens", *_PROVIDER, *_PARSING,
     )),
-    "score": (cmd_score, "combine stage outputs into scored evaluations", (
+    "score": (cmd_stage, "combine stage outputs into scored evaluations", (
         *_QUESTIONS, "--claims", "--assignments", "--verifications",
         "--gt-verifications", "--labels", "--out",
     )),

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .model import Dataset, Question
-from .records import read_lines
+from .records import question_from_record, read_lines
 
 # --------------------------------------------------------------------------
 # text cleaning
@@ -345,18 +345,13 @@ def _parse_hotpotqa(row: dict, lineno: int) -> Optional[Question]:
     )
 
 
-def _parse_generic(row: dict, lineno: int, fmt: QuestionFormat) -> Question:
+def _parse_generic(row: dict, lineno: int) -> Question:
     text = row.get("question")
     answer = row.get("answer")
     if not text or not answer:
         raise ValueError("record needs question and answer fields")
-    if fmt is QuestionFormat.OBSCUREQA:
-        dataset = Dataset.OBSCUREQA
-    elif "dataset" in row:
-        dataset = Dataset(row["dataset"])
-    else:
-        dataset = Dataset.CUSTOM
-    question_id = str(row.get("id") or f"{fmt.value}-{lineno:06d}")
+    dataset = Dataset(row["dataset"]) if "dataset" in row else Dataset.CUSTOM
+    question_id = str(row.get("id") or f"generic-{lineno:06d}")
     return Question(
         id=question_id,
         text=str(text),
@@ -375,7 +370,9 @@ def load_questions(path: str | Path, fmt: QuestionFormat) -> LoadReport:
     :class:`DatasetLoadError`, and a file that is not UTF-8 a ``ValueError``
     naming it. Duplicate ids are per-line errors (first
     occurrence wins). The hotpotqa format keeps bridge-type records at the
-    easy and medium levels and counts everything else as skipped.
+    easy and medium levels and counts everything else as skipped. The
+    obscureqa format reads the question records :func:`build_obscureqa`'s
+    splits are written as (``records.question_to_record``).
     """
     path = Path(path)
     report = LoadReport()
@@ -393,12 +390,15 @@ def load_questions(path: str | Path, fmt: QuestionFormat) -> LoadReport:
                 if question is None:
                     report.skipped += 1
                     continue
+            elif fmt is QuestionFormat.OBSCUREQA:
+                question = question_from_record(row)
             else:
-                question = _parse_generic(row, lineno, fmt)
+                question = _parse_generic(row, lineno)
             if question.id in seen_ids:
                 raise ValueError(f"duplicate question id {question.id!r}")
-        except (ValueError, KeyError, TypeError) as exc:
-            report.line_errors.append((lineno, str(exc)))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+            report.line_errors.append((lineno, message))
             continue
         seen_ids.add(question.id)
         report.questions.append(question)

@@ -103,6 +103,9 @@ class RunConfig:
                 raise ConfigError(f"{flag} must be at least 1, got {value}")
         if self.limit is not None and self.sample is not None:
             raise ConfigError("--limit and --sample are mutually exclusive")
+        for name in ("decompose_model", "answer_model", "verify_model"):
+            if not getattr(self, name):
+                raise ConfigError(f"--{name.replace('_', '-')} must be non-empty")
 
     @property
     def parse_config(self) -> VerdictParseConfig:

@@ -317,6 +317,12 @@ class LiveProvider:
         finish = _FINISH_REASON_MAP.get(raw_finish, FinishReason.OTHER)
         if finish is FinishReason.FILTERED and not text:
             raise ProviderError(ProviderErrorKind.FILTERED, "completion was filtered")
+        if not isinstance(text, str):
+            raise ProviderError(
+                ProviderErrorKind.OTHER,
+                f"malformed response body: message content is "
+                f"{type(text).__name__}, not a string",
+            )
         if text == "" and finish is FinishReason.STOP:
             finish = FinishReason.OTHER
         return CompletionResponse(text=text, finish_reason=finish)
@@ -331,9 +337,11 @@ def _response_to_record(response: CompletionResponse) -> dict:
 
 
 def _response_from_record(record: dict) -> CompletionResponse:
+    text = record["text"]
+    if not isinstance(text, str):
+        raise ValueError(f"response text must be a string, got {text!r}")
     return CompletionResponse(
-        text=record["text"],
-        finish_reason=FinishReason(record["finish_reason"]),
+        text=text, finish_reason=FinishReason(record["finish_reason"])
     )
 
 
@@ -353,12 +361,20 @@ class ResponseCache:
         return self.directory / f"{digest}.json"
 
     def get(self, digest: str) -> Optional[CompletionResponse]:
+        """The cached response, or None when there is no entry. An entry
+        that does not decode or convert raises ``ValueError``."""
         path = self._path(digest)
         if not path.exists():
             return None
-        with open(path, encoding="utf-8") as handle:
-            entry = json.load(handle)
-        return _response_from_record(entry["response"])
+        try:
+            with open(path, encoding="utf-8") as handle:
+                entry = json.load(handle)
+            return _response_from_record(entry["response"])
+        except (ValueError, LookupError, TypeError) as exc:
+            raise ValueError(
+                f"unreadable cache entry for request digest {digest}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
 
     def put(
         self,
@@ -380,7 +396,11 @@ class ResponseCache:
 
 
 class CachingProvider:
-    """Serve hits from a :class:`ResponseCache`, delegate misses."""
+    """Serve hits from a :class:`ResponseCache`, delegate misses.
+
+    An unreadable entry counts as a miss, and the fresh response
+    overwrites it.
+    """
 
     def __init__(self, inner: Provider, cache: ResponseCache):
         self.inner = inner
@@ -388,7 +408,11 @@ class CachingProvider:
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         digest = cache_key(request)
-        cached = self.cache.get(digest)
+        try:
+            cached = self.cache.get(digest)
+        except ValueError as exc:
+            logger.warning("%s; fetching it again", exc)
+            cached = None
         if cached is not None:
             return cached
         response = self.inner.complete(request)
@@ -399,8 +423,9 @@ class CachingProvider:
 class ReplayProvider:
     """Strict replay: every request must hit the cache.
 
-    A miss raises ``ProviderError(REPLAY_MISS)`` naming the digest, so a
-    stale or incomplete cache is diagnosable from the error alone.
+    A miss or an unreadable entry raises ``ProviderError(REPLAY_MISS)``
+    naming the digest, so a stale, incomplete or corrupt cache is
+    diagnosable from the error alone.
     """
 
     def __init__(self, cache: ResponseCache):
@@ -408,7 +433,10 @@ class ReplayProvider:
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         digest = cache_key(request)
-        cached = self.cache.get(digest)
+        try:
+            cached = self.cache.get(digest)
+        except ValueError as exc:
+            raise ProviderError(ProviderErrorKind.REPLAY_MISS, str(exc)) from exc
         if cached is None:
             raise ProviderError(
                 ProviderErrorKind.REPLAY_MISS,

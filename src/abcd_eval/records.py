@@ -30,6 +30,7 @@ from .model import (
     VerificationResult,
     Verdict,
 )
+from .scoring import score_true
 
 
 def fraction_to_str(value: Optional[Fraction]) -> Optional[str]:
@@ -37,7 +38,16 @@ def fraction_to_str(value: Optional[Fraction]) -> Optional[str]:
 
 
 def fraction_from_str(value: Optional[str]) -> Optional[Fraction]:
-    return None if value is None else Fraction(value)
+    """Read a rational written by :func:`fraction_to_str`; anything but a
+    string or null, and a zero denominator, is a ``ValueError``."""
+    if value is None:
+        return None
+    if not isinstance(value, str):
+        raise ValueError(f"a score must be a rational string, got {value!r}")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {value!r}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -165,18 +175,37 @@ def evaluation_to_record(evaluation: QuestionEvaluation) -> dict:
 
 
 def evaluation_from_record(record: dict) -> QuestionEvaluation:
+    """Read an evaluation, checking its scores: ``score_true`` must be the
+    score of its own results and ``gt_score_true`` lie in [0, 1]."""
+    results = tuple(verification_result_from_record(row) for row in record["results"])
+    stored = fraction_from_str(record.get("score_true"))
+    if stored != score_true([result.verdict for result in results]):
+        raise ValueError(f"score_true {stored} does not match the record's results")
+    gt_stored = fraction_from_str(record.get("gt_score_true"))
+    if gt_stored is not None and not 0 <= gt_stored <= 1:
+        raise ValueError(f"gt_score_true {gt_stored} is outside [0, 1]")
     return QuestionEvaluation(
         question=question_from_record(record["question"]),
         claim_set=claim_set_from_record(record["claim_set"]),
         assignment=AnswerAssignment.from_dict(record["assignment"]),
-        results=tuple(
-            verification_result_from_record(row) for row in record["results"]
-        ),
-        score_true=fraction_from_str(record.get("score_true")),
+        results=results,
+        score_true=stored,
         correct=_correct(record.get("correct"), nullable=True),
         error_category=record.get("error_category"),
-        gt_score_true=fraction_from_str(record.get("gt_score_true")),
+        gt_score_true=gt_stored,
     )
+
+
+def baseline_to_record(evaluation: QuestionEvaluation, baseline) -> dict:
+    """The ``baseline`` record: the whole-question check of an evaluation's
+    answer (a :class:`~abcd_eval.verify.BaselineResult`) beside its score."""
+    return {
+        "question_id": evaluation.question.id,
+        "answer": evaluation.assignment.answer,
+        "verdict": baseline.verdict.value,
+        "raw_response": baseline.raw_response,
+        "score_true": fraction_to_str(evaluation.score_true),
+    }
 
 
 def report_to_record(report: AggregateReport) -> dict:

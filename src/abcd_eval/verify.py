@@ -19,7 +19,7 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 from .model import (
     AnswerAssignment,

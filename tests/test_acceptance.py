@@ -14,14 +14,12 @@ them.
 
 import itertools
 import json
-import math
 import os
 import random
 import socket
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -42,7 +40,6 @@ from abcd_eval.verify import MatchMode, VerdictParseConfig, parse_verdict
 from e2e_fixture import (
     EXPECTED_REPORT,
     EXPECTED_SCORES,
-    QUESTIONS,
     write_fixture,
 )
 from oracle_stats import reference_welch, two_sided_p

@@ -17,7 +17,14 @@ from abcd_eval.cli import (
     cmd_annotate,
     main,
 )
-from abcd_eval.datasets import SplitSpec, split_sizes
+from abcd_eval.datasets import (
+    QuestionFormat,
+    SplitSpec,
+    build_obscureqa,
+    load_questions,
+    parse_quizbowl_record,
+    split_sizes,
+)
 from abcd_eval.decompose import default_pack_path
 from abcd_eval.model import Verdict
 from abcd_eval.providers import ScriptedProvider
@@ -671,6 +678,9 @@ BAD_VALUES = [
     ("--decompose-max-tokens", "0"),
     ("--answer-max-tokens", "0"),
     ("--verify-max-tokens", "0"),
+    ("--decompose-model", ""),
+    ("--answer-model", ""),
+    ("--verify-model", ""),
 ]
 
 
@@ -757,6 +767,34 @@ def test_non_boolean_correct_is_config_error(
     assert err.startswith(f"error: {bad}:1: bad record: ValueError: ")
     assert f"got {value!r}" in err
 
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("score_true", 0.1),
+        ("score_true", True),
+        ("score_true", "3/2"),
+        ("score_true", "1/0"),
+        ("score_true", "0"),
+        ("gt_score_true", "3/2"),
+    ],
+)
+def test_bad_score_in_evaluations_is_config_error(
+    reference_run, tmp_path, capsys, field, value
+):
+    _, reference = reference_run
+    rows = [record for _, record in records.read_jsonl(reference / "evaluations.jsonl")]
+    assert rows[0]["question"]["id"] == "q01" and rows[0]["score_true"] == "1"
+    rows[0][field] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    capsys.readouterr()
+
+    assert main(["report", "--records", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:1: bad record: ")
+    assert "Traceback" not in err
 
 
 class ScriptedInput:
@@ -925,6 +963,29 @@ class TestBuildObscureQA:
         assert all(r["dataset"] == "obscureqa" for r in train)
         assert all(r["text"].startswith("What person number") for r in train)
         assert "kept 8 of 10" in capsys.readouterr().out
+
+    def test_built_splits_load_as_obscureqa(self, tmp_path):
+        dump = self.write_dump(tmp_path)
+        out_dir = tmp_path / "dataset"
+        assert main(
+            ["build-obscureqa", "--dump", str(dump), "--out-dir", str(out_dir)]
+        ) == EXIT_OK
+
+        raw = []
+        for _, line in records.read_lines(dump):
+            try:
+                raw.append(parse_quizbowl_record(json.loads(line)))
+            except (ValueError, KeyError, TypeError):
+                pass
+        build = build_obscureqa(raw, SplitSpec())
+        for name, built in (
+            ("train", build.train), ("valid", build.valid), ("test", build.test)
+        ):
+            report = load_questions(
+                out_dir / f"obscureqa_{name}.jsonl", QuestionFormat.OBSCUREQA
+            )
+            assert report.line_errors == []
+            assert report.questions == list(built), name
 
     def test_same_seed_same_files(self, tmp_path):
         dump = self.write_dump(tmp_path)

@@ -366,6 +366,22 @@ class TestLoadQuestions:
 
     def test_obscureqa_format_sets_dataset(self, tmp_path):
         path = tmp_path / "obscure.jsonl"
-        write_jsonl(path, [{"id": "o1", "question": "Q?", "answer": "A"}])
+        write_jsonl(
+            path,
+            [{"id": "o1", "text": "Q?", "gold_answer": "A", "dataset": "obscureqa"}],
+        )
         report = load_questions(path, QuestionFormat.OBSCUREQA)
         assert report.questions[0].dataset is Dataset.OBSCUREQA
+
+    def test_obscureqa_bad_rows_are_line_errors(self, tmp_path):
+        path = tmp_path / "obscure.jsonl"
+        good = {"id": "o1", "text": "Q?", "gold_answer": "A", "dataset": "obscureqa"}
+        write_jsonl(path, [
+            good,
+            {"id": "o2", "question": "Q?", "answer": "A"},
+            {**good, "id": "o3", "text": 5},
+        ])
+        report = load_questions(path, QuestionFormat.OBSCUREQA)
+        assert [q.id for q in report.questions] == ["o1"]
+        assert [lineno for lineno, _ in report.line_errors] == [2, 3]
+        assert report.line_errors[0][1] == "missing field 'text'"

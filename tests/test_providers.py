@@ -221,6 +221,21 @@ class TestCachingProvider:
         assert cache.get(cache_key(make_request("p"))) is None
 
 
+    def test_unreadable_entry_is_a_miss_and_overwritten(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        request = make_request("ping p")
+        digest = cache_key(request)
+        cache.put(digest, request, CompletionResponse(text="stale"))
+        entry = tmp_path / f"{digest}.json"
+        entry.write_text(entry.read_text("utf-8")[:40], encoding="utf-8")
+        inner = CountingProvider(ScriptedProvider([ScriptRule("p", "pong")]))
+
+        response = CachingProvider(inner, cache).complete(request)
+        assert response.text == "pong"
+        assert inner.call_count == 1
+        assert cache.get(digest) == response
+
+
 class TestReplayProvider:
     def test_hit_returns_cached_response(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -236,6 +251,20 @@ class TestReplayProvider:
             provider.complete(request)
         assert excinfo.value.kind is ProviderErrorKind.REPLAY_MISS
         assert cache_key(request) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "content", ["{\"request\": {", "[]", '{"response": {"text": null}}']
+    )
+    def test_unreadable_entry_names_the_digest(self, tmp_path, content):
+        request = make_request("recorded, then corrupted")
+        digest = cache_key(request)
+        (tmp_path / f"{digest}.json").write_text(content, encoding="utf-8")
+        provider = ReplayProvider(ResponseCache(tmp_path))
+        with pytest.raises(ProviderError) as excinfo:
+            provider.complete(request)
+        assert excinfo.value.kind is ProviderErrorKind.REPLAY_MISS
+        assert digest in str(excinfo.value)
+        assert "unreadable" in str(excinfo.value)
 
 
 class TestCountingProvider:
@@ -414,6 +443,19 @@ class TestLiveProvider:
         with pytest.raises(ProviderError) as excinfo:
             provider.complete(make_request("p"))
         assert excinfo.value.kind is ProviderErrorKind.OTHER
+
+    @pytest.mark.parametrize("content", [None, ["True."]], ids=["null", "list"])
+    def test_non_string_content_is_other_and_not_cached(self, tmp_path, content):
+        session = FakeSession([FakeHTTPResponse(payload=chat_payload(content))])
+        provider, sleeps = make_live(session)
+        cache = ResponseCache(tmp_path)
+        with pytest.raises(ProviderError) as excinfo:
+            CachingProvider(provider, cache).complete(make_request("p"))
+        assert excinfo.value.kind is ProviderErrorKind.OTHER
+        assert "malformed response body" in str(excinfo.value)
+        assert len(session.posts) == 1
+        assert sleeps == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_length_finish_reason_is_preserved(self):
         session = FakeSession(

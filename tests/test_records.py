@@ -9,7 +9,6 @@ from abcd_eval.model import (
     AggregateReport,
     AnswerAssignment,
     GroundTruthComparison,
-    Verdict,
 )
 from abcd_eval.records import (
     append_label,

@@ -11,7 +11,6 @@ from abcd_eval.model import (
     Verdict,
 )
 from abcd_eval.providers import (
-    CompletionRequest,
     CompletionResponse,
     ProviderError,
     ProviderErrorKind,
