@@ -57,7 +57,7 @@ print("\nreplayed:", repr(response.text))
 
 # Anything missing from the cache is an error that names the digest, so a
 # stale fixture can be regenerated instead of silently answering nothing.
-cache.delete(cache_key(other))
+(cache_dir / f"{cache_key(other)}.json").unlink()
 try:
     replay.complete(other)
 except ProviderError as error:

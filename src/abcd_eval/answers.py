@@ -79,12 +79,8 @@ def parse_answers(raw: str, tags: list[Tag] | tuple[Tag, ...]) -> AnswerAssignme
     found: dict[str, str] = {}
     for line in raw.splitlines():
         match = _ANSWER_LINE_RE.match(line)
-        if not match:
-            continue
-        name = match.group(1).lower()
-        if name in found:
-            continue
-        found[name] = clean_answer(match.group(2))
+        if match:
+            found.setdefault(match.group(1).lower(), clean_answer(match.group(2)))
 
     entries = []
     for tag in tags:

@@ -32,6 +32,7 @@ import logging
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -251,11 +252,16 @@ def _load_questions_for_cli(args: argparse.Namespace, config: RunConfig) -> list
     return questions
 
 
-def _load_records(path: Path, from_record: Callable[[dict], object]) -> list:
+def _load_records(
+    path: Path,
+    from_record: Callable[[dict], object],
+    question_id: Optional[Callable[[object], str]] = None,
+) -> list:
     """Read a JSONL file through a ``records.*_from_record`` function.
 
     A missing file, text that is not UTF-8, malformed JSON or a record that
-    does not convert is a :class:`ConfigError` naming the file.
+    does not convert is a :class:`ConfigError` naming the file, and so is a
+    repeated *question_id* of the converted records, when that is given.
     """
     if not Path(path).is_file():
         raise ConfigError(f"file not found: {path}")
@@ -263,7 +269,7 @@ def _load_records(path: Path, from_record: Callable[[dict], object]) -> list:
         rows = records.read_jsonl(path)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    converted = []
+    converted, seen = [], set()
     for lineno, record in rows:
         try:
             converted.append(from_record(record))
@@ -271,17 +277,25 @@ def _load_records(path: Path, from_record: Callable[[dict], object]) -> list:
             raise ConfigError(
                 f"{path}:{lineno}: bad record: {type(exc).__name__}: {exc}"
             ) from exc
+        # Without question_id, a record's line number stands in for its id.
+        qid = question_id(converted[-1]) if question_id else lineno
+        if qid in seen:
+            raise ConfigError(f"{path}:{lineno}: duplicate question id {qid!r}")
+        seen.add(qid)
     return converted
 
 
 def _load_labels_for_cli(path: Optional[Path]) -> dict:
+    """Later lines for a question win, so ``annotate`` corrects by appending."""
     if path is None:
         return {}
     return dict(_load_records(path, records.label_from_record))
 
 
 def _load_evaluations(path: Path) -> list[QuestionEvaluation]:
-    evaluations = _load_records(path, records.evaluation_from_record)
+    evaluations = _load_records(
+        path, records.evaluation_from_record, attrgetter("question.id")
+    )
     if not evaluations:
         raise ConfigError(f"{path}: no evaluations")
     return evaluations
@@ -320,7 +334,7 @@ def _prepare(
     config = config_from_args(args)
     questions = _load_questions_for_cli(args, config)
     inputs = {
-        field: dict(_load_records(options[option], reader))
+        field: dict(_load_records(options[option], reader, itemgetter(0)))
         for option, (field, reader) in _STAGE_INPUTS.items()
         if options.get(option) is not None
     }
@@ -381,10 +395,6 @@ def _exit_code(n_ok: int, n_failed: int) -> int:
     return EXIT_PARTIAL if n_ok > 0 else EXIT_TOTAL
 
 
-def _utc_now() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -395,9 +405,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    started_at = _utc_now()
+    started_at = datetime.now(timezone.utc).isoformat()
     outcomes = run_stages(run, outcomes, EVALUATE_STAGES)
-    finished_at = _utc_now()
+    finished_at = datetime.now(timezone.utc).isoformat()
 
     _write_stage_records(out_dir / "claim_sets.jsonl", outcomes, "claim_set")
     _write_stage_records(out_dir / "assignments.jsonl", outcomes, "assignment")
@@ -479,7 +489,9 @@ def cmd_annotate(
     input_fn: Callable[[str], str] = input,
     print_fn: Callable[[str], None] = print,
 ) -> int:
-    evaluations = _load_records(args.records, records.evaluation_from_record)
+    evaluations = _load_records(
+        args.records, records.evaluation_from_record, attrgetter("question.id")
+    )
     labels_path = Path(args.labels)
     existing = _load_labels_for_cli(labels_path) if labels_path.is_file() else {}
 
@@ -545,22 +557,16 @@ def cmd_build_obscureqa(args: argparse.Namespace) -> int:
         split = SplitSpec(
             train=args.train, valid=args.valid, test=args.test, seed=args.seed
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
         lines = records.read_lines(args.dump)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raw_records = []
-    line_errors = []
+    raw_records, n_line_errors = [], 0
     for lineno, line in lines:
         try:
             raw_records.append(parse_quizbowl_record(json.loads(line)))
         except (ValueError, KeyError, TypeError) as exc:
-            line_errors.append((lineno, str(exc)))
-    for lineno, message in line_errors:
-        logger.warning("%s:%d: %s", args.dump, lineno, message)
+            logger.warning("%s:%d: %s", args.dump, lineno, exc)
+            n_line_errors += 1
     if not raw_records:
         raise ConfigError(f"{args.dump}: no usable records")
 
@@ -579,7 +585,7 @@ def cmd_build_obscureqa(args: argparse.Namespace) -> int:
         )
     stats = {
         "input_records": len(raw_records),
-        "line_errors": len(line_errors),
+        "line_errors": n_line_errors,
         "dropped_moderator_notes": build.dropped_moderator_notes,
         "dropped_empty": build.dropped_empty,
         "kept": build.total_kept,
@@ -683,10 +689,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

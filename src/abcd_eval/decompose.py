@@ -119,15 +119,14 @@ def load_prompt_pack(directory: str | Path) -> PromptPack:
 
     blocks: list[str] = []
     current: list[str] = []
-    for line in read_text(examples_path).splitlines():
+    # A separator after the last line closes the last example.
+    for line in read_text(examples_path).splitlines() + [_EXAMPLE_SEPARATOR]:
         if line.strip() == _EXAMPLE_SEPARATOR:
             if any(l.strip() for l in current):
                 blocks.append("\n".join(current).strip())
             current = []
         else:
             current.append(line)
-    if any(l.strip() for l in current):
-        blocks.append("\n".join(current).strip())
 
     return PromptPack(instructions=instructions, examples=tuple(blocks))
 

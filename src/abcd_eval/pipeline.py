@@ -157,7 +157,7 @@ def _base_provider(config: RunConfig) -> Provider:
             raise ConfigError("live mode needs --base-url")
         try:
             return LiveProvider(base_url=config.base_url)
-        except ProviderError as exc:
+        except (ProviderError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
     if mode == "replay":
         if config.cache_dir is None:
@@ -317,14 +317,6 @@ STAGES: dict[str, Callable[[Run, QuestionOutcome], None]] = {
 }
 
 
-def _run_over_questions(items, worker: Callable, concurrency: int) -> list:
-    """Apply *worker* to every item, preserving input order."""
-    if concurrency <= 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(worker, items))
-
-
 def run_stages(
     run: Run, outcomes: Sequence[QuestionOutcome], stages: Sequence[str]
 ) -> list[QuestionOutcome]:
@@ -347,4 +339,7 @@ def run_stages(
                 break
         return outcome
 
-    return _run_over_questions(outcomes, worker, run.config.concurrency)
+    if run.config.concurrency <= 1:
+        return [worker(outcome) for outcome in outcomes]
+    with ThreadPoolExecutor(max_workers=run.config.concurrency) as pool:
+        return list(pool.map(worker, outcomes))

@@ -11,19 +11,21 @@ swaps the live provider for :class:`ReplayProvider` over the same directory.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import random
+import ssl
 import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Protocol, Sequence
-
-import requests
+from typing import Callable, NamedTuple, Optional, Protocol, Sequence
+from urllib.parse import urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 from .records import atomic_write, read_lines
 
@@ -204,12 +206,82 @@ _FINISH_REASON_MAP = {
 }
 
 
+class _HTTPResponse(NamedTuple):
+    """The part of a ``requests.Response`` that :class:`LiveProvider` reads."""
+
+    status_code: int
+    body: bytes
+
+    @property
+    def text(self) -> str:
+        return self.body.decode("utf-8", "replace")
+
+    def json(self):
+        return json.loads(self.body.decode("utf-8"))
+
+
+class _HTTPSession:
+    """A stdlib stand-in for ``requests.Session``, posting under one origin.
+
+    Each thread keeps one keep-alive connection, through the proxy that
+    ``HTTP(S)_PROXY``/``NO_PROXY`` name for the origin when the session is
+    built. A connection whose request fails is closed and dropped, so the
+    next post opens a fresh one. Redirects are not followed.
+    """
+
+    def __init__(self, url: str):
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"not an http(s) URL: {url!r}")
+        self._https = parts.scheme == "https"
+        self._origin = (parts.hostname, parts.port)  # a bad port is a ValueError
+        proxy = not proxy_bypass(parts.netloc) and getproxies().get(parts.scheme)
+        if proxy:
+            proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        self._proxy = (proxy.hostname, proxy.port or 80) if proxy else None
+        # Where a URL's request target starts: an http proxy takes it whole.
+        self._target_at = 0 if proxy and not self._https else len(
+            f"{parts.scheme}://{parts.netloc}"
+        )
+        self._local = threading.local()
+
+    def _connect(self, timeout: float) -> http.client.HTTPConnection:
+        address = self._proxy or self._origin
+        if not self._https:
+            return http.client.HTTPConnection(*address, timeout=timeout)
+        conn = http.client.HTTPSConnection(
+            *address, timeout=timeout, context=ssl.create_default_context()
+        )
+        if self._proxy:
+            conn.set_tunnel(*self._origin)
+        return conn
+
+    def post(self, url: str, **kwargs) -> _HTTPResponse:
+        """POST with the json, headers and timeout of ``requests.Session.post``."""
+        body = json.dumps(kwargs["json"]).encode("utf-8")
+        headers = {"Content-Type": "application/json", **kwargs["headers"]}
+        conn = getattr(self._local, "conn", None) or self._connect(kwargs["timeout"])
+        self._local.conn = None
+        try:
+            conn.request("POST", url[self._target_at:], body, headers)
+            response = conn.getresponse()
+            result = _HTTPResponse(response.status, response.read())
+        except BaseException:
+            conn.close()
+            raise
+        self._local.conn = conn
+        return result
+
+
 class LiveProvider:
     """Chat-completion style HTTP provider.
 
     Reads the API key from the ``ABCD_API_KEY`` environment variable unless
     one is passed explicitly. Retries rate-limit and network failures with
     exponential backoff and full jitter, up to ``max_attempts`` tries total.
+    Posts through *session*, anything with the ``post`` of a
+    ``requests.Session``; by default a stdlib session with one keep-alive
+    connection per thread.
     """
 
     def __init__(
@@ -219,7 +291,7 @@ class LiveProvider:
         *,
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        session: Optional[requests.Session] = None,
+        session=None,
         sleep_fn: Callable[[float], None] = time.sleep,
         rng: Optional[random.Random] = None,
     ):
@@ -233,21 +305,9 @@ class LiveProvider:
         self._url = base_url.rstrip("/") + "/chat/completions"
         self._timeout = timeout
         self._max_attempts = max_attempts
-        # One session per thread unless the caller supplies one; Session
-        # objects are not safe to share across concurrent workers.
-        self._explicit_session = session
-        self._local = threading.local()
+        self._session = session if session is not None else _HTTPSession(self._url)
         self._sleep = sleep_fn
         self._rng = rng or random.Random()
-
-    def _session(self) -> requests.Session:
-        if self._explicit_session is not None:
-            return self._explicit_session
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = requests.Session()
-            self._local.session = session
-        return session
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         last_error: Optional[ProviderError] = None
@@ -283,13 +343,13 @@ class LiveProvider:
             "max_tokens": request.max_tokens,
         }
         try:
-            http_response = self._session().post(
+            http_response = self._session.post(
                 self._url,
                 json=body,
                 headers={"Authorization": f"Bearer {self._api_key}"},
                 timeout=self._timeout,
             )
-        except requests.RequestException as exc:
+        except (OSError, http.client.HTTPException) as exc:
             raise ProviderError(ProviderErrorKind.NETWORK, str(exc)) from exc
 
         status = http_response.status_code
@@ -299,22 +359,24 @@ class LiveProvider:
             raise ProviderError(ProviderErrorKind.AUTH, f"HTTP {status}")
         if status >= 500:
             raise ProviderError(ProviderErrorKind.NETWORK, f"HTTP {status}")
+        if 300 <= status < 400:
+            raise ProviderError(ProviderErrorKind.OTHER, f"HTTP {status}")
         if status >= 400:
             raise ProviderError(
                 ProviderErrorKind.OTHER, f"HTTP {status}: {http_response.text[:200]}"
             )
 
         try:
-            payload = http_response.json()
-            choice = payload["choices"][0]
+            choice = http_response.json()["choices"][0]
             text = choice["message"]["content"]
-            raw_finish = choice.get("finish_reason", "stop")
+            finish = _FINISH_REASON_MAP.get(
+                choice.get("finish_reason", "stop"), FinishReason.OTHER
+            )
         except (ValueError, LookupError, TypeError) as exc:
             raise ProviderError(
                 ProviderErrorKind.OTHER, f"malformed response body: {exc}"
             ) from exc
 
-        finish = _FINISH_REASON_MAP.get(raw_finish, FinishReason.OTHER)
         if finish is FinishReason.FILTERED and not text:
             raise ProviderError(ProviderErrorKind.FILTERED, "completion was filtered")
         if not isinstance(text, str):
@@ -363,13 +425,12 @@ class ResponseCache:
     def get(self, digest: str) -> Optional[CompletionResponse]:
         """The cached response, or None when there is no entry. An entry
         that does not decode or convert raises ``ValueError``."""
-        path = self._path(digest)
-        if not path.exists():
-            return None
         try:
-            with open(path, encoding="utf-8") as handle:
+            with open(self._path(digest), encoding="utf-8") as handle:
                 entry = json.load(handle)
             return _response_from_record(entry["response"])
+        except FileNotFoundError:
+            return None
         except (ValueError, LookupError, TypeError) as exc:
             raise ValueError(
                 f"unreadable cache entry for request digest {digest}: "
@@ -390,9 +451,6 @@ class ResponseCache:
         text = json.dumps(entry, ensure_ascii=False, indent=2)
         with self._lock:
             atomic_write(self._path(digest), text)
-
-    def delete(self, digest: str) -> None:
-        self._path(digest).unlink(missing_ok=True)
 
 
 class CachingProvider:

@@ -11,6 +11,7 @@ and is renamed into place, so readers never observe a half-written file.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -24,7 +25,6 @@ from .model import (
     ClaimSet,
     ClaimTemplate,
     Dataset,
-    GroundTruthComparison,
     Question,
     QuestionEvaluation,
     VerificationResult,
@@ -234,33 +234,6 @@ def report_to_record(report: AggregateReport) -> dict:
     }
 
 
-def report_from_record(record: dict) -> AggregateReport:
-    comparison = None
-    if record.get("gt_comparison") is not None:
-        raw = record["gt_comparison"]
-        comparison = GroundTruthComparison(
-            gt_greater=raw["gt_greater"],
-            gt_equal=raw["gt_equal"],
-            gt_less=raw["gt_less"],
-        )
-    return AggregateReport(
-        dataset=record["dataset"],
-        n_total=record["n_total"],
-        n_correct=record["n_correct"],
-        n_incorrect=record["n_incorrect"],
-        n_unlabeled=record["n_unlabeled"],
-        mean_correct=fraction_from_str(record.get("mean_correct")),
-        mean_incorrect=fraction_from_str(record.get("mean_incorrect")),
-        diff=fraction_from_str(record.get("diff")),
-        t_stat=record.get("t_stat"),
-        degrees_freedom=record.get("degrees_freedom"),
-        p_value=record.get("p_value"),
-        p_correct=fraction_from_str(record.get("p_correct")),
-        p_incorrect=fraction_from_str(record.get("p_incorrect")),
-        gt_comparison=comparison,
-    )
-
-
 # --------------------------------------------------------------------------
 # labels
 
@@ -270,15 +243,6 @@ def label_from_record(record: dict) -> tuple[str, tuple[bool, Optional[str]]]:
         _correct(record["correct"], nullable=False),
         record.get("error_category"),
     )
-
-
-def load_labels(path: str | Path) -> dict[str, tuple[bool, Optional[str]]]:
-    """Read manual labels; later lines for the same question win.
-
-    Last-wins lets an annotation session correct an earlier mistake by
-    appending instead of editing the file.
-    """
-    return dict(label_from_record(record) for _, record in read_jsonl(path))
 
 
 def append_label(
@@ -344,10 +308,8 @@ def atomic_write(path: str | Path, content: str) -> None:
             handle.write(content)
         os.replace(temp_path, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(temp_path)
-        except OSError:
-            pass
         raise
 
 

@@ -34,6 +34,11 @@ class TTestResult:
     p_value: float
 
 
+def _off_zero(value: float) -> float:
+    """*value*, or a tiny positive stand-in when it is nearly zero."""
+    return _CF_TINY if abs(value) < _CF_TINY else value
+
+
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     """Evaluate the continued fraction for the incomplete beta function.
 
@@ -44,32 +49,19 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
         # even step
         numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        d = 1.0 / _off_zero(1.0 + numerator * d)
+        c = _off_zero(1.0 + numerator / c)
         h *= d * c
         # odd step
         numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
+        d = 1.0 / _off_zero(1.0 + numerator * d)
+        c = _off_zero(1.0 + numerator / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:

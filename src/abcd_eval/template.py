@@ -37,13 +37,6 @@ class InstantiationError(Exception):
         self.position = position
 
 
-def _substitute(text: str, values: dict[str, str]) -> str:
-    def replace(match):
-        return values[match.group(1).lower()]
-
-    return TAG_RE.sub(replace, text)
-
-
 def instantiate(template: ClaimTemplate, assignment: AnswerAssignment) -> str:
     """Replace every tag in *template* with its assigned answer string.
 
@@ -63,7 +56,7 @@ def instantiate(template: ClaimTemplate, assignment: AnswerAssignment) -> str:
                 tag=tag,
             )
         values[tag.name] = value
-    result = _substitute(template.text, values)
+    result = TAG_RE.sub(lambda match: values[match.group(1).lower()], template.text)
 
     leftover = TAG_RE.search(result)
     if leftover is not None:

@@ -225,9 +225,6 @@ def baseline_whole_question(
         max_tokens=max_tokens,
     )
     response = provider.complete(request)
-    config = VerdictParseConfig(
-        match_mode=DEFAULT_PARSE_CONFIG.match_mode,
-        restatement_override=False,
-    )
+    config = VerdictParseConfig(restatement_override=False)
     verdict = parse_verdict(response.text, "", config)
     return BaselineResult(verdict=verdict, raw_response=response.text)

@@ -27,7 +27,7 @@ from abcd_eval.datasets import (
 )
 from abcd_eval.decompose import default_pack_path
 from abcd_eval.model import Verdict
-from abcd_eval.providers import ScriptedProvider
+from abcd_eval.providers import API_KEY_ENV_VAR, ScriptedProvider
 from e2e_fixture import (
     EXPECTED_CACHE_ENTRIES,
     EXPECTED_CALLS_NO_CACHE,
@@ -58,6 +58,12 @@ def evaluate_args(paths, out_dir, *extra):
         "--ground-truth",
         *extra,
     ]
+
+
+def read_labels(path):
+    return dict(
+        records.label_from_record(record) for _, record in records.read_jsonl(path)
+    )
 
 
 def read_evaluations(out_dir):
@@ -97,24 +103,22 @@ class TestEvaluateEndToEnd:
         assert main(evaluate_args(fixture_paths, out_dir)) == EXIT_OK
         reports = json.loads((out_dir / "report.json").read_text("utf-8"))
         assert len(reports) == 1
-        report = records.report_from_record(reports[0])
+        report = reports[0]
 
-        assert report.dataset == EXPECTED_REPORT["dataset"]
-        assert report.n_total == EXPECTED_REPORT["n_total"]
-        assert report.n_correct == EXPECTED_REPORT["n_correct"]
-        assert report.n_incorrect == EXPECTED_REPORT["n_incorrect"]
-        assert report.n_unlabeled == EXPECTED_REPORT["n_unlabeled"]
-        assert report.mean_correct == EXPECTED_REPORT["mean_correct"]
-        assert report.mean_incorrect == EXPECTED_REPORT["mean_incorrect"]
-        assert report.diff == EXPECTED_REPORT["diff"]
-        assert report.p_correct == EXPECTED_REPORT["p_correct"]
-        assert report.p_incorrect == EXPECTED_REPORT["p_incorrect"]
-        comparison = report.gt_comparison
-        assert (comparison.gt_greater, comparison.gt_equal, comparison.gt_less) \
-            == EXPECTED_REPORT["gt_comparison"]
-        assert report.t_stat == pytest.approx(EXPECTED_T_STAT, abs=1e-12)
-        assert report.degrees_freedom == pytest.approx(EXPECTED_DF, abs=1e-12)
-        assert 0.0 < report.p_value < 0.01
+        assert report["dataset"] == EXPECTED_REPORT["dataset"]
+        assert report["n_total"] == EXPECTED_REPORT["n_total"]
+        assert report["n_correct"] == EXPECTED_REPORT["n_correct"]
+        assert report["n_incorrect"] == EXPECTED_REPORT["n_incorrect"]
+        assert report["n_unlabeled"] == EXPECTED_REPORT["n_unlabeled"]
+        for name in ("mean_correct", "mean_incorrect", "diff", "p_correct",
+                     "p_incorrect"):
+            assert report[name] == str(EXPECTED_REPORT[name]), name
+        comparison = report["gt_comparison"]
+        assert (comparison["gt_greater"], comparison["gt_equal"],
+                comparison["gt_less"]) == EXPECTED_REPORT["gt_comparison"]
+        assert report["t_stat"] == pytest.approx(EXPECTED_T_STAT, abs=1e-12)
+        assert report["degrees_freedom"] == pytest.approx(EXPECTED_DF, abs=1e-12)
+        assert 0.0 < report["p_value"] < 0.01
 
     def test_manifest(self, fixture_paths, tmp_path):
         out_dir = tmp_path / "run"
@@ -592,6 +596,61 @@ def test_bad_input_file_is_config_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, bad_flag",
+    [
+        (command, flag)
+        for command, flags in INPUT_FLAGS.items()
+        for flag in flags
+        if flag not in ("--questions", "--script", "--labels")
+    ],
+)
+def test_duplicate_question_id_is_config_error(
+    fixture_paths, tmp_path, capsys, command, bad_flag
+):
+    # Each stage input and --records file read twice over: the first
+    # repeated record is the error, as in the questions file.
+    reference = tmp_path / "reference"
+    assert main(evaluate_args(fixture_paths, reference)) == EXIT_OK
+    capsys.readouterr()
+    files = {
+        "--questions": fixture_paths["questions"],
+        "--script": fixture_paths["rules"],
+        "--labels": fixture_paths["labels"],
+        "--claims": reference / "claim_sets.jsonl",
+        "--assignments": reference / "assignments.jsonl",
+        "--verifications": reference / "verifications.jsonl",
+        "--gt-verifications": reference / "gt_verifications.jsonl",
+        "--records": reference / "evaluations.jsonl",
+    }
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text(files[bad_flag].read_text("utf-8") * 2, encoding="utf-8")
+    files[bad_flag] = doubled
+    argv = [command]
+    for flag in INPUT_FLAGS[command]:
+        argv += [flag, str(files[flag])]
+    if command in OUTPUT_FLAGS:
+        argv += [OUTPUT_FLAGS[command], str(tmp_path / "out")]
+
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {doubled}:13: duplicate question id 'q01'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_later_lines_win(fixture_paths, tmp_path):
+    # A labels file is appended to, so a later line for a question
+    # overrides an earlier one.
+    first = next(fq for fq in QUESTIONS if fq.correct is not None)
+    records.append_label(fixture_paths["labels"], first.qid, not first.correct,
+                         error_category="second thoughts")
+    out_dir = tmp_path / "run"
+    assert main(evaluate_args(fixture_paths, out_dir)) == EXIT_OK
+    evaluation = read_evaluations(out_dir)[first.qid]
+    assert evaluation.correct is (not first.correct)
+    assert evaluation.error_category == "second thoughts"
+
+
 NOT_UTF8 = b'{"id": "q01", "question": "caf\xe9?", "answer": "x"}\n'
 
 
@@ -681,6 +740,8 @@ BAD_VALUES = [
     ("--decompose-model", ""),
     ("--answer-model", ""),
     ("--verify-model", ""),
+    ("--provider", "live", "--base-url", "localhost:8000/v1"),
+    ("--provider", "live", "--base-url", "http://127.0.0.1:port/v1"),
 ]
 
 
@@ -701,6 +762,7 @@ def test_out_of_range_option_is_config_error(
     monkeypatch.setattr(
         ScriptedProvider, "complete", lambda self, request: calls.append(request)
     )
+    monkeypatch.setenv(API_KEY_ENV_VAR, "sk-test")  # so a live URL is checked
     files = {
         "--questions": paths["questions"],
         "--script": paths["rules"],
@@ -839,7 +901,7 @@ class TestAnnotate:
         )
         assert code == EXIT_OK
         assert "please answer" in output  # the bad "x" was re-prompted
-        labels = records.load_labels(labels_path)
+        labels = read_labels(labels_path)
         assert labels == {
             "q1": (True, None),
             "q2": (False, "confused the entity"),
@@ -848,7 +910,7 @@ class TestAnnotate:
     def test_quit_stops_early(self, tmp_path):
         code, labels_path, _ = self.run(tmp_path, ["c", "q"])
         assert code == EXIT_OK
-        assert records.load_labels(labels_path) == {"q1": (True, None)}
+        assert read_labels(labels_path) == {"q1": (True, None)}
 
     def test_eof_quits_gracefully(self, tmp_path):
         code, labels_path, _ = self.run(tmp_path, [])
@@ -870,7 +932,7 @@ class TestAnnotate:
         assert code == EXIT_OK
         output = "\n".join(printed)
         assert "1 unlabeled of 3" in output
-        assert records.load_labels(labels_path)["q3"] == (True, None)
+        assert read_labels(labels_path)["q3"] == (True, None)
 
 
 class TestBaseline:

@@ -1,16 +1,24 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and the package
+needs nothing beyond the standard library.
 
 A stdlib AST scan stands in for a linter. Package ``__init__.py`` files are
-skipped (their imports are re-exports), and so is an import on a line marked
-``# noqa``.
+skipped by the unused-import scan (their imports are re-exports), and so is
+an import on a line marked ``# noqa``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from e2e_fixture import write_fixture
+from loopback import PROXY_ENV_VARS, LoopbackServer, http_response
+
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "abcd_eval").rglob("*.py"))
 SOURCES = sorted(
     path
     for directory in ("src", "tests", "demos")
@@ -47,3 +55,66 @@ def unused_imports(path: Path) -> list[str]:
 )
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def outside_imports(path: Path) -> list[str]:
+    """``line: module`` for each absolute import of neither the standard
+    library nor ``abcd_eval``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [
+            f"{node.lineno}: {module}"
+            for module in modules
+            if module.split(".")[0] not in sys.stdlib_module_names | {"abcd_eval"}
+        ]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=[str(path.relative_to(ROOT)) for path in PACKAGE]
+)
+def test_package_imports_only_the_standard_library(path):
+    assert outside_imports(path) == []
+
+
+# Blocks ``requests``, then runs the fixture ``evaluate`` and one live call.
+WITHOUT_REQUESTS = """
+import sys
+sys.modules["requests"] = None
+from abcd_eval import cli
+from abcd_eval.providers import CompletionRequest, LiveProvider
+port, *evaluate = sys.argv[1:]
+assert cli.main(evaluate) == 0, "evaluate failed"
+provider = LiveProvider(f"http://127.0.0.1:{port}/v1", api_key="k", timeout=5.0)
+print(provider.complete(CompletionRequest(model="m", prompt="p", max_tokens=8)).text)
+"""
+
+
+def test_cli_runs_with_requests_blocked(tmp_path):
+    paths = write_fixture(tmp_path / "fixture")
+    env = {k: v for k, v in os.environ.items() if k not in PROXY_ENV_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
+    server = LoopbackServer([http_response()])
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-c", WITHOUT_REQUESTS, str(server.port),
+             "evaluate", "--questions", str(paths["questions"]),
+             "--labels", str(paths["labels"]), "--script", str(paths["rules"]),
+             "--ground-truth", "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+    finally:
+        server.close()
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines()[-1] == "ok"
+    assert server.request_lines == ["POST /v1/chat/completions HTTP/1.1"]
+    assert (tmp_path / "out" / "evaluations.jsonl").is_file()

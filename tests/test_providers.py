@@ -1,10 +1,10 @@
 """Provider stack tests: request hashing, scripting, cache, replay, retry."""
 
 import json
+import logging
 import threading
 
 import pytest
-import requests
 
 from abcd_eval.providers import (
     API_KEY_ENV_VAR,
@@ -24,6 +24,7 @@ from abcd_eval.providers import (
     cache_key,
     load_script_rules,
 )
+from loopback import PROXY_ENV_VARS, LoopbackServer, chat_body, http_response
 
 # Regression pin for the on-disk cache layout. If this digest moves, every
 # previously recorded cache directory stops replaying.
@@ -162,9 +163,8 @@ class TestResponseCache:
         cache.put(digest, FROZEN_REQUEST, CompletionResponse(text="True."))
         fetched = cache.get(digest)
         assert fetched == CompletionResponse(text="True.")
-        cache.delete(digest)
+        (tmp_path / "cache" / f"{digest}.json").unlink()
         assert cache.get(digest) is None
-        cache.delete(digest)  # second delete is a no-op
 
     def test_entry_file_carries_request_and_timestamp(self, tmp_path):
         cache = ResponseCache(tmp_path)
@@ -387,7 +387,7 @@ class TestLiveProvider:
     def test_retries_network_then_succeeds(self):
         session = FakeSession(
             [
-                requests.ConnectionError("boom"),
+                ConnectionError("boom"),
                 FakeHTTPResponse(status_code=502),
                 FakeHTTPResponse(payload=chat_payload("ok")),
             ]
@@ -465,6 +465,30 @@ class TestLiveProvider:
         response = provider.complete(make_request("p"))
         assert response.finish_reason is FinishReason.LENGTH
 
+    def test_list_finish_reason_is_other_and_not_cached(self, tmp_path):
+        session = FakeSession(
+            [FakeHTTPResponse(payload=chat_payload("True.", ["stop"]))]
+        )
+        provider, sleeps = make_live(session)
+        cache = ResponseCache(tmp_path)
+        with pytest.raises(ProviderError) as excinfo:
+            CachingProvider(provider, cache).complete(make_request("p"))
+        assert excinfo.value.kind is ProviderErrorKind.OTHER
+        assert "malformed response body" in str(excinfo.value)
+        assert len(session.posts) == 1
+        assert sleeps == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_redirect_is_other_and_not_followed(self):
+        session = FakeSession([FakeHTTPResponse(status_code=302)])
+        provider, sleeps = make_live(session)
+        with pytest.raises(ProviderError) as excinfo:
+            provider.complete(make_request("p"))
+        assert excinfo.value.kind is ProviderErrorKind.OTHER
+        assert excinfo.value.detail == "HTTP 302"
+        assert len(session.posts) == 1
+        assert sleeps == []
+
     def test_filtered_empty_completion_raises(self):
         session = FakeSession(
             [FakeHTTPResponse(payload=chat_payload("", "content_filter"))]
@@ -473,6 +497,129 @@ class TestLiveProvider:
         with pytest.raises(ProviderError) as excinfo:
             provider.complete(make_request("p"))
         assert excinfo.value.kind is ProviderErrorKind.FILTERED
+
+
+# ---------------------------------------------------------------------------
+# LiveProvider's own stdlib transport against a loopback server
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """Starts scripted servers and stops them after the test; the proxy
+    variables are cleared so the requests go straight to loopback."""
+    for name in PROXY_ENV_VARS:
+        monkeypatch.delenv(name, raising=False)
+    servers = []
+
+    def start(responses, close_after_each=False):
+        servers.append(LoopbackServer(responses, close_after_each))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+def stdlib_live(base_url, **kwargs):
+    sleeps = []
+    provider = LiveProvider(base_url, api_key="sk-test", timeout=5.0,
+                            sleep_fn=sleeps.append, **kwargs)
+    return provider, sleeps
+
+
+class TestStdlibTransport:
+    def test_calls_on_one_thread_share_one_connection(self, loopback):
+        server = loopback([http_response(body=chat_body(f"r{i}")) for i in range(5)])
+        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1/")
+        for i in range(5):
+            assert provider.complete(make_request(f"p{i}")).text == f"r{i}"
+        assert server.connections == 1
+        assert server.request_lines == ["POST /v1/chat/completions HTTP/1.1"] * 5
+        _, _, head, body = server.requests[0]
+        assert json.loads(body) == {
+            "model": "default",
+            "messages": [{"role": "user", "content": "p0"}],
+            "temperature": 0.0,
+            "max_tokens": 16,
+        }
+        assert b"\r\nAuthorization: Bearer sk-test" in head
+        assert b"\r\nContent-Type: application/json" in head
+        assert sleeps == []
+
+    def test_socket_closed_by_server_is_network_then_fresh_socket(
+        self, loopback, caplog
+    ):
+        server = loopback(
+            [http_response(body=chat_body("first")),
+             http_response(body=chat_body("second"))],
+            close_after_each=True,
+        )
+        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        caplog.set_level(logging.INFO, logger="abcd_eval.providers")
+        assert provider.complete(make_request("p1")).text == "first"
+        assert provider.complete(make_request("p2")).text == "second"
+        assert "retrying after network" in caplog.text
+        assert len(sleeps) == 1
+        assert server.connections == 2
+        assert [conn for conn, *_ in server.requests] == [1, 2]
+
+    def test_chunked_body_parses(self, loopback):
+        server = loopback([http_response(body=chat_body("chunked"), chunked=True)] * 2)
+        provider, _ = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        assert provider.complete(make_request("p")).text == "chunked"
+        assert provider.complete(make_request("p")).text == "chunked"
+        assert server.connections == 1
+
+    def test_rate_limit_then_success_sleeps_once(self, loopback):
+        server = loopback([
+            http_response("429 Too Many Requests", body=b'{"error": "slow down"}'),
+            http_response(),
+        ])
+        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        assert provider.complete(make_request("p")).text == "ok"
+        assert len(sleeps) == 1
+        assert server.connections == 1
+
+    def test_redirect_is_not_followed(self, loopback):
+        server = loopback([
+            b"HTTP/1.1 307 Temporary Redirect\r\nLocation: /v2/chat/completions"
+            b"\r\nContent-Length: 0\r\n\r\n",
+        ])
+        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        with pytest.raises(ProviderError) as excinfo:
+            provider.complete(make_request("p"))
+        assert (excinfo.value.kind, excinfo.value.detail) == \
+            (ProviderErrorKind.OTHER, "HTTP 307")
+        assert server.request_lines == ["POST /v1/chat/completions HTTP/1.1"]
+
+    def test_http_proxy_gets_the_absolute_url(self, loopback, monkeypatch):
+        server = loopback([http_response()])
+        monkeypatch.setenv("HTTP_PROXY", f"http://127.0.0.1:{server.port}")
+        # The target is never contacted: only the proxy is.
+        provider, _ = stdlib_live("http://127.0.0.2:9/v1")
+        assert provider.complete(make_request("p")).text == "ok"
+        assert server.request_lines == [
+            "POST http://127.0.0.2:9/v1/chat/completions HTTP/1.1"
+        ]
+        assert b"\r\nHost: 127.0.0.2:9\r\n" in server.requests[0][2]
+
+    def test_https_proxy_is_asked_for_a_tunnel(self, loopback, monkeypatch):
+        server = loopback([b"HTTP/1.1 403 Forbidden\r\nContent-Length: 0\r\n\r\n"])
+        monkeypatch.setenv("HTTPS_PROXY", f"127.0.0.1:{server.port}")
+        provider, _ = stdlib_live("https://127.0.0.2:9/v1", max_attempts=1)
+        with pytest.raises(ProviderError) as excinfo:
+            provider.complete(make_request("p"))
+        assert excinfo.value.kind is ProviderErrorKind.NETWORK
+        [line] = server.request_lines
+        assert line.startswith("CONNECT 127.0.0.2:9 HTTP/1.")
+
+    def test_no_proxy_goes_direct(self, loopback, monkeypatch):
+        server = loopback([http_response()])
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        provider, _ = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        assert provider.complete(make_request("p")).text == "ok"
+        assert server.request_lines == ["POST /v1/chat/completions HTTP/1.1"]
 
 
 class TestProviderProtocol:
