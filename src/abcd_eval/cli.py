@@ -30,6 +30,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import closing
 from dataclasses import fields
 from datetime import datetime, timezone
 from operator import attrgetter, itemgetter
@@ -406,7 +407,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     started_at = datetime.now(timezone.utc).isoformat()
-    outcomes = run_stages(run, outcomes, EVALUATE_STAGES)
+    with closing(run):
+        outcomes = run_stages(run, outcomes, EVALUATE_STAGES)
     finished_at = datetime.now(timezone.utc).isoformat()
 
     _write_stage_records(out_dir / "claim_sets.jsonl", outcomes, "claim_set")
@@ -471,7 +473,8 @@ def cmd_stage(args: argparse.Namespace) -> int:
         raise ConfigError("--ground-truth needs --gt-out")
     stages, field, verb = _STAGE_COMMANDS[args.command]
     run, outcomes = _prepare(args, stages)
-    outcomes = run_stages(run, outcomes, stages)
+    with closing(run):
+        outcomes = run_stages(run, outcomes, stages)
     n_ok = _write_stage_records(args.out, outcomes, field)
     if run.config.ground_truth:
         _write_stage_records(args.gt_out, outcomes, "gt_results")
@@ -540,12 +543,12 @@ def cmd_annotate(
 def cmd_baseline(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     evaluations = _load_evaluations(args.records)
-    run = Run(config, *build_providers(config))
-    outcomes = run_stages(
-        run,
-        [QuestionOutcome(e.question, evaluation=e) for e in evaluations],
-        ("baseline",),
-    )
+    with closing(Run(config, *build_providers(config))) as run:
+        outcomes = run_stages(
+            run,
+            [QuestionOutcome(e.question, evaluation=e) for e in evaluations],
+            ("baseline",),
+        )
     n_ok = _write_stage_records(args.out, outcomes, "baseline")
     return _stage_summary("baseline checked", n_ok, outcomes, args.out)
 

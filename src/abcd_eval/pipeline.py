@@ -11,11 +11,14 @@ stage command fills the outcome from earlier stages' files and runs one.
 it is built, so every command that builds one rejects the same bad values.
 :func:`build_providers` checks the provider settings and gives each
 model-calling stage its own provider and call counter; both go on the
-:class:`Run` the stages share.
+:class:`Run` the stages share, with the base provider the run closes when
+it is done.
 
 :func:`run_stages` is the only per-question failure boundary: an exception
 in a stage marks the outcome failed at that stage and the question's
-remaining stages are skipped, while the other questions go on.
+remaining stages are skipped, while the other questions go on. A
+question's ``verify`` and ``verify_gt`` stages share the responses it has
+received, so a verification prompt goes upstream once per question.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from .decompose import DEFAULT_DECOMPOSE_MAX_TOKENS, PromptPack, decompose
 from .model import AnswerAssignment, ClaimSet, Question, QuestionEvaluation
 from .providers import (
     CachingProvider,
+    CompletionRequest,
+    CompletionResponse,
     CountingProvider,
     LiveProvider,
     Provider,
@@ -168,8 +173,9 @@ def _base_provider(config: RunConfig) -> Provider:
     raise ConfigError(f"unknown provider mode {mode!r}")
 
 
-def build_providers(config: RunConfig) -> tuple[dict, dict]:
-    """One provider and one call counter per model-calling stage.
+def build_providers(config: RunConfig) -> tuple[dict, dict, Provider]:
+    """One provider and one call counter per model-calling stage, and the
+    base provider they all call.
 
     Counters sit inside the caching layer, so in caching modes they count
     upstream calls (cache misses); in replay mode they count completions
@@ -185,20 +191,27 @@ def build_providers(config: RunConfig) -> tuple[dict, dict]:
         providers[stage] = (
             CachingProvider(counters[stage], cache) if cache else counters[stage]
         )
-    return providers, counters
+    return providers, counters, base
 
 
 @dataclass
 class Run:
     """What the stages share across questions: the configuration, the
-    provider of each model-calling stage with its call counter, the prompt
-    pack and the manual labels."""
+    provider of each model-calling stage with its call counter, the base
+    provider under them, the prompt pack and the manual labels."""
 
     config: RunConfig
     providers: dict = field(default_factory=dict)
     counters: dict = field(default_factory=dict)
+    base: Optional[Provider] = None
     pack: Optional[PromptPack] = None
     labels: dict = field(default_factory=dict)
+
+    def close(self) -> None:
+        """Close the base provider's connections, if it keeps any."""
+        close = getattr(self.base, "close", None)
+        if close is not None:
+            close()
 
 
 # --------------------------------------------------------------------------
@@ -218,6 +231,9 @@ class QuestionOutcome:
     baseline: Optional[BaselineResult] = None
     failed_stage: Optional[str] = None
     failure_reason: Optional[str] = None
+    # Verification responses this question has received, by request; the
+    # verify and verify_gt stages share it and run_stages empties it.
+    verify_responses: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -250,13 +266,33 @@ def _answer(run: Run, outcome: QuestionOutcome) -> None:
     )
 
 
+class _Reuse:
+    """Serve a request already answered from *responses*; send the others
+    through *inner* and keep what comes back. A call that raises is kept
+    nowhere, so a later pass sends it again."""
+
+    def __init__(self, inner: Provider, responses: dict):
+        self.inner = inner
+        self.responses = responses
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        response = self.responses.get(request)
+        if response is None:
+            response = self.responses[request] = self.inner.complete(request)
+        return response
+
+
 def _verify_claims(
     run: Run, outcome: QuestionOutcome, stage: str, override_answer=None
 ) -> list:
+    """Verify the outcome's claims through *stage*'s provider. A prompt the
+    question already sent, such as the gold-answer pass repeating the
+    predicted pass when the prediction is gold, is answered from memory and
+    is neither counted nor looked up in the cache."""
     return verify_all(
         _need(outcome.claim_set, "claim set"),
         _need(outcome.assignment, "assignment"),
-        run.providers[stage],
+        _Reuse(run.providers[stage], outcome.verify_responses),
         run.config.parse_config,
         override_answer=override_answer,
         model=run.config.verify_model,
@@ -337,6 +373,7 @@ def run_stages(
                 outcome.failed_stage = stage
                 outcome.failure_reason = f"{type(exc).__name__}: {exc}"
                 break
+        outcome.verify_responses.clear()
         return outcome
 
     if run.config.concurrency <= 1:

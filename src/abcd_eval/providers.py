@@ -89,12 +89,16 @@ _RETRYABLE_KINDS = frozenset(
 
 
 class ProviderError(Exception):
-    """A completion call failed. ``retryable`` follows from the kind."""
+    """A completion call failed. ``retryable`` follows from the kind;
+    ``retry_after`` is the wait in seconds the server asked for, if any."""
 
-    def __init__(self, kind: ProviderErrorKind, detail: str):
+    def __init__(
+        self, kind: ProviderErrorKind, detail: str, retry_after: Optional[float] = None
+    ):
         super().__init__(f"{kind.value}: {detail}")
         self.kind = kind
         self.detail = detail
+        self.retry_after = retry_after
 
     @property
     def retryable(self) -> bool:
@@ -210,6 +214,7 @@ class _HTTPResponse(NamedTuple):
     """The part of a ``requests.Response`` that :class:`LiveProvider` reads."""
 
     status_code: int
+    headers: http.client.HTTPMessage
     body: bytes
 
     @property
@@ -226,7 +231,8 @@ class _HTTPSession:
     Each thread keeps one keep-alive connection, through the proxy that
     ``HTTP(S)_PROXY``/``NO_PROXY`` name for the origin when the session is
     built. A connection whose request fails is closed and dropped, so the
-    next post opens a fresh one. Redirects are not followed.
+    next post opens a fresh one; :meth:`close` closes the others. Redirects
+    are not followed.
     """
 
     def __init__(self, url: str):
@@ -243,7 +249,8 @@ class _HTTPSession:
         self._target_at = 0 if proxy and not self._https else len(
             f"{parts.scheme}://{parts.netloc}"
         )
-        self._local = threading.local()
+        self._conns: dict[int, http.client.HTTPConnection] = {}  # by thread id
+        self._lock = threading.Lock()
 
     def _connect(self, timeout: float) -> http.client.HTTPConnection:
         address = self._proxy or self._origin
@@ -260,17 +267,37 @@ class _HTTPSession:
         """POST with the json, headers and timeout of ``requests.Session.post``."""
         body = json.dumps(kwargs["json"]).encode("utf-8")
         headers = {"Content-Type": "application/json", **kwargs["headers"]}
-        conn = getattr(self._local, "conn", None) or self._connect(kwargs["timeout"])
-        self._local.conn = None
+        thread = threading.get_ident()
+        with self._lock:
+            conn = self._conns.get(thread)
+            if conn is None:
+                conn = self._conns[thread] = self._connect(kwargs["timeout"])
         try:
             conn.request("POST", url[self._target_at:], body, headers)
             response = conn.getresponse()
-            result = _HTTPResponse(response.status, response.read())
+            return _HTTPResponse(response.status, response.headers, response.read())
         except BaseException:
+            with self._lock:
+                self._conns.pop(thread, None)
             conn.close()
             raise
-        self._local.conn = conn
-        return result
+
+    def close(self) -> None:
+        """Close every thread's connection; a later post opens a new one."""
+        with self._lock:
+            conns, self._conns = list(self._conns.values()), {}
+        for conn in conns:
+            conn.close()
+
+
+def _retry_after(http_response) -> Optional[float]:
+    """The delta-seconds ``Retry-After`` of a response, or None when it has
+    no headers, no such header or a value that is not a number."""
+    value = getattr(http_response, "headers", {}).get("Retry-After")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
 
 
 class LiveProvider:
@@ -279,9 +306,10 @@ class LiveProvider:
     Reads the API key from the ``ABCD_API_KEY`` environment variable unless
     one is passed explicitly. Retries rate-limit and network failures with
     exponential backoff and full jitter, up to ``max_attempts`` tries total.
-    Posts through *session*, anything with the ``post`` of a
-    ``requests.Session``; by default a stdlib session with one keep-alive
-    connection per thread.
+    A 429's delta-seconds ``Retry-After`` raises the wait to that value,
+    capped like the backoff. Posts through *session*, anything with the
+    ``post`` of a ``requests.Session``; by default a stdlib session with one
+    keep-alive connection per thread, which :meth:`close` closes.
     """
 
     def __init__(
@@ -309,6 +337,12 @@ class LiveProvider:
         self._sleep = sleep_fn
         self._rng = rng or random.Random()
 
+    def close(self) -> None:
+        """Close the default session's connections. An injected session is
+        left to its owner."""
+        if isinstance(self._session, _HTTPSession):
+            self._session.close()
+
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         last_error: Optional[ProviderError] = None
         for attempt in range(self._max_attempts):
@@ -318,6 +352,8 @@ class LiveProvider:
                     0.0,
                     min(_BACKOFF_CAP_SECONDS, _BACKOFF_BASE_SECONDS * 2 ** (attempt - 1)),
                 )
+                if last_error.retry_after is not None:
+                    delay = min(_BACKOFF_CAP_SECONDS, max(delay, last_error.retry_after))
                 logger.info(
                     "retrying after %s (attempt %d/%d, sleeping %.2fs)",
                     last_error.kind.value,
@@ -354,7 +390,9 @@ class LiveProvider:
 
         status = http_response.status_code
         if status == 429:
-            raise ProviderError(ProviderErrorKind.RATE_LIMITED, "HTTP 429")
+            raise ProviderError(
+                ProviderErrorKind.RATE_LIMITED, "HTTP 429", _retry_after(http_response)
+            )
         if status in (401, 403):
             raise ProviderError(ProviderErrorKind.AUTH, f"HTTP {status}")
         if status >= 500:

@@ -351,19 +351,20 @@ EXPECTED_REPORT = {
 EXPECTED_T_STAT = 7.0 * math.sqrt(2.0 / 5.0)
 EXPECTED_DF = 125.0 / 19.0
 
-# Upstream calls per stage when every request is new (no cache): one
-# decomposition and one answer call per question, one verification call per
-# claim. The ground-truth pass re-verifies every claim, but for the eight
-# questions whose predicted answer equals gold those prompts repeat the
-# predicted-answer pass, so with a shared cache only the four wrong-answer
-# questions (5+5+3+5 = 18 claims) miss.
+# Upstream calls per stage: one decomposition and one answer call per
+# question, one verification call per claim. The ground-truth pass
+# re-verifies every claim, but for the eight questions whose predicted answer
+# equals gold those prompts repeat the predicted-answer pass. A question
+# reuses the responses its predicted pass received, so only the four
+# wrong-answer questions (5+5+3+5 = 18 claims) send gold-pass prompts, with
+# or without a cache.
 TOTAL_CLAIMS = sum(len(fq.claims) for fq in QUESTIONS)  # 44
 GT_ONLY_CLAIMS = sum(
     len(fq.claims) for fq in QUESTIONS if fq.pred != fq.gold
 )  # 18
 EXPECTED_CALLS_NO_CACHE = {
     "decompose": 12, "answer": 12,
-    "verify": TOTAL_CLAIMS, "verify_gt": TOTAL_CLAIMS, "baseline": 0,
+    "verify": TOTAL_CLAIMS, "verify_gt": GT_ONLY_CLAIMS, "baseline": 0,
 }
 EXPECTED_CALLS_WITH_CACHE = {
     "decompose": 12, "answer": 12,

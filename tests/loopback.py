@@ -6,6 +6,9 @@ import json
 import re
 import socket
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+from abcd_eval.providers import CompletionRequest, ScriptedProvider
 
 PROXY_ENV_VARS = tuple(
     name
@@ -21,18 +24,21 @@ def chat_body(content: str) -> bytes:
 
 
 def http_response(
-    status: str = "200 OK", body: bytes = chat_body("ok"), chunked: bool = False
+    status: str = "200 OK",
+    body: bytes = chat_body("ok"),
+    chunked: bool = False,
+    headers: str = "",
 ) -> bytes:
-    """A whole keep-alive response; a chunked one sends *body* in two chunks."""
+    """A whole keep-alive response; a chunked one sends *body* in two chunks.
+    *headers* holds further header lines, each ending in CRLF."""
+    head = f"HTTP/1.1 {status}\r\n{headers}Content-Type: application/json\r\n"
     if not chunked:
-        head = f"HTTP/1.1 {status}\r\nContent-Length: {len(body)}\r\n"
-        return f"{head}Content-Type: application/json\r\n\r\n".encode() + body
+        return f"{head}Content-Length: {len(body)}\r\n\r\n".encode() + body
     half = len(body) // 2
     chunks = b"".join(
         b"%x\r\n%s\r\n" % (len(part), part) for part in (body[:half], body[half:])
     )
-    head = f"HTTP/1.1 {status}\r\nTransfer-Encoding: chunked\r\n"
-    return f"{head}Content-Type: application/json\r\n\r\n".encode() + chunks + b"0\r\n\r\n"
+    return f"{head}Transfer-Encoding: chunked\r\n\r\n".encode() + chunks + b"0\r\n\r\n"
 
 
 class LoopbackServer:
@@ -93,5 +99,42 @@ class LoopbackServer:
         except OSError:
             pass
         self._listener.close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+class _ScriptHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        prompt = body["messages"][0]["content"]
+        request = CompletionRequest(model=body["model"], prompt=prompt, max_tokens=1)
+        reply = chat_body(self.server.script.complete(request).text)
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(reply)))
+        self.end_headers()
+        self.wfile.write(reply)
+
+    def log_message(self, *args):
+        pass
+
+
+class ScriptServer(ThreadingHTTPServer):
+    """A chat-completions server on 127.0.0.1 that answers every prompt from
+    scripted-provider rules, one thread per connection, until closed."""
+
+    daemon_threads = True
+
+    def __init__(self, rules):
+        super().__init__(("127.0.0.1", 0), _ScriptHandler)
+        self.script = ScriptedProvider(rules)
+        self.port = self.server_address[1]
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread.start()
+
+    def close(self) -> None:
+        self.shutdown()
+        self.server_close()
         self._thread.join(timeout=5)
         assert not self._thread.is_alive()

@@ -27,7 +27,12 @@ from abcd_eval.datasets import (
 )
 from abcd_eval.decompose import default_pack_path
 from abcd_eval.model import Verdict
-from abcd_eval.providers import API_KEY_ENV_VAR, ScriptedProvider
+from abcd_eval.providers import (
+    API_KEY_ENV_VAR,
+    ProviderError,
+    ProviderErrorKind,
+    ScriptedProvider,
+)
 from e2e_fixture import (
     EXPECTED_CACHE_ENTRIES,
     EXPECTED_CALLS_NO_CACHE,
@@ -37,10 +42,18 @@ from e2e_fixture import (
     EXPECTED_REPORT,
     EXPECTED_SCORES,
     EXPECTED_T_STAT,
+    GT_ONLY_CLAIMS,
     QUESTIONS,
+    TOTAL_CLAIMS,
     write_fixture,
 )
 from helpers import build_evaluation
+
+# The files of an evaluate run that must reproduce byte for byte.
+RECORD_FILES = (
+    "claim_sets.jsonl", "assignments.jsonl", "verifications.jsonl",
+    "gt_verifications.jsonl", "evaluations.jsonl", "report.json", "report.txt",
+)
 
 
 @pytest.fixture
@@ -71,6 +84,23 @@ def read_evaluations(out_dir):
         record["question"]["id"]: records.evaluation_from_record(record)
         for _, record in records.read_jsonl(out_dir / "evaluations.jsonl")
     }
+
+
+def read_manifest(out_dir):
+    return json.loads((out_dir / "manifest.json").read_text("utf-8"))
+
+
+def count_prompts(monkeypatch) -> list:
+    """The prompts the scripted provider is asked for from now on."""
+    sent = []
+    complete = ScriptedProvider.complete
+
+    def counting(self, request):
+        sent.append(request.prompt)
+        return complete(self, request)
+
+    monkeypatch.setattr(ScriptedProvider, "complete", counting)
+    return sent
 
 
 class TestEvaluateEndToEnd:
@@ -138,11 +168,7 @@ class TestEvaluateEndToEnd:
     def test_record_files_are_timestamp_free(self, fixture_paths, tmp_path):
         out_dir = tmp_path / "run"
         assert main(evaluate_args(fixture_paths, out_dir)) == EXIT_OK
-        for name in (
-            "claim_sets.jsonl", "assignments.jsonl", "verifications.jsonl",
-            "gt_verifications.jsonl", "evaluations.jsonl", "report.json",
-            "report.txt",
-        ):
+        for name in RECORD_FILES:
             content = (out_dir / name).read_text("utf-8")
             assert "timestamp" not in content, name
             assert "started_at" not in content, name
@@ -168,14 +194,20 @@ class TestDeterminismAndReplay:
         for name in ("evaluations.jsonl", "report.json", "report.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
-    def test_concurrency_preserves_output_bytes(self, fixture_paths, tmp_path):
-        out_serial, out_parallel = tmp_path / "serial", tmp_path / "parallel"
-        assert main(evaluate_args(fixture_paths, out_serial)) == EXIT_OK
+    @pytest.mark.parametrize("concurrency", [1, 2, 8, 32])
+    def test_concurrency_preserves_output_bytes(
+        self, reference_run, tmp_path, concurrency
+    ):
+        paths, reference = reference_run
+        out_dir = tmp_path / "run"
         assert main(
-            evaluate_args(fixture_paths, out_parallel, "--concurrency", "4")
+            evaluate_args(paths, out_dir, "--concurrency", str(concurrency))
         ) == EXIT_OK
-        assert (out_serial / "evaluations.jsonl").read_bytes() == \
-            (out_parallel / "evaluations.jsonl").read_bytes()
+        for name in RECORD_FILES:
+            assert (out_dir / name).read_bytes() == \
+                (reference / name).read_bytes(), name
+        assert read_manifest(out_dir)["provider_calls"] == \
+            read_manifest(reference)["provider_calls"]
 
     def test_cache_then_replay(self, fixture_paths, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -203,10 +235,9 @@ class TestDeterminismAndReplay:
             ]
         )
         assert code == EXIT_OK
-        assert (out_live / "evaluations.jsonl").read_bytes() == \
-            (out_replay / "evaluations.jsonl").read_bytes()
-        assert (out_live / "report.json").read_bytes() == \
-            (out_replay / "report.json").read_bytes()
+        for name in RECORD_FILES:
+            assert (out_live / name).read_bytes() == \
+                (out_replay / name).read_bytes(), name
 
     def test_replay_with_cold_cache_fails_loudly(self, fixture_paths, tmp_path):
         cache_dir = tmp_path / "empty-cache"
@@ -367,6 +398,40 @@ class TestFailureHandling:
         assert evaluation.score_true == Fraction(0)
 
 
+    def test_lenient_failure_is_sent_again_by_the_gold_pass(
+        self, fixture_paths, tmp_path, monkeypatch
+    ):
+        # q01's prediction is gold, so its gold pass repeats its prompts.
+        fq = QUESTIONS[0]
+        prompts = [f"True or False: {text}" for text in fq.instantiated(fq.gold)]
+        sent = count_prompts(monkeypatch)
+        complete = ScriptedProvider.complete
+
+        def fail_first_call(self, request):
+            if request.prompt == prompts[1] and prompts[1] not in sent:
+                sent.append(request.prompt)
+                raise ProviderError(ProviderErrorKind.NETWORK, "dropped")
+            return complete(self, request)
+
+        monkeypatch.setattr(ScriptedProvider, "complete", fail_first_call)
+        out_dir = tmp_path / "run"
+        assert main(evaluate_args(fixture_paths, out_dir, "--lenient")) == EXIT_OK
+
+        assert [sent.count(prompt) for prompt in prompts] == [1, 2, 1]
+        evaluation = read_evaluations(out_dir)["q01"]
+        assert [r.verdict for r in evaluation.results] == \
+            [Verdict.TRUE, Verdict.NON_RESPONSE, Verdict.TRUE]
+        assert evaluation.gt_score_true == Fraction(1)
+        gt_results = dict(
+            records.verifications_from_record(record)
+            for _, record in records.read_jsonl(out_dir / "gt_verifications.jsonl")
+        )["q01"]
+        assert [r.verdict for r in gt_results] == [Verdict.TRUE] * 3
+        # The failed call is not counted; its second sending is.
+        assert read_manifest(out_dir)["provider_calls"]["verify_gt"] == \
+            GT_ONLY_CLAIMS + 1
+
+
 class TestStageCommands:
     def test_chain_matches_evaluate(self, fixture_paths, tmp_path):
         questions = str(fixture_paths["questions"])
@@ -466,6 +531,28 @@ class TestStageCommands:
         assert [row["question_id"] for _, row in records.read_jsonl(out)] == [
             fq.qid for fq in QUESTIONS[1:]
         ]
+
+    def test_verify_ground_truth_sends_what_evaluate_sends(
+        self, reference_run, tmp_path, monkeypatch
+    ):
+        paths, reference = reference_run
+        calls = read_manifest(reference)["provider_calls"]
+        sent = count_prompts(monkeypatch)
+        code = main(
+            [
+                "verify",
+                "--questions", str(paths["questions"]),
+                "--script", str(paths["rules"]),
+                "--claims", str(reference / "claim_sets.jsonl"),
+                "--assignments", str(reference / "assignments.jsonl"),
+                "--ground-truth",
+                "--out", str(tmp_path / "verifications.jsonl"),
+                "--gt-out", str(tmp_path / "gt_verifications.jsonl"),
+            ]
+        )
+        assert code == EXIT_OK
+        assert len(sent) == calls["verify"] + calls["verify_gt"] == \
+            TOTAL_CLAIMS + GT_ONLY_CLAIMS
 
     def test_verify_ground_truth_without_gt_out_calls_nothing(
         self, fixture_paths, tmp_path, monkeypatch, capsys

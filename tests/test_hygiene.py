@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and the package
-needs nothing beyond the standard library.
+"""Source hygiene: no module imports a name it never uses, the package
+needs nothing beyond the standard library, and a live run closes the
+sockets it opens.
 
 A stdlib AST scan stands in for a linter. Package ``__init__.py`` files are
 skipped by the unused-import scan (their imports are re-exports), and so is
@@ -14,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from abcd_eval.cli import main
+from abcd_eval.providers import API_KEY_ENV_VAR, load_script_rules
 from e2e_fixture import write_fixture
-from loopback import PROXY_ENV_VARS, LoopbackServer, http_response
+from loopback import PROXY_ENV_VARS, LoopbackServer, ScriptServer, http_response
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "abcd_eval").rglob("*.py"))
@@ -97,12 +100,19 @@ print(provider.complete(CompletionRequest(model="m", prompt="p", max_tokens=8)).
 """
 
 
-def test_cli_runs_with_requests_blocked(tmp_path):
-    paths = write_fixture(tmp_path / "fixture")
+def child_env() -> dict:
+    """This environment without proxy variables, with the checkout's source
+    on the path."""
     env = {k: v for k, v in os.environ.items() if k not in PROXY_ENV_VARS}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     )
+    return env
+
+
+def test_cli_runs_with_requests_blocked(tmp_path):
+    paths = write_fixture(tmp_path / "fixture")
+    env = child_env()
     server = LoopbackServer([http_response()])
     try:
         completed = subprocess.run(
@@ -118,3 +128,31 @@ def test_cli_runs_with_requests_blocked(tmp_path):
     assert completed.stdout.splitlines()[-1] == "ok"
     assert server.request_lines == ["POST /v1/chat/completions HTTP/1.1"]
     assert (tmp_path / "out" / "evaluations.jsonl").is_file()
+
+
+def test_live_run_leaves_no_socket_unclosed(tmp_path):
+    """A live evaluate on two worker threads, with every unclosed socket
+    made an error, warns of none and writes what the scripted run writes."""
+    paths = write_fixture(tmp_path / "fixture")
+    common = ["evaluate", "--questions", str(paths["questions"]),
+              "--labels", str(paths["labels"]), "--ground-truth"]
+    assert main(
+        [*common, "--script", str(paths["rules"]),
+         "--out-dir", str(tmp_path / "scripted")]
+    ) == 0
+    server = ScriptServer(load_script_rules(paths["rules"]))
+    try:
+        live = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "abcd_eval.cli", *common, "--provider", "live",
+             "--base-url", f"http://127.0.0.1:{server.port}/v1",
+             "--concurrency", "2", "--out-dir", str(tmp_path / "live")],
+            capture_output=True, text=True, timeout=60,
+            env={**child_env(), API_KEY_ENV_VAR: "k"},
+        )
+    finally:
+        server.close()
+    assert live.returncode == 0, live.stderr
+    assert "ResourceWarning" not in live.stderr
+    assert (tmp_path / "live" / "evaluations.jsonl").read_bytes() == \
+        (tmp_path / "scripted" / "evaluations.jsonl").read_bytes()

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import random
 import threading
 
 import pytest
@@ -579,6 +580,38 @@ class TestStdlibTransport:
         assert provider.complete(make_request("p")).text == "ok"
         assert len(sleeps) == 1
         assert server.connections == 1
+
+    @pytest.mark.parametrize(
+        "retry_after, sleeps_expected",
+        [
+            ("7", [7.0]),
+            ("999", [30.0]),  # capped like the backoff
+            ("soon", [random.Random(0).uniform(0.0, 1.0)]),  # the jittered backoff
+        ],
+    )
+    def test_rate_limit_waits_for_a_capped_retry_after(
+        self, loopback, retry_after, sleeps_expected
+    ):
+        server = loopback([
+            http_response("429 Too Many Requests", body=b"{}",
+                          headers=f"Retry-After: {retry_after}\r\n"),
+            http_response(),
+        ])
+        provider, sleeps = stdlib_live(
+            f"http://127.0.0.1:{server.port}/v1", rng=random.Random(0)
+        )
+        assert provider.complete(make_request("p")).text == "ok"
+        assert sleeps == sleeps_expected
+
+    def test_close_ends_the_connection_and_a_later_call_reconnects(self, loopback):
+        server = loopback([http_response()] * 2)
+        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        assert provider.complete(make_request("p1")).text == "ok"
+        provider.close()
+        assert provider.complete(make_request("p2")).text == "ok"
+        provider.close()
+        assert [conn for conn, *_ in server.requests] == [1, 2]
+        assert sleeps == []
 
     def test_redirect_is_not_followed(self, loopback):
         server = loopback([
