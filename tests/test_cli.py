@@ -829,6 +829,8 @@ BAD_VALUES = [
     ("--verify-model", ""),
     ("--provider", "live", "--base-url", "localhost:8000/v1"),
     ("--provider", "live", "--base-url", "http://127.0.0.1:port/v1"),
+    ("--provider", "live", "--base-url", "http://127.0.0.1:8000/v 1"),
+    ("--provider", "live", "--base-url", "http://127.0.0.1:8000/v\u20ac"),
 ]
 
 

@@ -130,6 +130,27 @@ def test_cli_runs_with_requests_blocked(tmp_path):
     assert (tmp_path / "out" / "evaluations.jsonl").is_file()
 
 
+# Imports the CLI and builds a live provider, then names the modules a live
+# run no longer needs that were loaded anyway.
+TRANSPORT_IMPORTS = """
+import sys
+from abcd_eval import cli
+from abcd_eval.providers import LiveProvider
+LiveProvider("http://127.0.0.1:9/v1", api_key="k").close()
+print(*sorted({"http.client", "email", "ssl", "urllib.request"} & set(sys.modules)))
+"""
+
+
+def test_live_provider_loads_no_http_client_email_or_ssl():
+    env = {k: v for k, v in child_env().items() if not k.lower().endswith("_proxy")}
+    completed = subprocess.run(
+        [sys.executable, "-c", TRANSPORT_IMPORTS],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.split() == []
+
+
 def test_live_run_leaves_no_socket_unclosed(tmp_path):
     """A live evaluate on two worker threads, with every unclosed socket
     made an error, warns of none and writes what the scripted run writes."""

@@ -3,6 +3,7 @@
 import json
 import logging
 import random
+import socket
 import threading
 
 import pytest
@@ -504,10 +505,15 @@ class TestLiveProvider:
 # LiveProvider's own stdlib transport against a loopback server
 
 
+# The providers ``stdlib_live`` built, which the ``loopback`` fixture closes.
+LIVE_PROVIDERS: list[LiveProvider] = []
+
+
 @pytest.fixture
 def loopback(monkeypatch):
-    """Starts scripted servers and stops them after the test; the proxy
-    variables are cleared so the requests go straight to loopback."""
+    """Starts scripted servers; after the test it closes every provider
+    ``stdlib_live`` built, then stops the servers. The proxy variables are
+    cleared so the requests go straight to loopback."""
     for name in PROXY_ENV_VARS:
         monkeypatch.delenv(name, raising=False)
     servers = []
@@ -517,6 +523,8 @@ def loopback(monkeypatch):
         return servers[-1]
 
     yield start
+    while LIVE_PROVIDERS:
+        LIVE_PROVIDERS.pop().close()
     for server in servers:
         server.close()
 
@@ -525,6 +533,7 @@ def stdlib_live(base_url, **kwargs):
     sleeps = []
     provider = LiveProvider(base_url, api_key="sk-test", timeout=5.0,
                             sleep_fn=sleeps.append, **kwargs)
+    LIVE_PROVIDERS.append(provider)
     return provider, sleeps
 
 
@@ -653,6 +662,103 @@ class TestStdlibTransport:
         provider, _ = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
         assert provider.complete(make_request("p")).text == "ok"
         assert server.request_lines == ["POST /v1/chat/completions HTTP/1.1"]
+
+    # The transport's own framing of responses, case by case.
+
+    def test_interim_100_continue_is_skipped(self, loopback):
+        server = loopback([b"HTTP/1.1 100 Continue\r\n\r\n" + http_response()])
+        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        assert provider.complete(make_request("p")).text == "ok"
+        assert sleeps == []
+
+    def test_204_has_no_body_and_keeps_the_connection(self, loopback):
+        server = loopback([b"HTTP/1.1 204 No Content\r\n\r\n", http_response()])
+        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        with pytest.raises(ProviderError) as excinfo:
+            provider.complete(make_request("p1"))
+        assert "malformed response body" in excinfo.value.detail
+        assert provider.complete(make_request("p2")).text == "ok"
+        assert [conn for conn, *_ in server.requests] == [1, 1]
+        assert sleeps == []
+
+    def test_chunk_extension_and_trailer_are_read_past(self, loopback):
+        body = chat_body("chunked")
+        response = (
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n"
+            b"Content-Length: 3\r\n\r\n"  # chunked framing wins
+            b"%x;name=value\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n" % (len(body), body)
+        )
+        server = loopback([response] * 2)
+        provider, _ = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        assert provider.complete(make_request("p1")).text == "chunked"
+        assert provider.complete(make_request("p2")).text == "chunked"
+        assert server.connections == 1
+
+    def test_connection_close_means_a_new_connection_without_a_retry(
+        self, loopback
+    ):
+        server = loopback(
+            [http_response(headers="Connection: close\r\n")] * 2,
+            close_after_each=True,
+        )
+        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        assert provider.complete(make_request("p1")).text == "ok"
+        assert provider.complete(make_request("p2")).text == "ok"
+        assert [conn for conn, *_ in server.requests] == [1, 2]
+        assert sleeps == []
+
+    def test_http_1_0_body_runs_until_close(self, loopback):
+        # An HTTP/1.0 response without keep-alive ends its connection even
+        # with a Content-Length. A body with neither length nor chunks runs
+        # until the server closes, in HTTP/1.0 or 1.1.
+        body = chat_body("old")
+        server = loopback([
+            b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body),
+            b"HTTP/1.0 200 OK\r\n\r\n" + body,
+            b"HTTP/1.1 200 OK\r\n\r\n" + body,
+            http_response(),
+        ], close_after_each=True)
+        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        for i in range(3):
+            assert provider.complete(make_request(f"p{i}")).text == "old"
+        assert provider.complete(make_request("p3")).text == "ok"
+        assert [conn for conn, *_ in server.requests] == [1, 2, 3, 4]
+        assert sleeps == []
+
+    @pytest.mark.parametrize(
+        "bad_response",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + chat_body("x")[:10],
+            b"HTTP/1.1 OK\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n",
+        ],
+        ids=["short-content-length", "malformed-status-line", "over-long-header-line"],
+    )
+    def test_malformed_response_is_network_then_fresh_socket(
+        self, loopback, caplog, bad_response
+    ):
+        server = loopback([bad_response, http_response()], close_after_each=True)
+        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        caplog.set_level(logging.INFO, logger="abcd_eval.providers")
+        assert provider.complete(make_request("p")).text == "ok"
+        assert "retrying after network" in caplog.text
+        assert len(sleeps) == 1
+        assert [conn for conn, *_ in server.requests] == [1, 2]
+
+    def test_url_without_a_port_means_port_80(self, loopback, monkeypatch):
+        server = loopback([http_response()])
+        addresses = []
+        create_connection = socket.create_connection
+
+        def to_loopback(address, *args):
+            addresses.append(address)
+            return create_connection(("127.0.0.1", server.port), *args)
+
+        monkeypatch.setattr(socket, "create_connection", to_loopback)
+        provider, _ = stdlib_live("http://api.example.test/v1")
+        assert provider.complete(make_request("p")).text == "ok"
+        assert addresses == [("api.example.test", 80)]
+        assert b"\r\nHost: api.example.test\r\n" in server.requests[0][2]
 
 
 class TestProviderProtocol:
