@@ -95,7 +95,6 @@ from .stats import (
 )
 from .template import (
     InstantiationError,
-    InstantiationErrorKind,
     instantiate,
     instantiate_with_override,
 )

@@ -10,7 +10,6 @@ because verification substitutes them verbatim into claim text.
 from __future__ import annotations
 
 import re
-from enum import Enum
 
 from .model import (
     ANSWER_TAG,
@@ -35,15 +34,8 @@ ANSWER_INSTRUCTIONS = (
 )
 
 
-class AnswerParseErrorKind(str, Enum):
-    MISSING_TAG_ANSWER = "missing_tag_answer"
-
-
 class AnswerParseError(Exception):
-    def __init__(self, kind: AnswerParseErrorKind, tag: Tag, message: str):
-        super().__init__(message)
-        self.kind = kind
-        self.tag = tag
+    """A completion gave no usable value for one of the requested tags."""
 
 
 def build_answer_prompt(question: Question, tags: list[Tag] | tuple[Tag, ...]) -> str:
@@ -86,11 +78,7 @@ def parse_answers(raw: str, tags: list[Tag] | tuple[Tag, ...]) -> AnswerAssignme
     for tag in tags:
         value = found.get(tag.name, "")
         if not value or "<" in value or ">" in value:
-            raise AnswerParseError(
-                AnswerParseErrorKind.MISSING_TAG_ANSWER,
-                tag,
-                f"no usable answer for {tag} in completion",
-            )
+            raise AnswerParseError(f"no usable answer for {tag} in completion")
         entries.append((tag, value))
     return AnswerAssignment(entries=tuple(entries))
 

@@ -41,15 +41,8 @@ _CLAIM_LINE_RE = re.compile(r"^\s*(\d+)\.\s*(\S.*?)\s*$")
 _BOUNDARY_RE = re.compile(r"^\s*(?:---+\s*$|Question\s*:)")
 
 
-class DecompositionParseErrorKind(str, Enum):
-    MISSING_STEP_MARKER = "missing_step_marker"
-    NO_CLAIMS = "no_claims"
-
-
 class DecompositionParseError(Exception):
-    def __init__(self, kind: DecompositionParseErrorKind, message: str):
-        super().__init__(message)
-        self.kind = kind
+    """A completion had no step-3 marker, or no claims after it."""
 
 
 class ParseWarningKind(str, Enum):
@@ -168,8 +161,7 @@ def parse_decomposition(raw: str, question_id: str) -> ParsedDecomposition:
     step3_at = raw.find(STEP3_MARKER)
     if step3_at == -1:
         raise DecompositionParseError(
-            DecompositionParseErrorKind.MISSING_STEP_MARKER,
-            f"question {question_id}: no {STEP3_MARKER!r} marker in completion",
+            f"question {question_id}: no {STEP3_MARKER!r} marker in completion"
         )
 
     raw_claims: list[tuple[int, str]] = []
@@ -196,8 +188,7 @@ def parse_decomposition(raw: str, question_id: str) -> ParsedDecomposition:
 
     if not raw_claims:
         raise DecompositionParseError(
-            DecompositionParseErrorKind.NO_CLAIMS,
-            f"question {question_id}: step-3 section contains no claims",
+            f"question {question_id}: step-3 section contains no claims"
         )
 
     original_indices = [index for index, _ in raw_claims]

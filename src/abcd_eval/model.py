@@ -187,9 +187,6 @@ class AnswerAssignment:
                 return value
         return None
 
-    def __contains__(self, tag: Tag) -> bool:
-        return self.get(tag) is not None
-
     @property
     def answer(self) -> str:
         """The value bound to ``<answer>``; always present."""

@@ -95,7 +95,6 @@ class ProviderError(Exception):
     ):
         super().__init__(f"{kind.value}: {detail}")
         self.kind = kind
-        self.detail = detail
         self.retry_after = retry_after
 
     @property
@@ -412,8 +411,6 @@ class _HTTPSession:
     def post(self, url: str, **kwargs) -> _HTTPResponse:
         """POST with the json, headers and timeout of ``requests.Session.post``."""
         headers = kwargs["headers"]
-        if any(ch in text for text in (*headers, *headers.values()) for ch in "\r\n"):
-            raise ValueError("a header name or value holds a line break")
         body = json.dumps(kwargs["json"]).encode("utf-8")
         head = (
             f"POST {url[self._target_at:]} HTTP/1.1\r\nHost: {self._host}\r\n"
@@ -491,6 +488,13 @@ class LiveProvider:
             raise ProviderError(
                 ProviderErrorKind.AUTH,
                 f"no API key: set {API_KEY_ENV_VAR} or pass api_key",
+            )
+        # The key goes out in a Latin-1 header line; the message must not
+        # echo it.
+        if max(map(ord, key)) > 255 or "\r" in key or "\n" in key:
+            raise ProviderError(
+                ProviderErrorKind.AUTH,
+                "the API key must be Latin-1 text without line breaks",
             )
         self._api_key = key
         self._url = base_url.rstrip("/") + "/chat/completions"

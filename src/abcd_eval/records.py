@@ -254,8 +254,14 @@ def append_label(
     record = {"question_id": question_id, "correct": correct}
     if error_category:
         record["error_category"] = error_category
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    line = json.dumps(record, ensure_ascii=False).encode("utf-8") + b"\n"
+    with open(path, "ab+") as handle:
+        # A file saved without a final newline must not weld onto this line.
+        if handle.seek(0, os.SEEK_END):
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                line = b"\n" + line
+        handle.write(line)
 
 
 # --------------------------------------------------------------------------

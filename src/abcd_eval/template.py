@@ -9,51 +9,28 @@ second line of defense.
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import Optional
-
-from .model import TAG_RE, AnswerAssignment, ClaimTemplate, Tag, extract_tags
-
-
-class InstantiationErrorKind(str, Enum):
-    MISSING_ASSIGNMENT = "missing_assignment"
-    LEFTOVER_TAG = "leftover_tag"
-    MALFORMED_TAG = "malformed_tag"
+from .model import TAG_RE, AnswerAssignment, ClaimTemplate, extract_tags
 
 
 class InstantiationError(Exception):
     """A claim template could not be turned into plain text."""
 
-    def __init__(
-        self,
-        kind: InstantiationErrorKind,
-        message: str,
-        tag: Optional[Tag] = None,
-        position: Optional[int] = None,
-    ):
-        super().__init__(message)
-        self.kind = kind
-        self.tag = tag
-        self.position = position
-
 
 def instantiate(template: ClaimTemplate, assignment: AnswerAssignment) -> str:
     """Replace every tag in *template* with its assigned answer string.
 
-    Raises :class:`InstantiationError` with kind ``MISSING_ASSIGNMENT`` when
-    the assignment lacks one of the template's tags, and ``LEFTOVER_TAG`` if
-    tag-shaped text survives substitution. That happens when literal
-    brackets around a tag weld onto its value: ``<<answer>>`` with answer
-    ``X`` renders as ``<X>``.
+    Raises :class:`InstantiationError` when the assignment has no value for
+    one of the template's tags, or when tag-shaped text survives
+    substitution. The second happens when literal brackets around a tag
+    weld onto its value: ``<<answer>>`` with answer ``X`` renders as
+    ``<X>``.
     """
     values: dict[str, str] = {}
     for tag in extract_tags(template.text):
         value = assignment.get(tag)
         if value is None:
             raise InstantiationError(
-                InstantiationErrorKind.MISSING_ASSIGNMENT,
-                f"claim {template.index}: no answer assigned for {tag}",
-                tag=tag,
+                f"claim {template.index}: no answer assigned for {tag}"
             )
         values[tag.name] = value
     result = TAG_RE.sub(lambda match: values[match.group(1).lower()], template.text)
@@ -61,11 +38,8 @@ def instantiate(template: ClaimTemplate, assignment: AnswerAssignment) -> str:
     leftover = TAG_RE.search(result)
     if leftover is not None:
         raise InstantiationError(
-            InstantiationErrorKind.LEFTOVER_TAG,
             f"claim {template.index}: tag <{leftover.group(1).lower()}> "
-            f"survived substitution at offset {leftover.start()}",
-            tag=Tag(leftover.group(1)),
-            position=leftover.start(),
+            f"survived substitution at offset {leftover.start()}"
         )
     return result
 
@@ -83,15 +57,11 @@ def instantiate_with_override(
     """
     trimmed = override_answer.strip()
     if not trimmed:
-        raise InstantiationError(
-            InstantiationErrorKind.MALFORMED_TAG,
-            f"claim {template.index}: override answer is empty",
-        )
+        raise InstantiationError(f"claim {template.index}: override answer is empty")
     if "<" in trimmed or ">" in trimmed:
         raise InstantiationError(
-            InstantiationErrorKind.MALFORMED_TAG,
             f"claim {template.index}: override answer contains angle "
-            f"brackets: {trimmed!r}",
+            f"brackets: {trimmed!r}"
         )
     overridden = AnswerAssignment(
         entries=tuple(

@@ -122,11 +122,7 @@ def verify_claim(
 
 
 class VerificationError(Exception):
-    """A claim could not be verified; carries the claim index."""
-
-    def __init__(self, claim_index: int, message: str):
-        super().__init__(f"claim {claim_index}: {message}")
-        self.claim_index = claim_index
+    """A claim could not be verified; the message names the claim."""
 
 
 def verify_all(
@@ -155,7 +151,7 @@ def verify_all(
             else:
                 text = instantiate_with_override(claim, assignment, override_answer)
         except Exception as exc:
-            raise VerificationError(claim.index, str(exc)) from exc
+            raise VerificationError(f"claim {claim.index}: {exc}") from exc
         try:
             results.append(
                 verify_claim(
@@ -185,7 +181,7 @@ def verify_all(
                     )
                 )
             else:
-                raise VerificationError(claim.index, str(exc)) from exc
+                raise VerificationError(f"claim {claim.index}: {exc}") from exc
     return results
 
 

@@ -110,23 +110,20 @@ class TestParseAnswers:
         assert assignment.answer == "Frank Gehry"
 
     def test_missing_tag_raises(self):
-        with pytest.raises(AnswerParseError) as excinfo:
+        with pytest.raises(AnswerParseError, match="no usable answer for <city>"):
             parse_answers("<answer>: Frank Gehry", self.TAGS)
-        assert excinfo.value.tag == Tag("city")
 
     def test_empty_value_counts_as_missing(self):
         raw = "<answer>: Frank Gehry\n<city>:   "
-        with pytest.raises(AnswerParseError) as excinfo:
+        with pytest.raises(AnswerParseError, match="no usable answer for <city>"):
             parse_answers(raw, self.TAGS)
-        assert excinfo.value.tag == Tag("city")
 
     def test_bracketed_value_counts_as_missing(self):
         # A model echoing the slot placeholder back must not produce an
         # assignment that would re-introduce tags at instantiation time.
         raw = "<answer>: <answer>\n<city>: Bilbao"
-        with pytest.raises(AnswerParseError) as excinfo:
+        with pytest.raises(AnswerParseError, match="no usable answer for <answer>"):
             parse_answers(raw, self.TAGS)
-        assert excinfo.value.tag == ANSWER_TAG
 
     def test_multiword_tag_round_trip(self):
         tags = (ANSWER_TAG, Tag("record label"))

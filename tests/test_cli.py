@@ -29,6 +29,7 @@ from abcd_eval.decompose import default_pack_path
 from abcd_eval.model import Verdict
 from abcd_eval.providers import (
     API_KEY_ENV_VAR,
+    LiveProvider,
     ProviderError,
     ProviderErrorKind,
     ScriptedProvider,
@@ -831,6 +832,9 @@ BAD_VALUES = [
     ("--provider", "live", "--base-url", "http://127.0.0.1:port/v1"),
     ("--provider", "live", "--base-url", "http://127.0.0.1:8000/v 1"),
     ("--provider", "live", "--base-url", "http://127.0.0.1:8000/v\u20ac"),
+    ("--provider", "live"),
+    ("--provider", "replay"),
+    ("--provider", "replay", "--cache-dir", "no-such-cache-dir"),
 ]
 
 
@@ -871,6 +875,44 @@ def test_out_of_range_option_is_config_error(
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [command for command, (_, _, options) in COMMANDS.items()
+     if "--provider" in options],
+)
+@pytest.mark.parametrize("key", ["\u043a\u043b\u044e\u0447", "sk-a\r\nX: 1"],
+                         ids=["not-latin-1", "line-break"])
+def test_api_key_http_cannot_carry_is_config_error(
+    reference_run, tmp_path, capsys, monkeypatch, command, key
+):
+    paths, reference = reference_run
+    calls = []
+    monkeypatch.setattr(
+        LiveProvider, "complete", lambda self, request: calls.append(request)
+    )
+    monkeypatch.setenv(API_KEY_ENV_VAR, key)
+    argv = [command, "--provider", "live", "--base-url", "http://127.0.0.1:9/v1",
+            OUTPUT_FLAGS[command], str(tmp_path / "out")]
+    files = {
+        "--questions": paths["questions"],
+        "--claims": reference / "claim_sets.jsonl",
+        "--assignments": reference / "assignments.jsonl",
+        "--records": reference / "evaluations.jsonl",
+    }
+    for flag, path in files.items():
+        if flag in COMMANDS[command][2]:
+            argv += [flag, str(path)]
+    capsys.readouterr()
+
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: auth: ")
+    assert key not in err
     assert "Traceback" not in err
     assert calls == []
     assert list(tmp_path.iterdir()) == []
@@ -1022,6 +1064,18 @@ class TestAnnotate:
         output = "\n".join(printed)
         assert "1 unlabeled of 3" in output
         assert read_labels(labels_path)["q3"] == (True, None)
+
+    def test_appends_after_a_last_line_without_newline(self, tmp_path):
+        records_path = self.write_records(tmp_path)
+        labels_path = tmp_path / "labels.jsonl"
+        labels_path.write_text('{"question_id": "q1", "correct": true}', "utf-8")
+        args = build_parser().parse_args(
+            ["annotate", "--records", str(records_path),
+             "--labels", str(labels_path)]
+        )
+        assert cmd_annotate(args, input_fn=ScriptedInput(["c"]),
+                            print_fn=lambda text: None) == EXIT_OK
+        assert read_labels(labels_path) == {"q1": (True, None), "q2": (True, None)}
 
 
 class TestBaseline:

@@ -108,7 +108,6 @@ class TestAnswerAssignment:
         )
         assert assignment.get(Tag("play")) == "Hamlet"
         assert assignment.get(Tag("city")) is None
-        assert Tag("play") in assignment
 
 
 class TestVerificationResult:

@@ -361,6 +361,18 @@ class TestLiveProvider:
             LiveProvider("https://api.example.test/v1")
         assert excinfo.value.kind is ProviderErrorKind.AUTH
 
+    @pytest.mark.parametrize(
+        "key", ["\u043a\u043b\u044e\u0447", "sk-a\rb", "sk-a\nb"],
+        ids=["not-latin-1", "carriage-return", "line-feed"],
+    )
+    def test_key_http_cannot_carry_fails_at_construction(self, key):
+        session = FakeSession([])
+        with pytest.raises(ProviderError) as excinfo:
+            LiveProvider("https://api.example.test/v1", api_key=key, session=session)
+        assert excinfo.value.kind is ProviderErrorKind.AUTH
+        assert key not in str(excinfo.value)
+        assert session.posts == []
+
     def test_key_read_from_environment(self, monkeypatch):
         monkeypatch.setenv(API_KEY_ENV_VAR, "sk-env")
         session = FakeSession([FakeHTTPResponse(payload=chat_payload("hi"))])
@@ -487,9 +499,15 @@ class TestLiveProvider:
         with pytest.raises(ProviderError) as excinfo:
             provider.complete(make_request("p"))
         assert excinfo.value.kind is ProviderErrorKind.OTHER
-        assert excinfo.value.detail == "HTTP 302"
+        assert str(excinfo.value) == "other: HTTP 302"
         assert len(session.posts) == 1
         assert sleeps == []
+
+    def test_empty_stop_completion_is_other(self):
+        session = FakeSession([FakeHTTPResponse(payload=chat_payload(""))])
+        provider, _ = make_live(session)
+        response = provider.complete(make_request("p"))
+        assert (response.text, response.finish_reason) == ("", FinishReason.OTHER)
 
     def test_filtered_empty_completion_raises(self):
         session = FakeSession(
@@ -630,8 +648,8 @@ class TestStdlibTransport:
         provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
         with pytest.raises(ProviderError) as excinfo:
             provider.complete(make_request("p"))
-        assert (excinfo.value.kind, excinfo.value.detail) == \
-            (ProviderErrorKind.OTHER, "HTTP 307")
+        assert (excinfo.value.kind, str(excinfo.value)) == \
+            (ProviderErrorKind.OTHER, "other: HTTP 307")
         assert server.request_lines == ["POST /v1/chat/completions HTTP/1.1"]
 
     def test_http_proxy_gets_the_absolute_url(self, loopback, monkeypatch):
@@ -676,7 +694,7 @@ class TestStdlibTransport:
         provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
         with pytest.raises(ProviderError) as excinfo:
             provider.complete(make_request("p1"))
-        assert "malformed response body" in excinfo.value.detail
+        assert "malformed response body" in str(excinfo.value)
         assert provider.complete(make_request("p2")).text == "ok"
         assert [conn for conn, *_ in server.requests] == [1, 1]
         assert sleeps == []
@@ -731,8 +749,16 @@ class TestStdlibTransport:
             b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n" + chat_body("x")[:10],
             b"HTTP/1.1 OK\r\nContent-Length: 0\r\n\r\n",
             b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70000 + b"\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nNo colon here\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\nabcd\r\n0\r\n\r\n",
         ],
-        ids=["short-content-length", "malformed-status-line", "over-long-header-line"],
+        ids=["short-content-length", "malformed-status-line", "over-long-header-line",
+             "header-without-colon", "101-header-lines", "non-hex-chunk-size",
+             "non-numeric-content-length", "chunk-runs-past-its-size"],
     )
     def test_malformed_response_is_network_then_fresh_socket(
         self, loopback, caplog, bad_response
@@ -744,6 +770,15 @@ class TestStdlibTransport:
         assert "retrying after network" in caplog.text
         assert len(sleeps) == 1
         assert [conn for conn, *_ in server.requests] == [1, 2]
+
+    def test_client_error_body_is_in_the_message_and_not_retried(self, loopback):
+        server = loopback([http_response("400 Bad Request", b"unknown model")])
+        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        with pytest.raises(ProviderError) as excinfo:
+            provider.complete(make_request("p"))
+        assert str(excinfo.value) == "other: HTTP 400: unknown model"
+        assert len(server.requests) == 1
+        assert sleeps == []
 
     def test_url_without_a_port_means_port_80(self, loopback, monkeypatch):
         server = loopback([http_response()])

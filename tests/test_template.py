@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from abcd_eval.model import AnswerAssignment, ClaimTemplate, Tag
+from abcd_eval.model import AnswerAssignment, ClaimTemplate
 from abcd_eval.template import (
     InstantiationError,
-    InstantiationErrorKind,
     instantiate,
     instantiate_with_override,
 )
@@ -31,10 +30,8 @@ class TestInstantiate:
 
     def test_missing_assignment(self):
         assignment = AnswerAssignment.from_dict({"answer": "Shakespeare"})
-        with pytest.raises(InstantiationError) as excinfo:
+        with pytest.raises(InstantiationError, match="no answer assigned for <play>"):
             instantiate(template("<answer> wrote <play>"), assignment)
-        assert excinfo.value.kind is InstantiationErrorKind.MISSING_ASSIGNMENT
-        assert excinfo.value.tag == Tag("play")
 
     def test_non_tag_angle_spans_pass_through(self):
         assignment = AnswerAssignment.from_dict({"answer": "5"})
@@ -63,9 +60,8 @@ class TestInstantiateWithOverride:
 
     def test_override_is_validated(self):
         assignment = AnswerAssignment.from_dict({"answer": "x"})
-        with pytest.raises(InstantiationError) as excinfo:
+        with pytest.raises(InstantiationError, match="override answer is empty"):
             instantiate_with_override(template("<answer> is real"), assignment, "  ")
-        assert excinfo.value.kind is InstantiationErrorKind.MALFORMED_TAG
         with pytest.raises(InstantiationError):
             instantiate_with_override(
                 template("<answer> is real"), assignment, "a <b>"
@@ -135,7 +131,7 @@ def test_no_silent_tag_survival(text):
     try:
         rendered = instantiate(claim, AnswerAssignment.from_dict(values))
     except InstantiationError as exc:
-        assert exc.kind is InstantiationErrorKind.LEFTOVER_TAG
+        assert "survived substitution" in str(exc)
     else:
         assert not TAG_RE.search(rendered)
         if not claim.tags:
@@ -144,6 +140,5 @@ def test_no_silent_tag_survival(text):
 
 def test_bracket_welding_raises_leftover():
     assignment = AnswerAssignment.from_dict({"answer": "v"})
-    with pytest.raises(InstantiationError) as excinfo:
+    with pytest.raises(InstantiationError, match="survived substitution"):
         instantiate(ClaimTemplate(1, "<<answer>>"), assignment)
-    assert excinfo.value.kind is InstantiationErrorKind.LEFTOVER_TAG
