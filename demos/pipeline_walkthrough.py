@@ -73,8 +73,8 @@ pack = load_prompt_pack(default_pack_path())
 parsed = decompose(question, pack, provider)
 claim_set = parsed.claim_set
 print("claims:")
-for claim in claim_set.claims:
-    print(f"  {claim.index}. {claim.text}")
+for number, claim in enumerate(claim_set.claims, start=1):
+    print(f"  {number}. {claim.text}")
 print("tags:", [tag.name for tag in claim_set.tags])
 
 # Step 2: have the model fill every tag with a concrete answer.

@@ -44,8 +44,6 @@ from .datasets import (
 from .decompose import (
     DecompositionParseError,
     ParsedDecomposition,
-    ParseWarning,
-    ParseWarningKind,
     PromptPack,
     PromptPackError,
     build_decomposition_prompt,

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -45,22 +44,12 @@ class DecompositionParseError(Exception):
     """A completion had no step-3 marker, or no claims after it."""
 
 
-class ParseWarningKind(str, Enum):
-    UNNUMBERED_LINE = "unnumbered_line"
-    MISSING_ANSWER_TAG = "missing_answer_tag"
-    REINDEXED = "reindexed"
-
-
-@dataclass(frozen=True)
-class ParseWarning:
-    kind: ParseWarningKind
-    detail: str
-
-
 @dataclass(frozen=True)
 class ParsedDecomposition:
+    """A claim set and the messages of the parse's warnings."""
+
     claim_set: ClaimSet
-    warnings: tuple[ParseWarning, ...] = field(default=())
+    warnings: tuple[str, ...] = ()
 
 
 class PromptPackError(ValueError):
@@ -152,11 +141,11 @@ def parse_decomposition(raw: str, question_id: str) -> ParsedDecomposition:
 
     Claims come from ``N. text`` lines after the step-3 marker, stopping at
     the first blank line (once a claim has been seen) or at an example
-    boundary. Indices are renumbered to 1..n in reading order when the model
-    numbers them with gaps or repeats. The entity-type rationale is whatever
-    prose sits in the step-1 section.
+    boundary. A claim's number is its position in reading order; numbers
+    the model wrote with gaps or repeats get a warning. The entity-type
+    rationale is whatever prose sits in the step-1 section.
     """
-    warnings: list[ParseWarning] = []
+    warnings: list[str] = []
 
     step3_at = raw.find(STEP3_MARKER)
     if step3_at == -1:
@@ -178,10 +167,7 @@ def parse_decomposition(raw: str, question_id: str) -> ParsedDecomposition:
             raw_claims.append((int(match.group(1)), match.group(2)))
             continue
         warnings.append(
-            ParseWarning(
-                ParseWarningKind.UNNUMBERED_LINE,
-                f"skipped line without claim number: {line.strip()[:80]!r}",
-            )
+            f"skipped line without claim number: {line.strip()[:80]!r}"
         )
         if raw_claims:
             break
@@ -194,23 +180,14 @@ def parse_decomposition(raw: str, question_id: str) -> ParsedDecomposition:
     original_indices = [index for index, _ in raw_claims]
     if original_indices != list(range(1, len(raw_claims) + 1)):
         warnings.append(
-            ParseWarning(
-                ParseWarningKind.REINDEXED,
-                f"claim numbers {original_indices} renumbered to "
-                f"1..{len(raw_claims)}",
-            )
+            f"claim numbers {original_indices} renumbered to 1..{len(raw_claims)}"
         )
 
     claims = []
     for position, (_, text) in enumerate(raw_claims, start=1):
-        claim = ClaimTemplate(position, text)
+        claim = ClaimTemplate(text)
         if ANSWER_TAG not in claim.tags:
-            warnings.append(
-                ParseWarning(
-                    ParseWarningKind.MISSING_ANSWER_TAG,
-                    f"claim {position} has no <answer> tag: {text[:80]!r}",
-                )
-            )
+            warnings.append(f"claim {position} has no <answer> tag: {text[:80]!r}")
         claims.append(claim)
 
     reasoning_section = _section(raw, STEP1_MARKER, [STEP2_MARKER, STEP3_MARKER])
@@ -247,5 +224,5 @@ def decompose(
     response = provider.complete(request)
     parsed = parse_decomposition(response.text, question_id=question.id)
     for warning in parsed.warnings:
-        logger.warning("question %s: %s", question.id, warning.detail)
+        logger.warning("question %s: %s", question.id, warning)
     return parsed

@@ -113,7 +113,6 @@ class Question:
 class ClaimTemplate:
     """One templated claim, e.g. ``<answer> wrote the play <play>``."""
 
-    index: int
     text: str
 
     @property
@@ -126,8 +125,9 @@ class ClaimTemplate:
 class ClaimSet:
     """The decomposition of one question into claim templates.
 
-    By convention the first claim is the entity-type claim ("<answer> is a
-    novelist") and mentions no tag other than ``<answer>``.
+    A claim's number is its 1-based position. By convention the first claim
+    is the entity-type claim ("<answer> is a novelist") and mentions no tag
+    other than ``<answer>``.
     """
 
     question_id: str
@@ -136,6 +136,8 @@ class ClaimSet:
 
     def __post_init__(self):
         object.__setattr__(self, "claims", tuple(self.claims))
+        if not self.claims:
+            raise ValueError(f"question {self.question_id}: claim set is empty")
 
     @property
     def tags(self) -> tuple[Tag, ...]:
@@ -202,7 +204,6 @@ class AnswerAssignment:
 class VerificationResult:
     """Verdict for one instantiated claim, with the verifier's raw reply."""
 
-    claim_index: int
     instantiated_text: str
     verdict: Verdict
     raw_response: str
@@ -211,8 +212,7 @@ class VerificationResult:
         leftover = extract_tags(self.instantiated_text)
         if leftover:
             raise ValueError(
-                f"claim {self.claim_index}: instantiated text still contains "
-                f"tags {[t.name for t in leftover]}"
+                f"instantiated text still contains tags {[t.name for t in leftover]}"
             )
 
 
@@ -220,19 +220,16 @@ class VerificationResult:
 class QuestionEvaluation:
     """Everything produced for one question, end to end.
 
-    ``score_true`` is the fraction of true verdicts over claims 2..n: the
-    entity-type claim is excluded because it is trivially satisfied by an
-    answer of the right type. With a single claim there is nothing to score
-    and the field is None. ``correct`` is a manual label (None when
-    unlabeled); ``gt_score_true`` is the score obtained by re-verifying with
-    the gold answer substituted for the model's.
+    ``results`` holds one verdict per claim, in claim order. ``correct`` is
+    a manual label (None when unlabeled); ``gt_score_true`` is the score
+    obtained by re-verifying with the gold answer substituted for the
+    model's.
     """
 
     question: Question
     claim_set: ClaimSet
     assignment: AnswerAssignment
     results: tuple[VerificationResult, ...]
-    score_true: Optional[Fraction]
     correct: Optional[bool] = None
     error_category: Optional[str] = None
     gt_score_true: Optional[Fraction] = None
@@ -245,17 +242,14 @@ class QuestionEvaluation:
                 f"question {self.question.id}: {len(self.results)} results "
                 f"for {len(claims)} claims"
             )
-        for claim, result in zip(claims, self.results):
-            if claim.index != result.claim_index:
-                raise ValueError(
-                    f"question {self.question.id}: result order mismatch "
-                    f"(claim {claim.index} vs result {result.claim_index})"
-                )
-        if (self.score_true is None) != (len(claims) == 1):
-            raise ValueError(
-                f"question {self.question.id}: score_true must be absent "
-                f"exactly when the claim set has a single claim"
-            )
+
+    @property
+    def score_true(self) -> Optional[Fraction]:
+        """The fraction of true verdicts over claims 2..n (see
+        :func:`abcd_eval.scoring.score_true`); None for a single claim."""
+        from .scoring import score_true  # scoring imports this module
+
+        return score_true([result.verdict for result in self.results])
 
 
 @dataclass(frozen=True)

@@ -314,15 +314,13 @@ def _verify_gt(run: Run, outcome: QuestionOutcome) -> None:
 
 
 def _score(run: Run, outcome: QuestionOutcome) -> None:
-    results = _need(outcome.results, "verifications")
     gt_results = outcome.gt_results
     correct, error_category = run.labels.get(outcome.question.id, (None, None))
     outcome.evaluation = QuestionEvaluation(
         question=outcome.question,
         claim_set=_need(outcome.claim_set, "claim set"),
         assignment=_need(outcome.assignment, "assignment"),
-        results=tuple(results),
-        score_true=score_true([result.verdict for result in results]),
+        results=_need(outcome.results, "verifications"),
         correct=correct,
         error_category=error_category,
         gt_score_true=(

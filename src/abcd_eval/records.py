@@ -30,7 +30,6 @@ from .model import (
     VerificationResult,
     Verdict,
 )
-from .scoring import score_true
 
 
 def fraction_to_str(value: Optional[Fraction]) -> Optional[str]:
@@ -89,17 +88,27 @@ def question_from_record(record: dict) -> Question:
     )
 
 
+def _numbered(rows: list, field: str) -> list:
+    """*rows*, checked that each one's *field* is its 1-based position: a
+    record numbers its claims 1..n in order."""
+    for position, row in enumerate(rows, start=1):
+        number = row[field]
+        if type(number) is not int or number != position:
+            raise ValueError(f"{field} {number!r} at position {position}")
+    return rows
+
+
 def claim_set_to_record(claim_set: ClaimSet) -> dict:
     return {
         "question_id": claim_set.question_id,
         "entity_reasoning": claim_set.entity_reasoning,
         "claims": [
             {
-                "index": claim.index,
+                "index": number,
                 "text": claim.text,
                 "tags": [tag.name for tag in claim.tags],
             }
-            for claim in claim_set.claims
+            for number, claim in enumerate(claim_set.claims, start=1)
         ],
         "tags": [tag.name for tag in claim_set.tags],
     }
@@ -110,8 +119,8 @@ def claim_set_from_record(record: dict) -> ClaimSet:
         question_id=_question_id(record["question_id"]),
         entity_reasoning=record.get("entity_reasoning"),
         claims=tuple(
-            ClaimTemplate(index=claim["index"], text=claim["text"])
-            for claim in record["claims"]
+            ClaimTemplate(text=claim["text"])
+            for claim in _numbered(record["claims"], "index")
         ),
     )
 
@@ -125,37 +134,39 @@ def assignment_from_record(record: dict) -> tuple[str, AnswerAssignment]:
     return question_id, AnswerAssignment.from_dict(record["entries"])
 
 
-def verification_result_to_record(result: VerificationResult) -> dict:
-    return {
-        "claim_index": result.claim_index,
-        "instantiated_text": result.instantiated_text,
-        "verdict": result.verdict.value,
-        "raw_response": result.raw_response,
-    }
+def _results_to_record(results: Iterable[VerificationResult]) -> list[dict]:
+    return [
+        {
+            "claim_index": number,
+            "instantiated_text": result.instantiated_text,
+            "verdict": result.verdict.value,
+            "raw_response": result.raw_response,
+        }
+        for number, result in enumerate(results, start=1)
+    ]
 
 
-def verification_result_from_record(record: dict) -> VerificationResult:
-    return VerificationResult(
-        claim_index=record["claim_index"],
-        instantiated_text=record["instantiated_text"],
-        verdict=Verdict(record["verdict"]),
-        raw_response=record["raw_response"],
-    )
+def _results_from_record(rows: list) -> list[VerificationResult]:
+    return [
+        VerificationResult(
+            instantiated_text=row["instantiated_text"],
+            verdict=Verdict(row["verdict"]),
+            raw_response=row["raw_response"],
+        )
+        for row in _numbered(rows, "claim_index")
+    ]
 
 
 def verifications_to_record(
     question_id: str, results: Iterable[VerificationResult]
 ) -> dict:
-    return {
-        "question_id": question_id,
-        "results": [verification_result_to_record(result) for result in results],
-    }
+    return {"question_id": question_id, "results": _results_to_record(results)}
 
 
 def verifications_from_record(record: dict) -> tuple[str, list[VerificationResult]]:
     return (
         _question_id(record["question_id"]),
-        [verification_result_from_record(row) for row in record["results"]],
+        _results_from_record(record["results"]),
     )
 
 
@@ -164,9 +175,7 @@ def evaluation_to_record(evaluation: QuestionEvaluation) -> dict:
         "question": question_to_record(evaluation.question),
         "claim_set": claim_set_to_record(evaluation.claim_set),
         "assignment": evaluation.assignment.as_dict(),
-        "results": [
-            verification_result_to_record(result) for result in evaluation.results
-        ],
+        "results": _results_to_record(evaluation.results),
         "score_true": fraction_to_str(evaluation.score_true),
         "correct": evaluation.correct,
         "error_category": evaluation.error_category,
@@ -175,25 +184,29 @@ def evaluation_to_record(evaluation: QuestionEvaluation) -> dict:
 
 
 def evaluation_from_record(record: dict) -> QuestionEvaluation:
-    """Read an evaluation, checking its scores: ``score_true`` must be the
-    score of its own results and ``gt_score_true`` lie in [0, 1]."""
-    results = tuple(verification_result_from_record(row) for row in record["results"])
-    stored = fraction_from_str(record.get("score_true"))
-    if stored != score_true([result.verdict for result in results]):
-        raise ValueError(f"score_true {stored} does not match the record's results")
+    """Read an evaluation, checking it against itself: the claim set must
+    belong to its question, ``score_true`` be the score of its own results
+    and ``gt_score_true`` lie in [0, 1]."""
+    question = question_from_record(record["question"])
+    claim_set = claim_set_from_record(record["claim_set"])
+    if claim_set.question_id != question.id:
+        raise ValueError(f"claim set of {claim_set.question_id!r} under {question.id!r}")
     gt_stored = fraction_from_str(record.get("gt_score_true"))
     if gt_stored is not None and not 0 <= gt_stored <= 1:
         raise ValueError(f"gt_score_true {gt_stored} is outside [0, 1]")
-    return QuestionEvaluation(
-        question=question_from_record(record["question"]),
-        claim_set=claim_set_from_record(record["claim_set"]),
+    evaluation = QuestionEvaluation(
+        question=question,
+        claim_set=claim_set,
         assignment=AnswerAssignment.from_dict(record["assignment"]),
-        results=results,
-        score_true=stored,
+        results=_results_from_record(record["results"]),
         correct=_correct(record.get("correct"), nullable=True),
         error_category=record.get("error_category"),
         gt_score_true=gt_stored,
     )
+    stored = fraction_from_str(record.get("score_true"))
+    if stored != evaluation.score_true:
+        raise ValueError(f"score_true {stored} does not match the record's results")
+    return evaluation
 
 
 def baseline_to_record(evaluation: QuestionEvaluation, baseline) -> dict:

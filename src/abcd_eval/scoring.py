@@ -2,7 +2,7 @@
 
 Scores are exact rationals (``fractions.Fraction``); floats appear only in
 the t-test fields of the aggregate report. A verdict list scores the claims
-in index order, and the leading entity-type claim never counts: it checks
+in claim order, and the leading entity-type claim never counts: it checks
 the answer's type rather than its identity, so a wrong answer of the right
 type would still satisfy it.
 """

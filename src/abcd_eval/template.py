@@ -29,17 +29,15 @@ def instantiate(template: ClaimTemplate, assignment: AnswerAssignment) -> str:
     for tag in extract_tags(template.text):
         value = assignment.get(tag)
         if value is None:
-            raise InstantiationError(
-                f"claim {template.index}: no answer assigned for {tag}"
-            )
+            raise InstantiationError(f"no answer assigned for {tag}")
         values[tag.name] = value
     result = TAG_RE.sub(lambda match: values[match.group(1).lower()], template.text)
 
     leftover = TAG_RE.search(result)
     if leftover is not None:
         raise InstantiationError(
-            f"claim {template.index}: tag <{leftover.group(1).lower()}> "
-            f"survived substitution at offset {leftover.start()}"
+            f"tag <{leftover.group(1).lower()}> survived substitution at "
+            f"offset {leftover.start()}"
         )
     return result
 
@@ -57,11 +55,10 @@ def instantiate_with_override(
     """
     trimmed = override_answer.strip()
     if not trimmed:
-        raise InstantiationError(f"claim {template.index}: override answer is empty")
+        raise InstantiationError("override answer is empty")
     if "<" in trimmed or ">" in trimmed:
         raise InstantiationError(
-            f"claim {template.index}: override answer contains angle "
-            f"brackets: {trimmed!r}"
+            f"override answer contains angle brackets: {trimmed!r}"
         )
     overridden = AnswerAssignment(
         entries=tuple(

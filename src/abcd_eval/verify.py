@@ -97,7 +97,6 @@ def verify_claim(
     provider: Provider,
     config: VerdictParseConfig = DEFAULT_PARSE_CONFIG,
     *,
-    claim_index: int = 1,
     model: str = "default",
     max_tokens: int = DEFAULT_VERIFY_MAX_TOKENS,
 ) -> VerificationResult:
@@ -114,7 +113,6 @@ def verify_claim(
     response = provider.complete(request)
     verdict = parse_verdict(response.text, instantiated_text, config)
     return VerificationResult(
-        claim_index=claim_index,
         instantiated_text=instantiated_text,
         verdict=verdict,
         raw_response=response.text,
@@ -136,7 +134,7 @@ def verify_all(
     max_tokens: int = DEFAULT_VERIFY_MAX_TOKENS,
     lenient: bool = False,
 ) -> list[VerificationResult]:
-    """Verify every claim of a set, in index order.
+    """Verify every claim of a set, in order.
 
     With ``override_answer`` the ``<answer>`` slot is re-bound (non-answer
     tags keep their assigned values), which re-verifies the same claims
@@ -144,23 +142,18 @@ def verify_all(
     one claim records a NON_RESPONSE instead of aborting the question.
     """
     results = []
-    for claim in claim_set.claims:
+    for number, claim in enumerate(claim_set.claims, start=1):
         try:
             if override_answer is None:
                 text = instantiate(claim, assignment)
             else:
                 text = instantiate_with_override(claim, assignment, override_answer)
         except Exception as exc:
-            raise VerificationError(f"claim {claim.index}: {exc}") from exc
+            raise VerificationError(f"claim {number}: {exc}") from exc
         try:
             results.append(
                 verify_claim(
-                    text,
-                    provider,
-                    config,
-                    claim_index=claim.index,
-                    model=model,
-                    max_tokens=max_tokens,
+                    text, provider, config, model=model, max_tokens=max_tokens
                 )
             )
         except ProviderError as exc:
@@ -169,19 +162,18 @@ def verify_all(
                     "question %s claim %d: provider failed (%s), recording "
                     "non-response",
                     claim_set.question_id,
-                    claim.index,
+                    number,
                     exc.kind.value,
                 )
                 results.append(
                     VerificationResult(
-                        claim_index=claim.index,
                         instantiated_text=text,
                         verdict=Verdict.NON_RESPONSE,
                         raw_response="",
                     )
                 )
             else:
-                raise VerificationError(f"claim {claim.index}: {exc}") from exc
+                raise VerificationError(f"claim {number}: {exc}") from exc
     return results
 
 

@@ -37,8 +37,7 @@ def build_evaluation(
     assert n >= 1
     claims = tuple(
         ClaimTemplate(
-            i,
-            "<answer> is an entity" if i == 1 else f"<answer> has property {i}",
+            "<answer> is an entity" if i == 1 else f"<answer> has property {i}"
         )
         for i in range(1, n + 1)
     )
@@ -47,7 +46,6 @@ def build_evaluation(
     verdicts = verdicts_from(verdict_symbols)
     results = tuple(
         VerificationResult(
-            claim_index=i,
             instantiated_text=(
                 f"thing-{qid} is an entity" if i == 1
                 else f"thing-{qid} has property {i}"
@@ -70,7 +68,6 @@ def build_evaluation(
         claim_set=claim_set,
         assignment=assignment,
         results=results,
-        score_true=score_true(verdicts),
         correct=correct,
         error_category=error_category,
         gt_score_true=gt_score,

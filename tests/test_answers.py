@@ -147,8 +147,8 @@ class TestGenerateAnswers:
         return ClaimSet(
             "q1",
             (
-                ClaimTemplate(1, "<answer> is an architect."),
-                ClaimTemplate(2, "<answer> designed a museum in <city>."),
+                ClaimTemplate("<answer> is an architect."),
+                ClaimTemplate("<answer> designed a museum in <city>."),
             ),
         )
 
@@ -164,7 +164,7 @@ class TestGenerateAnswers:
         # Every claim lost its answer tag; the slot is forced back in so
         # scoring and the gold-answer re-run still have a value to use.
         claim_set = ClaimSet(
-            "q1", (ClaimTemplate(1, "The museum is in <city>."),)
+            "q1", (ClaimTemplate("The museum is in <city>."),)
         )
         provider = RecordingProvider("<answer>: Frank Gehry\n<city>: Bilbao")
         assignment = generate_answers(QUESTION, claim_set, provider)

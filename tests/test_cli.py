@@ -961,6 +961,64 @@ def test_non_boolean_correct_is_config_error(
     assert f"got {value!r}" in err
 
 
+def _claim_set_of_another_question(record):
+    record["claim_set"]["question_id"] = "q999"
+
+
+def _swap_claim_numbers(record):
+    first, second = record["results"][:2]
+    first["claim_index"], second["claim_index"] = 2, 1
+
+
+def _no_claims(record):
+    record["claims"] = []
+
+
+@pytest.mark.parametrize(
+    "command, bad_flag, edit",
+    [
+        ("report", "--records", _claim_set_of_another_question),
+        ("baseline", "--records", _claim_set_of_another_question),
+        ("annotate", "--records", _claim_set_of_another_question),
+        ("score", "--verifications", _swap_claim_numbers),
+        ("answer", "--claims", _no_claims),
+    ],
+    ids=["report-foreign-claim-set", "baseline-foreign-claim-set",
+         "annotate-foreign-claim-set", "score-swapped-claim-index",
+         "answer-empty-claims"],
+)
+def test_record_inconsistent_with_itself_is_bad_record(
+    reference_run, tmp_path, capsys, command, bad_flag, edit
+):
+    paths, reference = reference_run
+    files = {
+        "--questions": paths["questions"],
+        "--script": paths["rules"],
+        "--labels": paths["labels"],
+        "--claims": reference / "claim_sets.jsonl",
+        "--assignments": reference / "assignments.jsonl",
+        "--verifications": reference / "verifications.jsonl",
+        "--gt-verifications": reference / "gt_verifications.jsonl",
+        "--records": reference / "evaluations.jsonl",
+    }
+    rows = [record for _, record in records.read_jsonl(files[bad_flag])]
+    edit(rows[0])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    files[bad_flag] = bad
+    argv = [command]
+    for flag in INPUT_FLAGS[command]:
+        argv += [flag, str(files[flag])]
+    if command in OUTPUT_FLAGS:
+        argv += [OUTPUT_FLAGS[command], str(tmp_path / "out")]
+    capsys.readouterr()
+
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:1: bad record: ValueError: ")
+    assert not (tmp_path / "out").exists()
+
+
 
 @pytest.mark.parametrize(
     "field, value",

@@ -4,7 +4,6 @@ import pytest
 
 from abcd_eval.decompose import (
     DecompositionParseError,
-    ParseWarningKind,
     PromptPack,
     PromptPackError,
     build_decomposition_prompt,
@@ -43,7 +42,6 @@ class TestParseWellFormed:
             "<answer> is an architect.",
             "<answer> designed a museum in <city>.",
         ]
-        assert [c.index for c in claim_set.claims] == [1, 2]
         assert [tag.name for tag in claim_set.tags] == ["answer", "city"]
         assert claim_set.entity_reasoning == (
             "The answer is a person, specifically an architect."
@@ -90,8 +88,10 @@ class TestParseBoundaries:
         )
         parsed = parse_decomposition(raw, "q")
         assert len(parsed.claim_set.claims) == 1
-        kinds = [w.kind for w in parsed.warnings]
-        assert kinds == [ParseWarningKind.UNNUMBERED_LINE]
+        assert parsed.warnings == (
+            "skipped line without claim number: "
+            "'These claims cover the question.'",
+        )
 
 
 class TestParseWarnings:
@@ -99,23 +99,26 @@ class TestParseWarnings:
         raw = "Step 3:\nHere are the final claims:\n1. <answer> is a planet."
         parsed = parse_decomposition(raw, "q")
         assert len(parsed.claim_set.claims) == 1
-        assert parsed.warnings[0].kind is ParseWarningKind.UNNUMBERED_LINE
+        assert parsed.warnings == (
+            "skipped line without claim number: 'Here are the final claims:'",
+        )
 
     def test_gapped_numbering_is_renumbered(self):
         raw = "Step 3:\n2. <answer> is a planet.\n5. <answer> is red."
         parsed = parse_decomposition(raw, "q")
-        assert [c.index for c in parsed.claim_set.claims] == [1, 2]
-        kinds = [w.kind for w in parsed.warnings]
-        assert kinds == [ParseWarningKind.REINDEXED]
-        assert "[2, 5]" in parsed.warnings[0].detail
+        assert [c.text for c in parsed.claim_set.claims] == [
+            "<answer> is a planet.",
+            "<answer> is red.",
+        ]
+        assert parsed.warnings == ("claim numbers [2, 5] renumbered to 1..2",)
 
     def test_claim_without_answer_tag_warns(self):
         raw = "Step 3:\n1. <answer> is a planet.\n2. The sky is blue."
         parsed = parse_decomposition(raw, "q")
         assert len(parsed.claim_set.claims) == 2
-        kinds = [w.kind for w in parsed.warnings]
-        assert kinds == [ParseWarningKind.MISSING_ANSWER_TAG]
-        assert "claim 2" in parsed.warnings[0].detail
+        assert parsed.warnings == (
+            "claim 2 has no <answer> tag: 'The sky is blue.'",
+        )
 
 
 class TestParseErrors:

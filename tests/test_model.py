@@ -76,11 +76,17 @@ class TestQuestion:
 
 def well_formed_claim_set():
     claims = (
-        ClaimTemplate(1, "<answer> is a playwright"),
-        ClaimTemplate(2, "<answer> wrote <play>"),
-        ClaimTemplate(3, "<answer> lived in <city>"),
+        ClaimTemplate("<answer> is a playwright"),
+        ClaimTemplate("<answer> wrote <play>"),
+        ClaimTemplate("<answer> lived in <city>"),
     )
     return ClaimSet("q1", claims)
+
+
+class TestClaimSet:
+    def test_rejects_empty_claims(self):
+        with pytest.raises(ValueError, match="claim set is empty"):
+            ClaimSet("q1", ())
 
 
 class TestAnswerAssignment:
@@ -114,7 +120,6 @@ class TestVerificationResult:
     def test_rejects_leftover_tags(self):
         with pytest.raises(ValueError, match="still contains tags"):
             VerificationResult(
-                claim_index=1,
                 instantiated_text="<answer> is a playwright",
                 verdict=Verdict.TRUE,
                 raw_response="True.",
@@ -125,7 +130,6 @@ class TestQuestionEvaluation:
     def _results(self, verdicts):
         return tuple(
             VerificationResult(
-                claim_index=i,
                 instantiated_text=f"claim number {i}",
                 verdict=verdict,
                 raw_response=verdict.value,
@@ -144,7 +148,6 @@ class TestQuestionEvaluation:
                 claim_set=claim_set,
                 assignment=assignment,
                 results=self._results([Verdict.TRUE]),
-                score_true=Fraction(1),
             )
 
     def test_score_absent_only_for_single_claim(self):
@@ -152,23 +155,19 @@ class TestQuestionEvaluation:
         assignment = AnswerAssignment.from_dict(
             {"answer": "a", "play": "b", "city": "c"}
         )
-        with pytest.raises(ValueError, match="score_true"):
-            QuestionEvaluation(
-                question=make_question(),
-                claim_set=claim_set,
-                assignment=assignment,
-                results=self._results([Verdict.TRUE] * 3),
-                score_true=None,
-            )
-
-        single = ClaimSet(
-            "q1", (ClaimTemplate(1, "<answer> is a playwright"),)
+        evaluation = QuestionEvaluation(
+            question=make_question(),
+            claim_set=claim_set,
+            assignment=assignment,
+            results=self._results([Verdict.TRUE, Verdict.FALSE, Verdict.TRUE]),
         )
+        assert evaluation.score_true == Fraction(1, 2)
+
+        single = ClaimSet("q1", (ClaimTemplate("<answer> is a playwright"),))
         evaluation = QuestionEvaluation(
             question=make_question(),
             claim_set=single,
             assignment=AnswerAssignment.from_dict({"answer": "a"}),
             results=self._results([Verdict.TRUE]),
-            score_true=None,
         )
         assert evaluation.score_true is None

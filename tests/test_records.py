@@ -66,6 +66,7 @@ class TestRoundTrips:
     def test_claim_set(self):
         evaluation = build_evaluation("q1", "TTF")
         record = claim_set_to_record(evaluation.claim_set)
+        assert [claim["index"] for claim in record["claims"]] == [1, 2, 3]
         assert claim_set_from_record(record) == evaluation.claim_set
 
     def test_assignment(self):
@@ -158,6 +159,42 @@ class TestRoundTrips:
             "diff": None, "t_stat": None, "degrees_freedom": None, "p_value": None,
             "p_correct": "1", "p_incorrect": None, "gt_comparison": None,
         }
+
+
+class TestRecordChecks:
+    def test_evaluation_with_another_questions_claim_set_is_rejected(self):
+        record = evaluation_to_record(build_evaluation("q1", "TF"))
+        record["claim_set"]["question_id"] = "q999"
+        with pytest.raises(ValueError, match="of 'q999' under 'q1'"):
+            evaluation_from_record(record)
+
+    @pytest.mark.parametrize("numbers", [[2, 1], [1, 3], [0, 1]])
+    @pytest.mark.parametrize(
+        "to_record, from_record, rows_at, field",
+        [
+            (lambda e: claim_set_to_record(e.claim_set), claim_set_from_record,
+             ("claims",), "index"),
+            (lambda e: verifications_to_record("q1", e.results),
+             verifications_from_record, ("results",), "claim_index"),
+            (evaluation_to_record, evaluation_from_record,
+             ("results",), "claim_index"),
+            (evaluation_to_record, evaluation_from_record,
+             ("claim_set", "claims"), "index"),
+        ],
+        ids=["claim_set", "verifications", "evaluation-results",
+             "evaluation-claims"],
+    )
+    def test_claims_numbered_out_of_order_are_rejected(
+        self, to_record, from_record, rows_at, field, numbers
+    ):
+        record = to_record(build_evaluation("q1", "TF"))
+        rows = record
+        for key in rows_at:
+            rows = rows[key]
+        for row, number in zip(rows, numbers):
+            row[field] = number
+        with pytest.raises(ValueError, match=f"^{field} "):
+            from_record(record)
 
 
 class TestLabels:

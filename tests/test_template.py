@@ -11,31 +11,27 @@ from abcd_eval.template import (
 )
 
 
-def template(text, index=1):
-    return ClaimTemplate(index, text)
-
-
 class TestInstantiate:
     def test_substitutes_all_tags(self):
         assignment = AnswerAssignment.from_dict(
             {"answer": "Shakespeare", "play": "Hamlet"}
         )
-        text = instantiate(template("<answer> wrote <play>"), assignment)
+        text = instantiate(ClaimTemplate("<answer> wrote <play>"), assignment)
         assert text == "Shakespeare wrote Hamlet"
 
     def test_repeated_tag_uses_same_value(self):
         assignment = AnswerAssignment.from_dict({"answer": "Mars"})
-        text = instantiate(template("<answer> is <answer>"), assignment)
+        text = instantiate(ClaimTemplate("<answer> is <answer>"), assignment)
         assert text == "Mars is Mars"
 
     def test_missing_assignment(self):
         assignment = AnswerAssignment.from_dict({"answer": "Shakespeare"})
         with pytest.raises(InstantiationError, match="no answer assigned for <play>"):
-            instantiate(template("<answer> wrote <play>"), assignment)
+            instantiate(ClaimTemplate("<answer> wrote <play>"), assignment)
 
     def test_non_tag_angle_spans_pass_through(self):
         assignment = AnswerAssignment.from_dict({"answer": "5"})
-        text = instantiate(template("<answer> satisfies x < y and y > z"), assignment)
+        text = instantiate(ClaimTemplate("<answer> satisfies x < y and y > z"), assignment)
         assert text == "5 satisfies x < y and y > z"
 
     def test_answers_are_not_rescanned(self):
@@ -52,7 +48,7 @@ class TestInstantiateWithOverride:
             {"answer": "Frank Lloyd Wright", "city": "Bilbao"}
         )
         text = instantiate_with_override(
-            template("<answer> designed a museum in <city>"),
+            ClaimTemplate("<answer> designed a museum in <city>"),
             assignment,
             "Frank Gehry",
         )
@@ -61,10 +57,10 @@ class TestInstantiateWithOverride:
     def test_override_is_validated(self):
         assignment = AnswerAssignment.from_dict({"answer": "x"})
         with pytest.raises(InstantiationError, match="override answer is empty"):
-            instantiate_with_override(template("<answer> is real"), assignment, "  ")
+            instantiate_with_override(ClaimTemplate("<answer> is real"), assignment, "  ")
         with pytest.raises(InstantiationError):
             instantiate_with_override(
-                template("<answer> is real"), assignment, "a <b>"
+                ClaimTemplate("<answer> is real"), assignment, "a <b>"
             )
 
 
@@ -103,7 +99,7 @@ def test_round_trip_recovers_template(names, fillers, data):
     values.setdefault("answer", "[[answer]]")
     assignment = AnswerAssignment.from_dict(values)
 
-    claim = ClaimTemplate(1, text)
+    claim = ClaimTemplate(text)
     rendered = instantiate(claim, assignment)
 
     recovered = rendered
@@ -112,7 +108,7 @@ def test_round_trip_recovers_template(names, fillers, data):
     assert recovered == text
 
     # And the tags surviving in recovered text match the original template's.
-    assert ClaimTemplate(1, recovered).tags == claim.tags
+    assert ClaimTemplate(recovered).tags == claim.tags
 
 
 @given(st.text(alphabet="<>ab c_1-", max_size=40))
@@ -125,7 +121,7 @@ def test_no_silent_tag_survival(text):
     """
     from abcd_eval.model import TAG_RE
 
-    claim = ClaimTemplate(1, text)
+    claim = ClaimTemplate(text)
     values = {tag.name: "v" for tag in claim.tags}
     values.setdefault("answer", "v")
     try:
@@ -141,4 +137,4 @@ def test_no_silent_tag_survival(text):
 def test_bracket_welding_raises_leftover():
     assignment = AnswerAssignment.from_dict({"answer": "v"})
     with pytest.raises(InstantiationError, match="survived substitution"):
-        instantiate(ClaimTemplate(1, "<<answer>>"), assignment)
+        instantiate(ClaimTemplate("<<answer>>"), assignment)

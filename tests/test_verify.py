@@ -113,12 +113,12 @@ class RecordingProvider:
 class TestVerifyClaim:
     def test_prompt_is_prefix_plus_claim_exactly(self):
         provider = RecordingProvider()
-        result = verify_claim("Mars is a planet", provider, claim_index=2)
+        result = verify_claim("Mars is a planet", provider)
         request = provider.requests[0]
         assert request.prompt == "True or False: Mars is a planet"
         assert not request.prompt.endswith("\n")
         assert request.max_tokens == 64
-        assert result.claim_index == 2
+        assert result.instantiated_text == "Mars is a planet"
         assert result.verdict is Verdict.TRUE
         assert result.raw_response == "True."
 
@@ -127,8 +127,8 @@ def museum_fixture():
     claim_set = ClaimSet(
         "q7",
         (
-            ClaimTemplate(1, "<answer> is an architect"),
-            ClaimTemplate(2, "<answer> designed a museum in <city>"),
+            ClaimTemplate("<answer> is an architect"),
+            ClaimTemplate("<answer> designed a museum in <city>"),
         ),
     )
     assignment = AnswerAssignment.from_dict(
@@ -156,7 +156,10 @@ class TestVerifyAll:
             ]
         )
         results = verify_all(claim_set, assignment, provider)
-        assert [r.claim_index for r in results] == [1, 2]
+        assert [r.instantiated_text for r in results] == [
+            "Frank Lloyd Wright is an architect",
+            "Frank Lloyd Wright designed a museum in Bilbao",
+        ]
         assert [r.verdict for r in results] == [Verdict.TRUE, Verdict.FALSE]
 
     def test_override_answer_rebinds_only_answer(self):
@@ -176,8 +179,9 @@ class TestVerifyAll:
             def complete(self, request):
                 raise ProviderError(ProviderErrorKind.NETWORK, "down")
 
-        with pytest.raises(VerificationError, match="^claim 1: "):
+        with pytest.raises(VerificationError) as excinfo:
             verify_all(claim_set, assignment, FailingProvider())
+        assert str(excinfo.value) == "claim 1: network: down"
 
     def test_lenient_mode_records_non_response(self):
         claim_set, assignment = museum_fixture()
@@ -201,8 +205,19 @@ class TestVerifyAll:
     def test_missing_tag_value_fails_with_claim_index(self):
         claim_set, _ = museum_fixture()
         incomplete = AnswerAssignment.from_dict({"answer": "Frank Lloyd Wright"})
-        with pytest.raises(VerificationError, match="^claim 2: "):
+        with pytest.raises(VerificationError) as excinfo:
             verify_all(claim_set, incomplete, RecordingProvider())
+        assert str(excinfo.value) == "claim 2: no answer assigned for <city>"
+
+    def test_bad_override_answer_fails_with_claim_index(self):
+        claim_set, assignment = museum_fixture()
+        with pytest.raises(VerificationError) as excinfo:
+            verify_all(
+                claim_set, assignment, RecordingProvider(), override_answer="a <b>"
+            )
+        assert str(excinfo.value) == (
+            "claim 1: override answer contains angle brackets: 'a <b>'"
+        )
 
 
 class TestBaseline:
