@@ -613,26 +613,27 @@ def _response_from_record(record: dict) -> CompletionResponse:
 
 
 class ResponseCache:
-    """One JSON file per cached completion, named by the request digest.
+    """One JSON file per cached completion, ``<digest>.json`` in *directory*,
+    which is created here.
 
-    Writes go through a temp file plus atomic rename so a crash cannot leave
-    a truncated entry behind.
+    An entry is one compact JSON object: the request, the response and a
+    timestamp. :meth:`put` encodes it once and hands the bytes to
+    :func:`~abcd_eval.records.atomic_write`, whose temp file plus rename
+    means a crash cannot leave a truncated entry. Each write has its own
+    temp name, so concurrent writers need no lock. Readers ignore
+    whitespace, so entries written indented still read.
     """
 
     def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-
-    def _path(self, digest: str) -> Path:
-        return self.directory / f"{digest}.json"
+        os.makedirs(directory, exist_ok=True)
+        self._prefix = os.path.join(directory, "")
 
     def get(self, digest: str) -> Optional[CompletionResponse]:
         """The cached response, or None when there is no entry. An entry
         that does not decode or convert raises ``ValueError``."""
         try:
-            with open(self._path(digest), encoding="utf-8") as handle:
-                entry = json.load(handle)
+            with open(f"{self._prefix}{digest}.json", "rb") as handle:
+                entry = json.loads(handle.read().decode("utf-8"))
             return _response_from_record(entry["response"])
         except FileNotFoundError:
             return None
@@ -653,9 +654,8 @@ class ResponseCache:
             "response": _response_to_record(response),
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
-        text = json.dumps(entry, ensure_ascii=False, indent=2)
-        with self._lock:
-            atomic_write(self._path(digest), text)
+        data = json.dumps(entry, ensure_ascii=False).encode("utf-8")
+        atomic_write(f"{self._prefix}{digest}.json", data)
 
 
 class CachingProvider:

@@ -64,9 +64,9 @@ def question_to_record(question: Question) -> dict:
     }
 
 
-def _question_id(value) -> str:
+def _string(value, field: str) -> str:
     if not isinstance(value, str):
-        raise ValueError(f"question id must be a string, got {value!r}")
+        raise ValueError(f"{field} must be a string, got {value!r}")
     return value
 
 
@@ -79,7 +79,7 @@ def _correct(value, *, nullable: bool) -> Optional[bool]:
 
 def question_from_record(record: dict) -> Question:
     return Question(
-        id=_question_id(record["id"]),
+        id=_string(record["id"], "question id"),
         text=record["text"],
         gold_answer=record["gold_answer"],
         dataset=Dataset(record["dataset"]),
@@ -116,10 +116,10 @@ def claim_set_to_record(claim_set: ClaimSet) -> dict:
 
 def claim_set_from_record(record: dict) -> ClaimSet:
     return ClaimSet(
-        question_id=_question_id(record["question_id"]),
+        question_id=_string(record["question_id"], "question id"),
         entity_reasoning=record.get("entity_reasoning"),
         claims=tuple(
-            ClaimTemplate(text=claim["text"])
+            ClaimTemplate(text=_string(claim["text"], "claim text"))
             for claim in _numbered(record["claims"], "index")
         ),
     )
@@ -130,7 +130,7 @@ def assignment_to_record(question_id: str, assignment: AnswerAssignment) -> dict
 
 
 def assignment_from_record(record: dict) -> tuple[str, AnswerAssignment]:
-    question_id = _question_id(record["question_id"])
+    question_id = _string(record["question_id"], "question id")
     return question_id, AnswerAssignment.from_dict(record["entries"])
 
 
@@ -149,9 +149,9 @@ def _results_to_record(results: Iterable[VerificationResult]) -> list[dict]:
 def _results_from_record(rows: list) -> list[VerificationResult]:
     return [
         VerificationResult(
-            instantiated_text=row["instantiated_text"],
+            instantiated_text=_string(row["instantiated_text"], "instantiated_text"),
             verdict=Verdict(row["verdict"]),
-            raw_response=row["raw_response"],
+            raw_response=_string(row["raw_response"], "raw_response"),
         )
         for row in _numbered(rows, "claim_index")
     ]
@@ -165,7 +165,7 @@ def verifications_to_record(
 
 def verifications_from_record(record: dict) -> tuple[str, list[VerificationResult]]:
     return (
-        _question_id(record["question_id"]),
+        _string(record["question_id"], "question id"),
         _results_from_record(record["results"]),
     )
 
@@ -252,7 +252,7 @@ def report_to_record(report: AggregateReport) -> dict:
 
 
 def label_from_record(record: dict) -> tuple[str, tuple[bool, Optional[str]]]:
-    return _question_id(record["question_id"]), (
+    return _string(record["question_id"], "question id"), (
         _correct(record["correct"], nullable=False),
         record.get("error_category"),
     )
@@ -315,16 +315,24 @@ def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     return rows
 
 
-def atomic_write(path: str | Path, content: str) -> None:
-    """Write *content* to a temp file beside *path*, then rename it into place."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def atomic_write(path: str | Path, data: bytes) -> None:
+    """Write *data* to a temp file beside *path*, then rename it into place.
+
+    The temp file is made by ``mkstemp`` (``O_EXCL``, mode 0600) in the
+    target directory, which must exist: callers create it. On any failure
+    the temp file is removed and *path* is left as it was.
+    """
+    directory, name = os.path.split(os.fspath(path))
     fd, temp_path = tempfile.mkstemp(
-        dir=path.parent, prefix=f".tmp-{path.name}-", suffix=".part"
+        dir=directory or ".", prefix=f".tmp-{name}-", suffix=".part"
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(content)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(temp_path, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -332,14 +340,19 @@ def atomic_write(path: str | Path, content: str) -> None:
         raise
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    atomic_write(path, text.encode("utf-8"))
+
+
 def write_jsonl_atomic(path: str | Path, rows: Iterable[dict]) -> None:
     content = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
-    atomic_write(path, content)
+    _write_text(path, content)
 
 
 def write_json_atomic(path: str | Path, obj) -> None:
-    atomic_write(path, json.dumps(obj, ensure_ascii=False, indent=2) + "\n")
+    _write_text(path, json.dumps(obj, ensure_ascii=False, indent=2) + "\n")
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    atomic_write(path, text)
+    _write_text(path, text)

@@ -918,6 +918,34 @@ def test_api_key_http_cannot_carry_is_config_error(
     assert list(tmp_path.iterdir()) == []
 
 
+def _run_with_bad_first_row(reference_run, tmp_path, command, bad_flag, edit):
+    """Run *command* with *bad_flag*'s reference file replaced by a copy
+    whose first record went through *edit*; the copy's path."""
+    paths, reference = reference_run
+    files = {
+        "--questions": paths["questions"],
+        "--script": paths["rules"],
+        "--labels": paths["labels"],
+        "--claims": reference / "claim_sets.jsonl",
+        "--assignments": reference / "assignments.jsonl",
+        "--verifications": reference / "verifications.jsonl",
+        "--gt-verifications": reference / "gt_verifications.jsonl",
+        "--records": reference / "evaluations.jsonl",
+    }
+    rows = [record for _, record in records.read_jsonl(files[bad_flag])]
+    edit(rows[0])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    files[bad_flag] = bad
+    argv = [command]
+    for flag in INPUT_FLAGS[command]:
+        argv += [flag, str(files[flag])]
+    if command in OUTPUT_FLAGS:
+        argv += [OUTPUT_FLAGS[command], str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    return bad
+
+
 @pytest.mark.parametrize(
     "command, bad_flag, value",
     [
@@ -932,30 +960,11 @@ def test_api_key_http_cannot_carry_is_config_error(
 def test_non_boolean_correct_is_config_error(
     reference_run, tmp_path, capsys, command, bad_flag, value
 ):
-    paths, reference = reference_run
-    files = {
-        "--questions": paths["questions"],
-        "--script": paths["rules"],
-        "--labels": paths["labels"],
-        "--claims": reference / "claim_sets.jsonl",
-        "--assignments": reference / "assignments.jsonl",
-        "--verifications": reference / "verifications.jsonl",
-        "--gt-verifications": reference / "gt_verifications.jsonl",
-        "--records": reference / "evaluations.jsonl",
-    }
-    rows = [record for _, record in records.read_jsonl(files[bad_flag])]
-    rows[0]["correct"] = value
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    files[bad_flag] = bad
-    argv = [command]
-    for flag in INPUT_FLAGS[command]:
-        argv += [flag, str(files[flag])]
-    if command in OUTPUT_FLAGS:
-        argv += [OUTPUT_FLAGS[command], str(tmp_path / "out")]
-    capsys.readouterr()
+    def edit(row):
+        row["correct"] = value
 
-    assert main(argv) == EXIT_CONFIG
+    capsys.readouterr()
+    bad = _run_with_bad_first_row(reference_run, tmp_path, command, bad_flag, edit)
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:1: bad record: ValueError: ")
     assert f"got {value!r}" in err
@@ -990,32 +999,43 @@ def _no_claims(record):
 def test_record_inconsistent_with_itself_is_bad_record(
     reference_run, tmp_path, capsys, command, bad_flag, edit
 ):
-    paths, reference = reference_run
-    files = {
-        "--questions": paths["questions"],
-        "--script": paths["rules"],
-        "--labels": paths["labels"],
-        "--claims": reference / "claim_sets.jsonl",
-        "--assignments": reference / "assignments.jsonl",
-        "--verifications": reference / "verifications.jsonl",
-        "--gt-verifications": reference / "gt_verifications.jsonl",
-        "--records": reference / "evaluations.jsonl",
-    }
-    rows = [record for _, record in records.read_jsonl(files[bad_flag])]
-    edit(rows[0])
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    files[bad_flag] = bad
-    argv = [command]
-    for flag in INPUT_FLAGS[command]:
-        argv += [flag, str(files[flag])]
-    if command in OUTPUT_FLAGS:
-        argv += [OUTPUT_FLAGS[command], str(tmp_path / "out")]
     capsys.readouterr()
-
-    assert main(argv) == EXIT_CONFIG
+    bad = _run_with_bad_first_row(reference_run, tmp_path, command, bad_flag, edit)
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:1: bad record: ValueError: ")
+    assert not (tmp_path / "out").exists()
+
+
+def _set(*keys, value=5):
+    def edit(record):
+        for key in keys[:-1]:
+            record = record[key]
+        record[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command, bad_flag, edit",
+    [
+        ("answer", "--claims", _set("claims", 0, "text")),
+        ("score", "--verifications", _set("results", 0, "instantiated_text")),
+        ("score", "--gt-verifications", _set("results", 0, "raw_response",
+                                              value=None)),
+        ("report", "--records", _set("claim_set", "claims", 0, "text",
+                                     value=["a claim"])),
+        ("report", "--records", _set("results", 0, "raw_response")),
+    ],
+    ids=["answer-claim-text", "score-instantiated-text",
+         "score-gt-raw-response", "report-claim-text", "report-raw-response"],
+)
+def test_non_string_text_is_bad_record(
+    reference_run, tmp_path, capsys, command, bad_flag, edit
+):
+    capsys.readouterr()
+    bad = _run_with_bad_first_row(reference_run, tmp_path, command, bad_flag, edit)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:1: bad record: ValueError: ")
+    assert "must be a string" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -4,6 +4,7 @@ import json
 import logging
 import random
 import socket
+import sys
 import threading
 
 import pytest
@@ -192,6 +193,67 @@ class TestResponseCache:
         leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp")]
         assert leftovers == []
 
+    def test_concurrent_puts_of_overlapping_digests(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        requests = [make_request(f"prompt {i}") for i in range(12)]
+        start = threading.Barrier(8)
+        errors = []
+
+        def writer(seed):
+            order = random.Random(seed).sample(requests, len(requests))
+            start.wait(timeout=30)
+            for request in order:
+                response = CompletionResponse(text=f"reply to {request.prompt}")
+                try:
+                    cache.put(cache_key(request), request, response)
+                except Exception as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for request in requests:
+            fetched = cache.get(cache_key(request))
+            assert fetched == CompletionResponse(text=f"reply to {request.prompt}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{cache_key(request)}.json" for request in requests
+        )
+
+    def test_entry_is_one_line_and_indented_entries_still_read(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        request = make_request("recorded by an earlier version")
+        digest = cache_key(request)
+        cache.put(digest, request, CompletionResponse(text="True."))
+        written = (tmp_path / f"{digest}.json").read_text("utf-8")
+        assert "\n" not in written
+        indented = json.dumps(json.loads(written), ensure_ascii=False, indent=2)
+        (tmp_path / f"{digest}.json").write_text(indented, encoding="utf-8")
+        assert cache.get(digest) == CompletionResponse(text="True.")
+        assert ReplayProvider(cache).complete(request).text == "True."
+
+    def test_failed_rename_leaves_no_entry_and_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        cache = ResponseCache(tmp_path)
+        request = make_request("p")
+
+        def refuse(source, target):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("os.replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            cache.put(cache_key(request), request, CompletionResponse(text="ok"))
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCachingProvider:
     def test_second_call_skips_inner(self, tmp_path):
@@ -255,12 +317,20 @@ class TestReplayProvider:
         assert cache_key(request) in str(excinfo.value)
 
     @pytest.mark.parametrize(
-        "content", ["{\"request\": {", "[]", '{"response": {"text": null}}']
+        "content",
+        [
+            b'{"request": {',
+            b"[]",
+            b'{"response": {"text": null}}',
+            b'{"response": {"text": "caf\xe9"}}',
+            b'\xef\xbb\xbf{"response": {"text": "True.", "finish_reason": "stop"}}',
+        ],
+        ids=["truncated", "list", "null-text", "not-utf-8", "utf-8-bom"],
     )
     def test_unreadable_entry_names_the_digest(self, tmp_path, content):
         request = make_request("recorded, then corrupted")
         digest = cache_key(request)
-        (tmp_path / f"{digest}.json").write_text(content, encoding="utf-8")
+        (tmp_path / f"{digest}.json").write_bytes(content)
         provider = ReplayProvider(ResponseCache(tmp_path))
         with pytest.raises(ProviderError) as excinfo:
             provider.complete(request)

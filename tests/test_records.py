@@ -12,6 +12,7 @@ from abcd_eval.model import (
 )
 from abcd_eval.records import (
     append_label,
+    atomic_write,
     assignment_from_record,
     assignment_to_record,
     claim_set_from_record,
@@ -247,6 +248,16 @@ class TestAtomicWrites:
         path = tmp_path / "deep" / "nested" / "out.txt"
         write_text_atomic(path, "hello")
         assert path.read_text(encoding="utf-8") == "hello"
+
+    def test_atomic_write_takes_bytes_and_leaves_directories_to_callers(
+        self, tmp_path
+    ):
+        path = tmp_path / "entry.json"
+        atomic_write(path, "café".encode("utf-8"))
+        assert path.read_bytes() == "café".encode("utf-8")
+        with pytest.raises(FileNotFoundError):
+            atomic_write(tmp_path / "missing" / "entry.json", b"{}")
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
 
     def test_overwrite_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "out.jsonl"
