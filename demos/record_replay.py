@@ -11,7 +11,6 @@ from pathlib import Path
 from abcd_eval import (
     CachingProvider,
     CompletionRequest,
-    CountingProvider,
     ProviderError,
     ReplayProvider,
     ResponseCache,
@@ -30,11 +29,18 @@ print("digest:", cache_key(request))
 cache_dir = Path(tempfile.mkdtemp(prefix="abcd-cache-"))
 cache = ResponseCache(cache_dir)
 
-# Stand-in for a live endpoint, wrapped in a counter so we can see how
-# often it actually gets consulted.
-upstream = CountingProvider(
-    ScriptedProvider([ScriptRule(match="True or False:", response="True.")])
-)
+
+class CountedEndpoint(ScriptedProvider):
+    """Stand-in for a live endpoint that counts how often it is consulted."""
+
+    call_count = 0
+
+    def complete(self, request):
+        self.call_count += 1
+        return super().complete(request)
+
+
+upstream = CountedEndpoint([ScriptRule(match="True or False:", response="True.")])
 recording = CachingProvider(upstream, cache)
 
 recording.complete(request)

@@ -71,7 +71,6 @@ from .providers import (
     CachingProvider,
     CompletionRequest,
     CompletionResponse,
-    CountingProvider,
     FinishReason,
     LiveProvider,
     Provider,

@@ -62,7 +62,7 @@ from .pipeline import (
     QuestionOutcome,
     Run,
     RunConfig,
-    build_providers,
+    build_upstream,
     run_stages,
 )
 from .providers import API_KEY_ENV_VAR
@@ -341,8 +341,8 @@ def _prepare(
     }
     labels = _load_labels_for_cli(options.get("labels"))
     pack = _load_pack_for_cli(args.pack) if "decompose" in stages else None
-    providers = () if set(stages).isdisjoint(PROVIDER_STAGES) else build_providers(config)
-    run = Run(config, *providers, pack=pack, labels=labels)
+    upstream = None if set(stages).isdisjoint(PROVIDER_STAGES) else build_upstream(config)
+    run = Run(config, upstream, pack=pack, labels=labels)
     return run, [
         QuestionOutcome(q, **{field: by_id.get(q.id) for field, by_id in inputs.items()})
         for q in questions
@@ -444,9 +444,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             )
             for outcome in outcomes
         },
-        "provider_calls": {
-            stage: counter.call_count for stage, counter in run.counters.items()
-        },
+        "provider_calls": run.upstream.calls,
     }
     records.write_json_atomic(out_dir / "manifest.json", manifest)
 
@@ -543,7 +541,7 @@ def cmd_annotate(
 def cmd_baseline(args: argparse.Namespace) -> int:
     config = config_from_args(args)
     evaluations = _load_evaluations(args.records)
-    with closing(Run(config, *build_providers(config))) as run:
+    with closing(Run(config, build_upstream(config))) as run:
         outcomes = run_stages(
             run,
             [QuestionOutcome(e.question, evaluation=e) for e in evaluations],

@@ -9,24 +9,26 @@ stage command fills the outcome from earlier stages' files and runs one.
 
 :class:`RunConfig` holds every setting of a run and checks its values when
 it is built, so every command that builds one rejects the same bad values.
-:func:`build_providers` checks the provider settings and gives each
-model-calling stage its own provider and call counter; both go on the
-:class:`Run` the stages share, with the base provider the run closes when
-it is done.
+:func:`build_upstream` checks the provider settings and builds the run's
+one provider, an :class:`Upstream`, which every stage calls and which
+counts each stage's calls.
 
 :func:`run_stages` is the only per-question failure boundary: an exception
 in a stage marks the outcome failed at that stage and the question's
-remaining stages are skipped, while the other questions go on. A
-question's ``verify`` and ``verify_gt`` stages share the responses it has
-received, so a verification prompt goes upstream once per question.
+remaining stages are skipped, while the other questions go on. Within a
+question a prompt goes upstream once, so a gold-answer verification that
+repeats the predicted one is answered from memory.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from .answers import DEFAULT_ANSWER_MAX_TOKENS, generate_answers
@@ -36,7 +38,6 @@ from .providers import (
     CachingProvider,
     CompletionRequest,
     CompletionResponse,
-    CountingProvider,
     LiveProvider,
     Provider,
     ProviderError,
@@ -57,7 +58,7 @@ from .verify import (
 
 logger = logging.getLogger(__name__)
 
-# Stages that call a model, each behind its own call counter.
+# Stages that call a model; Upstream counts calls under each.
 PROVIDER_STAGES = ("decompose", "answer", "verify", "verify_gt", "baseline")
 
 EVALUATE_STAGES = ("decompose", "answer", "verify", "verify_gt", "score")
@@ -146,72 +147,95 @@ class RunConfig:
         }
 
 
-def _base_provider(config: RunConfig) -> Provider:
-    mode = config.provider_mode
-    if mode == "scripted":
-        if config.script_path is None:
-            raise ConfigError("scripted mode needs --script")
-        if not Path(config.script_path).is_file():
-            raise ConfigError(f"script file not found: {config.script_path}")
-        try:
-            return ScriptedProvider(load_script_rules(config.script_path))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if mode == "live":
-        if not config.base_url:
-            raise ConfigError("live mode needs --base-url")
-        try:
-            return LiveProvider(base_url=config.base_url)
-        except (ProviderError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-    if mode == "replay":
-        if config.cache_dir is None:
-            raise ConfigError("replay mode needs --cache-dir")
-        if not Path(config.cache_dir).is_dir():
-            raise ConfigError(f"cache directory not found: {config.cache_dir}")
-        return ReplayProvider(ResponseCache(config.cache_dir))
-    raise ConfigError(f"unknown provider mode {mode!r}")
+# The stage run_stages is running, and the responses the current question
+# has received by request.
+_stage: ContextVar[str] = ContextVar("stage")
+_responses: ContextVar[dict] = ContextVar("responses")
 
 
-def build_providers(config: RunConfig) -> tuple[dict, dict, Provider]:
-    """One provider and one call counter per model-calling stage, and the
-    base provider they all call.
+class Upstream:
+    """The one provider of a run: the current question's responses, then
+    the cache (when given), then *base*.
 
-    Counters sit inside the caching layer, so in caching modes they count
-    upstream calls (cache misses); in replay mode they count completions
-    served from the cache.
+    ``calls`` counts, per stage, the completions *base* returned: cache
+    misses in caching modes, completions served from the cache in replay
+    mode. A request the question already sent is answered from memory and
+    is neither counted nor looked up in the cache. A call that raises is
+    kept nowhere, so a later call sends it again.
     """
-    base = _base_provider(config)
-    cache = None
-    if config.cache_dir is not None and config.provider_mode != "replay":
-        cache = ResponseCache(config.cache_dir)
-    providers, counters = {}, {}
-    for stage in PROVIDER_STAGES:
-        counters[stage] = CountingProvider(base)
-        providers[stage] = (
-            CachingProvider(counters[stage], cache) if cache else counters[stage]
-        )
-    return providers, counters, base
 
+    def __init__(self, base: Provider, cache: Optional[ResponseCache] = None):
+        self.base = base
+        self.calls = dict.fromkeys(PROVIDER_STAGES, 0)
+        self._lock = threading.Lock()
+        send = SimpleNamespace(complete=self._send)
+        self._inner = send if cache is None else CachingProvider(send, cache)
 
-@dataclass
-class Run:
-    """What the stages share across questions: the configuration, the
-    provider of each model-calling stage with its call counter, the base
-    provider under them, the prompt pack and the manual labels."""
+    def _send(self, request: CompletionRequest) -> CompletionResponse:
+        response = self.base.complete(request)
+        with self._lock:
+            self.calls[_stage.get()] += 1
+        return response
 
-    config: RunConfig
-    providers: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
-    base: Optional[Provider] = None
-    pack: Optional[PromptPack] = None
-    labels: dict = field(default_factory=dict)
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        responses = _responses.get()
+        response = responses.get(request)
+        if response is None:
+            response = responses[request] = self._inner.complete(request)
+        return response
 
     def close(self) -> None:
         """Close the base provider's connections, if it keeps any."""
         close = getattr(self.base, "close", None)
         if close is not None:
             close()
+
+
+def build_upstream(config: RunConfig) -> Upstream:
+    """The run's provider, after checking the provider settings."""
+    mode = config.provider_mode
+    if mode == "replay":
+        if config.cache_dir is None:
+            raise ConfigError("replay mode needs --cache-dir")
+        if not Path(config.cache_dir).is_dir():
+            raise ConfigError(f"cache directory not found: {config.cache_dir}")
+        return Upstream(ReplayProvider(ResponseCache(config.cache_dir)))
+    if mode == "scripted":
+        if config.script_path is None:
+            raise ConfigError("scripted mode needs --script")
+        if not Path(config.script_path).is_file():
+            raise ConfigError(f"script file not found: {config.script_path}")
+        try:
+            base = ScriptedProvider(load_script_rules(config.script_path))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    elif mode == "live":
+        if not config.base_url:
+            raise ConfigError("live mode needs --base-url")
+        try:
+            base = LiveProvider(base_url=config.base_url)
+        except (ProviderError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+    else:
+        raise ConfigError(f"unknown provider mode {mode!r}")
+    cache = None if config.cache_dir is None else ResponseCache(config.cache_dir)
+    return Upstream(base, cache)
+
+
+@dataclass
+class Run:
+    """What the stages share across questions: the configuration, the
+    provider (None when no stage calls a model), the prompt pack and the
+    manual labels."""
+
+    config: RunConfig
+    upstream: Optional[Upstream] = None
+    pack: Optional[PromptPack] = None
+    labels: dict = field(default_factory=dict)
+
+    def close(self) -> None:
+        if self.upstream is not None:
+            self.upstream.close()
 
 
 # --------------------------------------------------------------------------
@@ -231,9 +255,6 @@ class QuestionOutcome:
     baseline: Optional[BaselineResult] = None
     failed_stage: Optional[str] = None
     failure_reason: Optional[str] = None
-    # Verification responses this question has received, by request; the
-    # verify and verify_gt stages share it and run_stages empties it.
-    verify_responses: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -250,7 +271,7 @@ def _decompose(run: Run, outcome: QuestionOutcome) -> None:
     outcome.claim_set = decompose(
         outcome.question,
         run.pack,
-        run.providers["decompose"],
+        run.upstream,
         model=run.config.decompose_model,
         max_tokens=run.config.decompose_max_tokens,
     ).claim_set
@@ -260,39 +281,17 @@ def _answer(run: Run, outcome: QuestionOutcome) -> None:
     outcome.assignment = generate_answers(
         outcome.question,
         _need(outcome.claim_set, "claim set"),
-        run.providers["answer"],
+        run.upstream,
         model=run.config.answer_model,
         max_tokens=run.config.answer_max_tokens,
     )
 
 
-class _Reuse:
-    """Serve a request already answered from *responses*; send the others
-    through *inner* and keep what comes back. A call that raises is kept
-    nowhere, so a later pass sends it again."""
-
-    def __init__(self, inner: Provider, responses: dict):
-        self.inner = inner
-        self.responses = responses
-
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        response = self.responses.get(request)
-        if response is None:
-            response = self.responses[request] = self.inner.complete(request)
-        return response
-
-
-def _verify_claims(
-    run: Run, outcome: QuestionOutcome, stage: str, override_answer=None
-) -> list:
-    """Verify the outcome's claims through *stage*'s provider. A prompt the
-    question already sent, such as the gold-answer pass repeating the
-    predicted pass when the prediction is gold, is answered from memory and
-    is neither counted nor looked up in the cache."""
+def _verify_claims(run: Run, outcome: QuestionOutcome, override_answer=None) -> list:
     return verify_all(
         _need(outcome.claim_set, "claim set"),
         _need(outcome.assignment, "assignment"),
-        _Reuse(run.providers[stage], outcome.verify_responses),
+        run.upstream,
         run.config.parse_config,
         override_answer=override_answer,
         model=run.config.verify_model,
@@ -302,23 +301,27 @@ def _verify_claims(
 
 
 def _verify(run: Run, outcome: QuestionOutcome) -> None:
-    outcome.results = _verify_claims(run, outcome, "verify")
+    outcome.results = _verify_claims(run, outcome)
 
 
 def _verify_gt(run: Run, outcome: QuestionOutcome) -> None:
     """Re-verify the claims with the gold answer in the ``<answer>`` slot."""
     if run.config.ground_truth:
-        outcome.gt_results = _verify_claims(
-            run, outcome, "verify_gt", outcome.question.gold_answer
-        )
+        outcome.gt_results = _verify_claims(run, outcome, outcome.question.gold_answer)
 
 
 def _score(run: Run, outcome: QuestionOutcome) -> None:
+    claim_set = _need(outcome.claim_set, "claim set")
     gt_results = outcome.gt_results
+    if gt_results is not None and len(gt_results) != len(claim_set.claims):
+        raise ValueError(
+            f"question {outcome.question.id}: {len(gt_results)} gold-answer "
+            f"results for {len(claim_set.claims)} claims"
+        )
     correct, error_category = run.labels.get(outcome.question.id, (None, None))
     outcome.evaluation = QuestionEvaluation(
         question=outcome.question,
-        claim_set=_need(outcome.claim_set, "claim set"),
+        claim_set=claim_set,
         assignment=_need(outcome.assignment, "assignment"),
         results=_need(outcome.results, "verifications"),
         correct=correct,
@@ -335,7 +338,7 @@ def _baseline(run: Run, outcome: QuestionOutcome) -> None:
     outcome.baseline = baseline_whole_question(
         outcome.question,
         outcome.evaluation.assignment.answer,
-        run.providers["baseline"],
+        run.upstream,
         model=run.config.verify_model,
         max_tokens=run.config.verify_max_tokens,
     )
@@ -357,11 +360,14 @@ def run_stages(
     """Apply the named *stages*, in order, to every outcome.
 
     Questions run in parallel up to ``run.config.concurrency``; the result
-    keeps input order.
+    keeps input order. Each question runs in a context of its own, where
+    :class:`Upstream` finds the current stage and the question's responses.
     """
 
     def worker(outcome: QuestionOutcome) -> QuestionOutcome:
+        _responses.set({})
         for stage in stages:
+            _stage.set(stage)
             try:
                 STAGES[stage](run, outcome)
             except Exception as exc:
@@ -371,10 +377,12 @@ def run_stages(
                 outcome.failed_stage = stage
                 outcome.failure_reason = f"{type(exc).__name__}: {exc}"
                 break
-        outcome.verify_responses.clear()
         return outcome
 
+    def run_question(outcome: QuestionOutcome) -> QuestionOutcome:
+        return copy_context().run(worker, outcome)
+
     if run.config.concurrency <= 1:
-        return [worker(outcome) for outcome in outcomes]
+        return [run_question(outcome) for outcome in outcomes]
     with ThreadPoolExecutor(max_workers=run.config.concurrency) as pool:
-        return list(pool.map(worker, outcomes))
+        return list(pool.map(run_question, outcomes))

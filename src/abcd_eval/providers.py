@@ -3,9 +3,9 @@
 Every provider exposes a single ``complete(request) -> CompletionResponse``
 method. Requests hash to a stable cache key (sha256 over a canonical JSON
 encoding), which is the filename of the on-disk cache entry and the lookup
-key for replay. Wrappers compose: a live run is typically
-``CachingProvider(CountingProvider(LiveProvider(...)))`` and a replay run
-swaps the live provider for :class:`ReplayProvider` over the same directory.
+key for replay. Wrappers compose: ``CachingProvider(LiveProvider(...),
+ResponseCache(directory))`` records a live run, and :class:`ReplayProvider`
+over the same directory serves it again without the endpoint.
 """
 
 from __future__ import annotations
@@ -596,7 +596,7 @@ class LiveProvider:
 
 
 # --------------------------------------------------------------------------
-# cache, replay, counting
+# cache and replay
 
 
 def _response_to_record(response: CompletionResponse) -> dict:
@@ -707,21 +707,3 @@ class ReplayProvider:
             )
         return cached
 
-
-class CountingProvider:
-    """Count completed calls that reach the wrapped provider.
-
-    Placed *inside* a caching wrapper this counts cache misses, which is the
-    number that matters for run manifests (actual upstream calls).
-    """
-
-    def __init__(self, inner: Provider):
-        self.inner = inner
-        self.call_count = 0
-        self._lock = threading.Lock()
-
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        response = self.inner.complete(request)
-        with self._lock:
-            self.call_count += 1
-        return response

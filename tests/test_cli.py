@@ -74,6 +74,20 @@ def evaluate_args(paths, out_dir, *extra):
     ]
 
 
+def replay_args(paths, cache_dir, out_dir, *extra):
+    """evaluate_args for a strict replay of *cache_dir*: no script at all."""
+    return [
+        "evaluate",
+        "--questions", str(paths["questions"]),
+        "--labels", str(paths["labels"]),
+        "--provider", "replay",
+        "--cache-dir", str(cache_dir),
+        "--out-dir", str(out_dir),
+        "--ground-truth",
+        *extra,
+    ]
+
+
 def read_labels(path):
     return dict(
         records.label_from_record(record) for _, record in records.read_jsonl(path)
@@ -195,20 +209,35 @@ class TestDeterminismAndReplay:
         for name in ("evaluations.jsonl", "report.json", "report.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
-    @pytest.mark.parametrize("concurrency", [1, 2, 8, 32])
+    @pytest.mark.parametrize(
+        "mode, concurrency",
+        [(mode, n) for mode in ("plain", "cache", "replay") for n in (1, 2, 8, 32)],
+        # The plain runs keep the ids they had before the other modes came in.
+        ids=[str(n) for n in (1, 2, 8, 32)]
+        + [f"{mode}-{n}" for mode in ("cache", "replay") for n in (1, 2, 8, 32)],
+    )
     def test_concurrency_preserves_output_bytes(
-        self, reference_run, tmp_path, concurrency
+        self, reference_run, mode_references, tmp_path, mode, concurrency
     ):
-        paths, reference = reference_run
-        out_dir = tmp_path / "run"
-        assert main(
-            evaluate_args(paths, out_dir, "--concurrency", str(concurrency))
-        ) == EXIT_OK
+        paths, _ = reference_run
+        recorded, references = mode_references
+        reference = references[mode]
+        out_dir, cache_dir = tmp_path / "run", tmp_path / "cache"
+        extra = ("--concurrency", str(concurrency))
+        argv = {
+            "plain": evaluate_args(paths, out_dir, *extra),
+            "cache": evaluate_args(paths, out_dir, "--cache-dir", str(cache_dir), *extra),
+            "replay": replay_args(paths, recorded, out_dir, *extra),
+        }[mode]
+        assert main(argv) == EXIT_OK
         for name in RECORD_FILES:
             assert (out_dir / name).read_bytes() == \
                 (reference / name).read_bytes(), name
         assert read_manifest(out_dir)["provider_calls"] == \
             read_manifest(reference)["provider_calls"]
+        if mode == "cache":
+            assert sorted(p.name for p in cache_dir.iterdir()) == \
+                sorted(p.name for p in recorded.iterdir())
 
     def test_cache_then_replay(self, fixture_paths, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -224,18 +253,7 @@ class TestDeterminismAndReplay:
 
         # Replay needs no script file at all: everything is served from disk.
         out_replay = tmp_path / "replay"
-        code = main(
-            [
-                "evaluate",
-                "--questions", str(fixture_paths["questions"]),
-                "--labels", str(fixture_paths["labels"]),
-                "--provider", "replay",
-                "--cache-dir", str(cache_dir),
-                "--out-dir", str(out_replay),
-                "--ground-truth",
-            ]
-        )
-        assert code == EXIT_OK
+        assert main(replay_args(fixture_paths, cache_dir, out_replay)) == EXIT_OK
         for name in RECORD_FILES:
             assert (out_live / name).read_bytes() == \
                 (out_replay / name).read_bytes(), name
@@ -816,6 +834,22 @@ def reference_run(tmp_path_factory):
     return paths, root / "run"
 
 
+@pytest.fixture(scope="module")
+def mode_references(reference_run, tmp_path_factory):
+    """The cache a concurrency-1 ``--cache-dir`` run recorded, and each
+    mode's concurrency-1 run; the replay run reads that cache."""
+    paths, plain = reference_run
+    root = tmp_path_factory.mktemp("modes")
+    recorded = root / "cache"
+    assert main(
+        evaluate_args(paths, root / "cache-run", "--cache-dir", str(recorded))
+    ) == EXIT_OK
+    assert main(replay_args(paths, recorded, root / "replay-run")) == EXIT_OK
+    return recorded, {
+        "plain": plain, "cache": root / "cache-run", "replay": root / "replay-run",
+    }
+
+
 BAD_VALUES = [
     ("--limit", "0"),
     ("--limit", "-1"),
@@ -1004,6 +1038,40 @@ def test_record_inconsistent_with_itself_is_bad_record(
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:1: bad record: ValueError: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, what",
+    [("--verifications", "results"), ("--gt-verifications", "gold-answer results")],
+    ids=["verifications", "gt-verifications"],
+)
+def test_short_verification_record_fails_its_question_at_score(
+    reference_run, tmp_path, caplog, flag, what
+):
+    paths, reference = reference_run
+    files = {
+        "--claims": reference / "claim_sets.jsonl",
+        "--assignments": reference / "assignments.jsonl",
+        "--verifications": reference / "verifications.jsonl",
+        "--gt-verifications": reference / "gt_verifications.jsonl",
+    }
+    rows = [record for _, record in records.read_jsonl(files[flag])]
+    assert rows[0]["question_id"] == "q01" and len(rows[0]["results"]) == 3
+    rows[0]["results"] = rows[0]["results"][:1]
+    files[flag] = tmp_path / "short.jsonl"
+    records.write_jsonl_atomic(files[flag], rows)
+    out = tmp_path / "evaluations.jsonl"
+    argv = ["score", "--questions", str(paths["questions"]), "--out", str(out)]
+    for option, path in files.items():
+        argv += [option, str(path)]
+
+    with caplog.at_level(logging.ERROR):
+        assert main(argv) == EXIT_PARTIAL
+    failures = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+    assert failures == [
+        f"question q01 failed at score: question q01: 1 {what} for 3 claims"
+    ]
+    assert sorted(read_evaluations(tmp_path)) == [fq.qid for fq in QUESTIONS[1:]]
 
 
 def _set(*keys, value=5):

@@ -1,0 +1,174 @@
+"""Upstream, the one provider of a run: question-level reuse, the cache and
+the per-stage call counts, driven through run_stages."""
+
+import sys
+
+import pytest
+
+from abcd_eval.model import Dataset, Question
+from abcd_eval.pipeline import (
+    STAGES,
+    QuestionOutcome,
+    Run,
+    RunConfig,
+    Upstream,
+    run_stages,
+)
+from abcd_eval.providers import (
+    CompletionRequest,
+    CompletionResponse,
+    ProviderError,
+    ProviderErrorKind,
+    ResponseCache,
+)
+
+NO_CALLS = {"decompose": 0, "answer": 0, "verify": 0, "verify_gt": 0, "baseline": 0}
+
+
+def make_request(prompt: str) -> CompletionRequest:
+    return CompletionRequest(model="default", prompt=prompt, max_tokens=16)
+
+
+class Endpoint:
+    """The base provider: answers every prompt and keeps the prompts sent."""
+
+    def __init__(self):
+        self.sent = []
+
+    def complete(self, request):
+        self.sent.append(request.prompt)
+        return CompletionResponse(text=f"re: {request.prompt}")
+
+
+class WatchedCache(ResponseCache):
+    """A response cache that counts its lookups."""
+
+    gets = 0
+
+    def get(self, digest):
+        self.gets += 1
+        return super().get(digest)
+
+
+def sending(*prompts):
+    """A stage that sends *prompts*, in order, through the run's provider."""
+
+    def stage(run, outcome):
+        for prompt in prompts:
+            run.upstream.complete(make_request(prompt))
+
+    return stage
+
+
+def run_questions(monkeypatch, upstream, n_questions, concurrency=1, **stages):
+    """Run the given stand-in *stages*, in order, over *n_questions*."""
+    for name, stage in stages.items():
+        monkeypatch.setitem(STAGES, name, stage)
+    outcomes = [
+        QuestionOutcome(Question(f"q{n}", f"question {n}?", "gold", Dataset.CUSTOM))
+        for n in range(1, n_questions + 1)
+    ]
+    run = Run(RunConfig(concurrency=concurrency), upstream)
+    done = run_stages(run, outcomes, list(stages))
+    assert [outcome.failure_reason for outcome in done] == [None] * n_questions
+
+
+def test_failed_call_is_not_counted_and_its_resend_is(monkeypatch):
+    class Flaky(Endpoint):
+        def complete(self, request):
+            if not self.sent:
+                self.sent.append(request.prompt)
+                raise ProviderError(ProviderErrorKind.NETWORK, "first fails")
+            return super().complete(request)
+
+    def send_twice(run, outcome):
+        with pytest.raises(ProviderError):
+            run.upstream.complete(make_request("p"))
+        run.upstream.complete(make_request("p"))
+
+    base = Flaky()
+    upstream = Upstream(base)
+    run_questions(monkeypatch, upstream, 1, verify=send_twice)
+    assert base.sent == ["p", "p"]
+    assert upstream.calls == {**NO_CALLS, "verify": 1}
+
+
+def test_counts_from_eight_threads_add_up(monkeypatch):
+    upstream = Upstream(Endpoint())
+    prompts = [f"p{n}" for n in range(50)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a lost update shows
+    try:
+        run_questions(
+            monkeypatch, upstream, 8, concurrency=8, verify=sending(*prompts)
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert upstream.calls == {**NO_CALLS, "verify": 400}
+
+
+def test_cache_hit_is_not_counted(monkeypatch, tmp_path):
+    base = Endpoint()
+    upstream = Upstream(base, ResponseCache(tmp_path))
+    run_questions(monkeypatch, upstream, 3, verify=sending("same prompt"))
+    assert base.sent == ["same prompt"]
+    assert upstream.calls == {**NO_CALLS, "verify": 1}
+
+
+def test_request_is_reused_within_a_question_and_sent_again_for_the_next(
+    monkeypatch,
+):
+    base = Endpoint()
+    upstream = Upstream(base)
+    run_questions(
+        monkeypatch, upstream, 2, verify=sending("p", "p"), verify_gt=sending("p")
+    )
+    assert base.sent == ["p", "p"]
+    assert upstream.calls == {**NO_CALLS, "verify": 2}
+
+
+def test_reused_request_is_neither_counted_nor_looked_up(monkeypatch, tmp_path):
+    base = Endpoint()
+    cache = WatchedCache(tmp_path)
+    upstream = Upstream(base, cache)
+    run_questions(
+        monkeypatch, upstream, 1, verify=sending("p", "p"), verify_gt=sending("p")
+    )
+    assert cache.gets == 1
+    assert base.sent == ["p"]
+    assert upstream.calls == {**NO_CALLS, "verify": 1}
+
+
+def test_counts_land_under_the_stage_being_run(monkeypatch):
+    upstream = Upstream(Endpoint())
+    run_questions(
+        monkeypatch, upstream, 2, concurrency=2,
+        decompose=sending("a"),
+        answer=sending("b", "c"),
+        verify=sending("d", "e", "f"),
+        verify_gt=sending("d", "g"),
+        baseline=sending("h"),
+    )
+    assert upstream.calls == {
+        "decompose": 2, "answer": 4, "verify": 6, "verify_gt": 2, "baseline": 2,
+    }
+
+
+def test_close_closes_the_base_provider():
+    class Closable(Endpoint):
+        closed = False
+
+        def close(self):
+            self.closed = True
+
+    base = Closable()
+    Upstream(base).close()
+    assert base.closed
+    Upstream(Endpoint()).close()  # a base without close() is fine
+
+
+def test_question_responses_do_not_outlive_run_stages(monkeypatch):
+    upstream = Upstream(Endpoint())
+    run_questions(monkeypatch, upstream, 1, verify=sending("p"))
+    with pytest.raises(LookupError):
+        upstream.complete(make_request("p"))
