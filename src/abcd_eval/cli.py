@@ -249,7 +249,7 @@ def _load_questions_for_cli(args: argparse.Namespace, config: RunConfig) -> list
     elif config.limit is not None:
         questions = questions[: config.limit]
     if not questions:
-        raise ConfigError("no questions selected")
+        raise ConfigError(f"{args.questions}: no questions selected")
     return questions
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .model import Dataset, Question
+from .model import OPTIONAL_STR, Dataset, Question, check_type
 from .records import question_from_record, read_lines
 
 # --------------------------------------------------------------------------
@@ -201,6 +201,11 @@ class RawQuizbowlRecord:
         object.__setattr__(self, "clues", tuple(self.clues))
         if not self.clues:
             raise ValueError("quizbowl record must hold at least one clue")
+        for clue in self.clues:
+            check_type("quizbowl record", "clue", clue, str)
+        check_type("quizbowl record", "answer", self.answer, str)
+        for name in ("category", "subcategory"):
+            check_type("quizbowl record", name, getattr(self, name), OPTIONAL_STR)
 
 
 @dataclass(frozen=True)
@@ -272,8 +277,8 @@ def parse_quizbowl_record(row: dict) -> RawQuizbowlRecord:
     if not isinstance(clues, list) or not clues:
         raise ValueError("record needs a non-empty 'clues' list")
     return RawQuizbowlRecord(
-        clues=tuple(str(clue) for clue in clues),
-        answer=str(row["answer"]),
+        clues=clues,
+        answer=row["answer"],
         category=row.get("category"),
         subcategory=row.get("subcategory"),
     )
@@ -310,20 +315,14 @@ _HOTPOT_LEVELS = {
 
 
 def _parse_triviaqa(row: dict, lineno: int) -> Question:
-    question_id = str(
-        row.get("question_id") or row.get("QuestionId") or row.get("id")
-        or f"triviaqa-{lineno:06d}"
-    )
-    text = row.get("question") or row.get("Question")
     answer = row.get("answer") or row.get("Answer")
     if isinstance(answer, dict):
         answer = answer.get("value") or answer.get("Value")
-    if not text or not answer:
-        raise ValueError("record needs question and answer fields")
     return Question(
-        id=question_id,
-        text=str(text),
-        gold_answer=str(answer),
+        id=row.get("question_id") or row.get("QuestionId") or row.get("id")
+        or f"triviaqa-{lineno:06d}",
+        text=row.get("question") or row.get("Question"),
+        gold_answer=answer,
         dataset=Dataset.TRIVIAQA,
     )
 
@@ -335,28 +334,20 @@ def _parse_hotpotqa(row: dict, lineno: int) -> Optional[Question]:
     dataset = _HOTPOT_LEVELS.get(row.get("level"))
     if dataset is None:
         return None
-    question_id = str(row.get("_id") or row.get("id") or f"hotpotqa-{lineno:06d}")
-    text = row.get("question")
-    answer = row.get("answer")
-    if not text or not answer:
-        raise ValueError("record needs question and answer fields")
     return Question(
-        id=question_id, text=str(text), gold_answer=str(answer), dataset=dataset
+        id=row.get("_id") or row.get("id") or f"hotpotqa-{lineno:06d}",
+        text=row.get("question"),
+        gold_answer=row.get("answer"),
+        dataset=dataset,
     )
 
 
 def _parse_generic(row: dict, lineno: int) -> Question:
-    text = row.get("question")
-    answer = row.get("answer")
-    if not text or not answer:
-        raise ValueError("record needs question and answer fields")
-    dataset = Dataset(row["dataset"]) if "dataset" in row else Dataset.CUSTOM
-    question_id = str(row.get("id") or f"generic-{lineno:06d}")
     return Question(
-        id=question_id,
-        text=str(text),
-        gold_answer=str(answer),
-        dataset=dataset,
+        id=row.get("id") or f"generic-{lineno:06d}",
+        text=row.get("question"),
+        gold_answer=row.get("answer"),
+        dataset=Dataset(row["dataset"]) if "dataset" in row else Dataset.CUSTOM,
         category=row.get("category"),
         subcategory=row.get("subcategory"),
     )
@@ -396,7 +387,7 @@ def load_questions(path: str | Path, fmt: QuestionFormat) -> LoadReport:
                 question = _parse_generic(row, lineno)
             if question.id in seen_ids:
                 raise ValueError(f"duplicate question id {question.id!r}")
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
             report.line_errors.append((lineno, message))
             continue

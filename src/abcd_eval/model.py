@@ -7,7 +7,9 @@ answer strings, each instantiated claim is verified as true or false, and
 per-question scores are rolled up into aggregate reports.
 
 Everything in this module is an immutable value object. Validation that can
-reject a value outright lives in ``__post_init__``.
+reject a value outright lives in ``__post_init__``, which first checks each
+field's type through :func:`check_type`: the one place that decides whether
+a value is a string, so every reader inherits the same checks.
 """
 
 from __future__ import annotations
@@ -29,6 +31,19 @@ TAG_RE = re.compile(rf"<({_TAG_NAME_PATTERN})>")
 _TAG_NAME_RE = re.compile(rf"^{_TAG_NAME_PATTERN}$")
 
 ANSWER_TAG_NAME = "answer"
+
+OPTIONAL_STR = (str, type(None))
+_KIND_NAMES = {str: "a string", bool: "a boolean", type(None): "null"}
+
+
+def check_type(owner: str, name: str, value, kind):
+    """*value*, or a ``ValueError`` naming *owner*'s field *name* when it is
+    not an instance of *kind* (a type or a tuple of types)."""
+    if isinstance(value, kind):
+        return value
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    expected = " or ".join(_KIND_NAMES.get(k, f"a {k.__name__}") for k in kinds)
+    raise ValueError(f"{owner} {name} must be {expected}, got {value!r}")
 
 
 class Dataset(str, Enum):
@@ -101,12 +116,12 @@ class Question:
     subcategory: Optional[str] = None
 
     def __post_init__(self):
-        if not self.id.strip():
-            raise ValueError("question id must be non-empty")
-        if not self.text.strip():
-            raise ValueError(f"question {self.id}: text must be non-empty")
-        if not self.gold_answer.strip():
-            raise ValueError(f"question {self.id}: gold answer must be non-empty")
+        for name, kind in (("id", str), ("text", str), ("gold_answer", str),
+                           ("dataset", Dataset), ("category", OPTIONAL_STR),
+                           ("subcategory", OPTIONAL_STR)):
+            value = check_type("question", name, getattr(self, name), kind)
+            if kind is str and not value.strip():
+                raise ValueError(f"question {self.id!r}: {name} must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -114,6 +129,9 @@ class ClaimTemplate:
     """One templated claim, e.g. ``<answer> wrote the play <play>``."""
 
     text: str
+
+    def __post_init__(self):
+        check_type("claim", "text", self.text, str)
 
     @property
     def tags(self) -> tuple[Tag, ...]:
@@ -135,6 +153,8 @@ class ClaimSet:
     entity_reasoning: Optional[str] = None
 
     def __post_init__(self):
+        check_type("claim set", "question_id", self.question_id, str)
+        check_type("claim set", "entity_reasoning", self.entity_reasoning, OPTIONAL_STR)
         object.__setattr__(self, "claims", tuple(self.claims))
         if not self.claims:
             raise ValueError(f"question {self.question_id}: claim set is empty")
@@ -163,7 +183,7 @@ class AnswerAssignment:
             if tag.name in seen:
                 raise ValueError(f"duplicate assignment for tag {tag}")
             seen.add(tag.name)
-            trimmed = value.strip()
+            trimmed = check_type("answer for tag", tag.name, value, str).strip()
             if not trimmed:
                 raise ValueError(f"empty answer for tag {tag}")
             if "<" in trimmed or ">" in trimmed:
@@ -209,6 +229,9 @@ class VerificationResult:
     raw_response: str
 
     def __post_init__(self):
+        for name, kind in (("instantiated_text", str), ("verdict", Verdict),
+                           ("raw_response", str)):
+            check_type("verification", name, getattr(self, name), kind)
         leftover = extract_tags(self.instantiated_text)
         if leftover:
             raise ValueError(
@@ -223,7 +246,8 @@ class QuestionEvaluation:
     ``results`` holds one verdict per claim, in claim order. ``correct`` is
     a manual label (None when unlabeled); ``gt_score_true`` is the score
     obtained by re-verifying with the gold answer substituted for the
-    model's.
+    model's: a rational in [0, 1], and None for a single claim, which has
+    no score.
     """
 
     question: Question
@@ -235,6 +259,10 @@ class QuestionEvaluation:
     gt_score_true: Optional[Fraction] = None
 
     def __post_init__(self):
+        for name, kind in (("correct", (bool, type(None))),
+                           ("error_category", OPTIONAL_STR),
+                           ("gt_score_true", (Fraction, type(None)))):
+            check_type("evaluation", name, getattr(self, name), kind)
         object.__setattr__(self, "results", tuple(self.results))
         claims = self.claim_set.claims
         if len(self.results) != len(claims):
@@ -242,6 +270,10 @@ class QuestionEvaluation:
                 f"question {self.question.id}: {len(self.results)} results "
                 f"for {len(claims)} claims"
             )
+        gt = self.gt_score_true
+        if gt is not None and not (len(claims) > 1 and 0 <= gt <= 1):
+            raise ValueError(f"question {self.question.id}: gt_score_true {gt} is "
+                             "outside [0, 1] or given for a single claim")
 
     @property
     def score_true(self) -> Optional[Fraction]:

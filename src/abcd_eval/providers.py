@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, NamedTuple, Optional, Protocol, Sequence
 from urllib.parse import SplitResult, urlsplit
 
+from .model import check_type
 from .records import atomic_write, read_lines
 
 logger = logging.getLogger(__name__)
@@ -68,6 +69,7 @@ class CompletionResponse:
     finish_reason: FinishReason = FinishReason.STOP
 
     def __post_init__(self):
+        check_type("response", "text", self.text, str)
         if self.text == "" and self.finish_reason is FinishReason.STOP:
             raise ValueError("empty completion text requires a non-stop finish reason")
 
@@ -144,8 +146,8 @@ class ScriptRule:
     mode: str = "substring"
 
     def __post_init__(self):
-        if not (isinstance(self.match, str) and isinstance(self.response, str)):
-            raise ValueError("script rule match and response must be strings")
+        for name in ("match", "response", "mode"):
+            check_type("script rule", name, getattr(self, name), str)
         if self.mode not in ("substring", "exact"):
             raise ValueError(f"unknown script rule mode: {self.mode!r}")
 
@@ -577,22 +579,17 @@ class LiveProvider:
             finish = _FINISH_REASON_MAP.get(
                 choice.get("finish_reason", "stop"), FinishReason.OTHER
             )
+            if finish is FinishReason.FILTERED and not text:
+                raise ProviderError(
+                    ProviderErrorKind.FILTERED, "completion was filtered"
+                )
+            if text == "" and finish is FinishReason.STOP:
+                finish = FinishReason.OTHER
+            return CompletionResponse(text=text, finish_reason=finish)
         except (ValueError, LookupError, TypeError) as exc:
             raise ProviderError(
                 ProviderErrorKind.OTHER, f"malformed response body: {exc}"
             ) from exc
-
-        if finish is FinishReason.FILTERED and not text:
-            raise ProviderError(ProviderErrorKind.FILTERED, "completion was filtered")
-        if not isinstance(text, str):
-            raise ProviderError(
-                ProviderErrorKind.OTHER,
-                f"malformed response body: message content is "
-                f"{type(text).__name__}, not a string",
-            )
-        if text == "" and finish is FinishReason.STOP:
-            finish = FinishReason.OTHER
-        return CompletionResponse(text=text, finish_reason=finish)
 
 
 # --------------------------------------------------------------------------
@@ -604,11 +601,8 @@ def _response_to_record(response: CompletionResponse) -> dict:
 
 
 def _response_from_record(record: dict) -> CompletionResponse:
-    text = record["text"]
-    if not isinstance(text, str):
-        raise ValueError(f"response text must be a string, got {text!r}")
     return CompletionResponse(
-        text=text, finish_reason=FinishReason(record["finish_reason"])
+        text=record["text"], finish_reason=FinishReason(record["finish_reason"])
     )
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .model import (
+    OPTIONAL_STR,
     AggregateReport,
     AnswerAssignment,
     ClaimSet,
@@ -29,6 +30,7 @@ from .model import (
     QuestionEvaluation,
     VerificationResult,
     Verdict,
+    check_type,
 )
 
 
@@ -41,10 +43,8 @@ def fraction_from_str(value: Optional[str]) -> Optional[Fraction]:
     string or null, and a zero denominator, is a ``ValueError``."""
     if value is None:
         return None
-    if not isinstance(value, str):
-        raise ValueError(f"a score must be a rational string, got {value!r}")
     try:
-        return Fraction(value)
+        return Fraction(check_type("score", "value", value, str))
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {value!r}") from exc
 
@@ -64,22 +64,9 @@ def question_to_record(question: Question) -> dict:
     }
 
 
-def _string(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{field} must be a string, got {value!r}")
-    return value
-
-
-def _correct(value, *, nullable: bool) -> Optional[bool]:
-    if isinstance(value, bool) or (nullable and value is None):
-        return value
-    allowed = "true, false or null" if nullable else "true or false"
-    raise ValueError(f"correct must be {allowed}, got {value!r}")
-
-
 def question_from_record(record: dict) -> Question:
     return Question(
-        id=_string(record["id"], "question id"),
+        id=record["id"],
         text=record["text"],
         gold_answer=record["gold_answer"],
         dataset=Dataset(record["dataset"]),
@@ -116,10 +103,10 @@ def claim_set_to_record(claim_set: ClaimSet) -> dict:
 
 def claim_set_from_record(record: dict) -> ClaimSet:
     return ClaimSet(
-        question_id=_string(record["question_id"], "question id"),
+        question_id=record["question_id"],
         entity_reasoning=record.get("entity_reasoning"),
         claims=tuple(
-            ClaimTemplate(text=_string(claim["text"], "claim text"))
+            ClaimTemplate(text=claim["text"])
             for claim in _numbered(record["claims"], "index")
         ),
     )
@@ -130,7 +117,7 @@ def assignment_to_record(question_id: str, assignment: AnswerAssignment) -> dict
 
 
 def assignment_from_record(record: dict) -> tuple[str, AnswerAssignment]:
-    question_id = _string(record["question_id"], "question id")
+    question_id = check_type("assignment", "question_id", record["question_id"], str)
     return question_id, AnswerAssignment.from_dict(record["entries"])
 
 
@@ -149,9 +136,9 @@ def _results_to_record(results: Iterable[VerificationResult]) -> list[dict]:
 def _results_from_record(rows: list) -> list[VerificationResult]:
     return [
         VerificationResult(
-            instantiated_text=_string(row["instantiated_text"], "instantiated_text"),
+            instantiated_text=row["instantiated_text"],
             verdict=Verdict(row["verdict"]),
-            raw_response=_string(row["raw_response"], "raw_response"),
+            raw_response=row["raw_response"],
         )
         for row in _numbered(rows, "claim_index")
     ]
@@ -164,10 +151,8 @@ def verifications_to_record(
 
 
 def verifications_from_record(record: dict) -> tuple[str, list[VerificationResult]]:
-    return (
-        _string(record["question_id"], "question id"),
-        _results_from_record(record["results"]),
-    )
+    question_id = check_type("verifications", "question_id", record["question_id"], str)
+    return question_id, _results_from_record(record["results"])
 
 
 def evaluation_to_record(evaluation: QuestionEvaluation) -> dict:
@@ -185,23 +170,20 @@ def evaluation_to_record(evaluation: QuestionEvaluation) -> dict:
 
 def evaluation_from_record(record: dict) -> QuestionEvaluation:
     """Read an evaluation, checking it against itself: the claim set must
-    belong to its question, ``score_true`` be the score of its own results
-    and ``gt_score_true`` lie in [0, 1]."""
+    belong to its question and ``score_true`` be the score of its own
+    results."""
     question = question_from_record(record["question"])
     claim_set = claim_set_from_record(record["claim_set"])
     if claim_set.question_id != question.id:
         raise ValueError(f"claim set of {claim_set.question_id!r} under {question.id!r}")
-    gt_stored = fraction_from_str(record.get("gt_score_true"))
-    if gt_stored is not None and not 0 <= gt_stored <= 1:
-        raise ValueError(f"gt_score_true {gt_stored} is outside [0, 1]")
     evaluation = QuestionEvaluation(
         question=question,
         claim_set=claim_set,
         assignment=AnswerAssignment.from_dict(record["assignment"]),
         results=_results_from_record(record["results"]),
-        correct=_correct(record.get("correct"), nullable=True),
+        correct=record.get("correct"),
         error_category=record.get("error_category"),
-        gt_score_true=gt_stored,
+        gt_score_true=fraction_from_str(record.get("gt_score_true")),
     )
     stored = fraction_from_str(record.get("score_true"))
     if stored != evaluation.score_true:
@@ -252,9 +234,10 @@ def report_to_record(report: AggregateReport) -> dict:
 
 
 def label_from_record(record: dict) -> tuple[str, tuple[bool, Optional[str]]]:
-    return _string(record["question_id"], "question id"), (
-        _correct(record["correct"], nullable=False),
-        record.get("error_category"),
+    category = record.get("error_category")
+    return check_type("label", "question_id", record["question_id"], str), (
+        check_type("label", "correct", record["correct"], bool),
+        check_type("label", "error_category", category, OPTIONAL_STR),
     )
 
 

@@ -1,0 +1,281 @@
+"""Every reader of outside input either gives typed model objects or fails
+with an error that names the place.
+
+The readers are the stage input files (``cli._STAGE_INPUTS``), ``--records``,
+``--labels``, ``--questions`` in each format, script rules, cache entries
+and live response bodies. For each one a valid record is taken apart field
+by field: every field, in turn, is replaced by a generated JSON value or
+removed, and the record goes through the reader. The outcome must be a
+value whose string fields all hold ``str``, or a ``ConfigError``,
+``ValueError`` or ``ProviderError`` naming the file, the cache digest or
+the response body. Any other exception fails the test.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+from operator import itemgetter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from abcd_eval import cli, records
+from abcd_eval.datasets import QuestionFormat
+from abcd_eval.model import AnswerAssignment, Dataset, Question
+from abcd_eval.pipeline import ConfigError, QuestionOutcome, RunConfig
+from abcd_eval.providers import (
+    CompletionRequest,
+    LiveProvider,
+    ProviderError,
+    ProviderErrorKind,
+    ResponseCache,
+    _HTTPResponse,
+    load_script_rules,
+)
+from helpers import build_evaluation
+
+BOUNDED = settings(derandomize=True, database=None, max_examples=20, deadline=None)
+
+MISSING = object()  # removes the field instead of replacing it
+
+# Strings a reader might mistake for something valid, and arbitrary JSON.
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["", " ", "1/2", "3/2", "true", "stop", "exact", "custom",
+                       "q1", "<answer>", "Paris"])
+)
+JSON_VALUES = st.just(MISSING) | st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def field_paths(value, prefix=()):
+    """The path of every dict key and list item inside *value*, and *value*'s
+    own (empty) path."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ()
+    )
+    for key, item in items:
+        yield from field_paths(item, prefix + (key,))
+
+
+def mutations(base, value):
+    """Copies of *base*, each with one field replaced by *value* (or removed)."""
+    text = json.dumps(base)
+    for path in field_paths(base):
+        if not path:
+            if value is not MISSING:
+                yield value
+            continue
+        record = json.loads(text)
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is MISSING:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        yield record
+
+
+def assert_typed(obj):
+    """Every field annotated ``str`` or ``Optional[str]`` of every model
+    object reachable from *obj* holds a ``str`` (or None where optional)."""
+    if isinstance(obj, AnswerAssignment):
+        assert all(isinstance(value, str) for value in obj.as_dict().values())
+    if dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            value = getattr(obj, field.name)
+            if field.type == "str":
+                assert isinstance(value, str), (field.name, value)
+            elif field.type == "Optional[str]":
+                assert value is None or isinstance(value, str), (field.name, value)
+            assert_typed(value)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            assert_typed(item)
+    elif isinstance(obj, dict):
+        for key, item in obj.items():
+            assert_typed(key)
+            assert_typed(item)
+
+
+def check_reader(read, base, value, place):
+    """Feed every one-field mutation of *base* to *read*; each must return
+    typed objects or raise an expected error that names *place*: a text its
+    message holds, or a test of the error."""
+    names = place if callable(place) else (lambda exc: place in str(exc))
+    for record in mutations(base, value):
+        try:
+            result = read(record)
+        except (ConfigError, ValueError, ProviderError) as exc:
+            assert names(exc), (record, exc)
+        else:
+            assert_typed(result)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("boundaries")
+
+
+def write_line(path, record):
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return path
+
+
+EVALUATION = build_evaluation(
+    "q1", "TF", correct=False, gt_verdict_symbols="TT", error_category="wrong"
+)
+OUTCOME = QuestionOutcome(
+    EVALUATION.question,
+    claim_set=EVALUATION.claim_set,
+    assignment=EVALUATION.assignment,
+    results=list(EVALUATION.results),
+    gt_results=list(EVALUATION.results),
+)
+
+
+@pytest.mark.parametrize("option", list(cli._STAGE_INPUTS))
+@BOUNDED
+@given(value=JSON_VALUES)
+def test_stage_inputs(workdir, option, value):
+    field, reader = cli._STAGE_INPUTS[option]
+    path = workdir / f"{option}.jsonl"
+
+    def read(record):
+        return cli._load_records(write_line(path, record), reader, itemgetter(0))
+
+    check_reader(read, cli._STAGE_RECORDS[field](OUTCOME), value, str(path))
+
+
+@BOUNDED
+@given(value=JSON_VALUES)
+def test_records(workdir, value):
+    path = workdir / "evaluations.jsonl"
+    base = records.evaluation_to_record(EVALUATION)
+    check_reader(
+        lambda record: cli._load_evaluations(write_line(path, record)),
+        base, value, str(path),
+    )
+
+
+@BOUNDED
+@given(value=JSON_VALUES)
+def test_labels(workdir, value):
+    path = workdir / "labels.jsonl"
+    base = {"question_id": "q1", "correct": False, "error_category": "wrong"}
+    check_reader(
+        lambda record: cli._load_labels_for_cli(write_line(path, record)),
+        base, value, str(path),
+    )
+
+
+QUESTION_ROWS = {
+    QuestionFormat.TRIVIAQA: {
+        "QuestionId": "tc_1", "Question": "Which city?", "Answer": {"Value": "Paris"},
+    },
+    QuestionFormat.HOTPOTQA: {
+        "_id": "h1", "type": "bridge", "level": "easy",
+        "question": "Which city?", "answer": "Paris",
+    },
+    QuestionFormat.OBSCUREQA: records.question_to_record(Question(
+        "obscureqa-00001", "What city?", "Paris", Dataset.OBSCUREQA,
+        category="Geography", subcategory="Cities",
+    )),
+    QuestionFormat.GENERIC: {
+        "id": "g1", "question": "Which city?", "answer": "Paris",
+        "dataset": "custom", "category": "Geography", "subcategory": "Cities",
+    },
+}
+
+
+def test_every_question_format_has_a_row():
+    assert set(QUESTION_ROWS) == set(QuestionFormat)
+
+
+@pytest.mark.parametrize("fmt", list(QuestionFormat), ids=lambda fmt: fmt.value)
+@BOUNDED
+@given(value=JSON_VALUES)
+def test_questions(workdir, fmt, value):
+    path = workdir / f"questions-{fmt.value}.jsonl"
+    args = argparse.Namespace(questions=path, format=fmt.value)
+
+    def read(record):
+        write_line(path, record)
+        return cli._load_questions_for_cli(args, RunConfig())
+
+    check_reader(read, QUESTION_ROWS[fmt], value, str(path))
+
+
+@BOUNDED
+@given(value=JSON_VALUES)
+def test_script_rules(workdir, value):
+    path = workdir / "rules.jsonl"
+    base = {"match": "Question:", "response": "Step 3:\n1. <answer>", "mode": "exact"}
+    check_reader(
+        lambda record: load_script_rules(write_line(path, record)),
+        base, value, str(path),
+    )
+
+
+REQUEST = CompletionRequest(model="m", prompt="Is it true?", max_tokens=8)
+
+
+@BOUNDED
+@given(value=JSON_VALUES)
+def test_cache_entries(workdir, value):
+    cache = ResponseCache(workdir / "cache")
+    digest = "0" * 64
+    base = {
+        "request": {"model": "m", "prompt": "Is it true?", "temperature": 0.0,
+                    "max_tokens": 8},
+        "response": {"text": "True.", "finish_reason": "stop"},
+        "timestamp": "2024-01-01T00:00:00+00:00",
+    }
+
+    def read(record):
+        write_line(workdir / "cache" / f"{digest}.json", record)
+        return cache.get(digest)
+
+    check_reader(read, base, value, digest)
+
+
+class OneResponseSession:
+    """Answers each post with a 200 whose body is the given JSON value."""
+
+    def __init__(self, body):
+        self.body = json.dumps(body).encode("utf-8")
+
+    def post(self, url, **kwargs):
+        return _HTTPResponse(200, {}, self.body)
+
+
+@BOUNDED
+@given(value=JSON_VALUES)
+def test_live_bodies(value):
+    base = {"choices": [{"message": {"role": "assistant", "content": "True."},
+                         "finish_reason": "stop"}]}
+
+    def read(body):
+        provider = LiveProvider("http://127.0.0.1:9/v1", api_key="k",
+                                session=OneResponseSession(body), max_attempts=1)
+        return provider.complete(REQUEST)
+
+    # A body that does not convert is malformed; a filtered one without text
+    # is filtered.
+    def names_the_body(exc):
+        if not isinstance(exc, ProviderError):
+            return False
+        if exc.kind is ProviderErrorKind.FILTERED:
+            return str(exc) == "filtered: completion was filtered"
+        return (exc.kind is ProviderErrorKind.OTHER
+                and "malformed response body" in str(exc))
+
+    check_reader(read, base, value, names_the_body)

@@ -981,27 +981,32 @@ def _run_with_bad_first_row(reference_run, tmp_path, command, bad_flag, edit):
 
 
 @pytest.mark.parametrize(
-    "command, bad_flag, value",
+    "command, bad_flag, field, value",
     [
         *(
-            (command, "--labels", value)
+            (command, "--labels", "correct", value)
             for command in ("evaluate", "score")
             for value in ("false", 0, None)
         ),
-        ("report", "--records", "no"),
+        *(
+            (command, "--labels", "error_category", 5)
+            for command in ("evaluate", "score")
+        ),
+        ("report", "--records", "correct", "no"),
     ],
 )
-def test_non_boolean_correct_is_config_error(
-    reference_run, tmp_path, capsys, command, bad_flag, value
+def test_mistyped_label_is_config_error(
+    reference_run, tmp_path, capsys, command, bad_flag, field, value
 ):
     def edit(row):
-        row["correct"] = value
+        row[field] = value
 
     capsys.readouterr()
     bad = _run_with_bad_first_row(reference_run, tmp_path, command, bad_flag, edit)
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:1: bad record: ValueError: ")
     assert f"got {value!r}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _claim_set_of_another_question(record):
@@ -1287,6 +1292,8 @@ class TestBuildObscureQA:
         rows.append({"clues": ["(nothing but parens)"], "answer": "y"})
         rows.append({"clues": [], "answer": "invalid"})
         rows.append("not even an object")
+        rows.append({"clues": ["This clue has no answer"], "answer": None})
+        rows.append({"clues": [5], "answer": "z"})
         path = tmp_path / "dump.jsonl"
         path.write_text(
             "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
@@ -1303,7 +1310,7 @@ class TestBuildObscureQA:
 
         stats = json.loads((out_dir / "build_stats.json").read_text("utf-8"))
         assert stats["input_records"] == 10
-        assert stats["line_errors"] == 2
+        assert stats["line_errors"] == 4
         assert stats["dropped_moderator_notes"] == 1
         assert stats["dropped_empty"] == 1
         assert stats["kept"] == 8

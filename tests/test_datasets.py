@@ -1,6 +1,7 @@
 """Dataset cleaning, shuffling, splitting, building and loading."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -206,6 +207,16 @@ class TestQuizbowlRecord:
         assert record.category == "Geography"
         with pytest.raises(ValueError, match="clues"):
             parse_quizbowl_record({"clues": [], "answer": "x"})
+        # No field is coerced: null, numbers and lists are not text.
+        for row, message in (
+            ({"clues": ["a clue"], "answer": None},
+             "answer must be a string, got None"),
+            ({"clues": [5], "answer": "x"}, "clue must be a string, got 5"),
+            ({"clues": ["a clue"], "answer": "x", "category": [1]},
+             "category must be a string or null, got [1]"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                parse_quizbowl_record(row)
 
 
 class TestBuildObscureQA:
@@ -372,6 +383,30 @@ class TestLoadQuestions:
         )
         report = load_questions(path, QuestionFormat.OBSCUREQA)
         assert report.questions[0].dataset is Dataset.OBSCUREQA
+
+    @pytest.mark.parametrize("fmt, row", [
+        (QuestionFormat.GENERIC, {"id": "g", "question": ["Which", "city?"],
+                                  "answer": "Paris"}),
+        (QuestionFormat.GENERIC, {"id": 7, "question": "Q?", "answer": "A"}),
+        (QuestionFormat.GENERIC, {"id": "g", "question": "Q?", "answer": 1984}),
+        (QuestionFormat.GENERIC, {"id": "g", "question": "Q?", "answer": "A",
+                                  "category": ["Science"]}),
+        (QuestionFormat.TRIVIAQA, {"QuestionId": "t", "Question": "Q?",
+                                   "Answer": {"Value": 42}}),
+        (QuestionFormat.HOTPOTQA, {"_id": 3, "type": "bridge", "level": "easy",
+                                   "question": "Q?", "answer": "A"}),
+    ], ids=["list-question", "int-id", "int-answer", "list-category",
+            "trivia-int-answer", "hotpot-int-id"])
+    def test_non_string_fields_are_line_errors_not_coerced(self, tmp_path, fmt, row):
+        path = tmp_path / "questions.jsonl"
+        good = {"id": "ok", "_id": "ok", "QuestionId": "ok", "type": "bridge",
+                "level": "easy", "question": "Fine?", "answer": "Yes"}
+        write_jsonl(path, [good, row])
+        report = load_questions(path, fmt)
+        assert [q.id for q in report.questions] == ["ok"]
+        [(lineno, message)] = report.line_errors
+        assert lineno == 2
+        assert "must be a string" in message
 
     def test_obscureqa_bad_rows_are_line_errors(self, tmp_path):
         path = tmp_path / "obscure.jsonl"

@@ -1,6 +1,6 @@
 """Source hygiene: no module imports a name it never uses, the package
-needs nothing beyond the standard library, and a live run closes the
-sockets it opens.
+needs nothing beyond the standard library, only the model decides whether a
+value is a string, and a live run closes the sockets it opens.
 
 A stdlib AST scan stands in for a linter. Package ``__init__.py`` files are
 skipped by the unused-import scan (their imports are re-exports), and so is
@@ -85,6 +85,33 @@ def outside_imports(path: Path) -> list[str]:
 )
 def test_package_imports_only_the_standard_library(path):
     assert outside_imports(path) == []
+
+
+def string_checks(source: str) -> list[int]:
+    """Lines of each ``isinstance(x, str)`` or ``isinstance(x, (..., str))``."""
+    found = []
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(name, ast.Name) and name.id == "str" for name in names):
+                found.append(node.lineno)
+    return found
+
+
+def test_string_checks_live_only_in_the_model():
+    """Field types are checked by ``model.check_type``, so every reader
+    inherits the same checks; no other module tests for ``str`` itself."""
+    assert string_checks("isinstance(a, str)\nisinstance(b, (int, str))") == [1, 2]
+    found = {
+        str(path.relative_to(ROOT)): lines
+        for path in PACKAGE
+        if path.name != "model.py"
+        and (lines := string_checks(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
 
 
 # Blocks ``requests``, then runs the fixture ``evaluate`` and one live call.

@@ -1,5 +1,6 @@
 """Tests for the core domain types and the tag grammar."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,31 @@ class TestExtractTags:
 
     def test_empty_brackets_are_not_a_tag(self):
         assert extract_tags("<>") == []
+
+
+class TestFieldTypes:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Question(id=7, text="x?", gold_answer="y", dataset=Dataset.CUSTOM),
+         "question id must be a string, got 7"),
+        (lambda: Question(id="q", text=["Which", "city?"], gold_answer="y",
+                          dataset=Dataset.CUSTOM),
+         "question text must be a string, got ['Which', 'city?']"),
+        (lambda: Question(id="q", text="x?", gold_answer="y", dataset="custom"),
+         "question dataset must be a Dataset, got 'custom'"),
+        (lambda: Question(id="q", text="x?", gold_answer="y",
+                          dataset=Dataset.CUSTOM, subcategory=3),
+         "question subcategory must be a string or null, got 3"),
+        (lambda: ClaimTemplate(None), "claim text must be a string, got None"),
+        (lambda: ClaimSet("q1", (ClaimTemplate("<answer> is"),), entity_reasoning=[]),
+         "claim set entity_reasoning must be a string or null, got []"),
+        (lambda: AnswerAssignment.from_dict({"answer": 5}),
+         "answer for tag answer must be a string, got 5"),
+        (lambda: VerificationResult("x", "true", "True."),
+         "verification verdict must be a Verdict, got 'true'"),
+    ])
+    def test_each_field_is_type_checked(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestQuestion:
@@ -171,3 +197,26 @@ class TestQuestionEvaluation:
             results=self._results([Verdict.TRUE]),
         )
         assert evaluation.score_true is None
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("correct", 1, "evaluation correct must be a boolean or null, got 1"),
+        ("error_category", 5,
+         "evaluation error_category must be a string or null, got 5"),
+        ("gt_score_true", 0.5,
+         "evaluation gt_score_true must be a Fraction or null, got 0.5"),
+        ("gt_score_true", Fraction(3, 2), "gt_score_true 3/2 is outside [0, 1]"),
+        ("gt_score_true", Fraction(-1, 2), "gt_score_true -1/2 is outside [0, 1]"),
+    ])
+    def test_label_and_gold_score_are_checked(self, field, value, message):
+        fields = dict(
+            question=make_question(),
+            claim_set=well_formed_claim_set(),
+            assignment=AnswerAssignment.from_dict(
+                {"answer": "a", "play": "b", "city": "c"}
+            ),
+            results=self._results([Verdict.TRUE] * 3),
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QuestionEvaluation(**fields, **{field: value})
+        accepted = QuestionEvaluation(**fields, gt_score_true=Fraction(1))
+        assert accepted.gt_score_true == 1

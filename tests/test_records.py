@@ -169,6 +169,12 @@ class TestRecordChecks:
         with pytest.raises(ValueError, match="of 'q999' under 'q1'"):
             evaluation_from_record(record)
 
+    def test_single_claim_evaluation_with_a_gold_score_is_rejected(self):
+        record = evaluation_to_record(build_evaluation("q1", "T"))
+        record["gt_score_true"] = "1/2"
+        with pytest.raises(ValueError, match="given for a single claim"):
+            evaluation_from_record(record)
+
     @pytest.mark.parametrize("numbers", [[2, 1], [1, 3], [0, 1]])
     @pytest.mark.parametrize(
         "to_record, from_record, rows_at, field",
