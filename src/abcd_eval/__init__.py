@@ -25,12 +25,10 @@ from .answers import (
     parse_answers,
 )
 from .datasets import (
-    DatasetLoadError,
     LoadReport,
     ObscureQABuild,
     QuestionFormat,
     RawQuizbowlRecord,
-    SampleTooLargeError,
     SplitSpec,
     build_obscureqa,
     clean_text,

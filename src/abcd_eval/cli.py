@@ -27,7 +27,6 @@ are byte-for-byte reproducible; wall-clock times go only to the manifest.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from contextlib import closing
@@ -39,9 +38,7 @@ from typing import Callable, Optional, Sequence
 
 from . import records
 from .datasets import (
-    DatasetLoadError,
     QuestionFormat,
-    SampleTooLargeError,
     SplitSpec,
     build_obscureqa,
     load_questions,
@@ -229,25 +226,19 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_questions_for_cli(args: argparse.Namespace, config: RunConfig) -> list[Question]:
-    if not Path(args.questions).is_file():
-        raise ConfigError(f"question file not found: {args.questions}")
     try:
         report = load_questions(args.questions, QuestionFormat(args.format))
-    except (DatasetLoadError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    for lineno, message in report.line_errors:
-        logger.warning("%s:%d: %s", args.questions, lineno, message)
-    if report.skipped:
-        logger.info("%s: skipped %d filtered records", args.questions, report.skipped)
-
-    questions = report.questions
-    if config.sample is not None:
-        try:
+        for lineno, message in report.line_errors:
+            logger.warning("%s:%d: %s", args.questions, lineno, message)
+        if report.skipped:
+            logger.info("%s: skipped %d filtered records", args.questions, report.skipped)
+        questions = report.questions
+        if config.sample is not None:
             questions = sample_questions(questions, config.sample, config.seed)
-        except SampleTooLargeError as exc:
-            raise ConfigError(str(exc)) from exc
-    elif config.limit is not None:
-        questions = questions[: config.limit]
+        elif config.limit is not None:
+            questions = questions[: config.limit]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not questions:
         raise ConfigError(f"{args.questions}: no questions selected")
     return questions
@@ -260,30 +251,15 @@ def _load_records(
 ) -> list:
     """Read a JSONL file through a ``records.*_from_record`` function.
 
-    A missing file, text that is not UTF-8, malformed JSON or a record that
-    does not convert is a :class:`ConfigError` naming the file, and so is a
-    repeated *question_id* of the converted records, when that is given.
+    Text that is not UTF-8, a line that is not a JSON object or does not
+    convert, and a repeated *question_id* of the converted records, when
+    that is given, is a :class:`ConfigError` naming the file and line.
     """
-    if not Path(path).is_file():
-        raise ConfigError(f"file not found: {path}")
     try:
-        rows = records.read_jsonl(path)
+        rows = records.read_jsonl(path, lambda row, _: from_record(row), question_id)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    converted, seen = [], set()
-    for lineno, record in rows:
-        try:
-            converted.append(from_record(record))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ConfigError(
-                f"{path}:{lineno}: bad record: {type(exc).__name__}: {exc}"
-            ) from exc
-        # Without question_id, a record's line number stands in for its id.
-        qid = question_id(converted[-1]) if question_id else lineno
-        if qid in seen:
-            raise ConfigError(f"{path}:{lineno}: duplicate question id {qid!r}")
-        seen.add(qid)
-    return converted
+    return [value for _, value in rows]
 
 
 def _load_labels_for_cli(path: Optional[Path]) -> dict:
@@ -552,22 +528,18 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_build_obscureqa(args: argparse.Namespace) -> int:
-    if not Path(args.dump).is_file():
-        raise ConfigError(f"dump file not found: {args.dump}")
     try:
         split = SplitSpec(
             train=args.train, valid=args.valid, test=args.test, seed=args.seed
         )
-        lines = records.read_lines(args.dump)
+        rows, line_errors = records.scan_jsonl(
+            args.dump, lambda row, _: parse_quizbowl_record(row)
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raw_records, n_line_errors = [], 0
-    for lineno, line in lines:
-        try:
-            raw_records.append(parse_quizbowl_record(json.loads(line)))
-        except (ValueError, KeyError, TypeError) as exc:
-            logger.warning("%s:%d: %s", args.dump, lineno, exc)
-            n_line_errors += 1
+    for lineno, message in line_errors:
+        logger.warning("%s:%d: %s", args.dump, lineno, message)
+    raw_records = [record for _, record in rows]
     if not raw_records:
         raise ConfigError(f"{args.dump}: no usable records")
 
@@ -586,7 +558,7 @@ def cmd_build_obscureqa(args: argparse.Namespace) -> int:
         )
     stats = {
         "input_records": len(raw_records),
-        "line_errors": n_line_errors,
+        "line_errors": len(line_errors),
         "dropped_moderator_notes": build.dropped_moderator_notes,
         "dropped_empty": build.dropped_empty,
         "kept": build.total_kept,

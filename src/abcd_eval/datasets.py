@@ -14,17 +14,17 @@ rounding so the three parts always sum to the total.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .model import OPTIONAL_STR, Dataset, Question, check_type
-from .records import question_from_record, read_lines
+from .records import question_from_record, scan_jsonl
 
 # --------------------------------------------------------------------------
 # text cleaning
@@ -132,10 +132,6 @@ def seeded_shuffle(items: Sequence, seed: int) -> list:
     return out
 
 
-class SampleTooLargeError(ValueError):
-    pass
-
-
 def sample_questions(
     questions: Sequence[Question], n: int, seed: int
 ) -> list[Question]:
@@ -143,9 +139,7 @@ def sample_questions(
     if n < 0:
         raise ValueError(f"sample size must be non-negative, got {n}")
     if n > len(questions):
-        raise SampleTooLargeError(
-            f"cannot sample {n} questions from {len(questions)}"
-        )
+        raise ValueError(f"cannot sample {n} questions from {len(questions)}")
     return seeded_shuffle(questions, seed)[:n]
 
 
@@ -271,8 +265,6 @@ def build_obscureqa(
 
 
 def parse_quizbowl_record(row: dict) -> RawQuizbowlRecord:
-    if not isinstance(row, dict):
-        raise ValueError("record must be a JSON object")
     clues = row.get("clues")
     if not isinstance(clues, list) or not clues:
         raise ValueError("record needs a non-empty 'clues' list")
@@ -295,17 +287,13 @@ class QuestionFormat(str, Enum):
     GENERIC = "generic"
 
 
-class DatasetLoadError(Exception):
-    """No usable questions could be read from a file."""
-
-
 @dataclass
 class LoadReport:
     """Questions plus everything that went wrong or was filtered."""
 
-    questions: list[Question] = field(default_factory=list)
-    line_errors: list[tuple[int, str]] = field(default_factory=list)
-    skipped: int = 0
+    questions: list[Question]
+    line_errors: list[tuple[int, str]]
+    skipped: int
 
 
 _HOTPOT_LEVELS = {
@@ -353,53 +341,32 @@ def _parse_generic(row: dict, lineno: int) -> Question:
     )
 
 
+_PARSERS = {
+    QuestionFormat.TRIVIAQA: _parse_triviaqa,
+    QuestionFormat.HOTPOTQA: _parse_hotpotqa,
+    QuestionFormat.OBSCUREQA: lambda row, lineno: question_from_record(row),
+    QuestionFormat.GENERIC: _parse_generic,
+}
+
+
 def load_questions(path: str | Path, fmt: QuestionFormat) -> LoadReport:
     """Read a JSONL question file, collecting per-line errors.
 
     A bad line never aborts the load; it lands in ``line_errors`` with its
-    line number. Only a file from which *nothing* parses raises
-    :class:`DatasetLoadError`, and a file that is not UTF-8 a ``ValueError``
-    naming it. Duplicate ids are per-line errors (first
-    occurrence wins). The hotpotqa format keeps bridge-type records at the
-    easy and medium levels and counts everything else as skipped. The
-    obscureqa format reads the question records :func:`build_obscureqa`'s
+    line number. Duplicate ids are per-line errors (first occurrence wins).
+    Only a file from which *nothing* parses, or that is not UTF-8, is a
+    ``ValueError`` naming it. The hotpotqa format keeps bridge-type records
+    at the easy and medium levels and counts everything else as skipped.
+    The obscureqa format reads the question records :func:`build_obscureqa`'s
     splits are written as (``records.question_to_record``).
     """
-    path = Path(path)
-    report = LoadReport()
-    seen_ids: set[str] = set()
-    lines = read_lines(path)
-    for lineno, line in lines:
-        try:
-            row = json.loads(line)
-            if not isinstance(row, dict):
-                raise ValueError("line is not a JSON object")
-            if fmt is QuestionFormat.TRIVIAQA:
-                question = _parse_triviaqa(row, lineno)
-            elif fmt is QuestionFormat.HOTPOTQA:
-                question = _parse_hotpotqa(row, lineno)
-                if question is None:
-                    report.skipped += 1
-                    continue
-            elif fmt is QuestionFormat.OBSCUREQA:
-                question = question_from_record(row)
-            else:
-                question = _parse_generic(row, lineno)
-            if question.id in seen_ids:
-                raise ValueError(f"duplicate question id {question.id!r}")
-        except (ValueError, KeyError, TypeError) as exc:
-            message = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-            report.line_errors.append((lineno, message))
-            continue
-        seen_ids.add(question.id)
-        report.questions.append(question)
-
-    if not lines:
-        raise DatasetLoadError(f"{path}: file holds no records")
-    if not report.questions and not report.skipped:
-        raise DatasetLoadError(
-            f"{path}: none of {len(lines)} lines parsed "
-            f"(first error: line {report.line_errors[0][0]}: "
-            f"{report.line_errors[0][1]})"
+    rows, line_errors = scan_jsonl(path, _PARSERS[fmt], key=attrgetter("id"))
+    questions = [question for _, question in rows if question is not None]
+    if not rows and not line_errors:
+        raise ValueError(f"{path}: file holds no records")
+    if not rows:
+        raise ValueError(
+            f"{path}: none of {len(line_errors)} lines parsed "
+            f"(first error: line {line_errors[0][0]}: {line_errors[0][1]})"
         )
-    return report
+    return LoadReport(questions, line_errors, skipped=len(rows) - len(questions))

@@ -203,8 +203,6 @@ def build_upstream(config: RunConfig) -> Upstream:
     if mode == "scripted":
         if config.script_path is None:
             raise ConfigError("scripted mode needs --script")
-        if not Path(config.script_path).is_file():
-            raise ConfigError(f"script file not found: {config.script_path}")
         try:
             base = ScriptedProvider(load_script_rules(config.script_path))
         except ValueError as exc:

@@ -26,7 +26,7 @@ from typing import BinaryIO, Callable, NamedTuple, Optional, Protocol, Sequence
 from urllib.parse import SplitResult, urlsplit
 
 from .model import check_type
-from .records import atomic_write, read_lines
+from .records import atomic_write, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -182,20 +182,10 @@ class ScriptedProvider:
 
 def load_script_rules(path: str | Path) -> list[ScriptRule]:
     """Read script rules from a JSONL file of {match, response, mode?} rows."""
-    rules = []
-    for lineno, line in read_lines(path):
-        try:
-            row = json.loads(line)
-            rules.append(
-                ScriptRule(
-                    match=row["match"],
-                    response=row["response"],
-                    mode=row.get("mode", "substring"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad script rule: {exc}") from exc
-    return rules
+    rows = read_jsonl(path, lambda row, _: ScriptRule(
+        row["match"], row["response"], row.get("mode", "substring")
+    ))
+    return [rule for _, rule in rows]
 
 
 # --------------------------------------------------------------------------

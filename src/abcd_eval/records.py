@@ -4,6 +4,8 @@ Every pipeline stage reads and writes JSONL (one record per line) except
 reports and manifests, which are single JSON documents. Scores serialize as
 exact rational strings ("3/4", "1", "0") rather than floats; floats appear
 only in t-test fields and render through ``repr`` (shortest round-trip).
+Every JSONL input, question files and quizbowl dumps included, is read by
+:func:`scan_jsonl`, so a bad line is reported the same way in each.
 
 All writes are atomic: content goes to a temp file in the target directory
 and is renamed into place, so readers never observe a half-written file.
@@ -14,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -38,13 +41,20 @@ def fraction_to_str(value: Optional[Fraction]) -> Optional[str]:
     return None if value is None else str(value)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def fraction_from_str(value: Optional[str]) -> Optional[Fraction]:
-    """Read a rational written by :func:`fraction_to_str`; anything but a
-    string or null, and a zero denominator, is a ``ValueError``."""
+    """Read a rational written by :func:`fraction_to_str`; anything but null
+    or an integer or ``n/d`` string, and a zero denominator, is a
+    ``ValueError``. Decimal and exponent forms are refused: ``Fraction``
+    would build the whole power of ten of ``1e-1000000``."""
     if value is None:
         return None
+    if not _RATIONAL.fullmatch(check_type("score", "value", value, str)):
+        raise ValueError(f"score {value!r} is not an integer or n/d")
     try:
-        return Fraction(check_type("score", "value", value, str))
+        return Fraction(value)
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {value!r}") from exc
 
@@ -274,27 +284,55 @@ def read_text(path: str | Path) -> str:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def read_lines(path: str | Path) -> list[tuple[int, str]]:
-    """(lineno, line) pairs of the non-blank lines of a UTF-8 text file."""
-    lines = enumerate(read_text(path).split("\n"), start=1)
-    return [(lineno, line) for lineno, line in lines if line.strip()]
+def _as_is(row: dict, lineno: int) -> dict:
+    return row
 
 
-def read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
-    """Read (lineno, record) pairs, raising on any malformed line.
+def _object(line: str) -> dict:
+    row = json.loads(line)
+    if not isinstance(row, dict):
+        raise ValueError(f"expected a JSON object, got {type(row).__name__}")
+    return row
 
-    Strict on purpose: these files are written by the pipeline itself, so a
-    bad line means corruption, not user error.
+
+def scan_jsonl(path: str | Path, convert, key=None):
+    """Read a JSONL file into ``(lineno, value)`` rows and ``(lineno,
+    message)`` line errors; blank lines are skipped but counted.
+
+    Each line must be a JSON object that ``convert(row, lineno)`` turns into
+    a value; a line that is not, or whose value's *key* repeats an earlier
+    one, is a line error. A ``None`` value is a row the reader filtered out:
+    it is kept, and has no key. A file that is not UTF-8 is a ``ValueError``.
     """
-    rows = []
-    for lineno, line in read_lines(path):
+    rows, errors, seen = [], [], set()
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ValueError(f"{path}:{lineno}: expected a JSON object")
-        rows.append((lineno, record))
+            value = convert(_object(line), lineno)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            errors.append((lineno, f"bad record: {type(exc).__name__}: {exc}"))
+            continue
+        if key is not None and value is not None:
+            value_key = key(value)
+            if value_key in seen:
+                errors.append((lineno, f"duplicate question id {value_key!r}"))
+                continue
+            seen.add(value_key)
+        rows.append((lineno, value))
+    return rows, errors
+
+
+def read_jsonl(path: str | Path, convert=_as_is, key=None) -> list:
+    """:func:`scan_jsonl`'s rows, with its first line error a ``ValueError``
+    reading ``PATH:LINE: message``.
+
+    The strict form, for files one bad line spoils: the record files the
+    pipeline writes, labels and script rules.
+    """
+    rows, errors = scan_jsonl(path, convert, key)
+    if errors:
+        raise ValueError("{}:{}: {}".format(path, *errors[0]))
     return rows
 
 

@@ -2,10 +2,10 @@
 with an error that names the place.
 
 The readers are the stage input files (``cli._STAGE_INPUTS``), ``--records``,
-``--labels``, ``--questions`` in each format, script rules, cache entries
-and live response bodies. For each one a valid record is taken apart field
-by field: every field, in turn, is replaced by a generated JSON value or
-removed, and the record goes through the reader. The outcome must be a
+``--labels``, ``--questions`` in each format, the ``build-obscureqa`` dump,
+script rules, cache entries and live response bodies. For each one a valid
+record is taken apart field by field: every field, in turn, is replaced by
+a generated JSON value or removed, and the record goes through the reader. The outcome must be a
 value whose string fields all hold ``str``, or a ``ConfigError``,
 ``ValueError`` or ``ProviderError`` naming the file, the cache digest or
 the response body. Any other exception fails the test.
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abcd_eval import cli, records
-from abcd_eval.datasets import QuestionFormat
+from abcd_eval.datasets import QuestionFormat, load_questions
 from abcd_eval.model import AnswerAssignment, Dataset, Question
 from abcd_eval.pipeline import ConfigError, QuestionOutcome, RunConfig
 from abcd_eval.providers import (
@@ -212,6 +212,41 @@ def test_questions(workdir, fmt, value):
         return cli._load_questions_for_cli(args, RunConfig())
 
     check_reader(read, QUESTION_ROWS[fmt], value, str(path))
+
+
+DUMP_ROW = {
+    "clues": ["This painter made a fresco (in Padua)", "easier clue"],
+    "answer": "Giotto", "category": "Fine Arts", "subcategory": "Painting",
+}
+
+
+@BOUNDED
+@given(value=JSON_VALUES)
+def test_dump(workdir, value):
+    # The mutated row comes before a valid one, so the build always has a
+    # record to keep; each row must count as an input record or a line error.
+    path = workdir / "dump.jsonl"
+    out_dir = workdir / "obscureqa"
+
+    def read(record):
+        path.write_text(
+            json.dumps(record) + "\n" + json.dumps(DUMP_ROW) + "\n", encoding="utf-8"
+        )
+        assert cli.main(["build-obscureqa", "--dump", str(path),
+                         "--out-dir", str(out_dir)]) == cli.EXIT_OK
+        stats = json.loads((out_dir / "build_stats.json").read_text("utf-8"))
+        assert stats["input_records"] + stats["line_errors"] == 2
+        questions = []
+        for split in ("train", "valid", "test"):
+            split_path = out_dir / f"obscureqa_{split}.jsonl"
+            if split_path.read_text("utf-8"):
+                report = load_questions(split_path, QuestionFormat.OBSCUREQA)
+                assert report.line_errors == []
+                questions += report.questions
+        assert len(questions) == stats["kept"]
+        return questions
+
+    check_reader(read, DUMP_ROW, value, str(path))
 
 
 @BOUNDED

@@ -1121,7 +1121,9 @@ def test_non_string_text_is_bad_record(
         ("score_true", "3/2"),
         ("score_true", "1/0"),
         ("score_true", "0"),
+        ("score_true", "1.0"),
         ("gt_score_true", "3/2"),
+        ("gt_score_true", "1e-1000000"),
     ],
 )
 def test_bad_score_in_evaluations_is_config_error(
@@ -1329,12 +1331,8 @@ class TestBuildObscureQA:
             ["build-obscureqa", "--dump", str(dump), "--out-dir", str(out_dir)]
         ) == EXIT_OK
 
-        raw = []
-        for _, line in records.read_lines(dump):
-            try:
-                raw.append(parse_quizbowl_record(json.loads(line)))
-            except (ValueError, KeyError, TypeError):
-                pass
+        rows, _ = records.scan_jsonl(dump, lambda row, _: parse_quizbowl_record(row))
+        raw = [record for _, record in rows]
         build = build_obscureqa(raw, SplitSpec())
         for name, built in (
             ("train", build.train), ("valid", build.valid), ("test", build.test)

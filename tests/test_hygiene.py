@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, the package
 needs nothing beyond the standard library, only the model decides whether a
-value is a string, and a live run closes the sockets it opens.
+value is a string, only ``records`` reads JSONL lines, and a live run
+closes the sockets it opens.
 
 A stdlib AST scan stands in for a linter. Package ``__init__.py`` files are
 skipped by the unused-import scan (their imports are re-exports), and so is
@@ -110,6 +111,31 @@ def test_string_checks_live_only_in_the_model():
         for path in PACKAGE
         if path.name != "model.py"
         and (lines := string_checks(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def json_loads_calls(source: str) -> list[int]:
+    """Lines of each ``json.loads(...)`` call."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "loads" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+    ]
+
+
+def test_json_is_parsed_only_by_records_and_providers():
+    """Every JSONL input goes through ``records.scan_jsonl``; ``providers``
+    parses its cache entries and live response bodies, which are single
+    JSON documents."""
+    assert json_loads_calls("json.loads(a)\nx = 1\nf(json.loads(b))") == [1, 3]
+    found = {
+        str(path.relative_to(ROOT)): lines
+        for path in PACKAGE
+        if path.name not in ("records.py", "providers.py")
+        and (lines := json_loads_calls(path.read_text(encoding="utf-8")))
     }
     assert found == {}
 

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -26,6 +27,7 @@ from abcd_eval.records import (
     question_to_record,
     read_jsonl,
     report_to_record,
+    scan_jsonl,
     verifications_from_record,
     verifications_to_record,
     write_json_atomic,
@@ -191,7 +193,7 @@ class TestRecordChecks:
         ids=["claim_set", "verifications", "evaluation-results",
              "evaluation-claims"],
     )
-    def test_claims_numbered_out_of_order_are_rejected(
+    def test_claims_line_and_id_out_of_order_are_rejected(
         self, to_record, from_record, rows_at, field, numbers
     ):
         record = to_record(build_evaluation("q1", "TF"))
@@ -216,23 +218,64 @@ class TestLabels:
         ]
 
 
+def _line_and_id(row, lineno):
+    """A converter that keeps the line number, refuses a row without "id"
+    and filters out a row marked "skip"."""
+    return None if row.get("skip") else (lineno, row["id"])
+
+
 class TestReadJsonl:
-    def test_reads_with_line_numbers(self, tmp_path):
+    def write(self, tmp_path, text):
         path = tmp_path / "rows.jsonl"
-        path.write_text('{"a": 1}\n\n{"b": 2}\n', encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_reads_with_line_numbers(self, tmp_path):
+        path = self.write(tmp_path, '{"a": 1}\n\n{"b": 2}\n')
         assert read_jsonl(path) == [(1, {"a": 1}), (3, {"b": 2})]
 
-    def test_malformed_line_raises_with_position(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        path.write_text('{"a": 1}\nnot json\n', encoding="utf-8")
-        with pytest.raises(ValueError, match=r":2:"):
+    def test_convert_gets_physical_line_numbers(self, tmp_path):
+        path = self.write(tmp_path, '\n{"id": "a"}\n  \n\n{"id": "b"}')
+        assert scan_jsonl(path, _line_and_id) == (
+            [(2, (2, "a")), (5, (5, "b"))], []
+        )
+
+    def test_each_kind_of_line_error(self, tmp_path):
+        path = self.write(tmp_path, "\n".join([
+            '{"id": "a"}',
+            "not json",
+            "[1, 2]",
+            '{"name": "no id"}',
+            '{"id": "a"}',
+            '{"id": "b"}',
+        ]))
+        rows, errors = scan_jsonl(path, _line_and_id, key=itemgetter(1))
+        assert rows == [(1, (1, "a")), (6, (6, "b"))]
+        assert [lineno for lineno, _ in errors] == [2, 3, 4, 5]
+        assert errors[0][1].startswith("bad record: JSONDecodeError: ")
+        assert errors[1][1] == "bad record: ValueError: expected a JSON object, got list"
+        assert errors[2][1] == "bad record: KeyError: 'id'"
+        assert errors[3][1] == "duplicate question id 'a'"
+
+    def test_none_is_a_filtered_row_with_no_key(self, tmp_path):
+        path = self.write(tmp_path, '{"skip": 1}\n{"skip": 1}\n{"id": "a"}\n')
+        rows, errors = scan_jsonl(path, _line_and_id, key=itemgetter(1))
+        assert rows == [(1, None), (2, None), (3, (3, "a"))]
+        assert errors == []
+
+    def test_read_jsonl_raises_the_first_error(self, tmp_path):
+        path = self.write(tmp_path, '{"id": "a"}\n{"id": "a"}\nnot json\n')
+        with pytest.raises(ValueError) as excinfo:
+            read_jsonl(path, _line_and_id, key=itemgetter(1))
+        assert str(excinfo.value) == f"{path}:2: duplicate question id 'a'"
+        with pytest.raises(ValueError, match=r":3: bad record: JSONDecodeError: "):
             read_jsonl(path)
 
-    def test_non_object_line_raises(self, tmp_path):
+    def test_not_utf8_is_an_error_naming_the_file(self, tmp_path):
         path = tmp_path / "rows.jsonl"
-        path.write_text("[1, 2]\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="object"):
-            read_jsonl(path)
+        path.write_bytes(b'{"a": "caf\xe9"}\n')
+        with pytest.raises(ValueError, match="not UTF-8"):
+            scan_jsonl(path, _line_and_id)
 
 
 class TestAtomicWrites:
