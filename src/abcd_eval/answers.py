@@ -11,20 +11,12 @@ from __future__ import annotations
 
 import re
 
-from .model import (
-    ANSWER_TAG,
-    AnswerAssignment,
-    ClaimSet,
-    Question,
-    Tag,
-)
+from .model import ANSWER_TAG, TAG_RE, AnswerAssignment, ClaimSet, Question, Tag
 from .providers import CompletionRequest, Provider
 
 DEFAULT_ANSWER_MAX_TOKENS = 256
 
-_ANSWER_LINE_RE = re.compile(
-    r"^\s*<([a-zA-Z0-9_-]+(?: [a-zA-Z0-9_-]+)*)>\s*:\s*(.*)$"
-)
+_ANSWER_LINE_RE = re.compile(rf"^\s*{TAG_RE.pattern}\s*:\s*(.*)$")
 
 _QUOTE_PAIRS = {('"', '"'), ("'", "'"), ("“", "”"), ("‘", "’")}
 

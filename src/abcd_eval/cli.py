@@ -7,8 +7,13 @@ filled from the previous stages' output files, so a question fails, and is
 logged, the same way in both; ``report`` renders stored evaluations;
 ``annotate`` collects manual correctness labels; ``baseline`` asks the
 whole-question control question; ``build-obscureqa`` constructs the
-obscure-question dataset from a raw quizbowl dump. An input file that does
-not decode or parse is a configuration error naming the file.
+obscure-question dataset from a raw quizbowl dump.
+
+An input error travels unchanged to :func:`main`, the one place that
+reports it: a bad option value or a file that does not decode or parse
+is a ``ValueError`` naming it, a missing file an ``OSError``, a missing
+API key a ``ProviderError``. Each ends as one ``error: <message>`` line
+with exit code 1.
 
 Each option is declared once in :data:`OPTIONS`, and :data:`COMMANDS` lists
 the options of each subcommand. An option that sets a
@@ -16,9 +21,8 @@ the options of each subcommand. An option that sets a
 :func:`config_from_args` copies fields by name and the config checks the
 values, the same way for every command.
 
-Exit codes: 0 success, 1 usage error, out-of-range option value,
-configuration or environment problem, 2 partial failure (some questions
-processed), 3 total failure (none processed).
+Exit codes: 0 success, 1 usage or input error, 2 partial failure (some
+questions processed), 3 total failure (none processed).
 
 Record and report files are timestamp-free so that scripted and replay runs
 are byte-for-byte reproducible; wall-clock times go only to the manifest.
@@ -55,14 +59,13 @@ from .model import AggregateReport, Question, QuestionEvaluation
 from .pipeline import (
     EVALUATE_STAGES,
     PROVIDER_STAGES,
-    ConfigError,
     QuestionOutcome,
     Run,
     RunConfig,
     build_upstream,
     run_stages,
 )
-from .providers import API_KEY_ENV_VAR
+from .providers import API_KEY_ENV_VAR, ProviderError
 from .scoring import aggregate
 from .verify import DEFAULT_VERIFY_MAX_TOKENS, MatchMode
 
@@ -226,21 +229,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_questions_for_cli(args: argparse.Namespace, config: RunConfig) -> list[Question]:
-    try:
-        report = load_questions(args.questions, QuestionFormat(args.format))
-        for lineno, message in report.line_errors:
-            logger.warning("%s:%d: %s", args.questions, lineno, message)
-        if report.skipped:
-            logger.info("%s: skipped %d filtered records", args.questions, report.skipped)
-        questions = report.questions
-        if config.sample is not None:
-            questions = sample_questions(questions, config.sample, config.seed)
-        elif config.limit is not None:
-            questions = questions[: config.limit]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = load_questions(args.questions, QuestionFormat(args.format))
+    for lineno, message in report.line_errors:
+        logger.warning("%s:%d: %s", args.questions, lineno, message)
+    if report.skipped:
+        logger.info("%s: skipped %d filtered records", args.questions, report.skipped)
+    questions = report.questions
+    if config.sample is not None:
+        questions = sample_questions(questions, config.sample, config.seed)
+    elif config.limit is not None:
+        questions = questions[: config.limit]
     if not questions:
-        raise ConfigError(f"{args.questions}: no questions selected")
+        raise ValueError(f"{args.questions}: no questions selected")
     return questions
 
 
@@ -253,13 +253,9 @@ def _load_records(
 
     Text that is not UTF-8, a line that is not a JSON object or does not
     convert, and a repeated *question_id* of the converted records, when
-    that is given, is a :class:`ConfigError` naming the file and line.
+    that is given, is a ``ValueError`` naming the file and line.
     """
-    try:
-        rows = records.read_jsonl(path, lambda row, _: from_record(row), question_id)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return [value for _, value in rows]
+    return records.read_jsonl(path, lambda row, _: from_record(row), question_id)
 
 
 def _load_labels_for_cli(path: Optional[Path]) -> dict:
@@ -274,7 +270,7 @@ def _load_evaluations(path: Path) -> list[QuestionEvaluation]:
         path, records.evaluation_from_record, attrgetter("question.id")
     )
     if not evaluations:
-        raise ConfigError(f"{path}: no evaluations")
+        raise ValueError(f"{path}: no evaluations")
     return evaluations
 
 
@@ -288,13 +284,6 @@ _STAGE_INPUTS = {
     "verifications": ("results", records.verifications_from_record),
     "gt_verifications": ("gt_results", records.verifications_from_record),
 }
-
-
-def _load_pack_for_cli(path: Optional[Path]):
-    try:
-        return load_prompt_pack(path if path is not None else default_pack_path())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _prepare(
@@ -316,7 +305,9 @@ def _prepare(
         if options.get(option) is not None
     }
     labels = _load_labels_for_cli(options.get("labels"))
-    pack = _load_pack_for_cli(args.pack) if "decompose" in stages else None
+    pack = None
+    if "decompose" in stages:
+        pack = load_prompt_pack(args.pack or default_pack_path())
     upstream = None if set(stages).isdisjoint(PROVIDER_STAGES) else build_upstream(config)
     run = Run(config, upstream, pack=pack, labels=labels)
     return run, [
@@ -444,7 +435,7 @@ _STAGE_COMMANDS = {
 def cmd_stage(args: argparse.Namespace) -> int:
     """Run one stage command over the files earlier stages wrote."""
     if vars(args).get("ground_truth") and args.gt_out is None:
-        raise ConfigError("--ground-truth needs --gt-out")
+        raise ValueError("--ground-truth needs --gt-out")
     stages, field, verb = _STAGE_COMMANDS[args.command]
     run, outcomes = _prepare(args, stages)
     with closing(run):
@@ -528,24 +519,18 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_build_obscureqa(args: argparse.Namespace) -> int:
-    try:
-        split = SplitSpec(
-            train=args.train, valid=args.valid, test=args.test, seed=args.seed
-        )
-        rows, line_errors = records.scan_jsonl(
-            args.dump, lambda row, _: parse_quizbowl_record(row)
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    split = SplitSpec(train=args.train, valid=args.valid, test=args.test, seed=args.seed)
+    raw_records, line_errors = records.scan_jsonl(
+        args.dump, lambda row, _: parse_quizbowl_record(row)
+    )
     for lineno, message in line_errors:
         logger.warning("%s:%d: %s", args.dump, lineno, message)
-    raw_records = [record for _, record in rows]
     if not raw_records:
-        raise ConfigError(f"{args.dump}: no usable records")
+        raise ValueError(f"{args.dump}: no usable records")
 
     build = build_obscureqa(raw_records, split)
     if build.total_kept == 0:
-        raise ConfigError(f"{args.dump}: every record was dropped during cleaning")
+        raise ValueError(f"{args.dump}: every record was dropped during cleaning")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -662,7 +647,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         return args.handler(args)
-    except (ConfigError, OSError) as exc:
+    except (ValueError, OSError, ProviderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -361,7 +361,7 @@ def load_questions(path: str | Path, fmt: QuestionFormat) -> LoadReport:
     splits are written as (``records.question_to_record``).
     """
     rows, line_errors = scan_jsonl(path, _PARSERS[fmt], key=attrgetter("id"))
-    questions = [question for _, question in rows if question is not None]
+    questions = [question for question in rows if question is not None]
     if not rows and not line_errors:
         raise ValueError(f"{path}: file holds no records")
     if not rows:

@@ -40,7 +40,6 @@ from .providers import (
     CompletionResponse,
     LiveProvider,
     Provider,
-    ProviderError,
     ReplayProvider,
     ResponseCache,
     ScriptedProvider,
@@ -62,10 +61,6 @@ logger = logging.getLogger(__name__)
 PROVIDER_STAGES = ("decompose", "answer", "verify", "verify_gt", "baseline")
 
 EVALUATE_STAGES = ("decompose", "answer", "verify", "verify_gt", "score")
-
-
-class ConfigError(Exception):
-    """Bad flags, missing files, missing credentials: exit code 1."""
 
 
 class MissingInputError(Exception):
@@ -106,12 +101,12 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 flag = "--" + name.replace("_", "-")
-                raise ConfigError(f"{flag} must be at least 1, got {value}")
+                raise ValueError(f"{flag} must be at least 1, got {value}")
         if self.limit is not None and self.sample is not None:
-            raise ConfigError("--limit and --sample are mutually exclusive")
+            raise ValueError("--limit and --sample are mutually exclusive")
         for name in ("decompose_model", "answer_model", "verify_model"):
             if not getattr(self, name):
-                raise ConfigError(f"--{name.replace('_', '-')} must be non-empty")
+                raise ValueError(f"--{name.replace('_', '-')} must be non-empty")
 
     @property
     def parse_config(self) -> VerdictParseConfig:
@@ -192,30 +187,26 @@ class Upstream:
 
 
 def build_upstream(config: RunConfig) -> Upstream:
-    """The run's provider, after checking the provider settings."""
+    """The run's provider, after checking the provider settings: a bad or
+    missing setting is a ``ValueError``, a missing API key a
+    ``ProviderError``."""
     mode = config.provider_mode
     if mode == "replay":
         if config.cache_dir is None:
-            raise ConfigError("replay mode needs --cache-dir")
+            raise ValueError("replay mode needs --cache-dir")
         if not Path(config.cache_dir).is_dir():
-            raise ConfigError(f"cache directory not found: {config.cache_dir}")
+            raise ValueError(f"cache directory not found: {config.cache_dir}")
         return Upstream(ReplayProvider(ResponseCache(config.cache_dir)))
     if mode == "scripted":
         if config.script_path is None:
-            raise ConfigError("scripted mode needs --script")
-        try:
-            base = ScriptedProvider(load_script_rules(config.script_path))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ValueError("scripted mode needs --script")
+        base = ScriptedProvider(load_script_rules(config.script_path))
     elif mode == "live":
         if not config.base_url:
-            raise ConfigError("live mode needs --base-url")
-        try:
-            base = LiveProvider(base_url=config.base_url)
-        except (ProviderError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ValueError("live mode needs --base-url")
+        base = LiveProvider(base_url=config.base_url)
     else:
-        raise ConfigError(f"unknown provider mode {mode!r}")
+        raise ValueError(f"unknown provider mode {mode!r}")
     cache = None if config.cache_dir is None else ResponseCache(config.cache_dir)
     return Upstream(base, cache)
 

@@ -182,10 +182,9 @@ class ScriptedProvider:
 
 def load_script_rules(path: str | Path) -> list[ScriptRule]:
     """Read script rules from a JSONL file of {match, response, mode?} rows."""
-    rows = read_jsonl(path, lambda row, _: ScriptRule(
+    return read_jsonl(path, lambda row, _: ScriptRule(
         row["match"], row["response"], row.get("mode", "substring")
     ))
-    return [rule for _, rule in rows]
 
 
 # --------------------------------------------------------------------------

@@ -275,10 +275,10 @@ def append_label(
 
 
 def read_text(path: str | Path) -> str:
-    """A UTF-8 text file's content; undecodable bytes are a ``ValueError``
-    naming the file."""
+    """A UTF-8 text file's content, without a leading byte-order mark;
+    undecodable bytes are a ``ValueError`` naming the file."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
@@ -296,15 +296,15 @@ def _object(line: str) -> dict:
 
 
 def scan_jsonl(path: str | Path, convert, key=None):
-    """Read a JSONL file into ``(lineno, value)`` rows and ``(lineno,
-    message)`` line errors; blank lines are skipped but counted.
+    """Read a JSONL file into its values and ``(lineno, message)`` line
+    errors; blank lines are skipped but counted.
 
     Each line must be a JSON object that ``convert(row, lineno)`` turns into
     a value; a line that is not, or whose value's *key* repeats an earlier
     one, is a line error. A ``None`` value is a row the reader filtered out:
     it is kept, and has no key. A file that is not UTF-8 is a ``ValueError``.
     """
-    rows, errors, seen = [], [], set()
+    values, errors, seen = [], [], set()
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line.strip():
             continue
@@ -319,21 +319,21 @@ def scan_jsonl(path: str | Path, convert, key=None):
                 errors.append((lineno, f"duplicate question id {value_key!r}"))
                 continue
             seen.add(value_key)
-        rows.append((lineno, value))
-    return rows, errors
+        values.append(value)
+    return values, errors
 
 
 def read_jsonl(path: str | Path, convert=_as_is, key=None) -> list:
-    """:func:`scan_jsonl`'s rows, with its first line error a ``ValueError``
+    """:func:`scan_jsonl`'s values, with its first line error a ``ValueError``
     reading ``PATH:LINE: message``.
 
     The strict form, for files one bad line spoils: the record files the
     pipeline writes, labels and script rules.
     """
-    rows, errors = scan_jsonl(path, convert, key)
+    values, errors = scan_jsonl(path, convert, key)
     if errors:
         raise ValueError("{}:{}: {}".format(path, *errors[0]))
-    return rows
+    return values
 
 
 def atomic_write(path: str | Path, data: bytes) -> None:

@@ -9,7 +9,7 @@ second line of defense.
 
 from __future__ import annotations
 
-from .model import TAG_RE, AnswerAssignment, ClaimTemplate, extract_tags
+from .model import ANSWER_TAG_NAME, TAG_RE, AnswerAssignment, ClaimTemplate, extract_tags
 
 
 class InstantiationError(Exception):
@@ -62,7 +62,7 @@ def instantiate_with_override(
         )
     overridden = AnswerAssignment(
         entries=tuple(
-            (tag, trimmed if tag.name == "answer" else value)
+            (tag, trimmed if tag.name == ANSWER_TAG_NAME else value)
             for tag, value in assignment.entries
         )
     )

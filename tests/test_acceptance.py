@@ -176,7 +176,7 @@ def test_acceptance_4_end_to_end_deterministic(announce, no_network, tmp_path):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
         # Per-question scores are exact rationals.
-        for _, record in records.read_jsonl(out_a / "evaluations.jsonl"):
+        for record in records.read_jsonl(out_a / "evaluations.jsonl"):
             evaluation = records.evaluation_from_record(record)
             assert evaluation.score_true == \
                 EXPECTED_SCORES[evaluation.question.id]
@@ -376,7 +376,7 @@ def test_acceptance_8_live_smoke_diff_positive(announce, capsys, tmp_path):
     with announce(8, "live-endpoint smoke run has positive score diff", 1800.0):
         labels = {
             record["question_id"]
-            for _, record in records.read_jsonl(os.environ["ABCD_SMOKE_LABELS"])
+            for record in records.read_jsonl(os.environ["ABCD_SMOKE_LABELS"])
         }
         assert len(labels) >= 30, "smoke run needs at least 30 labeled questions"
         out_dir = tmp_path / "live"

@@ -6,9 +6,9 @@ The readers are the stage input files (``cli._STAGE_INPUTS``), ``--records``,
 script rules, cache entries and live response bodies. For each one a valid
 record is taken apart field by field: every field, in turn, is replaced by
 a generated JSON value or removed, and the record goes through the reader. The outcome must be a
-value whose string fields all hold ``str``, or a ``ConfigError``,
-``ValueError`` or ``ProviderError`` naming the file, the cache digest or
-the response body. Any other exception fails the test.
+value whose string fields all hold ``str``, or a ``ValueError`` or
+``ProviderError`` naming the file, the cache digest or the response body.
+Any other exception fails the test.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from abcd_eval import cli, records
 from abcd_eval.datasets import QuestionFormat, load_questions
 from abcd_eval.model import AnswerAssignment, Dataset, Question
-from abcd_eval.pipeline import ConfigError, QuestionOutcome, RunConfig
+from abcd_eval.pipeline import QuestionOutcome, RunConfig
 from abcd_eval.providers import (
     CompletionRequest,
     LiveProvider,
@@ -114,7 +114,7 @@ def check_reader(read, base, value, place):
     for record in mutations(base, value):
         try:
             result = read(record)
-        except (ConfigError, ValueError, ProviderError) as exc:
+        except (ValueError, ProviderError) as exc:
             assert names(exc), (record, exc)
         else:
             assert_typed(result)

@@ -287,6 +287,15 @@ class TestLoadQuestions:
         assert report.questions[1].category == "Science"
         assert report.line_errors == []
 
+    def test_utf8_bom_is_not_part_of_the_first_line(self, tmp_path):
+        path = tmp_path / "questions.jsonl"
+        write_jsonl(path, [{"id": "a", "question": "Q1?", "answer": "A1"},
+                           {"id": "b", "question": "Q2?", "answer": "A2"}])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        report = load_questions(path, QuestionFormat.GENERIC)
+        assert [q.id for q in report.questions] == ["a", "b"]
+        assert report.line_errors == []
+
     def test_bad_lines_are_collected_not_fatal(self, tmp_path):
         path = tmp_path / "questions.jsonl"
         path.write_text(

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, the package
 needs nothing beyond the standard library, only the model decides whether a
-value is a string, only ``records`` reads JSONL lines, and a live run
-closes the sockets it opens.
+value is a string, only ``records`` reads JSONL lines, no handler re-raises
+an error as another type with the same text, and a live run closes the
+sockets it opens.
 
 A stdlib AST scan stands in for a linter. Package ``__init__.py`` files are
 skipped by the unused-import scan (their imports are re-exports), and so is
@@ -138,6 +139,48 @@ def test_json_is_parsed_only_by_records_and_providers():
         and (lines := json_loads_calls(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def rewraps(source: str) -> list[int]:
+    """Lines of each ``raise X(str(exc))`` in an ``except ... as exc``
+    handler: a re-raise that changes only the error's type."""
+    found = []
+    for handler in ast.walk(ast.parse(source)):
+        if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+            continue
+        text = ast.dump(ast.parse(f"str({handler.name})", mode="eval").body)
+        found += [
+            node.lineno
+            for node in ast.walk(handler)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and not node.exc.keywords
+            and [ast.dump(arg) for arg in node.exc.args] == [text]
+        ]
+    return found
+
+
+def test_input_errors_reach_the_cli_unwrapped():
+    """``cli.main`` reports every ``ValueError``, ``OSError`` and
+    ``ProviderError``, so no handler re-raises one as another type with the
+    same text; a wrap that adds a kind, ``ProviderError(kind, str(exc))``,
+    is not a re-raise of the text alone."""
+    assert rewraps(
+        "try:\n    f()\nexcept ValueError as exc:\n    raise E(str(exc)) from exc\n"
+        "try:\n    f()\nexcept OSError as exc:\n    raise P(KIND, str(exc))\n"
+    ) == [4]
+    found = {
+        str(path.relative_to(ROOT)): lines
+        for path in PACKAGE
+        if (lines := rewraps(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+    defined = [
+        str(path.relative_to(ROOT))
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.name == "ConfigError"
+    ]
+    assert defined == []
 
 
 # Blocks ``requests``, then runs the fixture ``evaluate`` and one live call.

@@ -211,7 +211,7 @@ class TestLabels:
         path = tmp_path / "labels.jsonl"
         append_label(path, "q1", True)
         append_label(path, "q2", False, error_category="hallucinated date")
-        labels = [label_from_record(record) for _, record in read_jsonl(path)]
+        labels = [label_from_record(record) for record in read_jsonl(path)]
         assert labels == [
             ("q1", (True, None)),
             ("q2", (False, "hallucinated date")),
@@ -230,15 +230,13 @@ class TestReadJsonl:
         path.write_text(text, encoding="utf-8")
         return path
 
-    def test_reads_with_line_numbers(self, tmp_path):
+    def test_reads_values_skipping_blank_lines(self, tmp_path):
         path = self.write(tmp_path, '{"a": 1}\n\n{"b": 2}\n')
-        assert read_jsonl(path) == [(1, {"a": 1}), (3, {"b": 2})]
+        assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
 
     def test_convert_gets_physical_line_numbers(self, tmp_path):
         path = self.write(tmp_path, '\n{"id": "a"}\n  \n\n{"id": "b"}')
-        assert scan_jsonl(path, _line_and_id) == (
-            [(2, (2, "a")), (5, (5, "b"))], []
-        )
+        assert scan_jsonl(path, _line_and_id) == ([(2, "a"), (5, "b")], [])
 
     def test_each_kind_of_line_error(self, tmp_path):
         path = self.write(tmp_path, "\n".join([
@@ -250,7 +248,7 @@ class TestReadJsonl:
             '{"id": "b"}',
         ]))
         rows, errors = scan_jsonl(path, _line_and_id, key=itemgetter(1))
-        assert rows == [(1, (1, "a")), (6, (6, "b"))]
+        assert rows == [(1, "a"), (6, "b")]
         assert [lineno for lineno, _ in errors] == [2, 3, 4, 5]
         assert errors[0][1].startswith("bad record: JSONDecodeError: ")
         assert errors[1][1] == "bad record: ValueError: expected a JSON object, got list"
@@ -260,7 +258,7 @@ class TestReadJsonl:
     def test_none_is_a_filtered_row_with_no_key(self, tmp_path):
         path = self.write(tmp_path, '{"skip": 1}\n{"skip": 1}\n{"id": "a"}\n')
         rows, errors = scan_jsonl(path, _line_and_id, key=itemgetter(1))
-        assert rows == [(1, None), (2, None), (3, (3, "a"))]
+        assert rows == [None, None, (3, "a")]
         assert errors == []
 
     def test_read_jsonl_raises_the_first_error(self, tmp_path):
@@ -283,7 +281,7 @@ class TestAtomicWrites:
         path = tmp_path / "out.jsonl"
         rows = [{"a": 1}, {"b": "café"}]
         write_jsonl_atomic(path, rows)
-        assert [record for _, record in read_jsonl(path)] == rows
+        assert read_jsonl(path) == rows
         # ensure_ascii is off: non-ASCII is written raw.
         assert "café" in path.read_text(encoding="utf-8")
 
@@ -312,5 +310,5 @@ class TestAtomicWrites:
         path = tmp_path / "out.jsonl"
         write_jsonl_atomic(path, [{"v": 1}])
         write_jsonl_atomic(path, [{"v": 2}])
-        assert [record for _, record in read_jsonl(path)] == [{"v": 2}]
+        assert read_jsonl(path) == [{"v": 2}]
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
