@@ -15,95 +15,41 @@ Typical library use::
     )
 
 The ``abcd-eval`` console script exposes the same pipeline as subcommands.
+The package exports the names the README's Library section and ``demos/``
+use; every other public name imports from its own module, for example
+``from abcd_eval.stats import TTestResult``.
 """
 
-from .answers import (
-    AnswerParseError,
-    build_answer_prompt,
-    clean_answer,
-    generate_answers,
-    parse_answers,
-)
+from .answers import generate_answers
 from .datasets import (
-    LoadReport,
-    ObscureQABuild,
-    QuestionFormat,
     RawQuizbowlRecord,
     SplitSpec,
     build_obscureqa,
     clean_text,
     convert_clue_to_question,
-    load_questions,
-    sample_questions,
-    seeded_shuffle,
-    split_sizes,
-    transliterate,
 )
-from .decompose import (
-    DecompositionParseError,
-    ParsedDecomposition,
-    PromptPack,
-    PromptPackError,
-    build_decomposition_prompt,
-    decompose,
-    default_pack_path,
-    load_prompt_pack,
-    parse_decomposition,
-)
-from .model import (
-    ANSWER_TAG,
-    AggregateReport,
-    AnswerAssignment,
-    ClaimSet,
-    ClaimTemplate,
-    Dataset,
-    GroundTruthComparison,
-    Question,
-    QuestionEvaluation,
-    Tag,
-    VerificationResult,
-    Verdict,
-    extract_tags,
-)
+from .decompose import decompose, default_pack_path, load_prompt_pack
+from .model import Dataset, Question, Verdict
 from .providers import (
     CachingProvider,
     CompletionRequest,
-    CompletionResponse,
-    FinishReason,
     LiveProvider,
-    Provider,
     ProviderError,
-    ProviderErrorKind,
     ReplayProvider,
     ResponseCache,
     ScriptRule,
     ScriptedProvider,
     cache_key,
 )
-from .scoring import aggregate, ground_truth_comparison, score_true
-from .stats import (
-    DegenerateInputError,
-    TTestResult,
-    regularized_incomplete_beta,
-    two_sided_p_value,
-    welch_t_test,
-)
-from .template import (
-    InstantiationError,
-    instantiate,
-    instantiate_with_override,
-)
+from .scoring import score_true
+from .stats import welch_t_test
+from .template import instantiate
 from .verify import (
-    BaselineResult,
     MatchMode,
     VerdictParseConfig,
-    VerificationError,
-    baseline_whole_question,
-    build_baseline_prompt,
     normalize,
     parse_verdict,
     verify_all,
-    verify_claim,
 )
 
 __version__ = "0.1.0"

@@ -68,7 +68,7 @@ class Verdict(str, Enum):
     NON_RESPONSE = "non_response"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Tag:
     """A named slot that appears in claim templates as ``<name>``."""
 

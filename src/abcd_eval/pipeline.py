@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -373,5 +372,7 @@ def run_stages(
 
     if run.config.concurrency <= 1:
         return [run_question(outcome) for outcome in outcomes]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=run.config.concurrency) as pool:
         return list(pool.map(run_question, outcomes))

@@ -15,15 +15,12 @@ import json
 import logging
 import os
 import random
-import socket
-import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Callable, NamedTuple, Optional, Protocol, Sequence
-from urllib.parse import SplitResult, urlsplit
+from typing import Callable, Optional, Protocol, Sequence
 
 from .model import check_type
 from .records import atomic_write, read_jsonl
@@ -198,253 +195,11 @@ _FINISH_REASON_MAP = {
 }
 
 
-class _FramingError(ConnectionError):
-    """A response that does not frame as HTTP/1.x, or that ends early."""
-
-
-_MAX_LINE_BYTES = 65536
-_MAX_HEADERS = 100
-
-
-class _HTTPResponse(NamedTuple):
-    """The part of a ``requests.Response`` that :class:`LiveProvider` reads.
-    ``headers`` maps lowercased field names to the first value given."""
-
-    status_code: int
-    headers: dict[str, str]
-    body: bytes
-
-    @property
-    def text(self) -> str:
-        return self.body.decode("utf-8", "replace")
-
-    def json(self):
-        return json.loads(self.body.decode("utf-8"))
-
-
-def _read_line(rfile) -> bytes:
-    line = rfile.readline(_MAX_LINE_BYTES + 1)
-    if not line.endswith(b"\n"):
-        raise _FramingError(
-            "response line longer than 64 KiB" if len(line) > _MAX_LINE_BYTES
-            else "connection closed before the response ended"
-        )
-    return line
-
-
-def _read_fields(rfile) -> dict[str, str]:
-    """Header or trailer fields up to the blank line, by lowercased name."""
-    fields: dict[str, str] = {}
-    for _ in range(_MAX_HEADERS + 1):
-        line = _read_line(rfile)
-        if line in (b"\r\n", b"\n"):
-            return fields
-        name, colon, value = line.decode("latin-1").partition(":")
-        if not colon:
-            raise _FramingError(f"malformed header line: {line[:80]!r}")
-        fields.setdefault(name.strip().lower(), value.strip())
-    raise _FramingError(f"more than {_MAX_HEADERS} header lines")
-
-
-def _read_head(rfile) -> tuple[bytes, int, dict[str, str]]:
-    """The version, status and fields of the first final (non-1xx) response."""
-    while True:
-        line = _read_line(rfile)
-        version, status, *_ = line.split(None, 2) + [b"", b""]
-        code = int(status) if len(status) == 3 and status.isdigit() else 0
-        if not version.startswith(b"HTTP/1.") or code < 100:
-            raise _FramingError(f"malformed status line: {line[:80]!r}")
-        fields = _read_fields(rfile)
-        if code >= 200:
-            return version, code, fields
-
-
-def _size(text, base: int, what: str) -> int:
-    try:
-        size = int(text, base)
-    except ValueError:
-        size = -1
-    if size < 0:
-        raise _FramingError(f"bad {what}: {text!r}")
-    return size
-
-
-def _read_exactly(rfile, size: int) -> bytes:
-    data = rfile.read(size)
-    if len(data) < size:
-        raise _FramingError(f"response body ended after {len(data)} of {size} bytes")
-    return data
-
-
-def _read_chunked(rfile) -> bytes:
-    chunks = []
-    while size := _size(_read_line(rfile).split(b";", 1)[0].strip(), 16, "chunk size"):
-        chunks.append(_read_exactly(rfile, size))
-        if _read_line(rfile).strip():
-            raise _FramingError("chunk data runs past its size")
-    _read_fields(rfile)  # the trailer, which nothing reads
-    return b"".join(chunks)
-
-
-def _read_response(rfile) -> tuple[_HTTPResponse, bool]:
-    """One response, and whether its connection may carry another request.
-
-    The body is chunked (which wins over ``Content-Length``), as long as
-    ``Content-Length`` says, or whatever comes until the server closes.
-    """
-    version, status, headers = _read_head(rfile)
-    tokens = headers.get("connection", "").lower()
-    keep_alive = "close" not in tokens and (
-        version != b"HTTP/1.0" or "keep-alive" in tokens
-    )
-    if status in (204, 304):
-        body = b""
-    elif headers.get("transfer-encoding", "").lower() == "chunked":
-        body = _read_chunked(rfile)
-    elif "content-length" in headers:
-        body = _read_exactly(
-            rfile, _size(headers["content-length"], 10, "Content-Length")
-        )
-    else:
-        body, keep_alive = rfile.read(), False
-    return _HTTPResponse(status, headers, body), keep_alive
-
-
-class _Connection(NamedTuple):
-    sock: socket.socket
-    rfile: BinaryIO  # sock.makefile("rb")
-
-    def close(self) -> None:
-        self.rfile.close()
-        self.sock.close()
-
-
-def _proxy_for(parts: SplitResult) -> Optional[SplitResult]:
-    """The proxy that the ``*_proxy`` environment variables name for a URL.
-
-    ``urllib.request``, which loads ``http.client`` and ``email``, is
-    imported only when such a variable is set. Its two functions read the
-    environment alone, never a system proxy setting such as macOS's.
-    """
-    if not any(name.lower().endswith("_proxy") for name in os.environ):
-        return None
-    from urllib.request import getproxies_environment, proxy_bypass_environment
-
-    proxy = getproxies_environment().get(parts.scheme)
-    if not proxy or proxy_bypass_environment(parts.netloc):
-        return None
-    return urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-
-
-class _HTTPSession:
-    """A stdlib stand-in for ``requests.Session``, posting under one origin.
-
-    It speaks HTTP/1.1 itself over one keep-alive socket per thread. Each
-    request goes out in one write, and :func:`_read_response` reads the
-    answer. A URL without a port means port 80 or 443. The socket goes
-    through the proxy that the ``HTTP(S)_PROXY``/``NO_PROXY`` environment
-    variables name for the origin when the session is built, https through
-    a ``CONNECT`` tunnel; system proxy settings are not read.
-
-    A socket whose request fails, including on a response that does not
-    frame (a ``ConnectionError``), is closed and dropped, so the next post
-    opens a fresh one; so is a socket the response says will close.
-    :meth:`close` closes the others. Redirects are not followed.
-    """
-
-    def __init__(self, url: str):
-        parts = urlsplit(url)
-        origin = f"{parts.scheme}://{parts.netloc}"
-        # A request target must be printable ASCII without spaces; only the
-        # host may be an internationalized name.
-        if (parts.scheme not in ("http", "https") or not parts.hostname
-                or not url.isprintable() or " " in url
-                or not url[len(origin):].isascii()):
-            raise ValueError(f"not an http(s) URL: {url!r}")
-        self._https = parts.scheme == "https"
-        # A bad port is a ValueError, and so is a host IDNA cannot encode.
-        self._origin = (parts.hostname, parts.port or (443 if self._https else 80))
-        self._host = parts.netloc.rpartition("@")[2].encode("idna").decode("ascii")
-        proxy = _proxy_for(parts)
-        self._proxy = (proxy.hostname, proxy.port or 80) if proxy else None
-        # Where a URL's request target starts: an http proxy takes it whole.
-        self._target_at = 0 if proxy and not self._https else len(origin)
-        self._conns: dict[int, _Connection] = {}  # by thread id
-        self._lock = threading.Lock()
-
-    def _connect(self, timeout: float) -> _Connection:
-        sock = socket.create_connection(self._proxy or self._origin, timeout)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            if self._https:
-                if self._proxy:
-                    self._tunnel(sock)
-                import ssl  # loaded by the first https connection only
-
-                sock = ssl.create_default_context().wrap_socket(
-                    sock, server_hostname=self._origin[0]
-                )
-            return _Connection(sock, sock.makefile("rb"))
-        except BaseException:
-            sock.close()
-            raise
-
-    def _tunnel(self, sock: socket.socket) -> None:
-        """Ask the proxy at the other end of *sock* for a tunnel to the origin."""
-        host, port = self._origin
-        target = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
-        sock.sendall(f"CONNECT {target} HTTP/1.1\r\nHost: {target}\r\n\r\n".encode())
-        with sock.makefile("rb") as rfile:
-            _, status, _ = _read_head(rfile)
-        if status != 200:
-            raise ConnectionError(f"proxy refused the tunnel: HTTP {status}")
-
-    def post(self, url: str, **kwargs) -> _HTTPResponse:
-        """POST with the json, headers and timeout of ``requests.Session.post``."""
-        headers = kwargs["headers"]
-        body = json.dumps(kwargs["json"]).encode("utf-8")
-        head = (
-            f"POST {url[self._target_at:]} HTTP/1.1\r\nHost: {self._host}\r\n"
-            f"Accept-Encoding: identity\r\nContent-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            + "".join(f"{name}: {value}\r\n" for name, value in headers.items())
-            + "\r\n"
-        )
-        thread = threading.get_ident()
-        with self._lock:
-            conn = self._conns.get(thread)
-        if conn is None:
-            conn = self._connect(kwargs["timeout"])
-            with self._lock:
-                self._conns[thread] = conn
-        try:
-            conn.sock.sendall(head.encode("latin-1") + body)
-            response, keep_alive = _read_response(conn.rfile)
-        except BaseException:
-            self._drop(thread, conn)
-            raise
-        if not keep_alive:
-            self._drop(thread, conn)
-        return response
-
-    def _drop(self, thread: int, conn: _Connection) -> None:
-        with self._lock:
-            self._conns.pop(thread, None)
-        conn.close()
-
-    def close(self) -> None:
-        """Close every thread's connection; a later post opens a new one."""
-        with self._lock:
-            conns, self._conns = list(self._conns.values()), {}
-        for conn in conns:
-            conn.close()
-
-
 def _retry_after(http_response) -> Optional[float]:
     """The delta-seconds ``Retry-After`` of a response, or None when it has
-    no headers, no such header or a value that is not a number. Header names
-    are looked up lowercased, which a ``requests.Response`` also answers."""
-    value = getattr(http_response, "headers", {}).get("retry-after")
+    no such header or a value that is not a number. Header names are looked
+    up lowercased, which a ``requests.Response`` also answers."""
+    value = http_response.headers.get("retry-after")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -459,8 +214,10 @@ class LiveProvider:
     exponential backoff and full jitter, up to ``max_attempts`` tries total.
     A 429's delta-seconds ``Retry-After`` raises the wait to that value,
     capped like the backoff. Posts through *session*, anything with the
-    ``post`` of a ``requests.Session``; by default a stdlib session with one
-    keep-alive connection per thread, which :meth:`close` closes.
+    ``post`` of a ``requests.Session`` whose response has ``status_code``,
+    ``headers`` and ``content``; by default a
+    :class:`~abcd_eval.transport.HTTPSession` with one keep-alive connection
+    per thread, which :meth:`close` closes.
     """
 
     def __init__(
@@ -491,14 +248,19 @@ class LiveProvider:
         self._url = base_url.rstrip("/") + "/chat/completions"
         self._timeout = timeout
         self._max_attempts = max_attempts
-        self._session = session if session is not None else _HTTPSession(self._url)
+        self._owns_session = session is None
+        if session is None:
+            from .transport import HTTPSession  # loads socket: only a live run needs it
+
+            session = HTTPSession(self._url)
+        self._session = session
         self._sleep = sleep_fn
         self._rng = rng or random.Random()
 
     def close(self) -> None:
         """Close the default session's connections. An injected session is
         left to its owner."""
-        if isinstance(self._session, _HTTPSession):
+        if self._owns_session:
             self._session.close()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
@@ -558,12 +320,11 @@ class LiveProvider:
         if 300 <= status < 400:
             raise ProviderError(ProviderErrorKind.OTHER, f"HTTP {status}")
         if status >= 400:
-            raise ProviderError(
-                ProviderErrorKind.OTHER, f"HTTP {status}: {http_response.text[:200]}"
-            )
+            text = http_response.content.decode("utf-8", "replace")
+            raise ProviderError(ProviderErrorKind.OTHER, f"HTTP {status}: {text[:200]}")
 
         try:
-            choice = http_response.json()["choices"][0]
+            choice = json.loads(http_response.content.decode("utf-8"))["choices"][0]
             text = choice["message"]["content"]
             finish = _FINISH_REASON_MAP.get(
                 choice.get("finish_reason", "stop"), FinishReason.OTHER

@@ -105,6 +105,7 @@ class LoopbackServer:
 
 class _ScriptHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"  # keep-alive
+    disable_nagle_algorithm = True  # the body would wait for the head's ACK
 
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))

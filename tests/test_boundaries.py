@@ -31,9 +31,9 @@ from abcd_eval.providers import (
     ProviderError,
     ProviderErrorKind,
     ResponseCache,
-    _HTTPResponse,
     load_script_rules,
 )
+from abcd_eval.transport import HTTPResponse
 from helpers import build_evaluation
 
 BOUNDED = settings(derandomize=True, database=None, max_examples=20, deadline=None)
@@ -289,7 +289,7 @@ class OneResponseSession:
         self.body = json.dumps(body).encode("utf-8")
 
     def post(self, url, **kwargs):
-        return _HTTPResponse(200, {}, self.body)
+        return HTTPResponse(200, {}, self.body)
 
 
 @BOUNDED

@@ -866,7 +866,11 @@ BAD_VALUES = [
     (("--provider", "live", "--base-url", "localhost:8000/v1"),
      "not an http(s) URL: 'localhost:8000/v1/chat/completions'"),
     (("--provider", "live", "--base-url", "http://127.0.0.1:port/v1"),
-     "Port could not be cast to integer value as 'port'"),
+     "not an http(s) URL: 'http://127.0.0.1:port/v1/chat/completions'"),
+    (("--provider", "live", "--base-url", "http://127.0.0.1:99999/v1"),
+     "not an http(s) URL: 'http://127.0.0.1:99999/v1/chat/completions'"),
+    (("--provider", "live", "--base-url", "http://127.0.0.1:0/v1"),
+     "not an http(s) URL: 'http://127.0.0.1:0/v1/chat/completions'"),
     (("--provider", "live", "--base-url", "http://127.0.0.1:8000/v 1"),
      "not an http(s) URL: 'http://127.0.0.1:8000/v 1/chat/completions'"),
     (("--provider", "live", "--base-url", "http://127.0.0.1:8000/v\u20ac"),

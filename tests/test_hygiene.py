@@ -1,8 +1,9 @@
 """Source hygiene: no module imports a name it never uses, the package
-needs nothing beyond the standard library, only the model decides whether a
-value is a string, only ``records`` reads JSONL lines, no handler re-raises
-an error as another type with the same text, and a live run closes the
-sockets it opens.
+needs nothing beyond the standard library, only the transport imports
+``socket`` or ``ssl``, only the model decides whether a value is a string,
+only ``records`` reads JSONL lines, no handler re-raises an error as another
+type with the same text, each command loads only what it runs, and a live
+run closes the sockets it opens.
 
 A stdlib AST scan stands in for a linter. Package ``__init__.py`` files are
 skipped by the unused-import scan (their imports are re-exports), and so is
@@ -62,9 +63,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path) == []
 
 
-def outside_imports(path: Path) -> list[str]:
-    """``line: module`` for each absolute import of neither the standard
-    library nor ``abcd_eval``."""
+def absolute_imports(path: Path) -> list[tuple[int, str]]:
+    """(line, top-level module) for each absolute import."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -74,11 +74,7 @@ def outside_imports(path: Path) -> list[str]:
             modules = [node.module]
         else:
             continue
-        found += [
-            f"{node.lineno}: {module}"
-            for module in modules
-            if module.split(".")[0] not in sys.stdlib_module_names | {"abcd_eval"}
-        ]
+        found += [(node.lineno, module.split(".")[0]) for module in modules]
     return found
 
 
@@ -86,7 +82,22 @@ def outside_imports(path: Path) -> list[str]:
     "path", PACKAGE, ids=[str(path.relative_to(ROOT)) for path in PACKAGE]
 )
 def test_package_imports_only_the_standard_library(path):
-    assert outside_imports(path) == []
+    allowed = sys.stdlib_module_names | {"abcd_eval"}
+    assert [f"{line}: {module}" for line, module in absolute_imports(path)
+            if module not in allowed] == []
+
+
+def test_only_the_transport_imports_socket_or_ssl():
+    """``LiveProvider`` imports ``abcd_eval.transport`` only when it builds
+    its own session, so no other command loads a socket module."""
+    found = {
+        str(path.relative_to(ROOT)): lines
+        for path in PACKAGE
+        if path.name != "transport.py"
+        and (lines := [line for line, module in absolute_imports(path)
+                       if module in ("socket", "ssl")])
+    }
+    assert found == {}
 
 
 def string_checks(source: str) -> list[int]:
@@ -245,6 +256,75 @@ def test_live_provider_loads_no_http_client_email_or_ssl():
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.split() == []
+
+
+# Imports a module and runs the CLI on the remaining arguments, if any, then
+# names the modules loaded that only a live or a concurrent run needs.
+LOADED_BY = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+if sys.argv[2:]:
+    assert sys.modules["abcd_eval.cli"].main(sys.argv[2:]) == 0
+print(*sorted({"socket", "abcd_eval.transport", "concurrent.futures"}
+              & set(sys.modules)))
+"""
+
+
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory):
+    """The fixture's files, and the output and cache of a scripted
+    ``evaluate`` over them."""
+    root = tmp_path_factory.mktemp("recorded")
+    paths = write_fixture(root / "fixture")
+    assert main(
+        ["evaluate", "--questions", str(paths["questions"]),
+         "--labels", str(paths["labels"]), "--script", str(paths["rules"]),
+         "--cache-dir", str(root / "cache"), "--out-dir", str(root / "run")]
+    ) == 0
+    return paths, root
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["abcd_eval"], []),
+        (["abcd_eval.cli"], []),
+        (["abcd_eval.cli", "report", "--records", "{run}/evaluations.jsonl",
+          "--out-json", "{out}/report.json"], []),
+        (["abcd_eval.cli", "score", "--questions", "{questions}",
+          "--claims", "{run}/claim_sets.jsonl",
+          "--assignments", "{run}/assignments.jsonl",
+          "--verifications", "{run}/verifications.jsonl",
+          "--out", "{out}/scored.jsonl"], []),
+        (["abcd_eval.cli", "annotate", "--records", "{run}/evaluations.jsonl",
+          "--labels", "{out}/labels.jsonl"], []),
+        (["abcd_eval.cli", "evaluate", "--questions", "{questions}",
+          "--provider", "replay", "--cache-dir", "{cache}", "--out-dir", "{out}"], []),
+        (["abcd_eval.cli", "evaluate", "--questions", "{questions}",
+          "--provider", "live", "--base-url", "{url}", "--out-dir", "{out}"],
+         ["abcd_eval.transport", "socket"]),
+    ],
+    ids=["import-abcd_eval", "import-cli", "report", "score", "annotate",
+         "evaluate-replay", "evaluate-live"],
+)
+def test_each_command_loads_only_what_it_runs(recorded_run, tmp_path, argv, loaded):
+    paths, root = recorded_run
+    server = ScriptServer(load_script_rules(paths["rules"])) if "{url}" in argv else None
+    values = {
+        "questions": paths["questions"], "run": root / "run", "cache": root / "cache",
+        "out": tmp_path, "url": server and f"http://127.0.0.1:{server.port}/v1",
+    }
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-c", LOADED_BY, *(arg.format(**values) for arg in argv)],
+            capture_output=True, text=True, timeout=60, stdin=subprocess.DEVNULL,
+            env={**child_env(), API_KEY_ENV_VAR: "k"},
+        )
+    finally:
+        if server:
+            server.close()
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines()[-1].split() == loaded
 
 
 def test_live_run_leaves_no_socket_unclosed(tmp_path):

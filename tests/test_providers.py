@@ -355,15 +355,13 @@ class TestReplayProvider:
 
 
 class FakeHTTPResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
+    """The three fields of a ``requests.Response`` that LiveProvider reads:
+    the body is *payload* as JSON, or else *text*."""
 
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no JSON body")
-        return self._payload
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
+        self.status_code = status_code
+        self.headers = headers or {}
+        self.content = (text if payload is None else json.dumps(payload)).encode()
 
 
 def chat_payload(content, finish_reason="stop"):
@@ -463,13 +461,13 @@ class TestLiveProvider:
     def test_rate_limit_retries(self):
         session = FakeSession(
             [
-                FakeHTTPResponse(status_code=429),
+                FakeHTTPResponse(status_code=429, headers={"retry-after": "7"}),
                 FakeHTTPResponse(payload=chat_payload("ok")),
             ]
         )
         provider, sleeps = make_live(session)
         assert provider.complete(make_request("p")).text == "ok"
-        assert len(sleeps) == 1
+        assert sleeps == [7.0]
 
     def test_auth_failure_is_not_retried(self):
         session = FakeSession([FakeHTTPResponse(status_code=401)])
@@ -487,7 +485,7 @@ class TestLiveProvider:
         provider, _ = make_live(session)
         with pytest.raises(ProviderError) as excinfo:
             provider.complete(make_request("p"))
-        assert excinfo.value.kind is ProviderErrorKind.OTHER
+        assert str(excinfo.value) == "other: HTTP 400: bad request body"
         assert len(session.posts) == 1
 
     def test_exhausted_attempts_raise_last_error(self):
@@ -595,9 +593,9 @@ def loopback(monkeypatch):
         server.close()
 
 
-def stdlib_live(base_url, **kwargs):
+def stdlib_live(base_url, timeout=5.0, **kwargs):
     sleeps = []
-    provider = LiveProvider(base_url, api_key="sk-test", timeout=5.0,
+    provider = LiveProvider(base_url, api_key="sk-test", timeout=timeout,
                             sleep_fn=sleeps.append, **kwargs)
     LIVE_PROVIDERS.append(provider)
     return provider, sleeps
@@ -634,10 +632,38 @@ class TestStdlibTransport:
         caplog.set_level(logging.INFO, logger="abcd_eval.providers")
         assert provider.complete(make_request("p1")).text == "first"
         assert provider.complete(make_request("p2")).text == "second"
-        assert "retrying after network" in caplog.text
-        assert len(sleeps) == 1
+        assert "retrying" not in caplog.text  # resent at once, without a sleep
+        assert sleeps == []
         assert server.connections == 2
         assert [conn for conn, *_ in server.requests] == [1, 2]
+
+    def test_fresh_socket_that_fails_too_backs_off_once(self, loopback, caplog):
+        # The request the idle-closed socket lost goes out again on a fresh
+        # socket, which the server closes unanswered: that failure is retried
+        # after a backoff sleep, on a third socket.
+        server = loopback(
+            [http_response(body=chat_body("first")), b"",
+             http_response(body=chat_body("third"))],
+            close_after_each=True,
+        )
+        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
+        caplog.set_level(logging.INFO, logger="abcd_eval.providers")
+        assert provider.complete(make_request("p1")).text == "first"
+        assert provider.complete(make_request("p2")).text == "third"
+        assert "retrying after network" in caplog.text
+        assert len(sleeps) == 1
+        assert [conn for conn, *_ in server.requests] == [1, 2, 3]
+
+    def test_timeout_on_a_reused_socket_is_not_resent(self, loopback):
+        # The server reads the second request and never answers it.
+        server = loopback([http_response(body=chat_body("first")), b"",
+                           http_response(body=chat_body("third"))])
+        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1",
+                                       timeout=0.2)
+        assert provider.complete(make_request("p1")).text == "first"
+        assert provider.complete(make_request("p2")).text == "third"
+        assert len(sleeps) == 1
+        assert [conn for conn, *_ in server.requests] == [1, 1, 2]
 
     def test_chunked_body_parses(self, loopback):
         server = loopback([http_response(body=chat_body("chunked"), chunked=True)] * 2)
