@@ -157,12 +157,9 @@ class HTTPSession:
     variables name for the origin when the session is built, https through
     a ``CONNECT`` tunnel; system proxy settings are not read.
 
-    A reused socket that fails before the first byte of the response, as
-    one the server closed while idle does, is closed and the request sent
-    again at once on a fresh socket; a timeout is not sent again. Any other
-    failed request, including one whose response does not frame (a
-    ``ConnectionError``), closes and drops its socket, so the next post
-    opens a fresh one, and so does a response that says it will close.
+    A socket whose request fails, including on a response that does not
+    frame (a ``ConnectionError``), is closed and dropped, so the next post
+    opens a fresh one; so is a socket the response says will close.
     :meth:`close` closes the others. Redirects are not followed.
     """
 
@@ -172,8 +169,8 @@ class HTTPSession:
         self._https = parts.scheme == "https"
         try:
             port = (443 if self._https else 80) if parts.port is None else parts.port
-        except ValueError:  # not a number from 0 to 65535
-            port = 0  # which no server listens on either
+        except ValueError:  # not a number, or above 65535
+            port = 0  # refused below, like a port of 0
         # A request target must be printable ASCII without spaces; only the
         # host may be an internationalized name.
         if (parts.scheme not in ("http", "https") or not parts.hostname
@@ -228,21 +225,15 @@ class HTTPSession:
             + "".join(f"{name}: {value}\r\n" for name, value in headers.items())
             + "\r\n"
         )
-        request = head.encode("latin-1") + body
         thread = threading.get_ident()
         with self._lock:
             conn = self._conns.get(thread)
-        if conn is not None:
-            try:
-                self._send(thread, conn, request)
-            except ConnectionError:
-                conn = None
         if conn is None:
             conn = self._connect(kwargs["timeout"])
             with self._lock:
                 self._conns[thread] = conn
-            self._send(thread, conn, request)
         try:
+            conn.sock.sendall(head.encode("latin-1") + body)
             response, keep_alive = _read_response(conn.rfile)
         except BaseException:
             self._drop(thread, conn)
@@ -250,17 +241,6 @@ class HTTPSession:
         if not keep_alive:
             self._drop(thread, conn)
         return response
-
-    def _send(self, thread: int, conn: _Connection, request: bytes) -> None:
-        """Send *request* and wait for the first byte of the response; a
-        connection that ends before it is a ``ConnectionError``."""
-        try:
-            conn.sock.sendall(request)
-            if not conn.rfile.peek(1):
-                raise _FramingError("connection closed before the response began")
-        except BaseException:
-            self._drop(thread, conn)
-            raise
 
     def _drop(self, thread: int, conn: _Connection) -> None:
         with self._lock:
