@@ -620,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--verbose", action="store_true",
-                        help="log per-question progress to stderr")
+                        help="also log retries and filtered input records")
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, options) in COMMANDS.items():
         command = commands.add_parser(name, help=help_text)

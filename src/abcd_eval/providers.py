@@ -115,15 +115,17 @@ def _request_to_record(request: CompletionRequest) -> dict:
     }
 
 
-def cache_key(request: CompletionRequest) -> str:
-    """Hex sha256 digest of the request's canonical JSON encoding."""
+def _digest(request_record) -> str:
+    """Hex sha256 digest of a request record's canonical JSON encoding."""
     canonical = json.dumps(
-        _request_to_record(request),
-        sort_keys=True,
-        separators=(",", ":"),
-        ensure_ascii=True,
+        request_record, sort_keys=True, separators=(",", ":"), ensure_ascii=True
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def cache_key(request: CompletionRequest) -> str:
+    """The digest of the request's record, as a cache entry stores it."""
+    return _digest(_request_to_record(request))
 
 
 # --------------------------------------------------------------------------
@@ -211,11 +213,12 @@ class LiveProvider:
 
     Reads the API key from the ``ABCD_API_KEY`` environment variable unless
     one is passed explicitly. Retries rate-limit and network failures with
-    exponential backoff and full jitter, up to ``max_attempts`` tries total.
-    A 429's delta-seconds ``Retry-After`` raises the wait to that value,
-    capped like the backoff. Posts through *session*, anything with the
-    ``post`` of a ``requests.Session`` whose response has ``status_code``,
-    ``headers`` and ``content``; by default a
+    exponential backoff and full jitter, up to ``max_attempts`` (at least 1)
+    tries total. A 429's delta-seconds ``Retry-After`` raises the wait to
+    that value, capped like the backoff. The wait goes to *sleep_fn*, by
+    default the ``time.sleep`` of when the provider is built. Posts through
+    *session*, anything with the ``post`` of a ``requests.Session`` whose
+    response has ``status_code``, ``headers`` and ``content``; by default a
     :class:`~abcd_eval.transport.HTTPSession` with one keep-alive connection
     per thread, which :meth:`close` closes.
     """
@@ -228,7 +231,7 @@ class LiveProvider:
         timeout: float = DEFAULT_TIMEOUT_SECONDS,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         session=None,
-        sleep_fn: Callable[[float], None] = time.sleep,
+        sleep_fn: Optional[Callable[[float], None]] = None,
         rng: Optional[random.Random] = None,
     ):
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV_VAR)
@@ -247,6 +250,8 @@ class LiveProvider:
         self._api_key = key
         self._url = base_url.rstrip("/") + "/chat/completions"
         self._timeout = timeout
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self._max_attempts = max_attempts
         self._owns_session = session is None
         if session is None:
@@ -254,7 +259,7 @@ class LiveProvider:
 
             session = HTTPSession(self._url)
         self._session = session
-        self._sleep = sleep_fn
+        self._sleep = sleep_fn or time.sleep
         self._rng = rng or random.Random()
 
     def close(self) -> None:
@@ -264,32 +269,21 @@ class LiveProvider:
             self._session.close()
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        last_error: Optional[ProviderError] = None
-        for attempt in range(self._max_attempts):
-            if attempt > 0:
-                assert last_error is not None
+        for attempt in range(1, self._max_attempts + 1):
+            try:
+                return self._attempt(request)
+            except ProviderError as exc:
+                if not exc.retryable or attempt == self._max_attempts:
+                    raise
                 delay = self._rng.uniform(
                     0.0,
                     min(_BACKOFF_CAP_SECONDS, _BACKOFF_BASE_SECONDS * 2 ** (attempt - 1)),
                 )
-                if last_error.retry_after is not None:
-                    delay = min(_BACKOFF_CAP_SECONDS, max(delay, last_error.retry_after))
-                logger.info(
-                    "retrying after %s (attempt %d/%d, sleeping %.2fs)",
-                    last_error.kind.value,
-                    attempt + 1,
-                    self._max_attempts,
-                    delay,
-                )
+                if exc.retry_after is not None:
+                    delay = min(_BACKOFF_CAP_SECONDS, max(delay, exc.retry_after))
+                logger.info("retrying after %s (attempt %d/%d, sleeping %.2fs)",
+                            exc.kind.value, attempt + 1, self._max_attempts, delay)
                 self._sleep(delay)
-            try:
-                return self._attempt(request)
-            except ProviderError as exc:
-                if not exc.retryable:
-                    raise
-                last_error = exc
-        assert last_error is not None
-        raise last_error
 
     def _attempt(self, request: CompletionRequest) -> CompletionResponse:
         body = {
@@ -374,10 +368,13 @@ class ResponseCache:
 
     def get(self, digest: str) -> Optional[CompletionResponse]:
         """The cached response, or None when there is no entry. An entry
-        that does not decode or convert raises ``ValueError``."""
+        that does not decode or convert, or whose stored request does not
+        hash to *digest*, raises ``ValueError``."""
         try:
             with open(f"{self._prefix}{digest}.json", "rb") as handle:
                 entry = json.loads(handle.read().decode("utf-8"))
+            if _digest(entry["request"]) != digest:
+                raise ValueError("its request hashes to another digest")
             return _response_from_record(entry["response"])
         except FileNotFoundError:
             return None

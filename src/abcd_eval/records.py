@@ -17,7 +17,6 @@ import contextlib
 import json
 import os
 import re
-import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
@@ -339,14 +338,14 @@ def read_jsonl(path: str | Path, convert=_as_is, key=None) -> list:
 def atomic_write(path: str | Path, data: bytes) -> None:
     """Write *data* to a temp file beside *path*, then rename it into place.
 
-    The temp file is made by ``mkstemp`` (``O_EXCL``, mode 0600) in the
-    target directory, which must exist: callers create it. On any failure
-    the temp file is removed and *path* is left as it was.
+    The temp file is created with ``O_EXCL`` and mode 0666 less the umask,
+    under a random name in the target directory, which must exist: callers
+    create it. On any failure the temp file is removed and *path* is left as
+    it was.
     """
     directory, name = os.path.split(os.fspath(path))
-    fd, temp_path = tempfile.mkstemp(
-        dir=directory or ".", prefix=f".tmp-{name}-", suffix=".part"
-    )
+    temp_path = os.path.join(directory, f".tmp-{name}-{os.urandom(6).hex()}.part")
+    fd = os.open(temp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         try:
             view = memoryview(data)

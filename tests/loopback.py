@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 import socket
+import struct
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from abcd_eval.providers import CompletionRequest, ScriptedProvider
@@ -17,9 +20,9 @@ PROXY_ENV_VARS = tuple(
 )
 
 
-def chat_body(content: str) -> bytes:
+def chat_body(content: str, finish_reason: str = "stop") -> bytes:
     return json.dumps(
-        {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
+        {"choices": [{"message": {"content": content}, "finish_reason": finish_reason}]}
     ).encode("utf-8")
 
 
@@ -103,6 +106,29 @@ class LoopbackServer:
         assert not self._thread.is_alive()
 
 
+# Faults a live run retries, each spoiling one attempt at a prompt: a 429
+# asking for a 7 s wait, a 429 without a wait, a 503, a reset after half the
+# body, and a keep-alive socket closed before any response byte, as a server
+# closes an idle one.
+RETRYABLE_FAULTS = ("429-retry-after-7", "429", "503", "reset-mid-body", "idle-close")
+# A reply with the scripted text and finish reason ``length``: an answer,
+# so it ends the prompt's faults.
+LENGTH = "length"
+
+
+def fault_schedule(prompts, seed: int) -> dict[str, tuple[str, ...]]:
+    """Every retryable fault once, and one ``length`` reply, two to each
+    of three prompts drawn from *prompts* by *seed*, so each prompt is
+    answered by its third attempt at the latest.
+
+    The schedule is keyed by prompt, so which request meets which fault
+    does not depend on the order requests arrive in."""
+    rng = random.Random(seed)
+    drawn = rng.sample(sorted(set(prompts)), 3)
+    kinds = rng.sample(RETRYABLE_FAULTS, len(RETRYABLE_FAULTS)) + [LENGTH]
+    return {prompt: tuple(kinds[2 * i:2 * i + 2]) for i, prompt in enumerate(drawn)}
+
+
 class _ScriptHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"  # keep-alive
     disable_nagle_algorithm = True  # the body would wait for the head's ACK
@@ -110,11 +136,31 @@ class _ScriptHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         prompt = body["messages"][0]["content"]
+        fault = self.server.next_fault(prompt)
+        if fault == "idle-close":
+            self.close_connection = True
+            return
+        if fault in ("429-retry-after-7", "429", "503"):
+            self.send_response(int(fault[:3]))
+            if fault == "429-retry-after-7":
+                self.send_header("Retry-After", "7")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         request = CompletionRequest(model=body["model"], prompt=prompt, max_tokens=1)
-        reply = chat_body(self.server.script.complete(request).text)
+        reply = chat_body(self.server.script.complete(request).text,
+                          "length" if fault == LENGTH else "stop")
         self.send_response(200)
         self.send_header("Content-Length", str(len(reply)))
         self.end_headers()
+        if fault == "reset-mid-body":
+            self.wfile.write(reply[:len(reply) // 2])
+            # A zero linger makes the close a reset.
+            self.connection.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            self.close_connection = True
+            return
         self.wfile.write(reply)
 
     def log_message(self, *args):
@@ -123,16 +169,39 @@ class _ScriptHandler(BaseHTTPRequestHandler):
 
 class ScriptServer(ThreadingHTTPServer):
     """A chat-completions server on 127.0.0.1 that answers every prompt from
-    scripted-provider rules, one thread per connection, until closed."""
+    scripted-provider rules, one thread per connection, until closed.
+
+    *faults* maps a prompt to the faults its first attempts meet, in order
+    (see :func:`fault_schedule`); later attempts are answered. ``attempts``
+    counts the requests for each prompt, and ``faults_served`` the faults
+    sent."""
 
     daemon_threads = True
 
-    def __init__(self, rules):
+    def __init__(self, rules, faults=None):
         super().__init__(("127.0.0.1", 0), _ScriptHandler)
         self.script = ScriptedProvider(rules)
+        self.faults = faults or {}
+        self.attempts: Counter[str] = Counter()
+        self.faults_served: Counter[str] = Counter()
+        self._lock = threading.Lock()
         self.port = self.server_address[1]
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # A short poll keeps close() from waiting out the default half second.
+        self._thread = threading.Thread(
+            target=self.serve_forever, args=(0.01,), daemon=True
+        )
         self._thread.start()
+
+    def next_fault(self, prompt: str):
+        """The fault for this attempt at *prompt*, or None to answer it."""
+        with self._lock:
+            attempt = self.attempts[prompt]
+            self.attempts[prompt] += 1
+            faults = self.faults.get(prompt, ())
+            fault = faults[attempt] if attempt < len(faults) else None
+            if fault:
+                self.faults_served[fault] += 1
+        return fault
 
     def close(self) -> None:
         self.shutdown()

@@ -31,6 +31,7 @@ from abcd_eval.providers import (
     ProviderError,
     ProviderErrorKind,
     ResponseCache,
+    cache_key,
     load_script_rules,
 )
 from abcd_eval.transport import HTTPResponse
@@ -267,7 +268,7 @@ REQUEST = CompletionRequest(model="m", prompt="Is it true?", max_tokens=8)
 @given(value=JSON_VALUES)
 def test_cache_entries(workdir, value):
     cache = ResponseCache(workdir / "cache")
-    digest = "0" * 64
+    digest = cache_key(REQUEST)  # so the base entry reads and each field is reached
     base = {
         "request": {"model": "m", "prompt": "Is it true?", "temperature": 0.0,
                     "max_tokens": 8},

@@ -2,6 +2,8 @@
 
 import json
 import logging
+import os
+import stat
 from fractions import Fraction
 
 import pytest
@@ -278,6 +280,72 @@ class TestDeterminismAndReplay:
             "replay_miss" in entry["reason"]
             for entry in manifest["questions"].values()
         )
+
+
+    def test_copied_entry_is_refetched_or_fails_replay_alone(
+        self, fixture_paths, tmp_path, caplog
+    ):
+        """An entry copied over another's file does not hash to that name:
+        caching fetches it again, and replay fails its question alone."""
+        cache_dir, reference = tmp_path / "cache", tmp_path / "reference"
+        assert main(evaluate_args(
+            fixture_paths, reference, "--cache-dir", str(cache_dir)
+        )) == EXIT_OK
+        prompts = {
+            path: json.loads(path.read_text("utf-8"))["request"]["prompt"]
+            for path in sorted(cache_dir.iterdir())
+        }
+        (target,) = [p for p, text in prompts.items()
+                     if text == "True or False: Mars is a planet"]
+        source = next(path for path in prompts if path != target)
+
+        target.write_bytes(source.read_bytes())
+        out_replay = tmp_path / "replay"
+        assert main(replay_args(fixture_paths, cache_dir, out_replay)) == EXIT_PARTIAL
+        manifest = read_manifest(out_replay)
+        assert [qid for qid, entry in manifest["questions"].items()
+                if entry["status"] != "ok"] == ["q01"]
+        reason = manifest["questions"]["q01"]["reason"]
+        assert "replay_miss" in reason and target.stem in reason
+
+        out_cache = tmp_path / "cached"
+        assert main(evaluate_args(
+            fixture_paths, out_cache, "--cache-dir", str(cache_dir)
+        )) == EXIT_OK
+        assert f"unreadable cache entry for request digest {target.stem}" in caplog.text
+        assert sum(read_manifest(out_cache)["provider_calls"].values()) == 1
+        assert json.loads(target.read_text("utf-8"))["request"]["prompt"] == \
+            prompts[target]
+        for name in RECORD_FILES:
+            assert (out_cache / name).read_bytes() == \
+                (reference / name).read_bytes(), name
+
+
+def test_written_files_follow_the_umask(fixture_paths, tmp_path):
+    """Record files, reports, the manifest, cache entries and dataset
+    splits are made 0666 less the umask, and no temp file is left."""
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text("".join(
+        json.dumps({"clues": [f"This painter number {i} made a mural"],
+                    "answer": f"Painter {i}"}) + "\n"
+        for i in range(4)
+    ), encoding="utf-8")
+    out_dir, cache_dir, dataset = tmp_path / "run", tmp_path / "cache", tmp_path / "data"
+    umask = os.umask(0o022)
+    try:
+        assert main(evaluate_args(
+            fixture_paths, out_dir, "--cache-dir", str(cache_dir)
+        )) == EXIT_OK
+        assert main(["build-obscureqa", "--dump", str(dump),
+                     "--out-dir", str(dataset)]) == EXIT_OK
+    finally:
+        os.umask(umask)
+    written = [*out_dir.iterdir(), *cache_dir.iterdir(), *dataset.iterdir()]
+    assert {path.name for path in out_dir.iterdir()} >= {*RECORD_FILES, "manifest.json"}
+    assert "obscureqa_train.jsonl" in {path.name for path in written}
+    assert [path.name for path in written if path.name.endswith(".part")] == []
+    assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in written} == \
+        {path.name: 0o644 for path in written}
 
 
 class TestSelectionFlags:

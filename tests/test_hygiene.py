@@ -2,8 +2,8 @@
 needs nothing beyond the standard library, only the transport imports
 ``socket`` or ``ssl``, only the model decides whether a value is a string,
 only ``records`` reads JSONL lines, no handler re-raises an error as another
-type with the same text, each command loads only what it runs, and a live
-run closes the sockets it opens.
+type with the same text, only ``records`` writes files, each command loads
+only what it runs, and a live run closes the sockets it opens.
 
 A stdlib AST scan stands in for a linter. Package ``__init__.py`` files are
 skipped by the unused-import scan (their imports are re-exports), and so is
@@ -192,6 +192,58 @@ def test_input_errors_reach_the_cli_unwrapped():
         if isinstance(node, ast.ClassDef) and node.name == "ConfigError"
     ]
     assert defined == []
+
+
+def file_writes(source: str) -> list[int]:
+    """Lines that write a file or import ``tempfile``: ``open`` with a
+    ``w``/``a``/``x``/``+`` mode (or one not spelled out), ``os.open``,
+    ``os.write``, ``os.replace``, ``os.rename``, ``.write_text`` and
+    ``.write_bytes``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [alias.name for alias in node.names] \
+                if isinstance(node, ast.Import) else [node.module or ""]
+            if "tempfile" in (module.split(".")[0] for module in modules):
+                found.append(node.lineno)
+            continue
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                and func.value.id == "os":
+            if func.attr in ("open", "write", "replace", "rename"):
+                found.append(node.lineno)
+        elif isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            found.append(node.lineno)
+        elif (isinstance(func, ast.Name) and func.id == "open") or (
+                isinstance(func, ast.Attribute) and func.attr == "open"):
+            # open(file, mode) or Path.open(mode)
+            at = 1 if isinstance(func, ast.Name) else 0
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            mode = node.args[at] if len(node.args) > at else (modes or [None])[0]
+            if mode is not None and not (isinstance(mode, ast.Constant)
+                                         and isinstance(mode.value, str)
+                                         and not set(mode.value) & set("wax+")):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_records_writes_files():
+    """``records`` makes every file the program writes, so each follows
+    the umask; no other module opens a file for writing."""
+    assert file_writes(
+        "open(p, 'w')\nopen(p)\nopen(p, 'rb')\nopen(p, mode='ab+')\n"
+        "os.replace(a, b)\nPath(p).write_text(t)\nPath(p).open('x')\n"
+        "import tempfile\nfrom tempfile import mkstemp\nopen(p, m)\nos.path.join(a)\n"
+    ) == [1, 4, 5, 6, 7, 8, 9, 10]
+    found = {
+        str(path.relative_to(ROOT)): lines
+        for path in PACKAGE
+        if path.name != "records.py"
+        and (lines := file_writes(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
 
 
 # Blocks ``requests``, then runs the fixture ``evaluate`` and one live call.

@@ -6,6 +6,7 @@ import random
 import socket
 import sys
 import threading
+import time
 
 import pytest
 
@@ -496,6 +497,21 @@ class TestLiveProvider:
         assert excinfo.value.kind is ProviderErrorKind.NETWORK
         assert len(session.posts) == 3
         assert len(sleeps) == 2
+
+    def test_fewer_than_one_attempt_is_refused(self):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1, got 0"):
+            LiveProvider("https://api.example.test/v1", api_key="sk-test",
+                         session=FakeSession([]), max_attempts=0)
+
+    def test_default_sleep_is_the_time_sleep_of_construction(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        session = FakeSession([FakeHTTPResponse(status_code=503),
+                               FakeHTTPResponse(payload=chat_payload("True."))])
+        provider = LiveProvider("https://api.example.test/v1", api_key="sk-test",
+                                session=session)
+        assert provider.complete(make_request("p")).text == "True."
+        assert len(sleeps) == 1
 
     def test_malformed_body_is_other(self):
         session = FakeSession([FakeHTTPResponse(payload={"choices": []})])
