@@ -22,7 +22,8 @@ the options of each subcommand. An option that sets a
 values, the same way for every command.
 
 Exit codes: 0 success, 1 usage or input error, 2 partial failure (some
-questions processed), 3 total failure (none processed).
+questions processed), 3 total failure (none processed), 130 interrupted
+(questions in flight finish; no record file is written).
 
 Record and report files are timestamp-free so that scripted and replay runs
 are byte-for-byte reproducible; wall-clock times go only to the manifest.
@@ -36,6 +37,7 @@ import sys
 from contextlib import closing
 from dataclasses import fields
 from datetime import datetime, timezone
+from fractions import Fraction
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -79,56 +81,54 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_PARTIAL = 2
 EXIT_TOTAL = 3
+EXIT_INTERRUPTED = 130
 
 
 # --------------------------------------------------------------------------
 # report rendering
 
 
-def _rational_cell(value, width: int) -> str:
-    text = "-" if value is None else f"{float(value):.4f}"
-    return f"{text:>{width}}"
+# The columns of report.txt's two tables: (AggregateReport attribute, heading,
+# width). The first column is left-aligned, the others right-aligned.
+_SUMMARY_COLUMNS = (
+    ("dataset", "dataset", 16), ("n_total", "n", 5), ("n_correct", "corr", 5),
+    ("n_incorrect", "inc", 5), ("n_unlabeled", "unlab", 6),
+    ("mean_correct", "C", 8), ("mean_incorrect", "I", 8), ("diff", "Diff", 8),
+    ("t_stat", "t", 9), ("degrees_freedom", "df", 8), ("p_value", "p-val", 10),
+    ("p_correct", "P(C)", 7), ("p_incorrect", "P(I)", 7),
+)
+_GOLD_COLUMNS = (
+    ("dataset", "dataset", 16), ("gt_comparison.gt_greater", "gt>pred", 8),
+    ("gt_comparison.gt_equal", "gt=pred", 8), ("gt_comparison.gt_less", "gt<pred", 8),
+)
 
 
-def _float_cell(value, width: int) -> str:
-    text = "-" if value is None else f"{value:.4g}"
-    return f"{text:>{width}}"
+def _cell(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, Fraction):
+        return f"{float(value):.4f}"
+    return f"{value:.4g}" if isinstance(value, float) else str(value)
+
+
+def _table(columns, reports) -> list[str]:
+    """The heading line, then one line per report."""
+    rows = [[heading for _, heading, _ in columns]]
+    rows += [[_cell(attrgetter(name)(r)) for name, _, _ in columns] for r in reports]
+    return [
+        " ".join(cell.rjust(width) if i else cell.ljust(width)
+                 for i, (cell, (_, _, width)) in enumerate(zip(row, columns)))
+        for row in rows
+    ]
 
 
 def render_report_text(reports: Sequence[AggregateReport]) -> str:
     """Human-readable summary table for one or more aggregate reports."""
-    lines = ["== score summary =="]
-    lines.append(
-        f"{'dataset':<16} {'n':>5} {'corr':>5} {'inc':>5} {'unlab':>6} "
-        f"{'C':>8} {'I':>8} {'Diff':>8} {'t':>9} {'df':>8} {'p-val':>10} "
-        f"{'P(C)':>7} {'P(I)':>7}"
-    )
-    for report in reports:
-        lines.append(
-            f"{report.dataset:<16} {report.n_total:>5} {report.n_correct:>5} "
-            f"{report.n_incorrect:>5} {report.n_unlabeled:>6} "
-            f"{_rational_cell(report.mean_correct, 8)} "
-            f"{_rational_cell(report.mean_incorrect, 8)} "
-            f"{_rational_cell(report.diff, 8)} "
-            f"{_float_cell(report.t_stat, 9)} "
-            f"{_float_cell(report.degrees_freedom, 8)} "
-            f"{_float_cell(report.p_value, 10)} "
-            f"{_rational_cell(report.p_correct, 7)} "
-            f"{_rational_cell(report.p_incorrect, 7)}"
-        )
+    lines = ["== score summary ==", *_table(_SUMMARY_COLUMNS, reports)]
     with_gt = [report for report in reports if report.gt_comparison is not None]
     if with_gt:
-        lines.append("")
-        lines.append("== gold-answer score vs predicted (labeled incorrect) ==")
-        lines.append(
-            f"{'dataset':<16} {'gt>pred':>8} {'gt=pred':>8} {'gt<pred':>8}"
-        )
-        for report in with_gt:
-            comparison = report.gt_comparison
-            lines.append(
-                f"{report.dataset:<16} {comparison.gt_greater:>8} "
-                f"{comparison.gt_equal:>8} {comparison.gt_less:>8}"
-            )
+        lines += ["", "== gold-answer score vs predicted (labeled incorrect) ==",
+                  *_table(_GOLD_COLUMNS, with_gt)]
     return "\n".join(lines) + "\n"
 
 
@@ -357,6 +357,14 @@ def _write_reports(
     return text
 
 
+def _manifest_entry(outcome: QuestionOutcome) -> dict:
+    """A question's status, plus its failed stage and reason and its
+    truncated stages where it has them."""
+    entry = {"status": "ok" if outcome.ok else "failed", "stage": outcome.failed_stage,
+             "reason": outcome.failure_reason, "truncated": outcome.truncated}
+    return {key: value for key, value in entry.items() if value}
+
+
 def _exit_code(n_ok: int, n_failed: int) -> int:
     if n_failed == 0:
         return EXIT_OK
@@ -399,18 +407,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "n_questions": len(outcomes),
         "n_ok": n_ok,
         "n_failed": n_failed,
-        "questions": {
-            outcome.question.id: (
-                {"status": "ok"}
-                if outcome.ok
-                else {
-                    "status": "failed",
-                    "stage": outcome.failed_stage,
-                    "reason": outcome.failure_reason,
-                }
-            )
-            for outcome in outcomes
-        },
+        "questions": {outcome.question.id: _manifest_entry(outcome)
+                      for outcome in outcomes},
         "provider_calls": run.upstream.calls,
     }
     records.write_json_atomic(out_dir / "manifest.json", manifest)
@@ -650,6 +648,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, ProviderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

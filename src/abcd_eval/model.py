@@ -304,7 +304,7 @@ class AggregateReport:
     Score means are exact rationals; only the t-test fields are floats.
     Fields are None when the slice they describe is empty (for example no
     labeled-incorrect questions means no ``mean_incorrect``) or when the
-    t-test inputs are degenerate.
+    t-test inputs are degenerate. report.json writes the fields in this order.
     """
 
     dataset: str

@@ -37,6 +37,7 @@ from .providers import (
     CachingProvider,
     CompletionRequest,
     CompletionResponse,
+    FinishReason,
     LiveProvider,
     Provider,
     ReplayProvider,
@@ -141,10 +142,11 @@ class RunConfig:
         }
 
 
-# The stage run_stages is running, and the responses the current question
-# has received by request.
+# The stage run_stages is running, the responses the current question has
+# received by request, and the stages where one of them was truncated.
 _stage: ContextVar[str] = ContextVar("stage")
 _responses: ContextVar[dict] = ContextVar("responses")
+_truncated: ContextVar[set] = ContextVar("truncated")
 
 
 class Upstream:
@@ -176,6 +178,8 @@ class Upstream:
         response = responses.get(request)
         if response is None:
             response = responses[request] = self._inner.complete(request)
+        if response.finish_reason is FinishReason.LENGTH:
+            _truncated.get().add(_stage.get())
         return response
 
     def close(self) -> None:
@@ -232,7 +236,9 @@ class Run:
 
 @dataclass
 class QuestionOutcome:
-    """One question's results so far, or the stage where it failed."""
+    """One question's results so far, or the stage where it failed, and
+    the stages, in pipeline order, that used a reply cut off at its
+    ``max_tokens`` (finish reason ``length``), fresh, cached or reused."""
 
     question: Question
     claim_set: Optional[ClaimSet] = None
@@ -243,6 +249,7 @@ class QuestionOutcome:
     baseline: Optional[BaselineResult] = None
     failed_stage: Optional[str] = None
     failure_reason: Optional[str] = None
+    truncated: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -353,7 +360,9 @@ def run_stages(
     """
 
     def worker(outcome: QuestionOutcome) -> QuestionOutcome:
+        truncated = set()
         _responses.set({})
+        _truncated.set(truncated)
         for stage in stages:
             _stage.set(stage)
             try:
@@ -365,6 +374,10 @@ def run_stages(
                 outcome.failed_stage = stage
                 outcome.failure_reason = f"{type(exc).__name__}: {exc}"
                 break
+        outcome.truncated = [stage for stage in stages if stage in truncated]
+        for stage in outcome.truncated:
+            logger.warning("question %s: a %s reply was truncated (finish_reason "
+                           "length)", outcome.question.id, stage)
         return outcome
 
     def run_question(outcome: QuestionOutcome) -> QuestionOutcome:

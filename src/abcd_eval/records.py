@@ -17,6 +17,7 @@ import contextlib
 import json
 import os
 import re
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
@@ -213,28 +214,10 @@ def baseline_to_record(evaluation: QuestionEvaluation, baseline) -> dict:
 
 
 def report_to_record(report: AggregateReport) -> dict:
-    comparison = None
-    if report.gt_comparison is not None:
-        comparison = {
-            "gt_greater": report.gt_comparison.gt_greater,
-            "gt_equal": report.gt_comparison.gt_equal,
-            "gt_less": report.gt_comparison.gt_less,
-        }
+    """*report*'s fields in declaration order, rationals as strings."""
     return {
-        "dataset": report.dataset,
-        "n_total": report.n_total,
-        "n_correct": report.n_correct,
-        "n_incorrect": report.n_incorrect,
-        "n_unlabeled": report.n_unlabeled,
-        "mean_correct": fraction_to_str(report.mean_correct),
-        "mean_incorrect": fraction_to_str(report.mean_incorrect),
-        "diff": fraction_to_str(report.diff),
-        "t_stat": report.t_stat,
-        "degrees_freedom": report.degrees_freedom,
-        "p_value": report.p_value,
-        "p_correct": fraction_to_str(report.p_correct),
-        "p_incorrect": fraction_to_str(report.p_incorrect),
-        "gt_comparison": comparison,
+        name: fraction_to_str(value) if isinstance(value, Fraction) else value
+        for name, value in asdict(report).items()
     }
 
 

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import stat
+import threading
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from abcd_eval.cli import (
     build_parser,
     cmd_annotate,
     main,
+    render_report_text,
 )
 from abcd_eval.datasets import (
     QuestionFormat,
@@ -28,7 +30,7 @@ from abcd_eval.datasets import (
     split_sizes,
 )
 from abcd_eval.decompose import default_pack_path
-from abcd_eval.model import Verdict
+from abcd_eval.model import AggregateReport, Verdict
 from abcd_eval.providers import (
     API_KEY_ENV_VAR,
     LiveProvider,
@@ -346,6 +348,36 @@ def test_written_files_follow_the_umask(fixture_paths, tmp_path):
     assert [path.name for path in written if path.name.endswith(".part")] == []
     assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in written} == \
         {path.name: 0o644 for path in written}
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_interrupt_is_exit_130_without_a_traceback(
+    fixture_paths, tmp_path, monkeypatch, capsys, concurrency
+):
+    """A KeyboardInterrupt in the tenth model call ends the run with one
+    ``interrupted`` line and writes no record file."""
+    calls = []
+    lock = threading.Lock()
+    complete = ScriptedProvider.complete
+
+    def interrupting(self, request):
+        with lock:
+            calls.append(request.prompt)
+            if len(calls) == 10:
+                raise KeyboardInterrupt
+        return complete(self, request)
+
+    monkeypatch.setattr(ScriptedProvider, "complete", interrupting)
+    out_dir = tmp_path / "run"
+    try:
+        code = main(evaluate_args(fixture_paths, out_dir, "--concurrency", str(concurrency)))
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped cli.main")
+    assert code == 130
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "interrupted"
+    assert list(out_dir.iterdir()) == []
 
 
 class TestSelectionFlags:
@@ -916,6 +948,82 @@ def mode_references(reference_run, tmp_path_factory):
     return recorded, {
         "plain": plain, "cache": root / "cache-run", "replay": root / "replay-run",
     }
+
+
+# The fixture's report files, byte for byte.
+FIXTURE_REPORT_TEXT = """\
+== score summary ==
+dataset              n  corr   inc  unlab        C        I     Diff         t       df      p-val    P(C)    P(I)
+custom              12     6     4      2   0.8333   0.2500   0.5833     4.427    6.579   0.003551  0.6000  0.4000
+
+== gold-answer score vs predicted (labeled incorrect) ==
+dataset           gt>pred  gt=pred  gt<pred
+custom                  1        2        1
+"""
+FIXTURE_REPORT_JSON = """\
+[
+  {
+    "dataset": "custom",
+    "n_total": 12,
+    "n_correct": 6,
+    "n_incorrect": 4,
+    "n_unlabeled": 2,
+    "mean_correct": "5/6",
+    "mean_incorrect": "1/4",
+    "diff": "7/12",
+    "t_stat": 4.427188724235731,
+    "degrees_freedom": 6.578947368421053,
+    "p_value": 0.003551480878910903,
+    "p_correct": "3/5",
+    "p_incorrect": "2/5",
+    "gt_comparison": {
+      "gt_greater": 1,
+      "gt_equal": 2,
+      "gt_less": 1
+    }
+  }
+]
+"""
+
+
+@pytest.mark.parametrize("mode", ["plain", "cache", "replay"])
+def test_fixture_reports_are_pinned(mode_references, mode):
+    _, runs = mode_references
+    assert (runs[mode] / "report.txt").read_text("utf-8") == FIXTURE_REPORT_TEXT
+    assert (runs[mode] / "report.json").read_text("utf-8") == FIXTURE_REPORT_JSON
+
+
+def test_reports_without_gold_answers_render_every_cell_kind():
+    """Two datasets, one named past its 16-character column and one with
+    every statistic None, and no gold-answer section."""
+    reports = [
+        AggregateReport(
+            "a_dataset_name_longer_than_16", 3, 2, 1, 0, Fraction(2, 3),
+            Fraction(1), Fraction(-1, 3), 123456.7, 1.0, 0.00001,
+            Fraction(2, 3), Fraction(1, 3),
+        ),
+        AggregateReport("empty", 1, 0, 0, 1, *[None] * 8),
+    ]
+    assert render_report_text(reports) == (
+        "== score summary ==\n"
+        "dataset              n  corr   inc  unlab        C        I     Diff"
+        "         t       df      p-val    P(C)    P(I)\n"
+        "a_dataset_name_longer_than_16     3     2     1      0   0.6667   1.0000"
+        "  -0.3333 1.235e+05        1      1e-05  0.6667  0.3333\n"
+        "empty                1     0     0      1        -        -        -"
+        "         -        -          -       -       -\n"
+    )
+    assert [records.report_to_record(report) for report in reports] == [
+        {"dataset": "a_dataset_name_longer_than_16", "n_total": 3, "n_correct": 2,
+         "n_incorrect": 1, "n_unlabeled": 0, "mean_correct": "2/3",
+         "mean_incorrect": "1", "diff": "-1/3", "t_stat": 123456.7,
+         "degrees_freedom": 1.0, "p_value": 1e-05, "p_correct": "2/3",
+         "p_incorrect": "1/3", "gt_comparison": None},
+        {"dataset": "empty", "n_total": 1, "n_correct": 0, "n_incorrect": 0,
+         "n_unlabeled": 1, **dict.fromkeys(
+             ("mean_correct", "mean_incorrect", "diff", "t_stat", "degrees_freedom",
+              "p_value", "p_correct", "p_incorrect", "gt_comparison"))},
+    ]
 
 
 # Each bad option value and the message it is reported with.

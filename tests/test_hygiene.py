@@ -2,8 +2,10 @@
 needs nothing beyond the standard library, only the transport imports
 ``socket`` or ``ssl``, only the model decides whether a value is a string,
 only ``records`` reads JSONL lines, no handler re-raises an error as another
-type with the same text, only ``records`` writes files, each command loads
-only what it runs, and a live run closes the sockets it opens.
+type with the same text, only ``records`` writes files, a handler of
+``BaseException`` re-raises and only ``cli.main`` catches
+``KeyboardInterrupt``, each command loads only what it runs, and a live run
+closes the sockets it opens.
 
 A stdlib AST scan stands in for a linter. Package ``__init__.py`` files are
 skipped by the unused-import scan (their imports are re-exports), and so is
@@ -244,6 +246,50 @@ def test_only_records_writes_files():
         and (lines := file_writes(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def handlers(source: str) -> list[tuple[int, str, set, bool]]:
+    """(line, enclosing function, names caught, ends in a bare ``raise``)
+    for each ``except`` clause; a bare ``except`` catches ``BaseException``."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        owner = parents[node]
+        while not isinstance(owner, (ast.FunctionDef, ast.Module)):
+            owner = parents[owner]
+        kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        caught = {"BaseException" if kind is None else ast.unparse(kind)
+                  for kind in kinds}
+        last = node.body[-1]
+        reraises = isinstance(last, ast.Raise) and last.exc is None
+        found.append((node.lineno, getattr(owner, "name", None), caught, reraises))
+    return sorted(found, key=lambda handler: handler[0])
+
+
+def test_only_cli_main_outlives_an_interrupt():
+    """A handler of ``BaseException`` (or a bare ``except``) ends in a bare
+    ``raise``, and only ``cli.main`` catches ``KeyboardInterrupt``, so a
+    Ctrl-C always reaches the one place that exits 130."""
+    assert handlers(
+        "def f():\n    try:\n        g()\n    except BaseException:\n        raise\n"
+        "    try:\n        g()\n    except:\n        pass\n"
+        "try:\n    g()\nexcept (ValueError, KeyboardInterrupt):\n    pass\n"
+    ) == [(4, "f", {"BaseException"}, True), (8, "f", {"BaseException"}, False),
+          (12, None, {"ValueError", "KeyboardInterrupt"}, False)]
+    swallowed, interrupts = {}, {}
+    for path in PACKAGE:
+        name = str(path.relative_to(ROOT))
+        for line, owner, caught, reraises in handlers(path.read_text(encoding="utf-8")):
+            if "BaseException" in caught and not reraises:
+                swallowed.setdefault(name, []).append(line)
+            if "KeyboardInterrupt" in caught:
+                interrupts.setdefault(name, []).append(owner)
+    assert swallowed == {}
+    assert interrupts == {"src/abcd_eval/cli.py": ["main"]}
 
 
 # Blocks ``requests``, then runs the fixture ``evaluate`` and one live call.

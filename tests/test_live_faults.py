@@ -3,7 +3,8 @@ schedule: 429s with and without ``Retry-After``, a 503, a reset in
 mid-body, an idle close and a ``length`` finish.
 
 Faults that a later attempt gets past leave the record files byte-identical
-to the scripted run at every ``--concurrency``. A prompt that fails every
+to the scripted run at every ``--concurrency``; the ``length`` finish is
+named only in its question's manifest entry. A prompt that fails every
 attempt fails its own question and no other, with a reason that names the
 fault's kind. ``time.sleep`` is patched out, so the backoff costs nothing.
 """
@@ -16,6 +17,7 @@ from collections import Counter
 import pytest
 
 from abcd_eval.cli import EXIT_OK, EXIT_PARTIAL, main
+from abcd_eval.pipeline import Upstream, _stage
 from abcd_eval.providers import (
     API_KEY_ENV_VAR,
     DEFAULT_MAX_ATTEMPTS,
@@ -40,23 +42,29 @@ def common_args(paths):
 
 @pytest.fixture(scope="module")
 def scripted(tmp_path_factory):
-    """The fixture's files, the out-dir of its scripted ``evaluate``, and
-    the prompts that run sent exactly once, so each belongs to one
-    question."""
+    """The fixture's files, the out-dir of its scripted ``evaluate``, the
+    prompts that run sent exactly once, so each belongs to one question,
+    and the stages that used each prompt's reply, in pipeline order."""
     root = tmp_path_factory.mktemp("faults")
     paths = write_fixture(root / "fixture")
-    sent = Counter()
-    complete = ScriptedProvider.complete
+    sent, stages = Counter(), {}
+    complete, use = ScriptedProvider.complete, Upstream.complete
 
     def counting(self, request):
         sent[request.prompt] += 1
         return complete(self, request)
 
+    def using(self, request):
+        stages.setdefault(request.prompt, {})[_stage.get()] = None
+        return use(self, request)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ScriptedProvider, "complete", counting)
+        patch.setattr(Upstream, "complete", using)
         assert main([*common_args(paths), "--script", str(paths["rules"]),
                      "--out-dir", str(root / "scripted")]) == EXIT_OK
-    return paths, root / "scripted", sorted(p for p, n in sent.items() if n == 1)
+    once = sorted(p for p, n in sent.items() if n == 1)
+    return paths, root / "scripted", once, {p: list(s) for p, s in stages.items()}
 
 
 def live_evaluate(paths, faults, out_dir, concurrency, monkeypatch):
@@ -83,11 +91,12 @@ def provider_calls(out_dir):
 
 @pytest.mark.parametrize("concurrency", [1, 2, 8])
 def test_retried_faults_leave_the_records_unchanged(
-    scripted, tmp_path, monkeypatch, capsys, concurrency
+    scripted, tmp_path, monkeypatch, capsys, caplog, concurrency
 ):
-    paths, reference, once = scripted
+    paths, reference, once, stages = scripted
+    schedule = fault_schedule(once, SEED)
     code, server, sleeps = live_evaluate(
-        paths, fault_schedule(once, SEED), tmp_path, concurrency, monkeypatch
+        paths, schedule, tmp_path, concurrency, monkeypatch
     )
     assert code == EXIT_OK
     for name in RECORD_FILES:
@@ -97,13 +106,25 @@ def test_retried_faults_leave_the_records_unchanged(
     # One backoff per retried fault; the 429's Retry-After sets its wait.
     assert len(sleeps) == len(RETRYABLE_FAULTS) and 7.0 in sleeps
     assert "Traceback" not in capsys.readouterr().err
+    # Only the length reply's question names the stages that used it, in
+    # its manifest entry and in one warning each.
+    (cut,) = [prompt for prompt, kinds in schedule.items() if LENGTH in kinds]
+    manifest = json.loads((tmp_path / "manifest.json").read_text("utf-8"))
+    flagged = {qid: entry.pop("truncated") for qid, entry in
+               manifest["questions"].items() if "truncated" in entry}
+    ((qid, truncated),) = flagged.items()
+    assert truncated == stages[cut]
+    assert all(entry == {"status": "ok"} for entry in manifest["questions"].values())
+    assert [r.getMessage() for r in caplog.records if "truncated" in r.getMessage()] \
+        == [f"question {qid}: a {stage} reply was truncated (finish_reason length)"
+            for stage in truncated]
 
 
 @pytest.mark.parametrize("concurrency", [1, 2, 8])
 def test_a_prompt_that_fails_every_attempt_fails_its_question_alone(
     scripted, tmp_path, monkeypatch, capsys, caplog, concurrency
 ):
-    paths, reference, once = scripted
+    paths, reference, once, _ = scripted
     prompt = random.Random(SEED).choice(once)
     code, server, sleeps = live_evaluate(
         paths, {prompt: ("503",) * DEFAULT_MAX_ATTEMPTS}, tmp_path, concurrency,

@@ -17,8 +17,10 @@ from abcd_eval.pipeline import (
 from abcd_eval.providers import (
     CompletionRequest,
     CompletionResponse,
+    FinishReason,
     ProviderError,
     ProviderErrorKind,
+    ReplayProvider,
     ResponseCache,
 )
 
@@ -61,7 +63,8 @@ def sending(*prompts):
 
 
 def run_questions(monkeypatch, upstream, n_questions, concurrency=1, **stages):
-    """Run the given stand-in *stages*, in order, over *n_questions*."""
+    """Run the given stand-in *stages*, in order, over *n_questions*;
+    return the outcomes."""
     for name, stage in stages.items():
         monkeypatch.setitem(STAGES, name, stage)
     outcomes = [
@@ -71,6 +74,7 @@ def run_questions(monkeypatch, upstream, n_questions, concurrency=1, **stages):
     run = Run(RunConfig(concurrency=concurrency), upstream)
     done = run_stages(run, outcomes, list(stages))
     assert [outcome.failure_reason for outcome in done] == [None] * n_questions
+    return done
 
 
 def test_failed_call_is_not_counted_and_its_resend_is(monkeypatch):
@@ -172,3 +176,26 @@ def test_question_responses_do_not_outlive_run_stages(monkeypatch):
     run_questions(monkeypatch, upstream, 1, verify=sending("p"))
     with pytest.raises(LookupError):
         upstream.complete(make_request("p"))
+
+
+def test_a_truncated_reply_names_every_stage_that_used_it(monkeypatch, tmp_path):
+    class Cutting(Endpoint):
+        """Answers the prompt "cut" with finish reason ``length``."""
+
+        def complete(self, request):
+            response = super().complete(request)
+            if request.prompt != "cut":
+                return response
+            return CompletionResponse(response.text, FinishReason.LENGTH)
+
+    stages = dict(decompose=sending("a"), verify=sending("cut", "b", "cut"),
+                  verify_gt=sending("cut"), baseline=sending("b"))
+    cache = ResponseCache(tmp_path)
+    # The first question's reply is fresh, then reused; the second's comes
+    # from the cache, and the replayed run's from the cache again.
+    recorded = run_questions(monkeypatch, Upstream(Cutting(), cache), 2, **stages)
+    replayed = run_questions(monkeypatch, Upstream(ReplayProvider(cache)), 2, **stages)
+    assert [outcome.truncated for outcome in recorded + replayed] == \
+        [["verify", "verify_gt"]] * 4
+    untouched = run_questions(monkeypatch, Upstream(Cutting()), 1, verify=sending("b"))
+    assert untouched[0].truncated == []
