@@ -17,9 +17,9 @@ with exit code 1.
 
 Each option is declared once in :data:`OPTIONS`, and :data:`COMMANDS` lists
 the options of each subcommand. An option that sets a
-:class:`~abcd_eval.pipeline.RunConfig` field has that field as its dest, so
-:func:`config_from_args` copies fields by name and the config checks the
-values, the same way for every command.
+:class:`~abcd_eval.pipeline.RunConfig` field has that field as its dest and
+no default, so a default lives only in ``RunConfig``: :func:`config_from_args`
+copies the given fields by name, and the config checks them for every command.
 
 Exit codes: 0 success, 1 usage or input error, 2 partial failure (some
 questions processed), 3 total failure (none processed), 130 interrupted
@@ -51,12 +51,7 @@ from .datasets import (
     parse_quizbowl_record,
     sample_questions,
 )
-from .answers import DEFAULT_ANSWER_MAX_TOKENS
-from .decompose import (
-    DEFAULT_DECOMPOSE_MAX_TOKENS,
-    default_pack_path,
-    load_prompt_pack,
-)
+from .decompose import default_pack_path, load_prompt_pack
 from .model import AggregateReport, Question, QuestionEvaluation
 from .pipeline import (
     EVALUATE_STAGES,
@@ -69,7 +64,7 @@ from .pipeline import (
 )
 from .providers import API_KEY_ENV_VAR, ProviderError
 from .scoring import aggregate
-from .verify import DEFAULT_VERIFY_MAX_TOKENS, MatchMode
+from .verify import MatchMode
 
 # Not called here, but perfbench/tests/test_bench.py checks that the tracer
 # rebinds every alias of verify_all, this one included.
@@ -157,7 +152,7 @@ OPTIONS = {
     ),
     "--limit": dict(type=int, help="take only the first N questions"),
     "--sample": dict(type=int, help="take a seeded random sample of N questions"),
-    "--seed": dict(type=int, default=0, help="seed for --sample (default: 0)"),
+    "--seed": dict(type=int, help=f"seed for --sample (default: {RunConfig.seed})"),
     "--pack": dict(type=Path, help="prompt pack directory (default: bundled pack)"),
     "--labels": dict(type=Path, help="JSONL manual labels to join"),
     "--claims": dict(type=Path, required=True),
@@ -179,30 +174,30 @@ OPTIONS = {
         help="record non-response instead of failing a question when the "
              "provider errors",
     ),
-    "--decompose-max-tokens": dict(type=int, default=DEFAULT_DECOMPOSE_MAX_TOKENS),
-    "--answer-max-tokens": dict(type=int, default=DEFAULT_ANSWER_MAX_TOKENS),
-    "--verify-max-tokens": dict(type=int, default=DEFAULT_VERIFY_MAX_TOKENS),
+    "--decompose-max-tokens": dict(type=int),
+    "--answer-max-tokens": dict(type=int),
+    "--verify-max-tokens": dict(type=int),
     "--provider": dict(
         dest="provider_mode",
         choices=["scripted", "live", "replay"],
-        default="scripted",
-        help="completion backend (default: scripted)",
+        help=f"completion backend (default: {RunConfig.provider_mode})",
     ),
     "--script": dict(
         dest="script_path", type=Path, help="JSONL rule file for the scripted provider"
     ),
     "--cache-dir": dict(type=Path, help="response cache (required for replay)"),
     "--base-url": dict(help=f"live API root; key comes from ${API_KEY_ENV_VAR}"),
-    "--decompose-model": dict(default="default"),
-    "--answer-model": dict(default="default"),
-    "--verify-model": dict(default="default"),
+    "--decompose-model": dict(),
+    "--answer-model": dict(),
+    "--verify-model": dict(),
     "--concurrency": dict(
-        type=int, default=1, help="questions processed in parallel (default: 1)"
+        type=int, help="questions processed in parallel; a replay runs one at a "
+        f"time (default: {RunConfig.concurrency})",
     ),
     "--match-mode": dict(
         choices=[mode.value for mode in MatchMode],
-        default=MatchMode.SUBSTRING.value,
-        help="how 'true'/'false' are found in replies (default: substring)",
+        help="how 'true'/'false' are found in replies "
+             f"(default: {RunConfig.match_mode.value})",
     ),
     "--no-restatement-override": dict(
         dest="restatement_override",
@@ -623,7 +618,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (handler, help_text, options) in COMMANDS.items():
         command = commands.add_parser(name, help=help_text)
         for flag in options:
-            command.add_argument(flag, **OPTIONS[flag])
+            action = command.add_argument(flag, **OPTIONS[flag])
+            if action.dest in _CONFIG_FIELDS:  # RunConfig's default applies
+                action.default = argparse.SUPPRESS
         command.set_defaults(handler=handler)
 
     # Options that differ from the OPTIONS entry of the same name.

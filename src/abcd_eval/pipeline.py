@@ -354,9 +354,10 @@ def run_stages(
 ) -> list[QuestionOutcome]:
     """Apply the named *stages*, in order, to every outcome.
 
-    Questions run in parallel up to ``run.config.concurrency``; the result
-    keeps input order. Each question runs in a context of its own, where
-    :class:`Upstream` finds the current stage and the question's responses.
+    Questions run in parallel up to ``run.config.concurrency``, but a replay,
+    which waits on nothing, runs them in order on the calling thread; the
+    result keeps input order. Each question runs in a context of its own,
+    where :class:`Upstream` finds the stage and the question's responses.
     """
 
     def worker(outcome: QuestionOutcome) -> QuestionOutcome:
@@ -383,7 +384,7 @@ def run_stages(
     def run_question(outcome: QuestionOutcome) -> QuestionOutcome:
         return copy_context().run(worker, outcome)
 
-    if run.config.concurrency <= 1:
+    if run.config.concurrency <= 1 or run.config.provider_mode == "replay":
         return [run_question(outcome) for outcome in outcomes]
     from concurrent.futures import ThreadPoolExecutor
 

@@ -322,12 +322,12 @@ def atomic_write(path: str | Path, data: bytes) -> None:
     """Write *data* to a temp file beside *path*, then rename it into place.
 
     The temp file is created with ``O_EXCL`` and mode 0666 less the umask,
-    under a random name in the target directory, which must exist: callers
-    create it. On any failure the temp file is removed and *path* is left as
-    it was.
+    under a random name of fixed length in the target directory, which must
+    exist: callers create it. On any failure the temp file is removed and
+    *path* is left as it was.
     """
-    directory, name = os.path.split(os.fspath(path))
-    temp_path = os.path.join(directory, f".tmp-{name}-{os.urandom(6).hex()}.part")
+    directory = os.path.dirname(os.fspath(path))
+    temp_path = os.path.join(directory, f".tmp-{os.urandom(12).hex()}.part")
     fd = os.open(temp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         try:

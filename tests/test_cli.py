@@ -1,5 +1,7 @@
 """End-to-end CLI tests driven by the scripted 12-question fixture."""
 
+import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -18,6 +20,7 @@ from abcd_eval.cli import (
     EXIT_TOTAL,
     build_parser,
     cmd_annotate,
+    config_from_args,
     main,
     render_report_text,
 )
@@ -31,6 +34,7 @@ from abcd_eval.datasets import (
 )
 from abcd_eval.decompose import default_pack_path
 from abcd_eval.model import AggregateReport, Verdict
+from abcd_eval.pipeline import RunConfig
 from abcd_eval.providers import (
     API_KEY_ENV_VAR,
     LiveProvider,
@@ -237,8 +241,9 @@ class TestDeterminismAndReplay:
         for name in RECORD_FILES:
             assert (out_dir / name).read_bytes() == \
                 (reference / name).read_bytes(), name
-        assert read_manifest(out_dir)["provider_calls"] == \
-            read_manifest(reference)["provider_calls"]
+        manifest = read_manifest(out_dir)
+        assert manifest["provider_calls"] == read_manifest(reference)["provider_calls"]
+        assert manifest["config"]["concurrency"] == concurrency
         if mode == "cache":
             assert sorted(p.name for p in cache_dir.iterdir()) == \
                 sorted(p.name for p in recorded.iterdir())
@@ -909,6 +914,31 @@ def test_unreadable_input_file_is_config_error(
     assert str(bad) in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# build-obscureqa's --seed seeds its dataset split; that command builds no
+# RunConfig.
+OWN_DEFAULTS = {("build-obscureqa", "seed")}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_run_defaults_are_declared_only_in_run_config(command):
+    """An option that sets a RunConfig field is parsed only when given, so a
+    command given only its required options runs with ``RunConfig()``."""
+    parser = build_parser()
+    (commands,) = [action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    actions = commands.choices[command]._actions
+    config_fields = {field.name for field in dataclasses.fields(RunConfig)}
+    defaults = {action.dest: action.default for action in actions
+                if action.dest in config_fields
+                and (command, action.dest) not in OWN_DEFAULTS}
+    assert defaults == dict.fromkeys(defaults, argparse.SUPPRESS)
+    argv = [command]
+    for action in actions:
+        if action.required:
+            argv += [action.option_strings[0], "x"]
+    assert config_from_args(parser.parse_args(argv)) == RunConfig()
 
 
 def test_usage_errors_exit_config(capsys):

@@ -399,11 +399,14 @@ def recorded_run(tmp_path_factory):
         (["abcd_eval.cli", "evaluate", "--questions", "{questions}",
           "--provider", "replay", "--cache-dir", "{cache}", "--out-dir", "{out}"], []),
         (["abcd_eval.cli", "evaluate", "--questions", "{questions}",
+          "--provider", "replay", "--cache-dir", "{cache}", "--out-dir", "{out}",
+          "--concurrency", "8"], []),
+        (["abcd_eval.cli", "evaluate", "--questions", "{questions}",
           "--provider", "live", "--base-url", "{url}", "--out-dir", "{out}"],
          ["abcd_eval.transport", "socket"]),
     ],
     ids=["import-abcd_eval", "import-cli", "report", "score", "annotate",
-         "evaluate-replay", "evaluate-live"],
+         "evaluate-replay", "evaluate-replay-8", "evaluate-live"],
 )
 def test_each_command_loads_only_what_it_runs(recorded_run, tmp_path, argv, loaded):
     paths, root = recorded_run

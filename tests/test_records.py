@@ -306,6 +306,14 @@ class TestAtomicWrites:
             atomic_write(tmp_path / "missing" / "entry.json", b"{}")
         assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
 
+    def test_a_target_name_near_the_length_limit_writes(self, tmp_path):
+        """The temp name does not carry the target's, so a 250-byte name,
+        valid in the directory, is written."""
+        path = tmp_path / ("r" * 245 + ".json")
+        write_text_atomic(path, "{}")
+        assert path.read_text(encoding="utf-8") == "{}"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_overwrite_leaves_no_temp_files(self, tmp_path):
         path = tmp_path / "out.jsonl"
         write_jsonl_atomic(path, [{"v": 1}])
