@@ -2,7 +2,8 @@
 
 Every request has a stable content digest. A CachingProvider writes each
 response under that digest; a ReplayProvider later serves the same run
-from disk alone and fails loudly on anything it has never seen.
+from disk alone and fails loudly on anything it has never seen. Both count
+their completions in ``calls``, by stage: outside a run, under ``library``.
 """
 
 import tempfile
@@ -29,23 +30,13 @@ print("digest:", cache_key(request))
 cache_dir = Path(tempfile.mkdtemp(prefix="abcd-cache-"))
 cache = ResponseCache(cache_dir)
 
-
-class CountedEndpoint(ScriptedProvider):
-    """Stand-in for a live endpoint that counts how often it is consulted."""
-
-    call_count = 0
-
-    def complete(self, request):
-        self.call_count += 1
-        return super().complete(request)
-
-
-upstream = CountedEndpoint([ScriptRule(match="True or False:", response="True.")])
-recording = CachingProvider(upstream, cache)
+# The scripted provider stands in for a live endpoint.
+endpoint = ScriptedProvider([ScriptRule(match="True or False:", response="True.")])
+recording = CachingProvider(endpoint, cache)
 
 recording.complete(request)
 recording.complete(request)  # second call is served from disk
-print("upstream calls after two identical requests:", upstream.call_count)
+print("endpoint calls after two identical requests:", recording.calls)
 
 other = CompletionRequest(
     model="default",
@@ -53,13 +44,13 @@ other = CompletionRequest(
     max_tokens=64,
 )
 recording.complete(other)
-print("upstream calls after a new request:", upstream.call_count)
+print("endpoint calls after a new request:", recording.calls)
 print("cache files:", sorted(p.name for p in cache_dir.glob("*.json")))
 
 # Replay mode: same cache, no upstream at all.
 replay = ReplayProvider(cache)
 response = replay.complete(request)
-print("\nreplayed:", repr(response.text))
+print("\nreplayed:", repr(response.text), "- served from the cache:", replay.calls)
 
 # Anything missing from the cache is an error that names the digest, so a
 # stale fixture can be regenerated instead of silently answering nothing.

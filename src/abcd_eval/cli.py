@@ -404,7 +404,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "n_failed": n_failed,
         "questions": {outcome.question.id: _manifest_entry(outcome)
                       for outcome in outcomes},
-        "provider_calls": run.upstream.calls,
+        "provider_calls": {stage: run.upstream.calls.get(stage, 0)
+                           for stage in PROVIDER_STAGES},
     }
     records.write_json_atomic(out_dir / "manifest.json", manifest)
 

@@ -10,8 +10,7 @@ stage command fills the outcome from earlier stages' files and runs one.
 :class:`RunConfig` holds every setting of a run and checks its values when
 it is built, so every command that builds one rejects the same bad values.
 :func:`build_upstream` checks the provider settings and builds the run's
-one provider, an :class:`Upstream`, which every stage calls and which
-counts each stage's calls.
+one :class:`~abcd_eval.providers.Upstream`, which counts each stage's calls.
 
 :func:`run_stages` is the only per-question failure boundary: an exception
 in a stage marks the outcome failed at that stage and the question's
@@ -23,11 +22,8 @@ repeats the predicted one is answered from memory.
 from __future__ import annotations
 
 import logging
-import threading
-from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from .answers import DEFAULT_ANSWER_MAX_TOKENS, generate_answers
@@ -39,10 +35,10 @@ from .providers import (
     CompletionResponse,
     FinishReason,
     LiveProvider,
-    Provider,
     ReplayProvider,
     ResponseCache,
     ScriptedProvider,
+    Upstream,
     load_script_rules,
 )
 from .scoring import score_true
@@ -57,7 +53,7 @@ from .verify import (
 
 logger = logging.getLogger(__name__)
 
-# Stages that call a model; Upstream counts calls under each.
+# Stages that call a model, as the manifest lists their call counts.
 PROVIDER_STAGES = ("decompose", "answer", "verify", "verify_gt", "baseline")
 
 EVALUATE_STAGES = ("decompose", "answer", "verify", "verify_gt", "score")
@@ -142,53 +138,6 @@ class RunConfig:
         }
 
 
-# The stage run_stages is running, the responses the current question has
-# received by request, and the stages where one of them was truncated.
-_stage: ContextVar[str] = ContextVar("stage")
-_responses: ContextVar[dict] = ContextVar("responses")
-_truncated: ContextVar[set] = ContextVar("truncated")
-
-
-class Upstream:
-    """The one provider of a run: the current question's responses, then
-    the cache (when given), then *base*.
-
-    ``calls`` counts, per stage, the completions *base* returned: cache
-    misses in caching modes, completions served from the cache in replay
-    mode. A request the question already sent is answered from memory and
-    is neither counted nor looked up in the cache. A call that raises is
-    kept nowhere, so a later call sends it again.
-    """
-
-    def __init__(self, base: Provider, cache: Optional[ResponseCache] = None):
-        self.base = base
-        self.calls = dict.fromkeys(PROVIDER_STAGES, 0)
-        self._lock = threading.Lock()
-        send = SimpleNamespace(complete=self._send)
-        self._inner = send if cache is None else CachingProvider(send, cache)
-
-    def _send(self, request: CompletionRequest) -> CompletionResponse:
-        response = self.base.complete(request)
-        with self._lock:
-            self.calls[_stage.get()] += 1
-        return response
-
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        responses = _responses.get()
-        response = responses.get(request)
-        if response is None:
-            response = responses[request] = self._inner.complete(request)
-        if response.finish_reason is FinishReason.LENGTH:
-            _truncated.get().add(_stage.get())
-        return response
-
-    def close(self) -> None:
-        """Close the base provider's connections, if it keeps any."""
-        close = getattr(self.base, "close", None)
-        if close is not None:
-            close()
-
-
 def build_upstream(config: RunConfig) -> Upstream:
     """The run's provider, after checking the provider settings: a bad or
     missing setting is a ``ValueError``, a missing API key a
@@ -199,7 +148,7 @@ def build_upstream(config: RunConfig) -> Upstream:
             raise ValueError("replay mode needs --cache-dir")
         if not Path(config.cache_dir).is_dir():
             raise ValueError(f"cache directory not found: {config.cache_dir}")
-        return Upstream(ReplayProvider(ResponseCache(config.cache_dir)))
+        return ReplayProvider(ResponseCache(config.cache_dir))
     if mode == "scripted":
         if config.script_path is None:
             raise ValueError("scripted mode needs --script")
@@ -210,8 +159,9 @@ def build_upstream(config: RunConfig) -> Upstream:
         base = LiveProvider(base_url=config.base_url)
     else:
         raise ValueError(f"unknown provider mode {mode!r}")
-    cache = None if config.cache_dir is None else ResponseCache(config.cache_dir)
-    return Upstream(base, cache)
+    if config.cache_dir is None:
+        return Upstream(base)
+    return CachingProvider(base, ResponseCache(config.cache_dir))
 
 
 @dataclass
@@ -232,6 +182,30 @@ class Run:
 
 # --------------------------------------------------------------------------
 # stages
+
+
+class QuestionProvider:
+    """One question's provider over the run's *upstream*: a request the
+    question already sent is answered from memory, neither counted nor
+    looked up in the cache; any other goes to *upstream* under ``stage``.
+    A reply with finish reason ``length``, fresh, cached or reused, puts
+    ``stage`` in ``truncated``. A call that raises is kept nowhere, so a
+    later call sends it again."""
+
+    def __init__(self, upstream: Optional[Upstream]):
+        self.upstream = upstream
+        self.stage = "library"
+        self.truncated: set[str] = set()
+        self._responses: dict[CompletionRequest, CompletionResponse] = {}
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        response = self._responses.get(request)
+        if response is None:
+            response = self.upstream.complete(request, self.stage)
+            self._responses[request] = response
+        if response.finish_reason is FinishReason.LENGTH:
+            self.truncated.add(self.stage)
+        return response
 
 
 @dataclass
@@ -262,31 +236,32 @@ def _need(value, what: str):
     return value
 
 
-def _decompose(run: Run, outcome: QuestionOutcome) -> None:
+def _decompose(run: Run, outcome: QuestionOutcome, provider: QuestionProvider) -> None:
     outcome.claim_set = decompose(
         outcome.question,
         run.pack,
-        run.upstream,
+        provider,
         model=run.config.decompose_model,
         max_tokens=run.config.decompose_max_tokens,
     ).claim_set
 
 
-def _answer(run: Run, outcome: QuestionOutcome) -> None:
+def _answer(run: Run, outcome: QuestionOutcome, provider: QuestionProvider) -> None:
     outcome.assignment = generate_answers(
         outcome.question,
         _need(outcome.claim_set, "claim set"),
-        run.upstream,
+        provider,
         model=run.config.answer_model,
         max_tokens=run.config.answer_max_tokens,
     )
 
 
-def _verify_claims(run: Run, outcome: QuestionOutcome, override_answer=None) -> list:
+def _verify_claims(run: Run, outcome: QuestionOutcome, provider: QuestionProvider,
+                   override_answer=None) -> list:
     return verify_all(
         _need(outcome.claim_set, "claim set"),
         _need(outcome.assignment, "assignment"),
-        run.upstream,
+        provider,
         run.config.parse_config,
         override_answer=override_answer,
         model=run.config.verify_model,
@@ -295,17 +270,19 @@ def _verify_claims(run: Run, outcome: QuestionOutcome, override_answer=None) -> 
     )
 
 
-def _verify(run: Run, outcome: QuestionOutcome) -> None:
-    outcome.results = _verify_claims(run, outcome)
+def _verify(run: Run, outcome: QuestionOutcome, provider: QuestionProvider) -> None:
+    outcome.results = _verify_claims(run, outcome, provider)
 
 
-def _verify_gt(run: Run, outcome: QuestionOutcome) -> None:
+def _verify_gt(run: Run, outcome: QuestionOutcome, provider: QuestionProvider) -> None:
     """Re-verify the claims with the gold answer in the ``<answer>`` slot."""
     if run.config.ground_truth:
-        outcome.gt_results = _verify_claims(run, outcome, outcome.question.gold_answer)
+        outcome.gt_results = _verify_claims(
+            run, outcome, provider, outcome.question.gold_answer
+        )
 
 
-def _score(run: Run, outcome: QuestionOutcome) -> None:
+def _score(run: Run, outcome: QuestionOutcome, provider: QuestionProvider) -> None:
     claim_set = _need(outcome.claim_set, "claim set")
     gt_results = outcome.gt_results
     if gt_results is not None and len(gt_results) != len(claim_set.claims):
@@ -329,17 +306,17 @@ def _score(run: Run, outcome: QuestionOutcome) -> None:
     )
 
 
-def _baseline(run: Run, outcome: QuestionOutcome) -> None:
+def _baseline(run: Run, outcome: QuestionOutcome, provider: QuestionProvider) -> None:
     outcome.baseline = baseline_whole_question(
         outcome.question,
         outcome.evaluation.assignment.answer,
-        run.upstream,
+        provider,
         model=run.config.verify_model,
         max_tokens=run.config.verify_max_tokens,
     )
 
 
-STAGES: dict[str, Callable[[Run, QuestionOutcome], None]] = {
+STAGES: dict[str, Callable[[Run, QuestionOutcome, QuestionProvider], None]] = {
     "decompose": _decompose,
     "answer": _answer,
     "verify": _verify,
@@ -356,18 +333,16 @@ def run_stages(
 
     Questions run in parallel up to ``run.config.concurrency``, but a replay,
     which waits on nothing, runs them in order on the calling thread; the
-    result keeps input order. Each question runs in a context of its own,
-    where :class:`Upstream` finds the stage and the question's responses.
+    result keeps input order. Each question calls ``run.upstream`` through
+    a :class:`QuestionProvider` of its own.
     """
 
-    def worker(outcome: QuestionOutcome) -> QuestionOutcome:
-        truncated = set()
-        _responses.set({})
-        _truncated.set(truncated)
+    def run_question(outcome: QuestionOutcome) -> QuestionOutcome:
+        provider = QuestionProvider(run.upstream)
         for stage in stages:
-            _stage.set(stage)
+            provider.stage = stage
             try:
-                STAGES[stage](run, outcome)
+                STAGES[stage](run, outcome, provider)
             except Exception as exc:
                 logger.error(
                     "question %s failed at %s: %s", outcome.question.id, stage, exc
@@ -375,14 +350,11 @@ def run_stages(
                 outcome.failed_stage = stage
                 outcome.failure_reason = f"{type(exc).__name__}: {exc}"
                 break
-        outcome.truncated = [stage for stage in stages if stage in truncated]
+        outcome.truncated = [stage for stage in stages if stage in provider.truncated]
         for stage in outcome.truncated:
             logger.warning("question %s: a %s reply was truncated (finish_reason "
                            "length)", outcome.question.id, stage)
         return outcome
-
-    def run_question(outcome: QuestionOutcome) -> QuestionOutcome:
-        return copy_context().run(worker, outcome)
 
     if run.config.concurrency <= 1 or run.config.provider_mode == "replay":
         return [run_question(outcome) for outcome in outcomes]

@@ -1,11 +1,12 @@
-"""Text-completion providers: live HTTP, scripted, caching, replay.
+"""Text-completion providers: live HTTP, scripted, and the cache in front.
 
 Every provider exposes a single ``complete(request) -> CompletionResponse``
 method. Requests hash to a stable cache key (sha256 over a canonical JSON
 encoding), which is the filename of the on-disk cache entry and the lookup
-key for replay. Wrappers compose: ``CachingProvider(LiveProvider(...),
-ResponseCache(directory))`` records a live run, and :class:`ReplayProvider`
-over the same directory serves it again without the endpoint.
+key for replay. :class:`Upstream` puts the cache in front of a provider:
+``CachingProvider(LiveProvider(...), ResponseCache(directory))`` records a
+live run, and :class:`ReplayProvider` over the same directory serves it
+again without the endpoint.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import logging
 import os
 import random
+import threading
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -399,52 +401,71 @@ class ResponseCache:
         atomic_write(f"{self._prefix}{digest}.json", data)
 
 
-class CachingProvider:
-    """Serve hits from a :class:`ResponseCache`, delegate misses.
+class Upstream:
+    """Every request's cache decision, in :meth:`complete`: look the
+    request up in *cache*, send a miss to *base* and store the reply. An
+    unreadable entry is logged and treated as a miss, and the fresh reply
+    overwrites it. With no cache every request goes to *base*.
 
-    An unreadable entry counts as a miss, and the fresh response
-    overwrites it.
+    With no *base* it replays strictly: a miss or an unreadable entry
+    raises ``ProviderError(REPLAY_MISS)`` naming the digest, so a stale,
+    incomplete or corrupt cache is diagnosable from the error alone.
+
+    ``calls`` counts, per stage, the completions *base* returned, or in
+    replay the completions the cache served; a call without a stage counts
+    under ``library``. A call that raises is counted and stored nowhere.
     """
 
-    def __init__(self, inner: Provider, cache: ResponseCache):
-        self.inner = inner
+    def __init__(self, base: Optional[Provider], cache: Optional[ResponseCache] = None):
+        self.base = base
         self.cache = cache
+        self.calls: dict[str, int] = {}
+        self._lock = threading.Lock()
 
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        digest = cache_key(request)
-        try:
-            cached = self.cache.get(digest)
-        except ValueError as exc:
-            logger.warning("%s; fetching it again", exc)
-            cached = None
-        if cached is not None:
-            return cached
-        response = self.inner.complete(request)
-        self.cache.put(digest, request, response)
+    def complete(
+        self, request: CompletionRequest, stage: str = "library"
+    ) -> CompletionResponse:
+        if self.cache is None:
+            response = self.base.complete(request)
+        else:
+            digest = cache_key(request)
+            try:
+                response = self.cache.get(digest)
+            except ValueError as exc:
+                if self.base is None:
+                    raise ProviderError(ProviderErrorKind.REPLAY_MISS, str(exc)) from exc
+                logger.warning("%s; fetching it again", exc)
+                response = None
+            if self.base is not None:
+                if response is not None:
+                    return response
+                response = self.base.complete(request)
+                self.cache.put(digest, request, response)
+            elif response is None:
+                raise ProviderError(
+                    ProviderErrorKind.REPLAY_MISS,
+                    f"no cached response for request digest {digest}",
+                )
+        with self._lock:
+            self.calls[stage] = self.calls.get(stage, 0) + 1
         return response
 
+    def close(self) -> None:
+        """Close the base provider's connections, if it keeps any."""
+        close = getattr(self.base, "close", None)
+        if close is not None:
+            close()
 
-class ReplayProvider:
-    """Strict replay: every request must hit the cache.
 
-    A miss or an unreadable entry raises ``ProviderError(REPLAY_MISS)``
-    naming the digest, so a stale, incomplete or corrupt cache is
-    diagnosable from the error alone.
-    """
+class CachingProvider(Upstream):
+    """An :class:`Upstream` that records: *inner* answers the misses."""
+
+    def __init__(self, inner: Provider, cache: ResponseCache):
+        super().__init__(inner, cache)
+
+
+class ReplayProvider(Upstream):
+    """An :class:`Upstream` that replays *cache* strictly."""
 
     def __init__(self, cache: ResponseCache):
-        self.cache = cache
-
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        digest = cache_key(request)
-        try:
-            cached = self.cache.get(digest)
-        except ValueError as exc:
-            raise ProviderError(ProviderErrorKind.REPLAY_MISS, str(exc)) from exc
-        if cached is None:
-            raise ProviderError(
-                ProviderErrorKind.REPLAY_MISS,
-                f"no cached response for request digest {digest}",
-            )
-        return cached
-
+        super().__init__(None, cache)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import logging
 import os
+import shutil
 import stat
 import threading
 from fractions import Fraction
@@ -34,7 +35,7 @@ from abcd_eval.datasets import (
 )
 from abcd_eval.decompose import default_pack_path
 from abcd_eval.model import AggregateReport, Verdict
-from abcd_eval.pipeline import RunConfig
+from abcd_eval.pipeline import PROVIDER_STAGES, RunConfig
 from abcd_eval.providers import (
     API_KEY_ENV_VAR,
     LiveProvider,
@@ -266,6 +267,25 @@ class TestDeterminismAndReplay:
         for name in RECORD_FILES:
             assert (out_live / name).read_bytes() == \
                 (out_replay / name).read_bytes(), name
+
+    def test_manifest_lists_every_provider_stage_in_order(
+        self, reference_run, mode_references, tmp_path
+    ):
+        """A stage that sent nothing is listed with 0: every one on a warm
+        cache, where all calls hit, and baseline in a replay."""
+        paths, _ = reference_run
+        recorded, references = mode_references
+        shutil.copytree(recorded, tmp_path / "cache")
+        out_warm = tmp_path / "warm"
+        assert main(evaluate_args(
+            paths, out_warm, "--cache-dir", str(tmp_path / "cache")
+        )) == EXIT_OK
+        assert list(read_manifest(out_warm)["provider_calls"].items()) == \
+            [(stage, 0) for stage in PROVIDER_STAGES]
+        replayed = read_manifest(references["replay"])["provider_calls"]
+        assert list(replayed.items()) == \
+            [(stage, EXPECTED_CALLS_WITH_CACHE[stage]) for stage in PROVIDER_STAGES]
+        assert replayed["baseline"] == 0
 
     def test_replay_with_cold_cache_fails_loudly(self, fixture_paths, tmp_path):
         cache_dir = tmp_path / "empty-cache"

@@ -17,7 +17,7 @@ from collections import Counter
 import pytest
 
 from abcd_eval.cli import EXIT_OK, EXIT_PARTIAL, main
-from abcd_eval.pipeline import Upstream, _stage
+from abcd_eval.pipeline import QuestionProvider
 from abcd_eval.providers import (
     API_KEY_ENV_VAR,
     DEFAULT_MAX_ATTEMPTS,
@@ -48,19 +48,19 @@ def scripted(tmp_path_factory):
     root = tmp_path_factory.mktemp("faults")
     paths = write_fixture(root / "fixture")
     sent, stages = Counter(), {}
-    complete, use = ScriptedProvider.complete, Upstream.complete
+    complete, use = ScriptedProvider.complete, QuestionProvider.complete
 
     def counting(self, request):
         sent[request.prompt] += 1
         return complete(self, request)
 
     def using(self, request):
-        stages.setdefault(request.prompt, {})[_stage.get()] = None
+        stages.setdefault(request.prompt, {})[self.stage] = None
         return use(self, request)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ScriptedProvider, "complete", counting)
-        patch.setattr(Upstream, "complete", using)
+        patch.setattr(QuestionProvider, "complete", using)
         assert main([*common_args(paths), "--script", str(paths["rules"]),
                      "--out-dir", str(root / "scripted")]) == EXIT_OK
     once = sorted(p for p, n in sent.items() if n == 1)
