@@ -70,14 +70,19 @@ def _read_head(rfile) -> tuple[bytes, int, dict[str, str]]:
             return version, code, fields
 
 
-def _size(text, base: int, what: str) -> int:
+_DIGITS = {10: "0123456789", 16: "0123456789abcdefABCDEF"}
+
+
+def _size(text: str, base: int, what: str) -> int:
+    """A Content-Length is ``1*DIGIT`` (RFC 9110) and a chunk size
+    ``1*HEXDIG`` (RFC 9112); ``int`` alone would also take a sign, ``_``
+    and a ``0x`` prefix, and it refuses too many decimal digits."""
     try:
-        size = int(text, base)
+        if text and not text.strip(_DIGITS[base]):
+            return int(text, base)
     except ValueError:
-        size = -1
-    if size < 0:
-        raise _FramingError(f"bad {what}: {text!r}")
-    return size
+        pass
+    raise _FramingError(f"bad {what}: {text!r}")
 
 
 def _read_exactly(rfile, size: int) -> bytes:
@@ -89,7 +94,9 @@ def _read_exactly(rfile, size: int) -> bytes:
 
 def _read_chunked(rfile) -> bytes:
     chunks = []
-    while size := _size(_read_line(rfile).split(b";", 1)[0].strip(), 16, "chunk size"):
+    while size := _size(
+        _read_line(rfile).split(b";", 1)[0].strip().decode("latin-1"), 16, "chunk size"
+    ):
         chunks.append(_read_exactly(rfile, size))
         if _read_line(rfile).strip():
             raise _FramingError("chunk data runs past its size")

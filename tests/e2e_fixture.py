@@ -9,7 +9,7 @@ Verdict patterns are fixture data chosen to pin the aggregate arithmetic,
 and they deliberately model a noisy verifier (some verdicts contradict
 world knowledge; that is the phenomenon the scoring exists to measure).
 
-The expected aggregate values below are hand-derived:
+The aggregate values are hand-derived:
 
 * correct scores   [1, 1, 3/4, 3/4, 1/2, 1]  -> mean 5/6, variance 1/24
 * incorrect scores [1/2, 1/4, 0, 1/4]        -> mean 1/4, variance 1/24
@@ -22,7 +22,6 @@ The expected aggregate values below are hand-derived:
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -348,9 +347,6 @@ EXPECTED_REPORT = {
     "gt_comparison": (1, 2, 1),
 }
 
-EXPECTED_T_STAT = 7.0 * math.sqrt(2.0 / 5.0)
-EXPECTED_DF = 125.0 / 19.0
-
 # Upstream calls per stage: one decomposition and one answer call per
 # question, one verification call per claim. The ground-truth pass
 # re-verifies every claim, but for the eight questions whose predicted answer
@@ -362,11 +358,7 @@ TOTAL_CLAIMS = sum(len(fq.claims) for fq in QUESTIONS)  # 44
 GT_ONLY_CLAIMS = sum(
     len(fq.claims) for fq in QUESTIONS if fq.pred != fq.gold
 )  # 18
-EXPECTED_CALLS_NO_CACHE = {
-    "decompose": 12, "answer": 12,
-    "verify": TOTAL_CLAIMS, "verify_gt": GT_ONLY_CLAIMS, "baseline": 0,
-}
-EXPECTED_CALLS_WITH_CACHE = {
+EXPECTED_CALLS = {
     "decompose": 12, "answer": 12,
     "verify": TOTAL_CLAIMS, "verify_gt": GT_ONLY_CLAIMS, "baseline": 0,
 }

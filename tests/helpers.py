@@ -1,4 +1,4 @@
-"""Shared builders for tests that need fully-formed evaluation records."""
+"""Shared constants and builders for tests that need evaluation records."""
 
 from __future__ import annotations
 
@@ -15,6 +15,12 @@ from abcd_eval.model import (
     Verdict,
 )
 from abcd_eval.scoring import score_true
+
+# The files of an evaluate run that must reproduce byte for byte.
+RECORD_FILES = (
+    "claim_sets.jsonl", "assignments.jsonl", "verifications.jsonl",
+    "gt_verifications.jsonl", "evaluations.jsonl", "report.json", "report.txt",
+)
 
 _VERDICTS = {"T": Verdict.TRUE, "F": Verdict.FALSE, "N": Verdict.NON_RESPONSE}
 

@@ -37,7 +37,7 @@ from abcd_eval.providers import (
 from abcd_eval.transport import HTTPResponse
 from helpers import build_evaluation
 
-BOUNDED = settings(derandomize=True, database=None, max_examples=20, deadline=None)
+BOUNDED = settings(max_examples=20)
 
 MISSING = object()  # removes the field instead of replacing it
 

@@ -817,10 +817,19 @@ class TestStdlibTransport:
             b"HTTP/1.1 200 OK\r\nContent-Length: ten\r\n\r\n",
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
             b"2\r\nabcd\r\n0\r\n\r\n",
+            # int() takes each of these sizes, the RFCs none.
+            b"HTTP/1.1 200 OK\r\nContent-Length: 1_0\r\n\r\n0123456789",
+            b"HTTP/1.1 200 OK\r\nContent-Length: +%d\r\n\r\n%s"
+            % (len(chat_body("x")), chat_body("x")),
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"0x5\r\nabcde\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n",
         ],
         ids=["short-content-length", "malformed-status-line", "over-long-header-line",
              "header-without-colon", "101-header-lines", "non-hex-chunk-size",
-             "non-numeric-content-length", "chunk-runs-past-its-size"],
+             "non-numeric-content-length", "chunk-runs-past-its-size",
+             "underscore-content-length", "signed-content-length",
+             "0x-chunk-size", "content-length-past-int-digit-limit"],
     )
     def test_malformed_response_is_network_then_fresh_socket(
         self, loopback, caplog, bad_response
