@@ -70,18 +70,18 @@ def _read_head(rfile) -> tuple[bytes, int, dict[str, str]]:
             return version, code, fields
 
 
-_DIGITS = {10: "0123456789", 16: "0123456789abcdefABCDEF"}
+# A size's digits, and the most of them after leading zeros: 10**18 - 1
+# and 16**15 - 1 both stay below the 2**63 bytes a read can be asked for.
+_SIZE_FORMS = {10: ("0123456789", 18), 16: ("0123456789abcdefABCDEF", 15)}
 
 
 def _size(text: str, base: int, what: str) -> int:
     """A Content-Length is ``1*DIGIT`` (RFC 9110) and a chunk size
     ``1*HEXDIG`` (RFC 9112); ``int`` alone would also take a sign, ``_``
-    and a ``0x`` prefix, and it refuses too many decimal digits."""
-    try:
-        if text and not text.strip(_DIGITS[base]):
-            return int(text, base)
-    except ValueError:
-        pass
+    and a ``0x`` prefix."""
+    digits, most = _SIZE_FORMS[base]
+    if text and not text.strip(digits) and len(text.lstrip("0")) <= most:
+        return int(text, base)
     raise _FramingError(f"bad {what}: {text!r}")
 
 

@@ -9,7 +9,7 @@ Verdict patterns are fixture data chosen to pin the aggregate arithmetic,
 and they deliberately model a noisy verifier (some verdicts contradict
 world knowledge; that is the phenomenon the scoring exists to measure).
 
-The aggregate values are hand-derived:
+The expected aggregate values below are hand-derived:
 
 * correct scores   [1, 1, 3/4, 3/4, 1/2, 1]  -> mean 5/6, variance 1/24
 * incorrect scores [1/2, 1/4, 0, 1/4]        -> mean 1/4, variance 1/24
@@ -22,6 +22,7 @@ The aggregate values are hand-derived:
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -346,6 +347,9 @@ EXPECTED_REPORT = {
     "p_incorrect": Fraction(2, 5),
     "gt_comparison": (1, 2, 1),
 }
+
+EXPECTED_T_STAT = 7.0 * math.sqrt(2.0 / 5.0)
+EXPECTED_DF = 125.0 / 19.0
 
 # Upstream calls per stage: one decomposition and one answer call per
 # question, one verification call per claim. The ground-truth pass

@@ -46,8 +46,11 @@ from abcd_eval.providers import (
 from e2e_fixture import (
     EXPECTED_CACHE_ENTRIES,
     EXPECTED_CALLS,
+    EXPECTED_DF,
     EXPECTED_GT_SCORES,
+    EXPECTED_REPORT,
     EXPECTED_SCORES,
+    EXPECTED_T_STAT,
     GT_ONLY_CLAIMS,
     QUESTIONS,
     TOTAL_CLAIMS,
@@ -61,12 +64,14 @@ def fixture_paths(tmp_path):
     return write_fixture(tmp_path / "fixture")
 
 
-def evaluate_args(paths, out_dir, *extra):
+def evaluate_args(paths, out_dir, *extra, source=None):
+    """``evaluate --ground-truth`` of the fixture, answered by its script
+    unless *source* names other provider options."""
     return [
         "evaluate",
         "--questions", str(paths["questions"]),
         "--labels", str(paths["labels"]),
-        "--script", str(paths["rules"]),
+        *(source or ("--script", str(paths["rules"]))),
         "--out-dir", str(out_dir),
         "--ground-truth",
         *extra,
@@ -75,16 +80,8 @@ def evaluate_args(paths, out_dir, *extra):
 
 def replay_args(paths, cache_dir, out_dir, *extra):
     """evaluate_args for a strict replay of *cache_dir*: no script at all."""
-    return [
-        "evaluate",
-        "--questions", str(paths["questions"]),
-        "--labels", str(paths["labels"]),
-        "--provider", "replay",
-        "--cache-dir", str(cache_dir),
-        "--out-dir", str(out_dir),
-        "--ground-truth",
-        *extra,
-    ]
+    return evaluate_args(paths, out_dir, *extra, source=(
+        "--provider", "replay", "--cache-dir", str(cache_dir)))
 
 
 def read_labels(path):
@@ -142,9 +139,29 @@ class TestEvaluateEndToEnd:
 
         assert "== score summary ==" in capsys.readouterr().out
 
-    def test_manifest(self, fixture_paths, tmp_path):
-        out_dir = tmp_path / "run"
-        assert main(evaluate_args(fixture_paths, out_dir)) == EXIT_OK
+    def test_report_values(self, reference_run):
+        _, out_dir = reference_run
+        reports = json.loads((out_dir / "report.json").read_text("utf-8"))
+        assert len(reports) == 1
+        report = reports[0]
+
+        assert report["dataset"] == EXPECTED_REPORT["dataset"]
+        assert report["n_total"] == EXPECTED_REPORT["n_total"]
+        assert report["n_correct"] == EXPECTED_REPORT["n_correct"]
+        assert report["n_incorrect"] == EXPECTED_REPORT["n_incorrect"]
+        assert report["n_unlabeled"] == EXPECTED_REPORT["n_unlabeled"]
+        for name in ("mean_correct", "mean_incorrect", "diff", "p_correct",
+                     "p_incorrect"):
+            assert report[name] == str(EXPECTED_REPORT[name]), name
+        comparison = report["gt_comparison"]
+        assert (comparison["gt_greater"], comparison["gt_equal"],
+                comparison["gt_less"]) == EXPECTED_REPORT["gt_comparison"]
+        assert report["t_stat"] == pytest.approx(EXPECTED_T_STAT, abs=1e-12)
+        assert report["degrees_freedom"] == pytest.approx(EXPECTED_DF, abs=1e-12)
+        assert 0.0 < report["p_value"] < 0.01
+
+    def test_manifest(self, reference_run):
+        _, out_dir = reference_run
         manifest = json.loads((out_dir / "manifest.json").read_text("utf-8"))
         assert manifest["n_questions"] == 12
         assert manifest["n_ok"] == 12
@@ -157,17 +174,15 @@ class TestEvaluateEndToEnd:
         assert manifest["config"]["ground_truth"] is True
         assert manifest["started_at"] <= manifest["finished_at"]
 
-    def test_record_files_are_timestamp_free(self, fixture_paths, tmp_path):
-        out_dir = tmp_path / "run"
-        assert main(evaluate_args(fixture_paths, out_dir)) == EXIT_OK
+    def test_record_files_are_timestamp_free(self, reference_run):
+        _, out_dir = reference_run
         for name in RECORD_FILES:
             content = (out_dir / name).read_text("utf-8")
             assert "timestamp" not in content, name
             assert "started_at" not in content, name
 
-    def test_stage_files_cover_every_question(self, fixture_paths, tmp_path):
-        out_dir = tmp_path / "run"
-        assert main(evaluate_args(fixture_paths, out_dir)) == EXIT_OK
+    def test_stage_files_cover_every_question(self, reference_run):
+        _, out_dir = reference_run
         claim_rows = records.read_jsonl(out_dir / "claim_sets.jsonl")
         assert len(claim_rows) == 12
         gt_rows = records.read_jsonl(out_dir / "gt_verifications.jsonl")
@@ -583,10 +598,9 @@ class TestStageCommands:
             TOTAL_CLAIMS + GT_ONLY_CLAIMS
 
     def test_verify_ground_truth_without_gt_out_calls_nothing(
-        self, fixture_paths, tmp_path, monkeypatch, capsys
+        self, reference_run, tmp_path, monkeypatch, capsys
     ):
-        reference = tmp_path / "reference"
-        assert main(evaluate_args(fixture_paths, reference)) == EXIT_OK
+        paths, reference = reference_run
         calls = []
 
         def refuse(self, request):
@@ -598,8 +612,8 @@ class TestStageCommands:
         code = main(
             [
                 "verify",
-                "--questions", str(fixture_paths["questions"]),
-                "--script", str(fixture_paths["rules"]),
+                "--questions", str(paths["questions"]),
+                "--script", str(paths["rules"]),
                 "--claims", str(reference / "claim_sets.jsonl"),
                 "--assignments", str(reference / "assignments.jsonl"),
                 "--ground-truth",
@@ -611,11 +625,8 @@ class TestStageCommands:
         assert calls == []
         assert not out.exists()
 
-    def test_report_command(self, fixture_paths, tmp_path, capsys):
-        reference = tmp_path / "reference"
-        assert main(evaluate_args(fixture_paths, reference)) == EXIT_OK
-        capsys.readouterr()
-
+    def test_report_command(self, reference_run, tmp_path, capsys):
+        _, reference = reference_run
         out_json = tmp_path / "report.json"
         out_text = tmp_path / "report.txt"
         code = main(
@@ -657,6 +668,32 @@ OUTPUT_FLAGS = {
 }
 
 
+def input_files(reference_run):
+    """Each input flag's file: the fixture's inputs and the reference run's
+    records."""
+    paths, reference = reference_run
+    return {
+        "--questions": paths["questions"],
+        "--script": paths["rules"],
+        "--labels": paths["labels"],
+        "--claims": reference / "claim_sets.jsonl",
+        "--assignments": reference / "assignments.jsonl",
+        "--verifications": reference / "verifications.jsonl",
+        "--gt-verifications": reference / "gt_verifications.jsonl",
+        "--records": reference / "evaluations.jsonl",
+    }
+
+
+def command_args(command, files, out):
+    """*command* reading its INPUT_FLAGS from *files* and writing to *out*."""
+    argv = [command]
+    for flag in INPUT_FLAGS[command]:
+        argv += [flag, str(files[flag])]
+    if command in OUTPUT_FLAGS:
+        argv += [OUTPUT_FLAGS[command], str(out)]
+    return argv
+
+
 # Stands for the input file's first record with its question id made a list.
 LIST_ID = "list question id"
 
@@ -674,22 +711,11 @@ LIST_ID = "list question id"
     ],
 )
 def test_bad_input_file_is_config_error(
-    fixture_paths, tmp_path, capsys, command, bad_flag, content
+    reference_run, tmp_path, capsys, command, bad_flag, content
 ):
-    reference = tmp_path / "reference"
-    assert main(evaluate_args(fixture_paths, reference)) == EXIT_OK
     capsys.readouterr()
     bad = tmp_path / "bad.jsonl"
-    files = {
-        "--questions": fixture_paths["questions"],
-        "--script": fixture_paths["rules"],
-        "--labels": fixture_paths["labels"],
-        "--claims": reference / "claim_sets.jsonl",
-        "--assignments": reference / "assignments.jsonl",
-        "--verifications": reference / "verifications.jsonl",
-        "--gt-verifications": reference / "gt_verifications.jsonl",
-        "--records": reference / "evaluations.jsonl",
-    }
+    files = input_files(reference_run)
     if content == LIST_ID:
         record = records.read_jsonl(files[bad_flag])[0]
         if "question" in record:
@@ -699,13 +725,8 @@ def test_bad_input_file_is_config_error(
         content = json.dumps(record) + "\n"
     bad.write_text(content, encoding="utf-8")
     files[bad_flag] = bad
-    argv = [command]
-    for flag in INPUT_FLAGS[command]:
-        argv += [flag, str(files[flag])]
-    if command in OUTPUT_FLAGS:
-        argv += [OUTPUT_FLAGS[command], str(tmp_path / "out")]
 
-    assert main(argv) == EXIT_CONFIG
+    assert main(command_args(command, files, tmp_path / "out")) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:1: ")
     assert "Traceback" not in err
@@ -721,33 +742,17 @@ def test_bad_input_file_is_config_error(
     ],
 )
 def test_duplicate_question_id_is_config_error(
-    fixture_paths, tmp_path, capsys, command, bad_flag
+    reference_run, tmp_path, capsys, command, bad_flag
 ):
     # Each stage input and --records file read twice over: the first
     # repeated record is the error, as in the questions file.
-    reference = tmp_path / "reference"
-    assert main(evaluate_args(fixture_paths, reference)) == EXIT_OK
     capsys.readouterr()
-    files = {
-        "--questions": fixture_paths["questions"],
-        "--script": fixture_paths["rules"],
-        "--labels": fixture_paths["labels"],
-        "--claims": reference / "claim_sets.jsonl",
-        "--assignments": reference / "assignments.jsonl",
-        "--verifications": reference / "verifications.jsonl",
-        "--gt-verifications": reference / "gt_verifications.jsonl",
-        "--records": reference / "evaluations.jsonl",
-    }
+    files = input_files(reference_run)
     doubled = tmp_path / "doubled.jsonl"
     doubled.write_text(files[bad_flag].read_text("utf-8") * 2, encoding="utf-8")
     files[bad_flag] = doubled
-    argv = [command]
-    for flag in INPUT_FLAGS[command]:
-        argv += [flag, str(files[flag])]
-    if command in OUTPUT_FLAGS:
-        argv += [OUTPUT_FLAGS[command], str(tmp_path / "out")]
 
-    assert main(argv) == EXIT_CONFIG
+    assert main(command_args(command, files, tmp_path / "out")) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"error: {doubled}:13: duplicate question id 'q01'\n"
     assert not (tmp_path / "out").exists()
@@ -1104,28 +1109,13 @@ def test_utf8_bom_input_files_read_as_without_it(reference_run, tmp_path):
 def _run_with_bad_first_row(reference_run, tmp_path, command, bad_flag, edit):
     """Run *command* with *bad_flag*'s reference file replaced by a copy
     whose first record went through *edit*; the copy's path."""
-    paths, reference = reference_run
-    files = {
-        "--questions": paths["questions"],
-        "--script": paths["rules"],
-        "--labels": paths["labels"],
-        "--claims": reference / "claim_sets.jsonl",
-        "--assignments": reference / "assignments.jsonl",
-        "--verifications": reference / "verifications.jsonl",
-        "--gt-verifications": reference / "gt_verifications.jsonl",
-        "--records": reference / "evaluations.jsonl",
-    }
+    files = input_files(reference_run)
     rows = records.read_jsonl(files[bad_flag])
     edit(rows[0])
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
     files[bad_flag] = bad
-    argv = [command]
-    for flag in INPUT_FLAGS[command]:
-        argv += [flag, str(files[flag])]
-    if command in OUTPUT_FLAGS:
-        argv += [OUTPUT_FLAGS[command], str(tmp_path / "out")]
-    assert main(argv) == EXIT_CONFIG
+    assert main(command_args(command, files, tmp_path / "out")) == EXIT_CONFIG
     return bad
 
 
@@ -1381,10 +1371,8 @@ class TestAnnotate:
 
 
 class TestBaseline:
-    def test_baseline_over_evaluations(self, fixture_paths, tmp_path):
-        reference = tmp_path / "reference"
-        assert main(evaluate_args(fixture_paths, reference)) == EXIT_OK
-
+    def test_baseline_over_evaluations(self, reference_run, tmp_path):
+        _, reference = reference_run
         baseline_rules = tmp_path / "baseline_rules.jsonl"
         rows = [
             {

@@ -824,12 +824,17 @@ class TestStdlibTransport:
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
             b"0x5\r\nabcde\r\n0\r\n\r\n",
             b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n",
+            # Sizes a read cannot be asked for.
+            b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 20 + b"\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"f" * 17 + b"\r\nabcde\r\n0\r\n\r\n",
         ],
         ids=["short-content-length", "malformed-status-line", "over-long-header-line",
              "header-without-colon", "101-header-lines", "non-hex-chunk-size",
              "non-numeric-content-length", "chunk-runs-past-its-size",
              "underscore-content-length", "signed-content-length",
-             "0x-chunk-size", "content-length-past-int-digit-limit"],
+             "0x-chunk-size", "content-length-past-int-digit-limit",
+             "20-digit-content-length", "17-hex-digit-chunk-size"],
     )
     def test_malformed_response_is_network_then_fresh_socket(
         self, loopback, caplog, bad_response
