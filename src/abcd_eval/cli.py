@@ -23,7 +23,7 @@ copies the given fields by name, and the config checks them for every command.
 
 Exit codes: 0 success, 1 usage or input error, 2 partial failure (some
 questions processed), 3 total failure (none processed), 130 interrupted
-(questions in flight finish; no record file is written).
+(requests in flight finish; no record file is written).
 
 Record and report files are timestamp-free so that scripted and replay runs
 are byte-for-byte reproducible; wall-clock times go only to the manifest.
@@ -191,8 +191,9 @@ OPTIONS = {
     "--answer-model": dict(),
     "--verify-model": dict(),
     "--concurrency": dict(
-        type=int, help="questions processed in parallel; a replay runs one at a "
-        f"time (default: {RunConfig.concurrency})",
+        type=int, metavar="N", help="at most N requests and connections in flight: "
+        "N questions at a time, each question's claims verified in parallel, oldest "
+        f"question first; a replay runs one at a time (default: {RunConfig.concurrency})",
     ),
     "--match-mode": dict(
         choices=[mode.value for mode in MatchMode],

@@ -22,8 +22,11 @@ repeats the predicted one is answered from memory.
 from __future__ import annotations
 
 import logging
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from .answers import DEFAULT_ANSWER_MAX_TOKENS, generate_answers
@@ -184,6 +187,14 @@ class Run:
 # stages
 
 
+def _send(upstream: Upstream, request: CompletionRequest, stage: str):
+    """What *upstream* returned for *request*, or the Exception it raised."""
+    try:
+        return upstream.complete(request, stage)
+    except Exception as exc:
+        return exc
+
+
 class QuestionProvider:
     """One question's provider over the run's *upstream*: a request the
     question already sent is answered from memory, neither counted nor
@@ -192,8 +203,11 @@ class QuestionProvider:
     ``stage`` in ``truncated``. A call that raises is kept nowhere, so a
     later call sends it again."""
 
-    def __init__(self, upstream: Optional[Upstream]):
+    def __init__(self, upstream: Optional[Upstream],
+                 queue: Optional[RequestQueue] = None, position: int = 0):
         self.upstream = upstream
+        self.queue = queue
+        self.position = position
         self.stage = "library"
         self.truncated: set[str] = set()
         self._responses: dict[CompletionRequest, CompletionResponse] = {}
@@ -206,6 +220,110 @@ class QuestionProvider:
         if response.finish_reason is FinishReason.LENGTH:
             self.truncated.add(self.stage)
         return response
+
+    def complete_all(self, requests: Sequence[CompletionRequest]) -> dict:
+        """Send each of *requests* the question has not sent, once, through
+        the run's *queue* or else in order, all even when one fails. Keep
+        the responses for :meth:`complete`; return what failed ones raised."""
+        fresh = [r for r in dict.fromkeys(requests) if r not in self._responses]
+        if self.queue is not None:
+            outcomes = self.queue.send_all(self.position, self.stage, fresh)
+        else:
+            outcomes = {r: _send(self.upstream, r, self.stage) for r in fresh}
+        failures = {r: o for r, o in outcomes.items() if isinstance(o, BaseException)}
+        self._responses.update((r, o) for r, o in outcomes.items() if r not in failures)
+        return failures
+
+
+class RequestQueue:
+    """The run-wide queue of verification requests at ``--concurrency`` N.
+
+    Each of N workers runs one question at a time. A question's
+    verification requests are queued as one batch per stage, under its
+    position, and what each returns or raises goes back to that batch. A
+    worker waiting on its batch sends the oldest question's requests; one
+    between questions starts the next, and helps once none is left to
+    start. A ``BaseException`` in a worker stops every worker.
+    """
+
+    def __init__(self, upstream: Upstream, n_questions: int,
+                 run_question: Callable[[int, RequestQueue], None]):
+        self.upstream = upstream
+        self._run_question = run_question
+        self._unstarted = deque(range(n_questions))
+        self._unfinished = n_questions
+        self._batches: list[SimpleNamespace] = []
+        self._stop: Optional[BaseException] = None
+        self._cond = threading.Condition()
+
+    def run(self, workers: int) -> None:
+        """Run every question on the calling thread and *workers* - 1 more."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        # A pool worker's BaseException stays in its future instead of
+        # printing; the stop it sets reaches the calling thread's next turn.
+        with ThreadPoolExecutor(workers - 1) as pool:
+            for _ in range(workers - 1):
+                pool.submit(self._work)
+            self._work()
+
+    def send_all(self, position: int, stage: str, requests: list) -> dict:
+        """What each of *requests* returned or raised, by request."""
+        batch = SimpleNamespace(position=position, stage=stage,
+                                queued=deque(requests), outcomes={})
+        with self._cond:
+            self._batches.append(batch)
+            try:
+                while len(batch.outcomes) < len(requests):
+                    self._help(self._oldest())
+            finally:
+                self._batches.remove(batch)
+        return batch.outcomes
+
+    def _work(self) -> None:
+        try:
+            with self._cond:
+                while self._unfinished:
+                    if self._stop or not self._unstarted:
+                        self._help(self._oldest())
+                        continue
+                    position = self._unstarted.popleft()
+                    self._cond.release()
+                    try:
+                        self._run_question(position, self)
+                    finally:
+                        self._cond.acquire()
+                    self._unfinished -= 1
+                    self._cond.notify_all()
+        except BaseException as exc:
+            with self._cond:
+                self._stop = self._stop or exc
+                self._cond.notify_all()
+            raise
+
+    def _help(self, batch: Optional[SimpleNamespace]) -> None:
+        """Raise the stop, or send *batch*'s next request unlocked, or wait."""
+        if self._stop is not None:
+            raise self._stop
+        if batch is None:
+            self._cond.wait()
+            return
+        request = batch.queued.popleft()
+        self._cond.release()
+        try:
+            outcome = _send(self.upstream, request, batch.stage)
+        except BaseException as exc:
+            outcome = exc
+            raise
+        finally:
+            self._cond.acquire()
+            batch.outcomes[request] = outcome
+            self._cond.notify_all()
+
+    def _oldest(self) -> Optional[SimpleNamespace]:
+        """The batch of the oldest question with a request queued."""
+        return min((batch for batch in self._batches if batch.queued),
+                   key=lambda batch: batch.position, default=None)
 
 
 @dataclass
@@ -331,14 +449,16 @@ def run_stages(
 ) -> list[QuestionOutcome]:
     """Apply the named *stages*, in order, to every outcome.
 
-    Questions run in parallel up to ``run.config.concurrency``, but a replay,
-    which waits on nothing, runs them in order on the calling thread; the
-    result keeps input order. Each question calls ``run.upstream`` through
-    a :class:`QuestionProvider` of its own.
+    At ``run.config.concurrency`` N > 1, N workers share one
+    :class:`RequestQueue`; otherwise, and in a replay, which waits on
+    nothing, the questions run in order on the calling thread with no
+    queue. The result keeps input order. Each question calls
+    ``run.upstream`` through a :class:`QuestionProvider` of its own.
     """
 
-    def run_question(outcome: QuestionOutcome) -> QuestionOutcome:
-        provider = QuestionProvider(run.upstream)
+    def run_question(position: int, queue: Optional[RequestQueue] = None) -> None:
+        outcome = outcomes[position]
+        provider = QuestionProvider(run.upstream, queue, position)
         for stage in stages:
             provider.stage = stage
             try:
@@ -354,11 +474,10 @@ def run_stages(
         for stage in outcome.truncated:
             logger.warning("question %s: a %s reply was truncated (finish_reason "
                            "length)", outcome.question.id, stage)
-        return outcome
 
     if run.config.concurrency <= 1 or run.config.provider_mode == "replay":
-        return [run_question(outcome) for outcome in outcomes]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=run.config.concurrency) as pool:
-        return list(pool.map(run_question, outcomes))
+        for position in range(len(outcomes)):
+            run_question(position)
+    else:
+        RequestQueue(run.upstream, len(outcomes), run_question).run(run.config.concurrency)
+    return list(outcomes)

@@ -86,10 +86,12 @@ def _size(text: str, base: int, what: str) -> int:
 
 
 def _read_exactly(rfile, size: int) -> bytes:
-    data = rfile.read(size)
+    data = bytearray()  # 1 MiB at a time: a read allocates what it asks for
+    while len(data) < size and (piece := rfile.read(min(size - len(data), 1 << 20))):
+        data += piece
     if len(data) < size:
         raise _FramingError(f"response body ended after {len(data)} of {size} bytes")
-    return data
+    return bytes(data)
 
 
 def _read_chunked(rfile) -> bytes:

@@ -92,6 +92,10 @@ def parse_verdict(
     return Verdict.NON_RESPONSE
 
 
+def _verify_request(text: str, model: str, max_tokens: int) -> CompletionRequest:
+    return CompletionRequest(model, VERIFY_PROMPT_PREFIX + text, max_tokens)
+
+
 def verify_claim(
     instantiated_text: str,
     provider: Provider,
@@ -105,12 +109,7 @@ def verify_claim(
     The prompt is exactly the prefix plus the claim text, no trailing
     newline; caching and replay depend on that byte-for-byte stability.
     """
-    request = CompletionRequest(
-        model=model,
-        prompt=VERIFY_PROMPT_PREFIX + instantiated_text,
-        max_tokens=max_tokens,
-    )
-    response = provider.complete(request)
+    response = provider.complete(_verify_request(instantiated_text, model, max_tokens))
     verdict = parse_verdict(response.text, instantiated_text, config)
     return VerificationResult(
         instantiated_text=instantiated_text,
@@ -134,23 +133,33 @@ def verify_all(
     max_tokens: int = DEFAULT_VERIFY_MAX_TOKENS,
     lenient: bool = False,
 ) -> list[VerificationResult]:
-    """Verify every claim of a set, in order.
+    """Verify every claim of a set, instantiating them all before any is
+    sent. A provider with a ``complete_all`` gets every claim's request in
+    that one call; any other gets them one at a time, in order.
 
     With ``override_answer`` the ``<answer>`` slot is re-bound (non-answer
     tags keep their assigned values), which re-verifies the same claims
-    under e.g. the gold answer. With ``lenient=True`` a provider failure on
-    one claim records a NON_RESPONSE instead of aborting the question.
+    under e.g. the gold answer. The lowest claim that failed decides: a
+    provider failure is a :class:`VerificationError` naming it, or with
+    ``lenient=True`` a NON_RESPONSE, and any other exception is raised.
     """
-    results = []
+    texts = []
     for number, claim in enumerate(claim_set.claims, start=1):
         try:
             if override_answer is None:
-                text = instantiate(claim, assignment)
+                texts.append(instantiate(claim, assignment))
             else:
-                text = instantiate_with_override(claim, assignment, override_answer)
+                texts.append(instantiate_with_override(claim, assignment, override_answer))
         except Exception as exc:
             raise VerificationError(f"claim {number}: {exc}") from exc
+    requests = [_verify_request(text, model, max_tokens) for text in texts]
+    complete_all = getattr(provider, "complete_all", None)
+    failures = {} if complete_all is None else complete_all(requests)
+    results = []
+    for number, (text, request) in enumerate(zip(texts, requests), start=1):
         try:
+            if request in failures:
+                raise failures[request]
             results.append(
                 verify_claim(
                     text, provider, config, model=model, max_tokens=max_tokens

@@ -35,7 +35,7 @@ from abcd_eval.datasets import (
 )
 from abcd_eval.decompose import default_pack_path
 from abcd_eval.model import AggregateReport, Verdict
-from abcd_eval.pipeline import PROVIDER_STAGES, RunConfig
+from abcd_eval.pipeline import PROVIDER_STAGES, QuestionProvider, RunConfig
 from abcd_eval.providers import (
     API_KEY_ENV_VAR,
     LiveProvider,
@@ -43,6 +43,7 @@ from abcd_eval.providers import (
     ProviderErrorKind,
     ScriptedProvider,
 )
+from abcd_eval.verify import VERIFY_PROMPT_PREFIX
 from e2e_fixture import (
     EXPECTED_CACHE_ENTRIES,
     EXPECTED_CALLS,
@@ -332,34 +333,64 @@ def test_written_files_follow_the_umask(fixture_paths, tmp_path):
         {path.name: 0o644 for path in written}
 
 
-@pytest.mark.parametrize("concurrency", [1, 2])
+@pytest.mark.parametrize("concurrency, helping", [
+    pytest.param(1, False, id="1"),
+    pytest.param(2, False, id="2"),
+    pytest.param(2, True, id="helping-2"),
+    pytest.param(8, True, id="helping-8"),
+])
 def test_interrupt_is_exit_130_without_a_traceback(
-    fixture_paths, tmp_path, monkeypatch, capsys, concurrency
+    fixture_paths, tmp_path, monkeypatch, capsys, concurrency, helping
 ):
-    """A KeyboardInterrupt in the tenth model call ends the run with one
-    ``interrupted`` line and writes no record file."""
+    """A KeyboardInterrupt in the tenth model call, or in a verification
+    request that a worker sends for another worker's question, ends the
+    run with one ``interrupted`` line, writes no record file and leaves no
+    worker running."""
     calls = []
     lock = threading.Lock()
-    complete = ScriptedProvider.complete
+    complete, complete_all = ScriptedProvider.complete, QuestionProvider.complete_all
+    # With *helping*: the prompts of the batch each thread last queued, the
+    # thread whose first batch of three waits until another thread sends
+    # one of its requests, and whether one did.
+    batches, waiter, helped = {}, [], threading.Event()
+
+    def batching(self, requests):
+        with lock:
+            batches[threading.get_ident()] = {request.prompt for request in requests}
+            if helping and len(requests) >= 3 and not waiter:
+                waiter.append(threading.get_ident())
+        return complete_all(self, requests)
 
     def interrupting(self, request):
+        thread = threading.get_ident()
         with lock:
             calls.append(request.prompt)
-            if len(calls) == 10:
+            if not helping and len(calls) == 10:
                 raise KeyboardInterrupt
+            if (helping and not helped.is_set()
+                    and request.prompt.startswith(VERIFY_PROMPT_PREFIX)
+                    and request.prompt not in batches.get(thread, ())):
+                helped.set()
+                raise KeyboardInterrupt
+        if thread in waiter:
+            helped.wait(timeout=10)
         return complete(self, request)
 
     monkeypatch.setattr(ScriptedProvider, "complete", interrupting)
+    monkeypatch.setattr(QuestionProvider, "complete_all", batching)
+    threads = set(threading.enumerate())
     out_dir = tmp_path / "run"
     try:
         code = main(evaluate_args(fixture_paths, out_dir, "--concurrency", str(concurrency)))
     except KeyboardInterrupt:
         pytest.fail("the interrupt escaped cli.main")
     assert code == 130
+    assert helped.is_set() == helping
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.splitlines()[-1] == "interrupted"
     assert list(out_dir.iterdir()) == []
+    assert set(threading.enumerate()) <= threads
 
 
 class TestSelectionFlags:

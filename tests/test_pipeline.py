@@ -1,11 +1,22 @@
 """A run's providers, driven through run_stages: the per-question provider's
-reuse and truncated stages, and Upstream's cache and per-stage call counts."""
+reuse and truncated stages, Upstream's cache and per-stage call counts, and
+the run-wide request queue that verifies a question's claims in parallel."""
 
 import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 
-from abcd_eval.model import Dataset, Question
+from abcd_eval.model import (
+    AnswerAssignment,
+    ClaimSet,
+    ClaimTemplate,
+    Dataset,
+    Question,
+    Verdict,
+)
 from abcd_eval.pipeline import STAGES, QuestionOutcome, Run, RunConfig, run_stages
 from abcd_eval.providers import (
     CompletionRequest,
@@ -194,3 +205,146 @@ def test_a_truncated_reply_names_every_stage_that_used_it(monkeypatch, tmp_path)
         [["verify", "verify_gt"]] * 4
     untouched = run_questions(monkeypatch, Upstream(Cutting()), 1, verify=sending("b"))
     assert untouched[0].truncated == []
+
+
+# --------------------------------------------------------------------------
+# the request queue
+
+
+class InFlight(Endpoint):
+    """A base provider that counts its calls in flight, the most at once
+    and the threads that make them; each call runs *hold* on its request
+    before it answers."""
+
+    def __init__(self, hold=lambda request: None):
+        super().__init__()
+        self.hold = hold
+        self.lock = threading.Lock()
+        self.in_flight = self.most = 0
+        self.threads = set()
+
+    def complete(self, request):
+        with self.lock:
+            self.in_flight += 1
+            self.most = max(self.most, self.in_flight)
+            self.threads.add(threading.get_ident())
+            self.sent.append(request.prompt)
+        try:
+            self.hold(request)
+            return CompletionResponse(text="True")
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+def failing(word):
+    """A hold that fails each request whose prompt holds *word*: ``error``
+    with a RuntimeError, any other word with a ProviderError."""
+
+    def hold(request):
+        if word in request.prompt and word == "error":
+            raise RuntimeError(request.prompt)
+        if word in request.prompt:
+            raise ProviderError(ProviderErrorKind.OTHER, request.prompt)
+
+    return hold
+
+
+def verifying(upstream, claim_lists, concurrency, stages=("verify",), **config):
+    """Run the real verification *stages* over one question per list of
+    claim templates; question n's answer is ``an``, or the gold answer
+    ``gold`` when n is even, so its gold-answer batch reuses every reply."""
+    outcomes = []
+    for n, claims in enumerate(claim_lists, start=1):
+        outcome = QuestionOutcome(Question(f"q{n}", f"question {n}?", "gold", Dataset.CUSTOM))
+        outcome.claim_set = ClaimSet(f"q{n}", tuple(map(ClaimTemplate, claims)))
+        outcome.assignment = AnswerAssignment.from_dict(
+            {"answer": "gold" if n % 2 == 0 else f"a{n}"})
+        outcomes.append(outcome)
+    run = Run(RunConfig(concurrency=concurrency, **config), upstream)
+    return run_stages(run, outcomes, list(stages))
+
+
+def test_a_questions_claims_are_in_flight_together():
+    barrier = threading.Barrier(4, timeout=10)
+    base = InFlight(hold=lambda request: barrier.wait())
+    claims = [f"<answer> has property {i}" for i in range(4)]
+    (done,) = verifying(Upstream(base), [claims], concurrency=4)
+    assert done.failure_reason is None
+    assert base.most == 4
+
+
+@pytest.mark.parametrize("concurrency", [2, 8])
+def test_no_more_than_n_calls_are_in_flight_from_n_threads(monkeypatch, concurrency):
+    def decompose(run, outcome, provider):
+        provider.complete(make_request(f"decompose {outcome.question.id}"))
+
+    monkeypatch.setitem(STAGES, "decompose", decompose)
+    base = InFlight(hold=lambda request: time.sleep(0.0005))
+    claim_lists = [[f"<answer> has property {i}" for i in range(1 + n % 5)]
+                   for n in range(24)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race shows
+    try:
+        done = verifying(Upstream(base), claim_lists, concurrency,
+                         stages=("decompose", "verify", "verify_gt"), ground_truth=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [outcome.failure_reason for outcome in done] == [None] * 24
+    assert [len(outcome.gt_results) for outcome in done] == list(map(len, claim_lists))
+    assert 1 < base.most <= concurrency
+    assert len(base.threads) <= concurrency
+    # Each question sends its decompose prompt and its claims once, and
+    # its gold-answer claims too when its answer is not gold.
+    expected = Counter()
+    for outcome in done:
+        expected[f"decompose {outcome.question.id}"] += 1
+        expected.update({f"True or False: {result.instantiated_text}"
+                         for result in outcome.results + outcome.gt_results})
+    assert Counter(base.sent) == expected
+
+
+@pytest.mark.parametrize("concurrency", [1, 4])
+def test_a_prompt_repeated_in_a_batch_goes_out_once(concurrency):
+    base = InFlight()
+    upstream = Upstream(base)
+    claims = ["<answer> is red", "<answer> is round", "<answer> is red"]
+    (done,) = verifying(upstream, [claims], concurrency)
+    assert [result.instantiated_text for result in done.results] == \
+        ["a1 is red", "a1 is round", "a1 is red"]
+    assert sorted(base.sent) == ["True or False: a1 is red", "True or False: a1 is round"]
+    assert upstream.calls == {"verify": 2}
+
+
+@pytest.mark.parametrize("concurrency", [1, 2, 4])
+@pytest.mark.parametrize("lenient", [False, True])
+def test_failing_claims_send_the_whole_batch_once(concurrency, lenient):
+    """The batch semantics hold at every concurrency: every claim is sent
+    once, a failed call is not sent again, and the lowest failing claim
+    names the question's failure."""
+    base = InFlight(hold=failing("fails"))
+    upstream = Upstream(base)
+    claims = ["<answer> is one", "<answer> fails two", "<answer> is three",
+              "<answer> fails four"]
+    (done,) = verifying(upstream, [claims], concurrency, lenient=lenient)
+    assert sorted(base.sent) == sorted(f"True or False: a1 {claim[9:]}" for claim in claims)
+    assert upstream.calls == {"verify": 2}
+    if lenient:
+        assert done.failure_reason is None
+        assert [result.verdict for result in done.results] == [
+            Verdict.TRUE, Verdict.NON_RESPONSE, Verdict.TRUE, Verdict.NON_RESPONSE]
+    else:
+        assert done.failed_stage == "verify"
+        assert done.failure_reason == \
+            "VerificationError: claim 2: other: True or False: a1 fails two"
+
+
+@pytest.mark.parametrize("concurrency", [1, 2, 8])
+def test_any_other_exception_fails_the_owning_question_alone(concurrency):
+    base = InFlight(hold=failing("error"))
+    claim_lists = [[f"<answer> has property {i}" for i in range(4)] for _ in range(8)]
+    claim_lists[4] = ["<answer> is fine", "<answer> raises an error", "<answer> is fine too"]
+    done = verifying(Upstream(base), claim_lists, concurrency, lenient=True)
+    assert [(outcome.failed_stage, outcome.failure_reason) for outcome in done] == \
+        [(None, None)] * 4 + [("verify", "RuntimeError: True or False: a5 raises an error")] \
+        + [(None, None)] * 3

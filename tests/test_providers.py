@@ -1,5 +1,6 @@
 """Provider stack tests: request hashing, scripting, cache, replay, retry."""
 
+import io
 import json
 import logging
 import random
@@ -10,6 +11,7 @@ import time
 
 import pytest
 
+from abcd_eval import transport
 from abcd_eval.providers import (
     API_KEY_ENV_VAR,
     CachingProvider,
@@ -828,13 +830,20 @@ class TestStdlibTransport:
             b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 20 + b"\r\n\r\n",
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
             + b"f" * 17 + b"\r\nabcde\r\n0\r\n\r\n",
+            # Sizes that frame but are never sent: a short body, not a
+            # read that allocates the size first.
+            b"HTTP/1.1 200 OK\r\nContent-Length: 100000000000000000\r\n\r\n"
+            + chat_body("x"),
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"f" * 15 + b"\r\nabcde\r\n0\r\n\r\n",
         ],
         ids=["short-content-length", "malformed-status-line", "over-long-header-line",
              "header-without-colon", "101-header-lines", "non-hex-chunk-size",
              "non-numeric-content-length", "chunk-runs-past-its-size",
              "underscore-content-length", "signed-content-length",
              "0x-chunk-size", "content-length-past-int-digit-limit",
-             "20-digit-content-length", "17-hex-digit-chunk-size"],
+             "20-digit-content-length", "17-hex-digit-chunk-size",
+             "10**17-content-length-short-body", "15-hex-digit-chunk-size-short-body"],
     )
     def test_malformed_response_is_network_then_fresh_socket(
         self, loopback, caplog, bad_response
@@ -846,6 +855,20 @@ class TestStdlibTransport:
         assert "retrying after network" in caplog.text
         assert len(sleeps) == 1
         assert [conn for conn, *_ in server.requests] == [1, 2]
+
+    def test_a_body_up_to_1_mib_takes_one_read(self):
+        class Reader(io.BytesIO):
+            sizes = []
+
+            def read(self, size=-1):
+                self.sizes.append(size)
+                return super().read(size)
+
+        body = bytes(range(256)) * 4096
+        rfile = Reader(body * 3)
+        assert transport._read_exactly(rfile, len(body)) == body
+        assert transport._read_exactly(rfile, len(body) + 1) == body + body[:1]
+        assert rfile.sizes == [len(body), len(body), 1]
 
     def test_client_error_body_is_in_the_message_and_not_retried(self, loopback):
         server = loopback([http_response("400 Bad Request", b"unknown model")])
