@@ -191,9 +191,9 @@ OPTIONS = {
     "--answer-model": dict(),
     "--verify-model": dict(),
     "--concurrency": dict(
-        type=int, metavar="N", help="at most N requests and connections in flight: "
-        "N questions at a time, each question's claims verified in parallel, oldest "
-        f"question first; a replay runs one at a time (default: {RunConfig.concurrency})",
+        type=int, metavar="N", help="N workers, so at most N requests and connections "
+        "in flight; a lone request goes from its own worker, and a queued claim batch "
+        f"wakes idle workers; a replay has one worker (default: {RunConfig.concurrency})",
     ),
     "--match-mode": dict(
         choices=[mode.value for mode in MatchMode],

@@ -17,6 +17,11 @@ in a stage marks the outcome failed at that stage and the question's
 remaining stages are skipped, while the other questions go on. Within a
 question a prompt goes upstream once, so a gold-answer verification that
 repeats the predicted one is answered from memory.
+
+Every request passes the run's one :class:`RequestQueue`, which has N =
+``--concurrency`` workers, or one, the calling thread, when N is 1 or
+nothing goes to a base. A lone request is sent by its own worker; a queued
+batch wakes idle workers.
 """
 
 from __future__ import annotations
@@ -196,16 +201,14 @@ def _send(upstream: Upstream, request: CompletionRequest, stage: str):
 
 
 class QuestionProvider:
-    """One question's provider over the run's *upstream*: a request the
+    """One question's provider over the run's *queue*: a request the
     question already sent is answered from memory, neither counted nor
-    looked up in the cache; any other goes to *upstream* under ``stage``.
-    A reply with finish reason ``length``, fresh, cached or reused, puts
-    ``stage`` in ``truncated``. A call that raises is kept nowhere, so a
-    later call sends it again."""
+    looked up in the cache; any other goes through the queue under
+    ``stage`` and the question's *position*. A reply with finish reason
+    ``length``, fresh, cached or reused, puts ``stage`` in ``truncated``.
+    A call that raises is kept nowhere, so a later call sends it again."""
 
-    def __init__(self, upstream: Optional[Upstream],
-                 queue: Optional[RequestQueue] = None, position: int = 0):
-        self.upstream = upstream
+    def __init__(self, queue: RequestQueue, position: int = 0):
         self.queue = queue
         self.position = position
         self.stage = "library"
@@ -213,40 +216,37 @@ class QuestionProvider:
         self._responses: dict[CompletionRequest, CompletionResponse] = {}
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        response = self._responses.get(request)
-        if response is None:
-            response = self.upstream.complete(request, self.stage)
-            self._responses[request] = response
+        failures = self.complete_all([request])
+        if failures:
+            raise failures[request]
+        response = self._responses[request]
         if response.finish_reason is FinishReason.LENGTH:
             self.truncated.add(self.stage)
         return response
 
     def complete_all(self, requests: Sequence[CompletionRequest]) -> dict:
-        """Send each of *requests* the question has not sent, once, through
-        the run's *queue* or else in order, all even when one fails. Keep
-        the responses for :meth:`complete`; return what failed ones raised."""
+        """Send each of *requests* the question has not sent, once, as one
+        batch, all even when one fails. Keep the responses for
+        :meth:`complete`; return what failed ones raised."""
         fresh = [r for r in dict.fromkeys(requests) if r not in self._responses]
-        if self.queue is not None:
-            outcomes = self.queue.send_all(self.position, self.stage, fresh)
-        else:
-            outcomes = {r: _send(self.upstream, r, self.stage) for r in fresh}
+        outcomes = self.queue.send(self.position, self.stage, fresh)
         failures = {r: o for r, o in outcomes.items() if isinstance(o, BaseException)}
         self._responses.update((r, o) for r, o in outcomes.items() if r not in failures)
         return failures
 
 
 class RequestQueue:
-    """The run-wide queue of verification requests at ``--concurrency`` N.
+    """The run-wide queue that every upstream request passes.
 
-    Each of N workers runs one question at a time. A question's
-    verification requests are queued as one batch per stage, under its
-    position, and what each returns or raises goes back to that batch. A
-    worker waiting on its batch sends the oldest question's requests; one
-    between questions starts the next, and helps once none is left to
-    start. A ``BaseException`` in a worker stops every worker.
+    Each worker runs one question at a time and sends its lone requests
+    itself. A larger batch, a verification stage's, is queued under its
+    question's position and wakes idle workers. A worker waiting on its
+    batch sends the oldest question's queued requests; one between
+    questions starts the next, and helps once none is left to start. A
+    ``BaseException`` in a worker stops every worker at its next request.
     """
 
-    def __init__(self, upstream: Upstream, n_questions: int,
+    def __init__(self, upstream: Optional[Upstream], n_questions: int,
                  run_question: Callable[[int, RequestQueue], None]):
         self.upstream = upstream
         self._run_question = run_question
@@ -258,6 +258,8 @@ class RequestQueue:
 
     def run(self, workers: int) -> None:
         """Run every question on the calling thread and *workers* - 1 more."""
+        if workers == 1:
+            return self._work()
         from concurrent.futures import ThreadPoolExecutor
 
         # A pool worker's BaseException stays in its future instead of
@@ -267,15 +269,20 @@ class RequestQueue:
                 pool.submit(self._work)
             self._work()
 
-    def send_all(self, position: int, stage: str, requests: list) -> dict:
+    def send(self, position: int, stage: str, requests: list) -> dict:
         """What each of *requests* returned or raised, by request."""
+        if self._stop is not None:
+            raise self._stop
+        if len(requests) < 2:
+            return {request: _send(self.upstream, request, stage) for request in requests}
         batch = SimpleNamespace(position=position, stage=stage,
                                 queued=deque(requests), outcomes={})
         with self._cond:
             self._batches.append(batch)
+            self._cond.notify_all()
             try:
                 while len(batch.outcomes) < len(requests):
-                    self._help(self._oldest())
+                    self._help()
             finally:
                 self._batches.remove(batch)
         return batch.outcomes
@@ -285,7 +292,7 @@ class RequestQueue:
             with self._cond:
                 while self._unfinished:
                     if self._stop or not self._unstarted:
-                        self._help(self._oldest())
+                        self._help()
                         continue
                     position = self._unstarted.popleft()
                     self._cond.release()
@@ -301,10 +308,13 @@ class RequestQueue:
                 self._cond.notify_all()
             raise
 
-    def _help(self, batch: Optional[SimpleNamespace]) -> None:
-        """Raise the stop, or send *batch*'s next request unlocked, or wait."""
+    def _help(self) -> None:
+        """Raise the stop, or send the next request of the oldest question
+        with one queued, unlocked, or wait."""
         if self._stop is not None:
             raise self._stop
+        batch = min((batch for batch in self._batches if batch.queued),
+                    key=lambda batch: batch.position, default=None)
         if batch is None:
             self._cond.wait()
             return
@@ -312,18 +322,10 @@ class RequestQueue:
         self._cond.release()
         try:
             outcome = _send(self.upstream, request, batch.stage)
-        except BaseException as exc:
-            outcome = exc
-            raise
         finally:
             self._cond.acquire()
-            batch.outcomes[request] = outcome
-            self._cond.notify_all()
-
-    def _oldest(self) -> Optional[SimpleNamespace]:
-        """The batch of the oldest question with a request queued."""
-        return min((batch for batch in self._batches if batch.queued),
-                   key=lambda batch: batch.position, default=None)
+        batch.outcomes[request] = outcome
+        self._cond.notify_all()
 
 
 @dataclass
@@ -449,16 +451,15 @@ def run_stages(
 ) -> list[QuestionOutcome]:
     """Apply the named *stages*, in order, to every outcome.
 
-    At ``run.config.concurrency`` N > 1, N workers share one
-    :class:`RequestQueue`; otherwise, and in a replay, which waits on
-    nothing, the questions run in order on the calling thread with no
-    queue. The result keeps input order. Each question calls
-    ``run.upstream`` through a :class:`QuestionProvider` of its own.
+    Each question sends every request through a :class:`QuestionProvider`
+    of its own into one :class:`RequestQueue`. That has
+    ``run.config.concurrency`` workers when ``run.upstream`` has a base to
+    send to, and else one, the calling thread. The result keeps input order.
     """
 
-    def run_question(position: int, queue: Optional[RequestQueue] = None) -> None:
+    def run_question(position: int, queue: RequestQueue) -> None:
         outcome = outcomes[position]
-        provider = QuestionProvider(run.upstream, queue, position)
+        provider = QuestionProvider(queue, position)
         for stage in stages:
             provider.stage = stage
             try:
@@ -475,9 +476,7 @@ def run_stages(
             logger.warning("question %s: a %s reply was truncated (finish_reason "
                            "length)", outcome.question.id, stage)
 
-    if run.config.concurrency <= 1 or run.config.provider_mode == "replay":
-        for position in range(len(outcomes)):
-            run_question(position)
-    else:
-        RequestQueue(run.upstream, len(outcomes), run_question).run(run.config.concurrency)
+    sends = getattr(run.upstream, "base", None) is not None
+    RequestQueue(run.upstream, len(outcomes), run_question).run(
+        run.config.concurrency if sends else 1)
     return list(outcomes)

@@ -404,9 +404,14 @@ def recorded_run(tmp_path_factory):
         (["abcd_eval.cli", "evaluate", "--questions", "{questions}",
           "--provider", "live", "--base-url", "{url}", "--out-dir", "{out}"],
          ["abcd_eval.transport", "socket"]),
+        (["abcd_eval.cli", "verify", "--questions", "{questions}",
+          "--claims", "{run}/claim_sets.jsonl",
+          "--assignments", "{run}/assignments.jsonl",
+          "--provider", "replay", "--cache-dir", "{cache}", "--concurrency", "8",
+          "--out", "{out}/verifications.jsonl"], []),
     ],
     ids=["import-abcd_eval", "import-cli", "report", "score", "annotate",
-         "evaluate-replay", "evaluate-replay-8", "evaluate-live"],
+         "evaluate-replay", "evaluate-replay-8", "evaluate-live", "verify-replay-8"],
 )
 def test_each_command_loads_only_what_it_runs(recorded_run, tmp_path, argv, loaded):
     paths, root = recorded_run
