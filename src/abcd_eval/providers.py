@@ -11,7 +11,6 @@ again without the endpoint.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -119,6 +118,8 @@ def _request_to_record(request: CompletionRequest) -> dict:
 
 def _digest(request_record) -> str:
     """Hex sha256 digest of a request record's canonical JSON encoding."""
+    import hashlib  # loads OpenSSL: only a run with a cache needs it
+
     canonical = json.dumps(
         request_record, sort_keys=True, separators=(",", ":"), ensure_ascii=True
     )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import random
 import re
 import socket
 import struct
@@ -112,21 +111,12 @@ class LoopbackServer:
 # closes an idle one.
 RETRYABLE_FAULTS = ("429-retry-after-7", "429", "503", "reset-mid-body", "idle-close")
 # A reply with the scripted text and finish reason ``length``: an answer,
-# so it ends the prompt's faults.
+# so it ends the call.
 LENGTH = "length"
-
-
-def fault_schedule(prompts, seed: int) -> dict[str, tuple[str, ...]]:
-    """Every retryable fault once, and one ``length`` reply, two to each
-    of three prompts drawn from *prompts* by *seed*, so each prompt is
-    answered by its third attempt at the latest.
-
-    The schedule is keyed by prompt, so which request meets which fault
-    does not depend on the order requests arrive in."""
-    rng = random.Random(seed)
-    drawn = rng.sample(sorted(set(prompts)), 3)
-    kinds = rng.sample(RETRYABLE_FAULTS, len(RETRYABLE_FAULTS)) + [LENGTH]
-    return {prompt: tuple(kinds[2 * i:2 * i + 2]) for i, prompt in enumerate(drawn)}
+# A 400 with this body, which a live run does not retry: the call fails as
+# ``other: HTTP 400: bad request``.
+BAD_REQUEST = "400"
+BAD_REQUEST_BODY = b"bad request"
 
 
 class _ScriptHandler(BaseHTTPRequestHandler):
@@ -140,12 +130,14 @@ class _ScriptHandler(BaseHTTPRequestHandler):
         if fault == "idle-close":
             self.close_connection = True
             return
-        if fault in ("429-retry-after-7", "429", "503"):
+        if fault in ("429-retry-after-7", "429", "503", BAD_REQUEST):
+            payload = BAD_REQUEST_BODY if fault == BAD_REQUEST else b""
             self.send_response(int(fault[:3]))
             if fault == "429-retry-after-7":
                 self.send_header("Retry-After", "7")
-            self.send_header("Content-Length", "0")
+            self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
+            self.wfile.write(payload)
             return
         request = CompletionRequest(model=body["model"], prompt=prompt, max_tokens=1)
         reply = chat_body(self.server.script.complete(request).text,
@@ -171,10 +163,13 @@ class ScriptServer(ThreadingHTTPServer):
     """A chat-completions server on 127.0.0.1 that answers every prompt from
     scripted-provider rules, one thread per connection, until closed.
 
-    *faults* maps a prompt to the faults its first attempts meet, in order
-    (see :func:`fault_schedule`); later attempts are answered. ``attempts``
-    counts the requests for each prompt, and ``faults_served`` the faults
-    sent."""
+    *faults* maps a prompt to its schedule: the faults that its attempts
+    meet, in order, over the whole run, and later attempts are answered.
+    A call that fails does not restart the schedule: when the gold-answer
+    pass sends a prompt again that failed in ``verify``, it meets the next
+    entries. So a prompt that fails every attempt needs an entry for every
+    attempt the run can make. ``attempts`` counts the requests for each
+    prompt."""
 
     daemon_threads = True
 
@@ -183,7 +178,6 @@ class ScriptServer(ThreadingHTTPServer):
         self.script = ScriptedProvider(rules)
         self.faults = faults or {}
         self.attempts: Counter[str] = Counter()
-        self.faults_served: Counter[str] = Counter()
         self._lock = threading.Lock()
         self.port = self.server_address[1]
         # A short poll keeps close() from waiting out the default half second.
@@ -198,10 +192,7 @@ class ScriptServer(ThreadingHTTPServer):
             attempt = self.attempts[prompt]
             self.attempts[prompt] += 1
             faults = self.faults.get(prompt, ())
-            fault = faults[attempt] if attempt < len(faults) else None
-            if fault:
-                self.faults_served[fault] += 1
-        return fault
+        return faults[attempt] if attempt < len(faults) else None
 
     def close(self) -> None:
         self.shutdown()

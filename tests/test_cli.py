@@ -34,13 +34,11 @@ from abcd_eval.datasets import (
     split_sizes,
 )
 from abcd_eval.decompose import default_pack_path
-from abcd_eval.model import AggregateReport, Verdict
+from abcd_eval.model import AggregateReport
 from abcd_eval.pipeline import PROVIDER_STAGES, QuestionProvider, RunConfig
 from abcd_eval.providers import (
     API_KEY_ENV_VAR,
     LiveProvider,
-    ProviderError,
-    ProviderErrorKind,
     ScriptedProvider,
 )
 from abcd_eval.verify import VERIFY_PROMPT_PREFIX
@@ -267,45 +265,6 @@ class TestDeterminismAndReplay:
         )
 
 
-    def test_copied_entry_is_refetched_or_fails_replay_alone(
-        self, fixture_paths, tmp_path, caplog
-    ):
-        """An entry copied over another's file does not hash to that name:
-        caching fetches it again, and replay fails its question alone."""
-        cache_dir, reference = tmp_path / "cache", tmp_path / "reference"
-        assert main(evaluate_args(
-            fixture_paths, reference, "--cache-dir", str(cache_dir)
-        )) == EXIT_OK
-        prompts = {
-            path: json.loads(path.read_text("utf-8"))["request"]["prompt"]
-            for path in sorted(cache_dir.iterdir())
-        }
-        (target,) = [p for p, text in prompts.items()
-                     if text == "True or False: Mars is a planet"]
-        source = next(path for path in prompts if path != target)
-
-        target.write_bytes(source.read_bytes())
-        out_replay = tmp_path / "replay"
-        assert main(replay_args(fixture_paths, cache_dir, out_replay)) == EXIT_PARTIAL
-        manifest = read_manifest(out_replay)
-        assert [qid for qid, entry in manifest["questions"].items()
-                if entry["status"] != "ok"] == ["q01"]
-        reason = manifest["questions"]["q01"]["reason"]
-        assert "replay_miss" in reason and target.stem in reason
-
-        out_cache = tmp_path / "cached"
-        assert main(evaluate_args(
-            fixture_paths, out_cache, "--cache-dir", str(cache_dir)
-        )) == EXIT_OK
-        assert f"unreadable cache entry for request digest {target.stem}" in caplog.text
-        assert sum(read_manifest(out_cache)["provider_calls"].values()) == 1
-        assert json.loads(target.read_text("utf-8"))["request"]["prompt"] == \
-            prompts[target]
-        for name in RECORD_FILES:
-            assert (out_cache / name).read_bytes() == \
-                (reference / name).read_bytes(), name
-
-
 def test_written_files_follow_the_umask(fixture_paths, tmp_path):
     """Record files, reports, the manifest, cache entries and dataset
     splits are made 0666 less the umask, and no temp file is left."""
@@ -490,79 +449,6 @@ class TestFailureHandling:
             ]
         )
         assert code == EXIT_TOTAL
-
-    def test_lenient_turns_verify_gaps_into_non_responses(
-        self, fixture_paths, tmp_path
-    ):
-        dropped_prompt = "True or False: carbon dioxide is absorbed by plants " \
-            "during photosynthesis"
-        rules = [
-            record
-            for record in records.read_jsonl(fixture_paths["rules"])
-            if record["match"] != dropped_prompt
-        ]
-        broken = fixture_paths["rules"].parent / "gap_rules.jsonl"
-        records.write_jsonl_atomic(broken, rules)
-
-        strict_code = main(
-            [
-                "evaluate",
-                "--questions", str(fixture_paths["questions"]),
-                "--script", str(broken),
-                "--out-dir", str(tmp_path / "strict"),
-            ]
-        )
-        assert strict_code == EXIT_PARTIAL
-
-        out_dir = tmp_path / "lenient"
-        code = main(
-            [
-                "evaluate",
-                "--questions", str(fixture_paths["questions"]),
-                "--script", str(broken),
-                "--out-dir", str(out_dir),
-                "--lenient",
-            ]
-        )
-        assert code == EXIT_OK
-        evaluation = read_evaluations(out_dir)["q12"]
-        assert evaluation.results[1].verdict is Verdict.NON_RESPONSE
-        assert evaluation.score_true == Fraction(0)
-
-
-    def test_lenient_failure_is_sent_again_by_the_gold_pass(
-        self, fixture_paths, tmp_path, monkeypatch
-    ):
-        # q01's prediction is gold, so its gold pass repeats its prompts.
-        fq = QUESTIONS[0]
-        prompts = [f"True or False: {text}" for text in fq.instantiated(fq.gold)]
-        sent = count_prompts(monkeypatch)
-        complete = ScriptedProvider.complete
-
-        def fail_first_call(self, request):
-            if request.prompt == prompts[1] and prompts[1] not in sent:
-                sent.append(request.prompt)
-                raise ProviderError(ProviderErrorKind.NETWORK, "dropped")
-            return complete(self, request)
-
-        monkeypatch.setattr(ScriptedProvider, "complete", fail_first_call)
-        out_dir = tmp_path / "run"
-        assert main(evaluate_args(fixture_paths, out_dir, "--lenient")) == EXIT_OK
-
-        assert [sent.count(prompt) for prompt in prompts] == [1, 2, 1]
-        evaluation = read_evaluations(out_dir)["q01"]
-        assert [r.verdict for r in evaluation.results] == \
-            [Verdict.TRUE, Verdict.NON_RESPONSE, Verdict.TRUE]
-        assert evaluation.gt_score_true == Fraction(1)
-        gt_results = dict(
-            records.verifications_from_record(record)
-            for record in records.read_jsonl(out_dir / "gt_verifications.jsonl")
-        )["q01"]
-        assert [r.verdict for r in gt_results] == [Verdict.TRUE] * 3
-        # The failed call is not counted; its second sending is.
-        assert read_manifest(out_dir)["provider_calls"]["verify_gt"] == \
-            GT_ONLY_CLAIMS + 1
-
 
 class TestStageCommands:
     @pytest.mark.parametrize(

@@ -4,23 +4,50 @@
 built from ``endpoint.build_table``, must score the generator's exact
 ``Fraction``s and write the same record bytes at ``--concurrency`` 1 and 4,
 with ``--cache-dir``, in a replay of that cache and as the stage commands.
+On the failure paths, :class:`Oracle` works out each run's outcome from the
+seeded fault plan that ``ScriptServer`` serves.
 """
 
+import itertools
 import json
+import logging
+import random
+import re
 import tempfile
+import time
+from collections import Counter
+from contextlib import redirect_stderr
+from dataclasses import replace
 from fractions import Fraction
+from io import StringIO
+from logging.handlers import BufferingHandler
 from pathlib import Path
+from types import SimpleNamespace
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 import endpoint
 import workload
-from abcd_eval.cli import EXIT_OK, main
+from abcd_eval.cli import EXIT_OK, EXIT_PARTIAL, EXIT_TOTAL, main
+from abcd_eval.pipeline import EVALUATE_STAGES, PROVIDER_STAGES
+from abcd_eval.providers import API_KEY_ENV_VAR, DEFAULT_MAX_ATTEMPTS, load_script_rules
+from abcd_eval.verify import VERIFY_PROMPT_PREFIX
 from helpers import RECORD_FILES
+from loopback import (BAD_REQUEST, BAD_REQUEST_BODY, LENGTH, PROXY_ENV_VARS, RETRYABLE_FAULTS,
+                      ScriptServer)
 
 
 def run(*argv) -> None:
     assert main([str(arg) for arg in argv]) == EXIT_OK, argv
+
+
+def write_rules(seed: int, questions, path: Path) -> Path:
+    path.write_text("".join(
+        json.dumps({"match": prompt, "response": reply, "mode": "exact"}) + "\n"
+        for prompt, (_, reply, *_) in endpoint.build_table(seed, questions).items()
+    ), "utf-8")
+    return path
 
 
 def check_scores(out_dir: Path, questions) -> None:
@@ -46,11 +73,7 @@ def test_every_way_of_running_writes_the_generated_scores(seed, n):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         paths = workload.write_inputs(questions, root / "inputs")
-        rules = root / "rules.jsonl"
-        rules.write_text("".join(
-            json.dumps({"match": prompt, "response": reply, "mode": "exact"}) + "\n"
-            for prompt, (_, reply, *_) in endpoint.build_table(seed, questions).items()
-        ), "utf-8")
+        rules = write_rules(seed, questions, root / "rules.jsonl")
         script, cache = ("--script", rules), ("--cache-dir", root / "cache")
         runs = {
             "concurrency-1": (*script, "--concurrency", 1),
@@ -84,3 +107,251 @@ def test_every_way_of_running_writes_the_generated_scores(seed, n):
                 if name != "chain" or file.endswith(".jsonl"):
                     assert (root / name / file).read_bytes() == \
                         (reference / file).read_bytes(), (name, file)
+
+
+# --------------------------------------------------------------------------
+# the failure paths
+
+EVERY_ATTEMPT = "every-attempt"
+FAULT_KINDS = (*RETRYABLE_FAULTS, LENGTH, BAD_REQUEST, EVERY_ATTEMPT)
+SENDING_STAGES = EVALUATE_STAGES[:4]
+DAMAGE = ("corrupt", "copied", "deleted")
+# What the ProviderError of a call a fault ends says (a reset's is the transport's).
+FAILS = {"429-retry-after-7": "rate_limited: HTTP 429", "429": "rate_limited: HTTP 429",
+         "503": "network: HTTP 503", "reset-mid-body": "network: ", "idle-close": "network: ",
+         BAD_REQUEST: f"other: HTTP 400: {BAD_REQUEST_BODY.decode()}"}
+# A claim that failed under --lenient: a non-response with an empty reply.
+LENIENT = "-"
+
+
+def question_prompts(q, table) -> dict:
+    """Each sending stage's prompts for *q*, in claim order."""
+    decompose, answer = [prompt for prompt, (qid, *_) in table.items() if qid == q.qid][:2]
+    return {"decompose": [decompose], "answer": [answer],
+            "verify": [VERIFY_PROMPT_PREFIX + text for text in q.instantiated(q.pred)],
+            "verify_gt": [VERIFY_PROMPT_PREFIX + text for text in q.instantiated(q.gold)]}
+
+
+def fault_plan(rng: random.Random, prompts: dict) -> dict:
+    """Each prompt's schedule: the faults of the calls that send it. Half of
+    a question's prompts get a call answered after retried faults or by a
+    ``length`` reply; one or two first sent at a dealt stage and at
+    ``verify_gt`` get a failing call, maybe followed by the gold pass's."""
+    def call(end):
+        retried = DEFAULT_MAX_ATTEMPTS if end == EVERY_ATTEMPT else rng.randint(end is None, 2)
+        return [*rng.choices(RETRYABLE_FAULTS, k=retried), *[end] * (end in (LENGTH, BAD_REQUEST))]
+
+    plan, deal = {}, []
+    for stages in prompts.values():
+        first = {prompt: stage for stage in reversed(SENDING_STAGES) for prompt in stages[stage]}
+        plan.update((prompt, call(rng.choice((None, LENGTH)))) for prompt in first
+                    if rng.random() < 0.5)
+        deal = deal or rng.sample((*SENDING_STAGES, None), 5)
+        for stage in dict.fromkeys((deal.pop(), "verify_gt")):
+            failing = [prompt for prompt, sent_at in first.items() if sent_at == stage]
+            for prompt in rng.sample(failing, min(len(failing), rng.randint(1, 2))):
+                plan[prompt] = call(rng.choice((BAD_REQUEST, EVERY_ATTEMPT)))
+                if rng.random() < 0.5:
+                    plan[prompt] += call(rng.choice((None, LENGTH, BAD_REQUEST, EVERY_ATTEMPT)))
+    return plan
+
+
+class Failed(Exception):
+    """A question's failure; the message is its manifest reason."""
+
+
+class Oracle:
+    """One run as the plan implies it: the server serves *plan* when the run
+    *sends*, and *cache* (kept up to date) maps each prompt with an entry to
+    its finish reason or ``"damaged"``. :meth:`outcome` fills the counts."""
+
+    def __init__(self, plan, digests, cache=None, sends=True):
+        self.plan, self.digests, self.cache, self.sends = plan, digests, cache, sends
+        self.attempts, self.calls, self.refetched, self.events = Counter(), Counter(), [], set()
+        self.sleeps = self.long_sleeps = 0
+
+    def call(self, prompt: str, stage: str):
+        """(True, finish reason) or (False, what the ProviderError says)."""
+        entry = None if self.cache is None else self.cache.get(prompt)
+        if entry in ("stop", LENGTH):
+            self.calls[stage] += not self.sends
+            return True, entry
+        if not self.sends:
+            self.events.add(("replay_miss", stage))
+            what = "unreadable cache entry" if entry else "no cached response"
+            return False, f"replay_miss: {what} for request digest {self.digests[prompt]}"
+        if entry:
+            self.refetched.append(self.digests[prompt])
+        if self.attempts[prompt]:
+            self.events.add(("sent again", stage))
+        for attempt in range(1, DEFAULT_MAX_ATTEMPTS + 1):
+            fault = (self.plan.get(prompt, ())[self.attempts[prompt]:] or [None])[0]
+            self.attempts[prompt] += 1
+            self.events.add((fault, stage))
+            if fault in (None, LENGTH):
+                self.calls[stage] += 1
+                if self.cache is not None:
+                    self.cache[prompt] = fault or "stop"
+                return True, fault or "stop"
+            if fault == BAD_REQUEST or attempt == DEFAULT_MAX_ATTEMPTS:
+                self.events.add((BAD_REQUEST if fault == BAD_REQUEST else EVERY_ATTEMPT, stage))
+                return False, FAILS[fault]
+            self.sleeps += 1
+            self.long_sleeps += fault == "429-retry-after-7"
+
+    def outcome(self, q, prompts: dict, lenient: bool):
+        """*q*'s manifest entry, and *q* with the verdicts the run records."""
+        replies, truncated, verdicts = {}, set(), {}
+        try:
+            for stage in SENDING_STAGES:
+                failed = {}
+                for prompt in dict.fromkeys(p for p in prompts[stage] if p not in replies):
+                    ok, result = self.call(prompt, stage)
+                    (replies if ok else failed)[prompt] = result
+                symbols = q.pred_verdicts if stage == "verify" else q.gt_verdicts
+                verdicts[stage] = ""
+                for number, (prompt, symbol) in enumerate(zip(prompts[stage], symbols), start=1):
+                    if prompt in failed:
+                        if not stage.startswith("verify"):
+                            raise Failed(f"ProviderError: {failed[prompt]}")
+                        if not lenient:
+                            raise Failed(f"VerificationError: claim {number}: {failed[prompt]}")
+                        symbol = LENIENT
+                    elif replies[prompt] == LENGTH:
+                        truncated.add(stage)
+                    verdicts[stage] += symbol
+            entry = {"status": "ok"}
+        except Failed as exc:
+            entry = {"status": "failed", "stage": stage, "reason": str(exc)}
+        if truncated:
+            entry["truncated"] = [stage for stage in SENDING_STAGES if stage in truncated]
+        return entry, replace(q, pred_verdicts=verdicts.get("verify"),
+                              gt_verdicts=verdicts.get("verify_gt"))
+
+
+def check_evaluate(case, name: str, oracle: Oracle, *extra, lenient: bool, faults=None):
+    """Run ``evaluate --ground-truth`` over *case*, live against a
+    ``ScriptServer`` serving *faults* when given, with ``time.sleep`` patched
+    out. Check that it did what *oracle* predicts, that every record line
+    without a --lenient non-response is the fault-free reference run's, and
+    that neither stderr nor a log record holds a traceback."""
+    out_dir, questions = case.root / name, case.questions
+    server = None if faults is None else ScriptServer(load_script_rules(case.rules), faults)
+    log, sleeps = BufferingHandler(10**6), []
+    source = () if server is None else (
+        "--provider", "live", "--base-url", f"http://127.0.0.1:{server.port}/v1")
+    with pytest.MonkeyPatch.context() as patch, redirect_stderr(StringIO()) as err:
+        for variable in PROXY_ENV_VARS:
+            patch.delenv(variable, raising=False)
+        patch.setenv(API_KEY_ENV_VAR, "k")
+        patch.setattr(time, "sleep", sleeps.append)
+        logging.getLogger("abcd_eval").addHandler(log)
+        try:
+            code = main([str(arg) for arg in (
+                "evaluate", "--questions", case.paths["questions"], "--labels",
+                case.paths["labels"], "--ground-truth", "--out-dir", out_dir, *source, *extra)])
+        finally:
+            logging.getLogger("abcd_eval").removeHandler(log)
+            if server is not None:
+                server.close()
+    assert "Traceback" not in err.getvalue() + "".join(map(log.format, log.buffer))
+    warnings = [record.getMessage() for record in log.buffer]
+
+    expected = [(q, *oracle.outcome(q, case.prompts[q.qid], lenient)) for q in questions]
+    manifest = json.loads((out_dir / "manifest.json").read_text("utf-8"))
+    for q, entry, _ in expected:
+        got = manifest["questions"][q.qid]
+        assert got.pop("reason", "").startswith(entry.pop("reason", "")), (q.qid, got)
+        assert got == entry, q.qid
+    ran = [ran for _, entry, ran in expected if entry["status"] == "ok"]
+    clean = [q for q in ran if LENIENT not in q.pred_verdicts + q.gt_verdicts]
+    assert (manifest["n_ok"], manifest["n_failed"]) == (len(ran), len(questions) - len(ran))
+    assert code == (EXIT_OK if len(ran) == len(questions) else EXIT_PARTIAL if ran else EXIT_TOTAL)
+    assert manifest["provider_calls"] == {stage: oracle.calls[stage] for stage in PROVIDER_STAGES}
+    for file in RECORD_FILES[:5]:
+        want = (case.reference / file).read_text("utf-8").splitlines()
+        want = dict(zip([q.qid for q in questions], want))
+        lines = dict(zip([q.qid for q in ran], (out_dir / file).read_text("utf-8").splitlines()))
+        rows = [json.loads(want[q.qid]) for q in ran]
+        for row, q in zip(rows, ran):
+            symbols = q.gt_verdicts if file.startswith("gt") else q.pred_verdicts
+            for result, symbol in zip(row.get("results", ()), symbols):
+                if symbol == LENIENT:
+                    result.update(verdict="non_response", raw_response="")
+            if "score_true" in row:
+                row.update(score_true=str(q.score), gt_score_true=str(q.gt_score))
+        assert [json.loads(line) for line in lines.values()] == rows, file
+        assert [lines[q.qid] for q in clean] == [want[q.qid] for q in clean], file
+    if ran:
+        check_scores(out_dir, ran)
+    if len(clean) == len(questions):
+        for file in RECORD_FILES[5:]:
+            assert (out_dir / file).read_bytes() == (case.reference / file).read_bytes(), file
+    assert (server.attempts if server else Counter()) == oracle.attempts
+    assert len(sleeps) == oracle.sleeps and sum(s >= 7 for s in sleeps) >= oracle.long_sleeps
+    assert sorted(w for w in warnings if "truncated" in w) == sorted(
+        f"question {q.qid}: a {stage} reply was truncated (finish_reason length)"
+        for q, entry, _ in expected for stage in entry.get("truncated", ()))
+    assert sorted(re.search("digest ([0-9a-f]+)", w)[1] for w in warnings
+                  if w.endswith("fetching it again")) == sorted(oracle.refetched)
+    case.seen.update(oracle.events)
+
+
+def test_every_fault_ends_in_the_outcome_the_plan_implies():
+    """Live runs at --concurrency 1, 2 and 8, with and without --lenient, meet
+    a fault plan; one records a cache to damage, replay, refetch and replay."""
+    seen = set()
+
+    # Explaining a failure traces every line of its runs, which takes minutes.
+    @settings(max_examples=10, phases=set(Phase) - {Phase.explain})
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
+    def check(seed, n):
+        questions = workload.generate(seed, n)
+        rng = random.Random(seed)
+        table = endpoint.build_table(seed, questions)
+        prompts = {q.qid: question_prompts(q, table) for q in questions}
+        plan = fault_plan(rng, prompts)
+        recording, cache = (rng.choice((1, 2, 8)), rng.random() < 0.5), {}
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            paths = workload.write_inputs(questions, root / "inputs")
+            rules = write_rules(seed, questions, root / "rules.jsonl")
+            case = SimpleNamespace(root=root, paths=paths, rules=rules, questions=questions,
+                                   prompts=prompts, reference=root / "scripted", seen=seen)
+            run("evaluate", "--questions", paths["questions"], "--labels", paths["labels"],
+                "--ground-truth", "--out-dir", case.reference, "--script", rules,
+                "--cache-dir", root / "every-entry")
+            digests = {json.loads(path.read_bytes())["request"]["prompt"]: path.stem
+                       for path in (root / "every-entry").iterdir()}
+            cached = ("--cache-dir", root / "cache")
+            for concurrency, lenient in itertools.product((1, 2, 8), (False, True)):
+                records = (concurrency, lenient) == recording
+                check_evaluate(case, f"live-{concurrency}-{lenient}",
+                               Oracle(plan, digests, cache if records else None),
+                               "--concurrency", concurrency, *["--lenient"] * lenient,
+                               *cached * records, lenient=lenient, faults=plan)
+
+            lenient = recording[1]
+            stored = {json.loads(path.read_bytes())["request"]["prompt"]: path
+                      for path in (root / "cache").iterdir()}
+            assert stored.keys() == cache.keys()
+            originals = {prompt: path.read_bytes() for prompt, path in stored.items()}
+            for how, prompt in zip(DAMAGE, rng.sample(sorted(stored), min(3, len(stored)))):
+                if how == "deleted":
+                    stored[prompt].unlink()
+                    del cache[prompt]
+                else:
+                    stored[prompt].write_bytes(originals[prompt][:-9] if how == "corrupt"
+                                               else originals[min(set(stored) - {prompt})])
+                    cache[prompt] = "damaged"
+                seen.add((how, lenient))
+            for name, sends in (("replay", False), ("refetch", True), ("replay-again", False)):
+                check_evaluate(case, name, Oracle({}, digests, cache, sends), *cached,
+                               *["--lenient"] * lenient, *["--provider", "replay"] * (not sends),
+                               lenient=lenient, faults={} if sends else None)
+            assert set(cache.values()) <= {"stop", LENGTH}
+
+    check()
+    assert {(kind, stage) for kind in FAULT_KINDS for stage in SENDING_STAGES} <= seen
+    assert {("sent again", "verify_gt"), ("replay_miss", "verify"),
+            *itertools.product(DAMAGE, (False, True))} <= seen

@@ -363,7 +363,7 @@ import importlib, sys
 importlib.import_module(sys.argv[1])
 if sys.argv[2:]:
     assert sys.modules["abcd_eval.cli"].main(sys.argv[2:]) == 0
-print(*sorted({"socket", "abcd_eval.transport", "concurrent.futures"}
+print(*sorted({"socket", "abcd_eval.transport", "concurrent.futures", "_hashlib"}
               & set(sys.modules)))
 """
 
@@ -397,10 +397,11 @@ def recorded_run(tmp_path_factory):
         (["abcd_eval.cli", "annotate", "--records", "{run}/evaluations.jsonl",
           "--labels", "{out}/labels.jsonl"], []),
         (["abcd_eval.cli", "evaluate", "--questions", "{questions}",
-          "--provider", "replay", "--cache-dir", "{cache}", "--out-dir", "{out}"], []),
+          "--provider", "replay", "--cache-dir", "{cache}", "--out-dir", "{out}"],
+         ["_hashlib"]),
         (["abcd_eval.cli", "evaluate", "--questions", "{questions}",
           "--provider", "replay", "--cache-dir", "{cache}", "--out-dir", "{out}",
-          "--concurrency", "8"], []),
+          "--concurrency", "8"], ["_hashlib"]),
         (["abcd_eval.cli", "evaluate", "--questions", "{questions}",
           "--provider", "live", "--base-url", "{url}", "--out-dir", "{out}"],
          ["abcd_eval.transport", "socket"]),
@@ -408,7 +409,7 @@ def recorded_run(tmp_path_factory):
           "--claims", "{run}/claim_sets.jsonl",
           "--assignments", "{run}/assignments.jsonl",
           "--provider", "replay", "--cache-dir", "{cache}", "--concurrency", "8",
-          "--out", "{out}/verifications.jsonl"], []),
+          "--out", "{out}/verifications.jsonl"], ["_hashlib"]),
     ],
     ids=["import-abcd_eval", "import-cli", "report", "score", "annotate",
          "evaluate-replay", "evaluate-replay-8", "evaluate-live", "verify-replay-8"],
