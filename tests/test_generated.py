@@ -85,8 +85,7 @@ def test_every_way_of_running_writes_the_generated_scores(seed, n):
             run("evaluate", "--questions", paths["questions"], "--labels",
                 paths["labels"], "--ground-truth", "--out-dir", root / name, *extra)
 
-        chain = root / "chain"
-        chain.mkdir()
+        (chain := root / "chain").mkdir()
         claims, assignments, verifications, gt_verifications = (
             chain / f"{name}.jsonl" for name in
             ("claim_sets", "assignments", "verifications", "gt_verifications"))
@@ -297,43 +296,44 @@ def check_evaluate(case, name: str, oracle: Oracle, *extra, lenient: bool, fault
     case.seen.update(oracle.events)
 
 
-def test_every_fault_ends_in_the_outcome_the_plan_implies():
-    """Live runs at --concurrency 1, 2 and 8, with and without --lenient, meet
-    a fault plan; one records a cache to damage, replay, refetch and replay."""
-    seen = set()
+MODES = list(itertools.product((1, 2, 8), (False, True)))
+MODE_IDS = [f"concurrency-{concurrency}{'-lenient' * lenient}" for concurrency, lenient in MODES]
 
+
+@pytest.mark.parametrize("caching", (False, True), ids=("live", "cache"))
+@pytest.mark.parametrize("concurrency, lenient", MODES, ids=MODE_IDS)
+def test_every_fault_ends_in_the_outcome_the_plan_implies(tmp_path_factory, concurrency,
+                                                          lenient, caching):
+    """A live run at each --concurrency, with and without --lenient, meets a fault plan;
+    a caching one records a cache to damage, replay, refetch and replay again."""
+    seen, flags = set(), ["--lenient"] * lenient
     # Explaining a failure traces every line of its runs, which takes minutes.
-    @settings(max_examples=10, phases=set(Phase) - {Phase.explain})
+    @settings(max_examples=4 if caching else 12, phases=set(Phase) - {Phase.explain})
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
     def check(seed, n):
-        questions = workload.generate(seed, n)
-        rng = random.Random(seed)
+        questions, rng = workload.generate(seed, n), random.Random(seed)
         table = endpoint.build_table(seed, questions)
         prompts = {q.qid: question_prompts(q, table) for q in questions}
-        plan = fault_plan(rng, prompts)
-        recording, cache = (rng.choice((1, 2, 8)), rng.random() < 0.5), {}
-        with tempfile.TemporaryDirectory() as tmp:
-            root = Path(tmp)
-            paths = workload.write_inputs(questions, root / "inputs")
-            rules = write_rules(seed, questions, root / "rules.jsonl")
-            case = SimpleNamespace(root=root, paths=paths, rules=rules, questions=questions,
-                                   prompts=prompts, reference=root / "scripted", seen=seen)
+        # Each example's inputs, rules and fault-free run, shared by the run modes.
+        shared = tmp_path_factory.getbasetemp() / "references" / f"{seed}-{n}"
+        paths, rules = workload.write_inputs(questions, shared / "inputs"), shared / "rules.jsonl"
+        if not rules.exists():
             run("evaluate", "--questions", paths["questions"], "--labels", paths["labels"],
-                "--ground-truth", "--out-dir", case.reference, "--script", rules,
-                "--cache-dir", root / "every-entry")
-            digests = {json.loads(path.read_bytes())["request"]["prompt"]: path.stem
-                       for path in (root / "every-entry").iterdir()}
-            cached = ("--cache-dir", root / "cache")
-            for concurrency, lenient in itertools.product((1, 2, 8), (False, True)):
-                records = (concurrency, lenient) == recording
-                check_evaluate(case, f"live-{concurrency}-{lenient}",
-                               Oracle(plan, digests, cache if records else None),
-                               "--concurrency", concurrency, *["--lenient"] * lenient,
-                               *cached * records, lenient=lenient, faults=plan)
-
-            lenient = recording[1]
+                "--ground-truth", "--out-dir", shared / "scripted", "--script",
+                write_rules(seed, questions, rules), "--cache-dir", shared / "every-entry")
+        digests = {json.loads(path.read_bytes())["request"]["prompt"]: path.stem
+                   for path in (shared / "every-entry").iterdir()}
+        plan, cache = fault_plan(rng, prompts), {} if caching else None
+        with tempfile.TemporaryDirectory() as tmp:
+            case = SimpleNamespace(root=Path(tmp), paths=paths, rules=rules, questions=questions,
+                                   prompts=prompts, reference=shared / "scripted", seen=seen)
+            cached = ("--cache-dir", case.root / "cache") * caching
+            check_evaluate(case, "live", Oracle(plan, digests, cache), "--concurrency",
+                           concurrency, *flags, *cached, lenient=lenient, faults=plan)
+            if not caching:
+                return
             stored = {json.loads(path.read_bytes())["request"]["prompt"]: path
-                      for path in (root / "cache").iterdir()}
+                      for path in (case.root / "cache").iterdir()}
             assert stored.keys() == cache.keys()
             originals = {prompt: path.read_bytes() for prompt, path in stored.items()}
             for how, prompt in zip(DAMAGE, rng.sample(sorted(stored), min(3, len(stored)))):
@@ -344,14 +344,14 @@ def test_every_fault_ends_in_the_outcome_the_plan_implies():
                     stored[prompt].write_bytes(originals[prompt][:-9] if how == "corrupt"
                                                else originals[min(set(stored) - {prompt})])
                     cache[prompt] = "damaged"
-                seen.add((how, lenient))
+                seen.add(how)
             for name, sends in (("replay", False), ("refetch", True), ("replay-again", False)):
-                check_evaluate(case, name, Oracle({}, digests, cache, sends), *cached,
-                               *["--lenient"] * lenient, *["--provider", "replay"] * (not sends),
+                check_evaluate(case, name, Oracle({}, digests, cache, sends), *cached, *flags,
+                               *["--provider", "replay"] * (not sends),
                                lenient=lenient, faults={} if sends else None)
             assert set(cache.values()) <= {"stop", LENGTH}
 
     check()
-    assert {(kind, stage) for kind in FAULT_KINDS for stage in SENDING_STAGES} <= seen
-    assert {("sent again", "verify_gt"), ("replay_miss", "verify"),
-            *itertools.product(DAMAGE, (False, True))} <= seen
+    assert ({*DAMAGE, ("replay_miss", "verify")} if caching else {
+        *itertools.product(FAULT_KINDS, SENDING_STAGES), *[("sent again", "verify_gt")] * lenient
+    }) <= seen
