@@ -85,7 +85,8 @@ def test_every_way_of_running_writes_the_generated_scores(seed, n):
             run("evaluate", "--questions", paths["questions"], "--labels",
                 paths["labels"], "--ground-truth", "--out-dir", root / name, *extra)
 
-        (chain := root / "chain").mkdir()
+        chain = root / "chain"
+        chain.mkdir()
         claims, assignments, verifications, gt_verifications = (
             chain / f"{name}.jsonl" for name in
             ("claim_sets", "assignments", "verifications", "gt_verifications"))
@@ -137,8 +138,14 @@ def fault_plan(rng: random.Random, prompts: dict) -> dict:
     ``length`` reply; one or two first sent at a dealt stage and at
     ``verify_gt`` get a failing call, maybe followed by the gold pass's."""
     def call(end):
-        retried = DEFAULT_MAX_ATTEMPTS if end == EVERY_ATTEMPT else rng.randint(end is None, 2)
-        return [*rng.choices(RETRYABLE_FAULTS, k=retried), *[end] * (end in (LENGTH, BAD_REQUEST))]
+        """The faults of one call that *end* finishes: an answer (None), a
+        ``length`` reply, a 400, or a fault on every attempt."""
+        if end == EVERY_ATTEMPT:
+            return rng.choices(RETRYABLE_FAULTS, k=DEFAULT_MAX_ATTEMPTS)
+        faults = rng.choices(RETRYABLE_FAULTS, k=rng.randint(1 if end is None else 0, 2))
+        if end is not None:
+            faults.append(end)
+        return faults
 
     plan, deal = {}, []
     for stages in prompts.values():
@@ -167,7 +174,7 @@ class Oracle:
     def __init__(self, plan, digests, cache=None, sends=True):
         self.plan, self.digests, self.cache, self.sends = plan, digests, cache, sends
         self.attempts, self.calls, self.refetched, self.events = Counter(), Counter(), [], set()
-        self.sleeps = self.long_sleeps = 0
+        self.sleeps, self.retry_afters = 0, []
 
     def call(self, prompt: str, stage: str):
         """(True, finish reason) or (False, what the ProviderError says)."""
@@ -196,7 +203,8 @@ class Oracle:
                 self.events.add((BAD_REQUEST if fault == BAD_REQUEST else EVERY_ATTEMPT, stage))
                 return False, FAILS[fault]
             self.sleeps += 1
-            self.long_sleeps += fault == "429-retry-after-7"
+            if fault == "429-retry-after-7":
+                self.retry_afters.append(attempt)
 
     def outcome(self, q, prompts: dict, lenient: bool):
         """*q*'s manifest entry, and *q* with the verdicts the run records."""
@@ -270,7 +278,7 @@ def check_evaluate(case, name: str, oracle: Oracle, *extra, lenient: bool, fault
     for file in RECORD_FILES[:5]:
         want = (case.reference / file).read_text("utf-8").splitlines()
         want = dict(zip([q.qid for q in questions], want))
-        lines = dict(zip([q.qid for q in ran], (out_dir / file).read_text("utf-8").splitlines()))
+        lines = (out_dir / file).read_text("utf-8").splitlines()
         rows = [json.loads(want[q.qid]) for q in ran]
         for row, q in zip(rows, ran):
             symbols = q.gt_verdicts if file.startswith("gt") else q.pred_verdicts
@@ -279,15 +287,22 @@ def check_evaluate(case, name: str, oracle: Oracle, *extra, lenient: bool, fault
                     result.update(verdict="non_response", raw_response="")
             if "score_true" in row:
                 row.update(score_true=str(q.score), gt_score_true=str(q.gt_score))
-        assert [json.loads(line) for line in lines.values()] == rows, file
-        assert [lines[q.qid] for q in clean] == [want[q.qid] for q in clean], file
+        assert [json.loads(line) for line in lines] == rows, file
+        assert [line for q, line in zip(ran, lines) if q in clean] == \
+            [want[q.qid] for q in clean], file
     if ran:
         check_scores(out_dir, ran)
+    else:
+        assert json.loads((out_dir / "report.json").read_text("utf-8")) == []
     if len(clean) == len(questions):
         for file in RECORD_FILES[5:]:
             assert (out_dir / file).read_bytes() == (case.reference / file).read_bytes(), file
     assert (server.attempts if server else Counter()) == oracle.attempts
-    assert len(sleeps) == oracle.sleeps and sum(s >= 7 for s in sleeps) >= oracle.long_sleeps
+    # A Retry-After wait is 7 s, or the backoff's jitter (up to 2 ** (attempt - 1) s) if longer.
+    longest = 2 ** (DEFAULT_MAX_ATTEMPTS - 2)
+    assert len(sleeps) == oracle.sleeps and max(sleeps, default=0) <= longest
+    assert sleeps.count(7) >= sum(2 ** (attempt - 1) < 7 for attempt in oracle.retry_afters)
+    assert sum(7 <= s <= longest for s in sleeps) >= len(oracle.retry_afters)
     assert sorted(w for w in warnings if "truncated" in w) == sorted(
         f"question {q.qid}: a {stage} reply was truncated (finish_reason length)"
         for q, entry, _ in expected for stage in entry.get("truncated", ()))
@@ -317,7 +332,7 @@ def test_every_fault_ends_in_the_outcome_the_plan_implies(tmp_path_factory, conc
         # Each example's inputs, rules and fault-free run, shared by the run modes.
         shared = tmp_path_factory.getbasetemp() / "references" / f"{seed}-{n}"
         paths, rules = workload.write_inputs(questions, shared / "inputs"), shared / "rules.jsonl"
-        if not rules.exists():
+        if not (shared / "scripted" / "manifest.json").exists():
             run("evaluate", "--questions", paths["questions"], "--labels", paths["labels"],
                 "--ground-truth", "--out-dir", shared / "scripted", "--script",
                 write_rules(seed, questions, rules), "--cache-dir", shared / "every-entry")
