@@ -21,9 +21,9 @@ the options of each subcommand. An option that sets a
 no default, so a default lives only in ``RunConfig``: :func:`config_from_args`
 copies the given fields by name, and the config checks them for every command.
 
-Exit codes: 0 success, 1 usage or input error, 2 partial failure (some
-questions processed), 3 total failure (none processed), 130 interrupted
-(requests in flight finish; no record file is written).
+Exit codes: 0 success, 1 usage or input error, 2 some questions failed, 3
+all failed, 130 interrupted (requests in flight finish and the replies
+received stay in ``--cache-dir``; no record file is written).
 
 Record and report files are timestamp-free so that scripted and replay runs
 are byte-for-byte reproducible; wall-clock times go only to the manifest.

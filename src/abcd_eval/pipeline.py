@@ -13,9 +13,10 @@ it is built, so every command that builds one rejects the same bad values.
 one :class:`~abcd_eval.providers.Upstream`, which counts each stage's calls.
 
 :func:`run_stages` is the only per-question failure boundary: an exception
-in a stage marks the outcome failed at that stage and the question's
-remaining stages are skipped, while the other questions go on. Within a
-question a prompt goes upstream once, so a gold-answer verification that
+in a stage, or in writing the question's fresh replies to the cache when it
+ends, fails it at that stage (the last one run) unless it has failed, and
+its remaining stages are skipped, while the other questions go on. Within
+a question a prompt goes upstream once, so a gold-answer verification that
 repeats the predicted one is answered from memory.
 
 Every request passes the run's one :class:`RequestQueue`, which has N =
@@ -195,7 +196,7 @@ class Run:
 def _send(upstream: Upstream, request: CompletionRequest, stage: str):
     """What *upstream* returned for *request*, or the Exception it raised."""
     try:
-        return upstream.complete(request, stage)
+        return upstream.fetch(request, stage)
     except Exception as exc:
         return exc
 
@@ -213,13 +214,13 @@ class QuestionProvider:
         self.position = position
         self.stage = "library"
         self.truncated: set[str] = set()
-        self._responses: dict[CompletionRequest, CompletionResponse] = {}
+        self.responses: dict[CompletionRequest, CompletionResponse] = {}
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         failures = self.complete_all([request])
         if failures:
             raise failures[request]
-        response = self._responses[request]
+        response = self.responses[request]
         if response.finish_reason is FinishReason.LENGTH:
             self.truncated.add(self.stage)
         return response
@@ -228,10 +229,10 @@ class QuestionProvider:
         """Send each of *requests* the question has not sent, once, as one
         batch, all even when one fails. Keep the responses for
         :meth:`complete`; return what failed ones raised."""
-        fresh = [r for r in dict.fromkeys(requests) if r not in self._responses]
+        fresh = [r for r in dict.fromkeys(requests) if r not in self.responses]
         outcomes = self.queue.send(self.position, self.stage, fresh)
         failures = {r: o for r, o in outcomes.items() if isinstance(o, BaseException)}
-        self._responses.update((r, o) for r, o in outcomes.items() if r not in failures)
+        self.responses.update((r, o) for r, o in outcomes.items() if r not in failures)
         return failures
 
 
@@ -446,6 +447,12 @@ STAGES: dict[str, Callable[[Run, QuestionOutcome, QuestionProvider], None]] = {
 }
 
 
+def _fail(outcome: QuestionOutcome, stage: str, exc: Exception) -> None:
+    logger.error("question %s failed at %s: %s", outcome.question.id, stage, exc)
+    if outcome.ok:
+        outcome.failed_stage, outcome.failure_reason = stage, f"{type(exc).__name__}: {exc}"
+
+
 def run_stages(
     run: Run, outcomes: Sequence[QuestionOutcome], stages: Sequence[str]
 ) -> list[QuestionOutcome]:
@@ -460,17 +467,18 @@ def run_stages(
     def run_question(position: int, queue: RequestQueue) -> None:
         outcome = outcomes[position]
         provider = QuestionProvider(queue, position)
-        for stage in stages:
-            provider.stage = stage
-            try:
+        try:
+            for stage in stages:
+                provider.stage = stage
                 STAGES[stage](run, outcome, provider)
+        except Exception as exc:
+            _fail(outcome, provider.stage, exc)
+        finally:
+            try:
+                if run.upstream is not None:
+                    run.upstream.store(provider.responses)
             except Exception as exc:
-                logger.error(
-                    "question %s failed at %s: %s", outcome.question.id, stage, exc
-                )
-                outcome.failed_stage = stage
-                outcome.failure_reason = f"{type(exc).__name__}: {exc}"
-                break
+                _fail(outcome, provider.stage, exc)
         outcome.truncated = [stage for stage in stages if stage in provider.truncated]
         for stage in outcome.truncated:
             logger.warning("question %s: a %s reply was truncated (finish_reason "

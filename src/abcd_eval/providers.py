@@ -2,11 +2,11 @@
 
 Every provider exposes a single ``complete(request) -> CompletionResponse``
 method. Requests hash to a stable cache key (sha256 over a canonical JSON
-encoding), which is the filename of the on-disk cache entry and the lookup
-key for replay. :class:`Upstream` puts the cache in front of a provider:
-``CachingProvider(LiveProvider(...), ResponseCache(directory))`` records a
-live run, and :class:`ReplayProvider` over the same directory serves it
-again without the endpoint.
+encoding), the name of the request's on-disk cache entry. :class:`Upstream`
+puts the cache in front of a provider, and holds each fresh reply in memory
+from its ``fetch`` until its ``store`` or ``close`` writes it. A
+:class:`CachingProvider` over a :class:`ResponseCache` records a live run,
+and a :class:`ReplayProvider` over the same directory serves it again.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Collection, Optional, Protocol, Sequence
 
 from .model import check_type
 from .records import atomic_write, read_jsonl
@@ -357,12 +357,12 @@ class ResponseCache:
     """One JSON file per cached completion, ``<digest>.json`` in *directory*,
     which is created here.
 
-    An entry is one compact JSON object: the request, the response and a
-    timestamp. :meth:`put` encodes it once and hands the bytes to
-    :func:`~abcd_eval.records.atomic_write`, whose temp file plus rename
-    means a crash cannot leave a truncated entry. Each write has its own
-    temp name, so concurrent writers need no lock. Readers ignore
-    whitespace, so entries written indented still read.
+    An entry is one compact JSON object: the request, the response and the
+    time of :meth:`put`, which :meth:`Upstream.store` calls, not ``fetch``.
+    :meth:`put` encodes it once for :func:`~abcd_eval.records.atomic_write`,
+    whose temp file plus rename means a crash cannot leave a truncated
+    entry, and whose own temp names let concurrent writers go without a
+    lock. Readers ignore whitespace, so entries written indented still read.
     """
 
     def __init__(self, directory: str | Path):
@@ -403,10 +403,12 @@ class ResponseCache:
 
 
 class Upstream:
-    """Every request's cache decision, in :meth:`complete`: look the
-    request up in *cache*, send a miss to *base* and store the reply. An
-    unreadable entry is logged and treated as a miss, and the fresh reply
-    overwrites it. With no cache every request goes to *base*.
+    """Every request's cache decision, in :meth:`fetch`: look the request
+    up among the fresh replies held in memory, then in *cache*; send a miss
+    to *base* and hold its reply until :meth:`store`, or :meth:`close` for
+    the rest, writes it; :meth:`complete` stores at once. An unreadable
+    entry is logged and treated as a miss, and the fresh reply overwrites
+    it. With no cache every request goes to *base*.
 
     With no *base* it replays strictly: a miss or an unreadable entry
     raises ``ProviderError(REPLAY_MISS)`` naming the digest, so a stale,
@@ -421,17 +423,22 @@ class Upstream:
         self.base = base
         self.cache = cache
         self.calls: dict[str, int] = {}
+        self._held: dict[CompletionRequest, tuple[str, CompletionResponse]] = {}
         self._lock = threading.Lock()
 
-    def complete(
-        self, request: CompletionRequest, stage: str = "library"
-    ) -> CompletionResponse:
+    def complete(self, request: CompletionRequest, stage: str = "library"):
+        response = self.fetch(request, stage)
+        self.store([request])
+        return response
+
+    def fetch(self, request: CompletionRequest, stage: str = "library") -> CompletionResponse:
         if self.cache is None:
             response = self.base.complete(request)
         else:
             digest = cache_key(request)
+            held = self._held.get(request)
             try:
-                response = self.cache.get(digest)
+                response = held[1] if held else self.cache.get(digest)
             except ValueError as exc:
                 if self.base is None:
                     raise ProviderError(ProviderErrorKind.REPLAY_MISS, str(exc)) from exc
@@ -441,18 +448,28 @@ class Upstream:
                 if response is not None:
                     return response
                 response = self.base.complete(request)
-                self.cache.put(digest, request, response)
+                self._held[request] = digest, response
             elif response is None:
-                raise ProviderError(
-                    ProviderErrorKind.REPLAY_MISS,
-                    f"no cached response for request digest {digest}",
-                )
+                raise ProviderError(ProviderErrorKind.REPLAY_MISS,
+                                    f"no cached response for request digest {digest}")
         with self._lock:
             self.calls[stage] = self.calls.get(stage, 0) + 1
         return response
 
+    def store(self, requests: Collection[CompletionRequest]) -> None:
+        """Write the held replies of *requests*; let them go even if one fails."""
+        try:
+            for request in requests:
+                held = self._held.get(request)
+                if held is not None:
+                    self.cache.put(held[0], request, held[1])
+        finally:
+            for request in requests:
+                self._held.pop(request, None)
+
     def close(self) -> None:
-        """Close the base provider's connections, if it keeps any."""
+        """Store the held replies; close the base's connections, if it keeps any."""
+        self.store(list(self._held))
         close = getattr(self.base, "close", None)
         if close is not None:
             close()

@@ -450,6 +450,30 @@ class TestFailureHandling:
         )
         assert code == EXIT_TOTAL
 
+    def test_a_cache_entry_that_cannot_be_written_fails_its_question(
+        self, fixture_paths, tmp_path, monkeypatch, capsys, caplog
+    ):
+        """The cache entries of a question are written when it ends, after
+        its last stage: a write that fails fails the question at ``score``.
+        Only the cache's writes are broken; the record files and the
+        manifest are still written."""
+
+        def disk_full(path, data):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("abcd_eval.providers.atomic_write", disk_full)
+        out_dir, cache_dir = tmp_path / "run", tmp_path / "cache"
+        code = main(evaluate_args(fixture_paths, out_dir, "--cache-dir", str(cache_dir)))
+        assert code == EXIT_TOTAL
+        assert read_manifest(out_dir)["questions"] == {
+            fq.qid: {"status": "failed", "stage": "score", "reason": "OSError: disk full"}
+            for fq in QUESTIONS
+        }
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+        assert list(cache_dir.iterdir()) == []
+        assert [path.name for path in out_dir.iterdir() if path.name.endswith(".part")] == []
+
+
 class TestStageCommands:
     @pytest.mark.parametrize(
         "command, inputs",

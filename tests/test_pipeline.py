@@ -36,6 +36,7 @@ from abcd_eval.providers import (
     ReplayProvider,
     ResponseCache,
     Upstream,
+    cache_key,
 )
 
 
@@ -55,13 +56,17 @@ class Endpoint:
 
 
 class WatchedCache(ResponseCache):
-    """A response cache that counts its lookups."""
+    """A response cache that counts its lookups and writes."""
 
-    gets = 0
+    gets = puts = 0
 
     def get(self, digest):
         self.gets += 1
         return super().get(digest)
+
+    def put(self, digest, request, response):
+        self.puts += 1
+        super().put(digest, request, response)
 
 
 def sending(*prompts):
@@ -73,6 +78,11 @@ def sending(*prompts):
             provider.complete(make_request(prompt))
 
     return stage
+
+
+def entry_names(prompts) -> list:
+    """The sorted names of the cache entries of *prompts*."""
+    return sorted(f"{cache_key(make_request(prompt))}.json" for prompt in prompts)
 
 
 def run_questions(monkeypatch, upstream, n_questions, concurrency=1, **stages):
@@ -124,12 +134,130 @@ def test_counts_from_eight_threads_add_up(monkeypatch):
     assert upstream.calls == {"verify": 400}
 
 
+def test_eight_threads_write_every_reply_and_hold_none(monkeypatch, tmp_path):
+    """Eight questions at N = 8 send the same 50 prompts with a cache:
+    each send is counted, every reply is written when its question ends,
+    and none is left for close to write."""
+    base, cache = Endpoint(), WatchedCache(tmp_path)
+    upstream = Upstream(base, cache)
+    prompts = [f"p{n}" for n in range(50)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race shows
+    try:
+        run_questions(monkeypatch, upstream, 8, concurrency=8, verify=sending(*prompts))
+    finally:
+        sys.setswitchinterval(interval)
+    assert upstream.calls == {"verify": len(base.sent)}
+    assert sorted(path.name for path in tmp_path.iterdir()) == entry_names(prompts)
+    puts = cache.puts
+    upstream.close()
+    assert cache.puts == puts
+
+
 def test_cache_hit_is_not_counted(monkeypatch, tmp_path):
     base = Endpoint()
     upstream = Upstream(base, ResponseCache(tmp_path))
     run_questions(monkeypatch, upstream, 3, verify=sending("same prompt"))
     assert base.sent == ["same prompt"]
     assert upstream.calls == {"verify": 1}
+
+
+def test_a_held_reply_serves_another_question(monkeypatch, tmp_path):
+    """At N = 2, q2 asks for q1's prompt after q1's reply arrived and
+    before q1 ends, so before the reply is written to the cache: the reply
+    held in memory answers it, uncounted, and is written once."""
+    arrived, asked = threading.Event(), threading.Event()
+
+    def verify(run, outcome, provider):
+        if outcome.question.id == "q2":
+            assert arrived.wait(timeout=5)
+        provider.complete(make_request("shared"))
+        if outcome.question.id == "q1":
+            arrived.set()
+            assert asked.wait(timeout=5)
+        else:
+            asked.set()
+
+    base = Endpoint()
+    upstream = Upstream(base, ResponseCache(tmp_path))
+    run_questions(monkeypatch, upstream, 2, concurrency=2, verify=verify)
+    assert base.sent == ["shared"]
+    assert upstream.calls == {"verify": 1}
+    assert sorted(path.name for path in tmp_path.iterdir()) == entry_names(["shared"])
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_a_stop_keeps_every_received_reply(monkeypatch, tmp_path, concurrency):
+    """A KeyboardInterrupt in the seventh call stops a run of three
+    questions, each sending one prompt, then a batch of three. Once the run
+    is closed the cache holds an entry for each of the six replies received
+    and no temp file. At N = 1, q2's decompose reply is written when q2
+    stops, and its first batch reply, which never reached q2, at close."""
+    stop_at = 7
+
+    class Stopping(Endpoint):
+        def __init__(self):
+            super().__init__()
+            self.lock = threading.Lock()
+            self.returned = []
+
+        def complete(self, request):
+            with self.lock:
+                self.sent.append(request.prompt)
+                if len(self.sent) >= stop_at:
+                    raise KeyboardInterrupt
+                self.returned.append(request.prompt)
+            return CompletionResponse(text="True")
+
+    def decompose(run, outcome, provider):
+        provider.complete(make_request(f"{outcome.question.id} d"))
+
+    def verify(run, outcome, provider):
+        provider.complete_all([make_request(f"{outcome.question.id} {c}") for c in "abc"])
+
+    monkeypatch.setitem(STAGES, "decompose", decompose)
+    monkeypatch.setitem(STAGES, "verify", verify)
+    outcomes = [QuestionOutcome(Question(f"q{n}", f"question {n}?", "gold", Dataset.CUSTOM))
+                for n in (1, 2, 3)]
+    base = Stopping()
+    run = Run(RunConfig(concurrency=concurrency), Upstream(base, ResponseCache(tmp_path)))
+    with pytest.raises(KeyboardInterrupt):
+        run_stages(run, outcomes, ["decompose", "verify"])
+    assert len(base.returned) == stop_at - 1
+    written = sorted(path.name for path in tmp_path.iterdir())
+    if concurrency == 1:
+        assert base.returned == ["q1 d", "q1 a", "q1 b", "q1 c", "q2 d", "q2 a"]
+        assert written == entry_names(base.returned[:-1])
+    else:
+        assert set(written) <= set(entry_names(base.returned))
+    run.close()
+    assert sorted(path.name for path in tmp_path.iterdir()) == entry_names(base.returned)
+
+
+def test_a_failed_write_fails_only_a_question_that_had_not_failed(monkeypatch, tmp_path):
+    """A question's replies are written when it ends. A write that raises
+    fails a question that had not failed at the last stage it ran; one that
+    had failed keeps its first reason. Neither reply is written again at
+    close."""
+
+    class FullCache(ResponseCache):
+        def put(self, digest, request, response):
+            raise OSError("disk full")
+
+    def answer(run, outcome, provider):
+        if outcome.question.id == "q1":
+            raise ValueError("no answer")
+
+    monkeypatch.setitem(STAGES, "decompose", sending("d"))
+    monkeypatch.setitem(STAGES, "answer", answer)
+    monkeypatch.setitem(STAGES, "verify", lambda run, outcome, provider: None)
+    outcomes = [QuestionOutcome(Question(f"q{n}", f"question {n}?", "gold", Dataset.CUSTOM))
+                for n in (1, 2)]
+    run = Run(RunConfig(), Upstream(Endpoint(), FullCache(tmp_path)))
+    done = run_stages(run, outcomes, ["decompose", "answer", "verify"])
+    assert [(outcome.failed_stage, outcome.failure_reason) for outcome in done] == [
+        ("answer", "ValueError: no answer"), ("verify", "OSError: disk full")]
+    run.close()
 
 
 def test_request_is_reused_within_a_question_and_sent_again_for_the_next(
