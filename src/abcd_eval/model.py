@@ -33,7 +33,8 @@ _TAG_NAME_RE = re.compile(rf"^{_TAG_NAME_PATTERN}$")
 ANSWER_TAG_NAME = "answer"
 
 OPTIONAL_STR = (str, type(None))
-_KIND_NAMES = {str: "a string", bool: "a boolean", type(None): "null"}
+_KIND_NAMES = {str: "a string", bool: "a boolean", type(None): "null",
+               list: "an array"}
 
 
 def check_type(owner: str, name: str, value, kind):

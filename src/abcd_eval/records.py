@@ -85,9 +85,10 @@ def question_from_record(record: dict) -> Question:
     )
 
 
-def _numbered(rows: list, field: str) -> list:
-    """*rows*, checked that each one's *field* is its 1-based position: a
-    record numbers its claims 1..n in order."""
+def _numbered(record: dict, key: str, field: str) -> list:
+    """*record*'s *key* array, checked that each row's *field* is its 1-based
+    position: a record numbers its claims 1..n in order."""
+    rows = check_type("record", key, record[key], list)
     for position, row in enumerate(rows, start=1):
         number = row[field]
         if type(number) is not int or number != position:
@@ -117,7 +118,7 @@ def claim_set_from_record(record: dict) -> ClaimSet:
         entity_reasoning=record.get("entity_reasoning"),
         claims=tuple(
             ClaimTemplate(text=claim["text"])
-            for claim in _numbered(record["claims"], "index")
+            for claim in _numbered(record, "claims", "index")
         ),
     )
 
@@ -143,14 +144,14 @@ def _results_to_record(results: Iterable[VerificationResult]) -> list[dict]:
     ]
 
 
-def _results_from_record(rows: list) -> list[VerificationResult]:
+def _results_from_record(record: dict) -> list[VerificationResult]:
     return [
         VerificationResult(
             instantiated_text=row["instantiated_text"],
             verdict=Verdict(row["verdict"]),
             raw_response=row["raw_response"],
         )
-        for row in _numbered(rows, "claim_index")
+        for row in _numbered(record, "results", "claim_index")
     ]
 
 
@@ -162,7 +163,7 @@ def verifications_to_record(
 
 def verifications_from_record(record: dict) -> tuple[str, list[VerificationResult]]:
     question_id = check_type("verifications", "question_id", record["question_id"], str)
-    return question_id, _results_from_record(record["results"])
+    return question_id, _results_from_record(record)
 
 
 def evaluation_to_record(evaluation: QuestionEvaluation) -> dict:
@@ -190,7 +191,7 @@ def evaluation_from_record(record: dict) -> QuestionEvaluation:
         question=question,
         claim_set=claim_set,
         assignment=AnswerAssignment.from_dict(record["assignment"]),
-        results=_results_from_record(record["results"]),
+        results=_results_from_record(record),
         correct=record.get("correct"),
         error_category=record.get("error_category"),
         gt_score_true=fraction_from_str(record.get("gt_score_true")),

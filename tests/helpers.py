@@ -1,4 +1,4 @@
-"""Shared constants and builders for tests that need evaluation records."""
+"""Shared constants, builders and a recording provider for the tests."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from abcd_eval.model import (
     VerificationResult,
     Verdict,
 )
+from abcd_eval.providers import CompletionResponse
 from abcd_eval.scoring import score_true
 
 # The files of an evaluate run that must reproduce byte for byte.
@@ -78,3 +79,15 @@ def build_evaluation(
         error_category=error_category,
         gt_score_true=gt_score,
     )
+
+
+class RecordingProvider:
+    """Returns a fixed response and remembers the requests it saw."""
+
+    def __init__(self, text="True."):
+        self.text = text
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return CompletionResponse(text=self.text)

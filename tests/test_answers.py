@@ -18,7 +18,7 @@ from abcd_eval.model import (
     Question,
     Tag,
 )
-from abcd_eval.providers import CompletionResponse
+from helpers import RecordingProvider
 
 QUESTION = Question(
     id="q1",
@@ -130,16 +130,6 @@ class TestParseAnswers:
         raw = "<answer>: Nevermind\n<record label>: DGC Records"
         assignment = parse_answers(raw, tags)
         assert assignment.get(Tag("record label")) == "DGC Records"
-
-
-class RecordingProvider:
-    def __init__(self, text):
-        self.text = text
-        self.requests = []
-
-    def complete(self, request):
-        self.requests.append(request)
-        return CompletionResponse(text=self.text)
 
 
 class TestGenerateAnswers:

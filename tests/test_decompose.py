@@ -13,7 +13,7 @@ from abcd_eval.decompose import (
     parse_decomposition,
 )
 from abcd_eval.model import Dataset, Question
-from abcd_eval.providers import CompletionResponse
+from helpers import RecordingProvider
 
 QUESTION = Question(
     id="q1",
@@ -200,16 +200,6 @@ class TestBuildPrompt:
         assert prompt.count(VALID_EXAMPLE) == 5
         # Blocks are separated by exactly one blank line.
         assert "\n\n\n" not in prompt
-
-
-class RecordingProvider:
-    def __init__(self, text):
-        self.text = text
-        self.requests = []
-
-    def complete(self, request):
-        self.requests.append(request)
-        return CompletionResponse(text=self.text)
 
 
 class TestDecompose:

@@ -28,6 +28,7 @@ from abcd_eval.verify import (
     verify_all,
     verify_claim,
 )
+from helpers import RecordingProvider
 
 SUBSTRING = VerdictParseConfig(match_mode=MatchMode.SUBSTRING)
 WORD = VerdictParseConfig(match_mode=MatchMode.WORD_BOUNDARY)
@@ -96,18 +97,6 @@ class TestRestatementOverride:
 
     def test_empty_claim_never_triggers_override(self):
         assert parse_verdict("False.", "", SUBSTRING) is Verdict.FALSE
-
-
-class RecordingProvider:
-    """Returns a fixed response and remembers the requests it saw."""
-
-    def __init__(self, text="True."):
-        self.text = text
-        self.requests = []
-
-    def complete(self, request):
-        self.requests.append(request)
-        return CompletionResponse(text=self.text)
 
 
 class TestVerifyClaim:
