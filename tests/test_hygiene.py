@@ -4,7 +4,8 @@ needs nothing beyond the standard library, only the transport imports
 only ``records`` reads JSONL lines, no handler re-raises an error as another
 type with the same text, only ``records`` writes files, a handler of
 ``BaseException`` re-raises and only ``cli.main`` catches
-``KeyboardInterrupt``, each command loads only what it runs, and a live run
+``KeyboardInterrupt``, the request queue synchronizes only as its schedule
+explorer models, each command loads only what it runs, and a live run
 closes the sockets it opens.
 
 A stdlib AST scan stands in for a linter. Package ``__init__.py`` files are
@@ -24,6 +25,7 @@ from abcd_eval.cli import main
 from abcd_eval.providers import API_KEY_ENV_VAR, load_script_rules
 from e2e_fixture import write_fixture
 from loopback import PROXY_ENV_VARS, LoopbackServer, ScriptServer, http_response
+from test_queue_schedules import Schedule
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "abcd_eval").rglob("*.py"))
@@ -290,6 +292,22 @@ def test_only_cli_main_outlives_an_interrupt():
                 interrupts.setdefault(name, []).append(owner)
     assert swallowed == {}
     assert interrupts == {"src/abcd_eval/cli.py": ["main"]}
+
+
+def test_the_request_queue_synchronizes_only_as_its_explorer_models():
+    """``tests/test_queue_schedules.py`` runs ``RequestQueue`` with its
+    ``_cond`` swapped for a ``Schedule``, so the queue may lock, wait or
+    wake through nothing else, such as a ``threading.Event`` or a sleep, and
+    may call on ``self._cond`` only what a ``Schedule`` implements, with no
+    arguments: no ``wait(timeout)``, ``wait_for`` or ``notify``."""
+    source = (ROOT / "src" / "abcd_eval" / "pipeline.py").read_text(encoding="utf-8")
+    queue = next(node for node in ast.parse(source).body
+                 if getattr(node, "name", None) == "RequestQueue")
+    found = {ast.unparse(node) for node in ast.walk(queue) if isinstance(node, ast.ImportFrom)
+             or isinstance(node, ast.Call)
+             and ast.unparse(node.func).startswith(("threading.", "time.", "self._cond."))}
+    assert found - {f"self._cond.{name}()" for name in vars(Schedule)} == {
+        "threading.Condition()", "from concurrent.futures import ThreadPoolExecutor"}
 
 
 # Blocks ``requests``, then runs the fixture ``evaluate`` and one live call.

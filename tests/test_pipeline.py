@@ -2,14 +2,10 @@
 reuse and truncated stages, Upstream's cache and per-stage call counts, and
 the run-wide request queue that every request passes."""
 
-import itertools
 import sys
 import threading
-import time
-from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
 
 from abcd_eval.model import (
     AnswerAssignment,
@@ -22,7 +18,6 @@ from abcd_eval.model import (
 from abcd_eval.pipeline import (
     STAGES,
     QuestionOutcome,
-    RequestQueue,
     Run,
     RunConfig,
     run_stages,
@@ -219,10 +214,11 @@ def test_a_stop_keeps_every_received_reply(monkeypatch, tmp_path, concurrency):
     monkeypatch.setitem(STAGES, "verify", verify)
     outcomes = [QuestionOutcome(Question(f"q{n}", f"question {n}?", "gold", Dataset.CUSTOM))
                 for n in (1, 2, 3)]
-    base = Stopping()
+    base, threads = Stopping(), set(threading.enumerate())
     run = Run(RunConfig(concurrency=concurrency), Upstream(base, ResponseCache(tmp_path)))
     with pytest.raises(KeyboardInterrupt):
         run_stages(run, outcomes, ["decompose", "verify"])
+    assert set(threading.enumerate()) <= threads
     assert len(base.returned) == stop_at - 1
     written = sorted(path.name for path in tmp_path.iterdir())
     if concurrency == 1:
@@ -349,29 +345,21 @@ def test_a_truncated_reply_names_every_stage_that_used_it(monkeypatch, tmp_path)
 
 
 class InFlight(Endpoint):
-    """A base provider that counts its calls in flight, the most at once
-    and the threads that make them; each call runs *hold* on its request
-    before it answers."""
+    """A base provider that keeps the threads that call it; each call runs
+    *hold* on its request before it answers."""
 
     def __init__(self, hold=lambda request: None):
         super().__init__()
         self.hold = hold
         self.lock = threading.Lock()
-        self.in_flight = self.most = 0
         self.threads = set()
 
     def complete(self, request):
         with self.lock:
-            self.in_flight += 1
-            self.most = max(self.most, self.in_flight)
             self.threads.add(threading.get_ident())
             self.sent.append(request.prompt)
-        try:
-            self.hold(request)
-            return CompletionResponse(text="True")
-        finally:
-            with self.lock:
-                self.in_flight -= 1
+        self.hold(request)
+        return CompletionResponse(text="True")
 
 
 def failing(word):
@@ -387,58 +375,15 @@ def failing(word):
     return hold
 
 
-def verifying(upstream, claim_lists, concurrency, stages=("verify",), **config):
-    """Run the real verification *stages* over one question per list of
-    claim templates; question n's answer is ``an``, or the gold answer
-    ``gold`` when n is even, so its gold-answer batch reuses every reply."""
-    outcomes = []
-    for n, claims in enumerate(claim_lists, start=1):
-        outcome = QuestionOutcome(Question(f"q{n}", f"question {n}?", "gold", Dataset.CUSTOM))
-        outcome.claim_set = ClaimSet(f"q{n}", tuple(map(ClaimTemplate, claims)))
-        outcome.assignment = AnswerAssignment.from_dict(
-            {"answer": "gold" if n % 2 == 0 else f"a{n}"})
-        outcomes.append(outcome)
+def verifying(upstream, claim_lists, concurrency, **config):
+    """Run the real ``verify`` stage over one question per list of claim
+    templates; question n's answer is ``an``."""
+    outcomes = [QuestionOutcome(Question(f"q{n}", f"question {n}?", "gold", Dataset.CUSTOM),
+                                ClaimSet(f"q{n}", tuple(map(ClaimTemplate, claims))),
+                                AnswerAssignment.from_dict({"answer": f"a{n}"}))
+                for n, claims in enumerate(claim_lists, start=1)]
     run = Run(RunConfig(concurrency=concurrency, **config), upstream)
-    return run_stages(run, outcomes, list(stages))
-
-
-def test_a_questions_claims_are_in_flight_together():
-    barrier = threading.Barrier(4, timeout=10)
-    base = InFlight(hold=lambda request: barrier.wait())
-    claims = [f"<answer> has property {i}" for i in range(4)]
-    (done,) = verifying(Upstream(base), [claims], concurrency=4)
-    assert done.failure_reason is None
-    assert base.most == 4
-
-
-@pytest.mark.parametrize("concurrency", [2, 8])
-def test_no_more_than_n_calls_are_in_flight_from_n_threads(monkeypatch, concurrency):
-    def decompose(run, outcome, provider):
-        provider.complete(make_request(f"decompose {outcome.question.id}"))
-
-    monkeypatch.setitem(STAGES, "decompose", decompose)
-    base = InFlight(hold=lambda request: time.sleep(0.0005))
-    claim_lists = [[f"<answer> has property {i}" for i in range(1 + n % 5)]
-                   for n in range(24)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so a race shows
-    try:
-        done = verifying(Upstream(base), claim_lists, concurrency,
-                         stages=("decompose", "verify", "verify_gt"), ground_truth=True)
-    finally:
-        sys.setswitchinterval(interval)
-    assert [outcome.failure_reason for outcome in done] == [None] * 24
-    assert [len(outcome.gt_results) for outcome in done] == list(map(len, claim_lists))
-    assert 1 < base.most <= concurrency
-    assert len(base.threads) <= concurrency
-    # Each question sends its decompose prompt and its claims once, and
-    # its gold-answer claims too when its answer is not gold.
-    expected = Counter()
-    for outcome in done:
-        expected[f"decompose {outcome.question.id}"] += 1
-        expected.update({f"True or False: {result.instantiated_text}"
-                         for result in outcome.results + outcome.gt_results})
-    assert Counter(base.sent) == expected
+    return run_stages(run, outcomes, ["verify"])
 
 
 @pytest.mark.parametrize("concurrency", [1, 4])
@@ -485,153 +430,4 @@ def test_any_other_exception_fails_the_owning_question_alone(concurrency):
     assert [(outcome.failed_stage, outcome.failure_reason) for outcome in done] == \
         [(None, None)] * 4 + [("verify", "RuntimeError: True or False: a5 raises an error")] \
         + [(None, None)] * 3
-
-
-def test_a_queued_batch_wakes_a_waiting_worker(monkeypatch):
-    """At N = 2, the worker whose question finished first has none left to
-    start and waits; the batch the other question queues 0.3 s later
-    wakes it, so both of the batch's requests are in flight together."""
-    barrier = threading.Barrier(2, timeout=3)
-
-    def hold(request):
-        if request.prompt == "decompose q2":
-            time.sleep(0.3)
-        elif request.prompt.startswith("True or False: gold"):
-            barrier.wait()
-
-    def decompose(run, outcome, provider):
-        provider.complete(make_request(f"decompose {outcome.question.id}"))
-
-    monkeypatch.setitem(STAGES, "decompose", decompose)
-    base = InFlight(hold)
-    claim_lists = [["<answer> is one"], ["<answer> is one", "<answer> is two"]]
-    done = verifying(Upstream(base), claim_lists, 2, stages=("decompose", "verify"))
-    assert [outcome.failure_reason for outcome in done] == [None, None]
-    assert base.most == 2
-
-
-# --------------------------------------------------------------------------
-# the request queue's property
-
-FATES = ("ok", "provider error", "error")
-
-
-class Releaser:
-    """Holds each call to an :class:`InFlight` base until :meth:`release`
-    lets it go on, then raises its prompt's *fate*, if that is not ``ok``:
-    a ProviderError for ``provider error``, a RuntimeError for ``error``
-    and a KeyboardInterrupt for ``interrupt``. Every wait is bounded."""
-
-    def __init__(self, fates: dict, workers: int, order: list):
-        self.fates = fates
-        self.workers = workers
-        self.order = itertools.cycle(order)
-        self.cond = threading.Condition()
-        self.held: list[threading.Event] = []
-        self.stalled: list[str] = []
-
-    def hold(self, request):
-        released = threading.Event()
-        with self.cond:
-            self.held.append(released)
-            self.cond.notify_all()
-        if not released.wait(timeout=5):
-            self.stalled.append(request.prompt)
-        fate = self.fates[request.prompt]
-        if fate == "interrupt":
-            raise KeyboardInterrupt
-        if fate == "provider error":
-            raise ProviderError(ProviderErrorKind.OTHER, request.prompt)
-        if fate == "error":
-            raise RuntimeError(request.prompt)
-
-    def release(self, done: threading.Event) -> None:
-        """Until *done*, let one held call go on at a time, chosen by the
-        drawn order, once every worker's call is held or no other arrives
-        within 2 ms."""
-        while not done.is_set():
-            with self.cond:
-                self.cond.wait_for(lambda: len(self.held) >= self.workers, timeout=0.002)
-                if self.held:
-                    self.held.pop(next(self.order) % len(self.held)).set()
-
-
-def prompt(position, step, n):
-    return f"q{position} s{step} r{n}"
-
-
-@st.composite
-def queue_runs(draw):
-    """N, each question's steps as the sizes of the batches it sends, each
-    prompt's fate, the order replies are released in, and where a
-    KeyboardInterrupt comes: in a request, in a question between its
-    sends, or nowhere."""
-    workers = draw(st.sampled_from((1, 2, 8)))
-    steps = draw(st.lists(st.lists(st.integers(0, 4), max_size=3), min_size=1, max_size=6))
-    prompts = [prompt(position, step, n) for position, sizes in enumerate(steps)
-               for step, size in enumerate(sizes) for n in range(size)]
-    fates = {p: draw(st.sampled_from(FATES)) for p in prompts}
-    order = draw(st.lists(st.integers(0, 7), min_size=1, max_size=8))
-    points = [("request", p) for p in prompts] + [
-        ("question", position, step)
-        for position, sizes in enumerate(steps) for step in range(len(sizes) + 1)]
-    interrupt = draw(st.none() | st.sampled_from(points))
-    if interrupt and interrupt[0] == "request":
-        fates[interrupt[1]] = "interrupt"
-    return workers, steps, fates, order, interrupt
-
-
-@given(queue_runs())
-def test_request_queue_property(args):
-    """Every outcome reaches its own question's batch, at most N calls are
-    in flight from at most N threads, a KeyboardInterrupt anywhere ends the
-    run with it, and the run neither hangs nor leaves a worker thread."""
-    workers, steps, fates, order, interrupt = args
-    releaser = Releaser(fates, workers, order)
-    base = InFlight(releaser.hold)
-    sent, finished = {}, []
-
-    def run_question(position, queue):
-        for step, size in enumerate(steps[position] + [None]):
-            if interrupt == ("question", position, step):
-                raise KeyboardInterrupt
-            if size is None:
-                break
-            requests = [make_request(prompt(position, step, n)) for n in range(size)]
-            sent[position, step] = (requests, queue.send(position, "verify", requests))
-        finished.append(position)
-
-    def run_queue():
-        try:
-            RequestQueue(Upstream(base), len(steps), run_question).run(workers)
-        except KeyboardInterrupt:
-            return True
-        return False
-
-    threads = set(threading.enumerate())
-    done, raised = threading.Event(), []
-    releasing = threading.Thread(target=releaser.release, args=(done,))
-    runner = threading.Thread(target=lambda: raised.append(run_queue()), daemon=True)
-    releasing.start()
-    runner.start()
-    runner.join(timeout=10)
-    done.set()
-    releasing.join(timeout=10)
-    assert not runner.is_alive(), "the queue hung"
-    assert not releasing.is_alive()
-    assert raised == [interrupt is not None]
-    if interrupt is None:
-        assert sorted(finished) == list(range(len(steps)))
-    assert set(threading.enumerate()) <= threads
-    assert releaser.stalled == []
-    assert base.most <= workers and len(base.threads) <= workers
-    for requests, outcomes in sent.values():
-        assert set(outcomes) == set(requests)
-        for request, outcome in outcomes.items():
-            fate = fates[request.prompt]
-            if fate == "ok":
-                assert outcome == CompletionResponse(text="True")
-            else:
-                assert type(outcome) is {"provider error": ProviderError,
-                                         "error": RuntimeError}[fate]
-                assert request.prompt in str(outcome)
+    assert len(base.threads) <= concurrency
