@@ -35,11 +35,10 @@ class HTTPResponse(NamedTuple):
 
 def _read_line(rfile) -> bytes:
     line = rfile.readline(_MAX_LINE_BYTES + 1)
+    if len(line) > _MAX_LINE_BYTES:
+        raise _FramingError("response line longer than 64 KiB")
     if not line.endswith(b"\n"):
-        raise _FramingError(
-            "response line longer than 64 KiB" if len(line) > _MAX_LINE_BYTES
-            else "connection closed before the response ended"
-        )
+        raise _FramingError("connection closed before the response ended")
     return line
 
 
@@ -51,9 +50,11 @@ def _read_fields(rfile) -> dict[str, str]:
         if line in (b"\r\n", b"\n"):
             return fields
         name, colon, value = line.decode("latin-1").partition(":")
-        if not colon:
+        # No whitespace may surround a name (RFC 9112 §5.1, §2.2): readers
+        # that disagree on it have let responses be smuggled.
+        if not colon or name != name.strip():
             raise _FramingError(f"malformed header line: {line[:80]!r}")
-        fields.setdefault(name.strip().lower(), value.strip())
+        fields.setdefault(name.lower(), value.strip())
     raise _FramingError(f"more than {_MAX_HEADERS} header lines")
 
 
@@ -111,6 +112,11 @@ def _read_response(rfile) -> tuple[HTTPResponse, bool]:
 
     The body is chunked (which wins over ``Content-Length``), as long as
     ``Content-Length`` says, or whatever comes until the server closes.
+    Where ``http.client`` reads otherwise, this follows the RFCs: every 1xx
+    is interim and skipped, not only 100 (RFC 9110 §15.2); a 204 or 304 has
+    no body, even a chunked one (RFC 9112 §6.3); and an HTTP/1.0 connection
+    stays open only for a ``keep-alive`` Connection token, not for a
+    ``Keep-Alive`` or ``Proxy-Connection`` field (RFC 9112 §9.3).
     """
     version, status, headers = _read_head(rfile)
     tokens = headers.get("connection", "").lower()

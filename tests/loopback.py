@@ -26,21 +26,12 @@ def chat_body(content: str, finish_reason: str = "stop") -> bytes:
 
 
 def http_response(
-    status: str = "200 OK",
-    body: bytes = chat_body("ok"),
-    chunked: bool = False,
-    headers: str = "",
+    status: str = "200 OK", body: bytes = chat_body("ok"), headers: str = ""
 ) -> bytes:
-    """A whole keep-alive response; a chunked one sends *body* in two chunks.
-    *headers* holds further header lines, each ending in CRLF."""
+    """A whole keep-alive response. *headers* holds further header lines,
+    each ending in CRLF."""
     head = f"HTTP/1.1 {status}\r\n{headers}Content-Type: application/json\r\n"
-    if not chunked:
-        return f"{head}Content-Length: {len(body)}\r\n\r\n".encode() + body
-    half = len(body) // 2
-    chunks = b"".join(
-        b"%x\r\n%s\r\n" % (len(part), part) for part in (body[:half], body[half:])
-    )
-    return f"{head}Transfer-Encoding: chunked\r\n\r\n".encode() + chunks + b"0\r\n\r\n"
+    return f"{head}Content-Length: {len(body)}\r\n\r\n".encode() + body
 
 
 class LoopbackServer:

@@ -5,8 +5,8 @@ only ``records`` reads JSONL lines, no handler re-raises an error as another
 type with the same text, only ``records`` writes files, a handler of
 ``BaseException`` re-raises and only ``cli.main`` catches
 ``KeyboardInterrupt``, the request queue synchronizes only as its schedule
-explorer models, each command loads only what it runs, and a live run
-closes the sockets it opens.
+explorer models, every HTTP framing error has a pinned example, each command
+loads only what it runs, and a live run closes the sockets it opens.
 
 A stdlib AST scan stands in for a linter. Package ``__init__.py`` files are
 skipped by the unused-import scan (their imports are re-exports), and so is
@@ -15,6 +15,7 @@ an import on a line marked ``# noqa``.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from abcd_eval.cli import main
 from abcd_eval.providers import API_KEY_ENV_VAR, load_script_rules
 from e2e_fixture import write_fixture
 from loopback import PROXY_ENV_VARS, LoopbackServer, ScriptServer, http_response
+from test_http_reader import PINNED
 from test_queue_schedules import Schedule
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -308,6 +310,22 @@ def test_the_request_queue_synchronizes_only_as_its_explorer_models():
              and ast.unparse(node.func).startswith(("threading.", "time.", "self._cond."))}
     assert found - {f"self._cond.{name}()" for name in vars(Schedule)} == {
         "threading.Condition()", "from concurrent.futures import ThreadPoolExecutor"}
+
+
+def test_every_framing_error_has_a_pinned_example():
+    """Every message ``transport.py`` gives a ``_FramingError`` is expected by
+    an example in ``PINNED`` (``tests/test_http_reader.py``), so a new framing
+    check cannot land without a case there."""
+    source = (ROOT / "src" / "abcd_eval" / "transport.py").read_text(encoding="utf-8")
+    messages = [node.args[0] for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "_FramingError"]
+    # An f-string's fields match any text.
+    patterns = ["".join(re.escape(part.value) if isinstance(part, ast.Constant) else ".+"
+                        for part in getattr(message, "values", [message])) for message in messages]
+    pinned = [draw.defect for draw in PINNED if draw.defect]
+    assert messages
+    assert [pattern for pattern in patterns
+            if not any(re.fullmatch(pattern, defect) for defect in pinned)] == []
 
 
 # Blocks ``requests``, then runs the fixture ``evaluate`` and one live call.
