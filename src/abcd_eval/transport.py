@@ -101,7 +101,7 @@ def _read_chunked(rfile) -> bytes:
         _read_line(rfile).split(b";", 1)[0].strip().decode("latin-1"), 16, "chunk size"
     ):
         chunks.append(_read_exactly(rfile, size))
-        if _read_line(rfile).strip():
+        if _read_line(rfile) not in (b"\r\n", b"\n"):
             raise _FramingError("chunk data runs past its size")
     _read_fields(rfile)  # the trailer, which nothing reads
     return b"".join(chunks)

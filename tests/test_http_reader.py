@@ -8,7 +8,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from abcd_eval import transport
 
@@ -84,9 +84,7 @@ class Reader(io.BytesIO):
         return super().read(size)
 
 
-@settings(max_examples=400)
-@given(responses())
-def test_the_reader_agrees_with_http_client_or_refuses_a_defect(draw):
+def check(draw: Draw) -> None:
     rfile = Reader(draw.message)
     if draw.defect is not None:
         with pytest.raises(transport._FramingError) as error:
@@ -107,25 +105,44 @@ def test_the_reader_agrees_with_http_client_or_refuses_a_defect(draw):
     assert keep_alive == (not reference.will_close) or (loose and not keep_alive)
 
 
-PINNED = [Draw(*case) for case in [  # each framing error's message, and the limits
-    (b"", "connection closed before the response ended"),
-    (b"HTTP/1.1 OK\r\n\r\n", "malformed status line: b'HTTP/1.1 OK\\r\\n'"),
-    *((OK + line + b"\r\n2\r\nab\r\n0\r\n\r\n", f"malformed header line: {line!r}") for line in [
-        b"No colon\r\n", b"Content-Length : 2\r\n", b"Content-Length\t: 2\r\n",
-        b" Content-Length: 2\r\n", b"Transfer-Encoding : chunked\r\n"]),
-    (OK + b"X-Long: %s\r\nContent-Length: 0\r\n\r\n" % (b"a" * (65536 - 10)),),
-    (OK + b"X-Long: %s\r\n\r\n" % (b"a" * (65537 - 10)), "response line longer than 64 KiB"),
-    (OK + b"X-Many: 1\r\n" * 99 + b"\r\n",),
-    (OK + b"X-Many: 1\r\n" * 101 + b"\r\n", "more than 100 header lines"),
-    (OK + b"Content-Length: %s\r\n\r\n" % (b"9" * 19), f"bad Content-Length: '{'9' * 19}'"),
-    (OK + b"Transfer-Encoding: chunked\r\n\r\n%s\r\n" % (b"f" * 16),
-     f"bad chunk size: '{'f' * 16}'"),
-    (OK + b"Content-Length: %d\r\n\r\n" % (MiB + 1) + bytes(MiB + 1), None, (MiB + 1,)),
-    (OK + b"Content-Length: %d\r\n\r\nab" % 10**17,
-     f"response body ended after 2 of {10**17} bytes"),
-    (OK + b"Transfer-Encoding: chunked\r\n\r\n2\r\nabcd\r\n0\r\n\r\n",
-     "chunk data runs past its size"),
-]]
-for case in PINNED:
-    test_the_reader_agrees_with_http_client_or_refuses_a_defect = example(case)(
-        test_the_reader_agrees_with_http_client_or_refuses_a_defect)
+@settings(max_examples=400)
+@given(responses())
+def test_the_reader_agrees_with_http_client_or_refuses_a_defect(draw):
+    check(draw)
+
+
+BAD_FIELD_LINES = {
+    "header-without-colon": b"No colon\r\n", "space-before-colon": b"Content-Length : 2\r\n",
+    "tab-before-colon": b"Content-Length\t: 2\r\n", "space-before-name": b" Content-Length: 2\r\n",
+    "space-before-chunked-colon": b"Transfer-Encoding : chunked\r\n",
+}
+CHUNKED = OK + b"Transfer-Encoding: chunked\r\n\r\n"
+# Each framing error's message, and the limits; ``check`` runs each by name.
+PINNED = {name: Draw(*case) for name, case in {
+    "closed-before-the-status-line": (b"", "connection closed before the response ended"),
+    "malformed-status-line": (b"HTTP/1.1 OK\r\n\r\n",
+                              "malformed status line: b'HTTP/1.1 OK\\r\\n'"),
+    **{name: (OK + line + b"\r\n2\r\nab\r\n0\r\n\r\n", f"malformed header line: {line!r}")
+       for name, line in BAD_FIELD_LINES.items()},
+    "65536-byte-header-line": (
+        OK + b"X-Long: %s\r\nContent-Length: 0\r\n\r\n" % (b"a" * (65536 - 10)),),
+    "over-long-header-line": (OK + b"X-Long: %s\r\n\r\n" % (b"a" * (65537 - 10)),
+                              "response line longer than 64 KiB"),
+    "99-header-lines": (OK + b"X-Many: 1\r\n" * 99 + b"\r\n",),
+    "101-header-lines": (OK + b"X-Many: 1\r\n" * 101 + b"\r\n", "more than 100 header lines"),
+    "19-digit-content-length": (OK + b"Content-Length: %s\r\n\r\n" % (b"9" * 19),
+                                f"bad Content-Length: '{'9' * 19}'"),
+    "16-hex-digit-chunk-size": (CHUNKED + b"f" * 16 + b"\r\n", f"bad chunk size: '{'f' * 16}'"),
+    "1-mib-and-1-byte-body": (OK + b"Content-Length: %d\r\n\r\n" % (MiB + 1) + bytes(MiB + 1),
+                              None, (MiB + 1,)),
+    "10**17-content-length-short-body": (OK + b"Content-Length: %d\r\n\r\nab" % 10**17,
+                                         f"response body ended after 2 of {10**17} bytes"),
+    "chunk-runs-past-its-size": (CHUNKED + b"2\r\nabcd\r\n0\r\n\r\n",
+                                 "chunk data runs past its size"),
+    "space-after-chunk-data": (CHUNKED + b"1\r\na \r\n0\r\n\r\n", "chunk data runs past its size"),
+}.items()}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_a_pinned_response(name):
+    check(PINNED[name])

@@ -322,7 +322,7 @@ def test_every_framing_error_has_a_pinned_example():
     # An f-string's fields match any text.
     patterns = ["".join(re.escape(part.value) if isinstance(part, ast.Constant) else ".+"
                         for part in getattr(message, "values", [message])) for message in messages]
-    pinned = [draw.defect for draw in PINNED if draw.defect]
+    pinned = [draw.defect for draw in PINNED.values() if draw.defect]
     assert messages
     assert [pattern for pattern in patterns
             if not any(re.fullmatch(pattern, defect) for defect in pinned)] == []
