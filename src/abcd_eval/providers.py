@@ -200,15 +200,49 @@ _FINISH_REASON_MAP = {
 }
 
 
-def _retry_after(http_response) -> Optional[float]:
-    """The delta-seconds ``Retry-After`` of a response, or None when it has
-    no such header or a value that is not a number. Header names are looked
-    up lowercased, which a ``requests.Response`` also answers."""
-    value = http_response.headers.get("retry-after")
+def _retry_after(headers) -> Optional[float]:
+    """The delta-seconds ``Retry-After`` in *headers*, or None when there is
+    no such field or its value is not a number; an HTTP-date counts as no
+    value. Names are looked up lowercased, which a ``requests.Response``'s
+    headers also answer."""
     try:
-        return float(value)
+        return float(headers.get("retry-after"))
     except (TypeError, ValueError):
         return None
+
+
+def _reply(status: int, headers, content: bytes) -> CompletionResponse:
+    """The completion an HTTP response carries, or the ``ProviderError`` of
+    a status or body that carries none."""
+    if status == 429:
+        raise ProviderError(
+            ProviderErrorKind.RATE_LIMITED, "HTTP 429", _retry_after(headers)
+        )
+    if status in (401, 403):
+        raise ProviderError(ProviderErrorKind.AUTH, f"HTTP {status}")
+    if status >= 500:
+        raise ProviderError(ProviderErrorKind.NETWORK, f"HTTP {status}")
+    if 300 <= status < 400:
+        raise ProviderError(ProviderErrorKind.OTHER, f"HTTP {status}")
+    if status >= 400:
+        text = content.decode("utf-8", "replace")
+        raise ProviderError(ProviderErrorKind.OTHER, f"HTTP {status}: {text[:200]}")
+
+    try:
+        choice = json.loads(content.decode("utf-8"))["choices"][0]
+        text = choice["message"]["content"]
+        finish = _FINISH_REASON_MAP.get(
+            choice.get("finish_reason", "stop"), FinishReason.OTHER
+        )
+        if finish is FinishReason.FILTERED and not text:
+            raise ProviderError(ProviderErrorKind.FILTERED, "completion was filtered")
+        if text == "" and finish is FinishReason.STOP:
+            finish = FinishReason.OTHER
+        return CompletionResponse(text=text, finish_reason=finish)
+    except (ValueError, LookupError, TypeError) as exc:
+        raise ProviderError(
+            ProviderErrorKind.OTHER, f"malformed response body: {exc}"
+        ) from exc
 
 
 class LiveProvider:
@@ -220,10 +254,12 @@ class LiveProvider:
     tries total. A 429's delta-seconds ``Retry-After`` raises the wait to
     that value, capped like the backoff. The wait goes to *sleep_fn*, by
     default the ``time.sleep`` of when the provider is built. Posts through
-    *session*, anything with the ``post`` of a ``requests.Session`` whose
-    response has ``status_code``, ``headers`` and ``content``; by default a
-    :class:`~abcd_eval.transport.HTTPSession` with one keep-alive connection
-    per thread, which :meth:`close` closes.
+    a :class:`~abcd_eval.transport.HTTPSession` with one keep-alive
+    connection per thread, which :meth:`close` closes, and :func:`_reply`
+    maps each status and body to a completion or an error. *session*, the
+    ``post`` of a ``requests.Session``, stays only for the benchmark's
+    ``requests.Session`` test, until that test uses this transport
+    (ROADMAP item 1).
     """
 
     def __init__(
@@ -304,39 +340,9 @@ class LiveProvider:
             )
         except OSError as exc:
             raise ProviderError(ProviderErrorKind.NETWORK, str(exc)) from exc
-
-        status = http_response.status_code
-        if status == 429:
-            raise ProviderError(
-                ProviderErrorKind.RATE_LIMITED, "HTTP 429", _retry_after(http_response)
-            )
-        if status in (401, 403):
-            raise ProviderError(ProviderErrorKind.AUTH, f"HTTP {status}")
-        if status >= 500:
-            raise ProviderError(ProviderErrorKind.NETWORK, f"HTTP {status}")
-        if 300 <= status < 400:
-            raise ProviderError(ProviderErrorKind.OTHER, f"HTTP {status}")
-        if status >= 400:
-            text = http_response.content.decode("utf-8", "replace")
-            raise ProviderError(ProviderErrorKind.OTHER, f"HTTP {status}: {text[:200]}")
-
-        try:
-            choice = json.loads(http_response.content.decode("utf-8"))["choices"][0]
-            text = choice["message"]["content"]
-            finish = _FINISH_REASON_MAP.get(
-                choice.get("finish_reason", "stop"), FinishReason.OTHER
-            )
-            if finish is FinishReason.FILTERED and not text:
-                raise ProviderError(
-                    ProviderErrorKind.FILTERED, "completion was filtered"
-                )
-            if text == "" and finish is FinishReason.STOP:
-                finish = FinishReason.OTHER
-            return CompletionResponse(text=text, finish_reason=finish)
-        except (ValueError, LookupError, TypeError) as exc:
-            raise ProviderError(
-                ProviderErrorKind.OTHER, f"malformed response body: {exc}"
-            ) from exc
+        return _reply(
+            http_response.status_code, http_response.headers, http_response.content
+        )
 
 
 # --------------------------------------------------------------------------

@@ -54,7 +54,10 @@ def _read_fields(rfile) -> dict[str, str]:
         # that disagree on it have let responses be smuggled.
         if not colon or name != name.strip():
             raise _FramingError(f"malformed header line: {line[:80]!r}")
-        fields.setdefault(name.lower(), value.strip())
+        name, value = name.lower(), value.strip()
+        # Differing lengths frame the body two ways (RFC 9112 §6.3).
+        if fields.setdefault(name, value) != value and name == "content-length":
+            raise _FramingError(f"differing Content-Length: {fields[name]!r}, {value!r}")
     raise _FramingError(f"more than {_MAX_HEADERS} header lines")
 
 
@@ -114,9 +117,10 @@ def _read_response(rfile) -> tuple[HTTPResponse, bool]:
     ``Content-Length`` says, or whatever comes until the server closes.
     Where ``http.client`` reads otherwise, this follows the RFCs: every 1xx
     is interim and skipped, not only 100 (RFC 9110 §15.2); a 204 or 304 has
-    no body, even a chunked one (RFC 9112 §6.3); and an HTTP/1.0 connection
+    no body, even a chunked one (RFC 9112 §6.3); an HTTP/1.0 connection
     stays open only for a ``keep-alive`` Connection token, not for a
-    ``Keep-Alive`` or ``Proxy-Connection`` field (RFC 9112 §9.3).
+    ``Keep-Alive`` or ``Proxy-Connection`` field (RFC 9112 §9.3); and
+    Content-Length fields that differ are refused, not read by the first.
     """
     version, status, headers = _read_head(rfile)
     tokens = headers.get("connection", "").lower()

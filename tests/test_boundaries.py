@@ -27,14 +27,13 @@ from abcd_eval.model import AnswerAssignment, Dataset, Question
 from abcd_eval.pipeline import QuestionOutcome, RunConfig
 from abcd_eval.providers import (
     CompletionRequest,
-    LiveProvider,
     ProviderError,
     ProviderErrorKind,
     ResponseCache,
+    _reply,
     cache_key,
     load_script_rules,
 )
-from abcd_eval.transport import HTTPResponse
 from helpers import build_evaluation
 
 BOUNDED = settings(max_examples=20)
@@ -283,16 +282,6 @@ def test_cache_entries(workdir, value):
     check_reader(read, base, value, digest)
 
 
-class OneResponseSession:
-    """Answers each post with a 200 whose body is the given JSON value."""
-
-    def __init__(self, body):
-        self.body = json.dumps(body).encode("utf-8")
-
-    def post(self, url, **kwargs):
-        return HTTPResponse(200, {}, self.body)
-
-
 @BOUNDED
 @given(value=JSON_VALUES)
 def test_live_bodies(value):
@@ -300,9 +289,7 @@ def test_live_bodies(value):
                          "finish_reason": "stop"}]}
 
     def read(body):
-        provider = LiveProvider("http://127.0.0.1:9/v1", api_key="k",
-                                session=OneResponseSession(body), max_attempts=1)
-        return provider.complete(REQUEST)
+        return _reply(200, {}, json.dumps(body).encode("utf-8"))
 
     # A body that does not convert is malformed; a filtered one without text
     # is filtered.

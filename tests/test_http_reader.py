@@ -130,6 +130,11 @@ PINNED = {name: Draw(*case) for name, case in {
                               "response line longer than 64 KiB"),
     "99-header-lines": (OK + b"X-Many: 1\r\n" * 99 + b"\r\n",),
     "101-header-lines": (OK + b"X-Many: 1\r\n" * 101 + b"\r\n", "more than 100 header lines"),
+    "differing-content-lengths": (  # the first would leave a forged response to read next
+        OK + b"Content-Length: 2\r\nContent-Length: 45\r\n\r\nok"
+        + OK + b"Content-Length: 7\r\n\r\nforged!", "differing Content-Length: '2', '45'"),
+    "repeated-content-length": (OK + b"Content-Length: 2\r\ncontent-length: 2\r\n\r\nok",
+                                None, (2,)),
     "19-digit-content-length": (OK + b"Content-Length: %s\r\n\r\n" % (b"9" * 19),
                                 f"bad Content-Length: '{'9' * 19}'"),
     "16-hex-digit-chunk-size": (CHUNKED + b"f" * 16 + b"\r\n", f"bad chunk size: '{'f' * 16}'"),

@@ -5,8 +5,9 @@ only ``records`` reads JSONL lines, no handler re-raises an error as another
 type with the same text, only ``records`` writes files, a handler of
 ``BaseException`` re-raises and only ``cli.main`` catches
 ``KeyboardInterrupt``, the request queue synchronizes only as its schedule
-explorer models, every HTTP framing error has a pinned example, each command
-loads only what it runs, and a live run closes the sockets it opens.
+explorer models, every HTTP framing error has a pinned example, no test
+passes ``LiveProvider`` a ``session=``, each command loads only what it
+runs, and a live run closes the sockets it opens.
 
 A stdlib AST scan stands in for a linter. Package ``__init__.py`` files are
 skipped by the unused-import scan (their imports are re-exports), and so is
@@ -326,6 +327,26 @@ def test_every_framing_error_has_a_pinned_example():
     assert messages
     assert [pattern for pattern in patterns
             if not any(re.fullmatch(pattern, defect) for defect in pinned)] == []
+
+
+def session_keywords(source: str) -> list[int]:
+    """Lines of each call that passes a ``session=`` keyword."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and any(keyword.arg == "session" for keyword in node.keywords)]
+
+
+def test_no_test_passes_a_session():
+    """``LiveProvider``'s ``session=`` stays only for the benchmark's own
+    ``requests.Session`` test: these tests reach the reply mapping through
+    ``providers._reply`` and the transport over a loopback socket."""
+    assert session_keywords("f(session=s)\nf(s)\nf(x, session=None)") == [1, 3]
+    found = {
+        str(path.relative_to(ROOT)): lines
+        for path in sorted((ROOT / "tests").rglob("*.py"))
+        if (lines := session_keywords(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
 
 
 # Blocks ``requests``, then runs the fixture ``evaluate`` and one live call.

@@ -7,6 +7,7 @@ import socket
 import sys
 import threading
 import time
+from typing import NamedTuple
 
 import pytest
 
@@ -23,6 +24,7 @@ from abcd_eval.providers import (
     ResponseCache,
     ScriptRule,
     ScriptedProvider,
+    _reply,
     cache_key,
     load_script_rules,
 )
@@ -352,53 +354,8 @@ class TestReplayProvider:
 
 
 # ---------------------------------------------------------------------------
-# LiveProvider against a fake requests.Session
-
-
-class FakeHTTPResponse:
-    """The three fields of a ``requests.Response`` that LiveProvider reads:
-    the body is *payload* as JSON, or else *text*."""
-
-    def __init__(self, status_code=200, payload=None, text="", headers=None):
-        self.status_code = status_code
-        self.headers = headers or {}
-        self.content = (text if payload is None else json.dumps(payload)).encode()
-
-
-def chat_payload(content, finish_reason="stop"):
-    return {
-        "choices": [
-            {"message": {"content": content}, "finish_reason": finish_reason}
-        ]
-    }
-
-
-class FakeSession:
-    """Plays back a scripted sequence of responses or exceptions."""
-
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.posts = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.posts.append({"url": url, "json": json, "headers": headers,
-                           "timeout": timeout})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-def make_live(session, **kwargs):
-    sleeps = []
-    provider = LiveProvider(
-        "https://api.example.test/v1/",
-        api_key="sk-test",
-        session=session,
-        sleep_fn=sleeps.append,
-        **kwargs,
-    )
-    return provider, sleeps
+# LiveProvider: each status and body in ``_reply``, each exchange over a
+# loopback socket
 
 
 class TestLiveProvider:
@@ -413,186 +370,84 @@ class TestLiveProvider:
         ids=["not-latin-1", "carriage-return", "line-feed"],
     )
     def test_key_http_cannot_carry_fails_at_construction(self, key):
-        session = FakeSession([])
         with pytest.raises(ProviderError) as excinfo:
-            LiveProvider("https://api.example.test/v1", api_key=key, session=session)
+            LiveProvider("https://api.example.test/v1", api_key=key)
         assert excinfo.value.kind is ProviderErrorKind.AUTH
         assert key not in str(excinfo.value)
-        assert session.posts == []
-
-    def test_key_read_from_environment(self, monkeypatch):
-        monkeypatch.setenv(API_KEY_ENV_VAR, "sk-env")
-        session = FakeSession([FakeHTTPResponse(payload=chat_payload("hi"))])
-        provider = LiveProvider("https://api.example.test/v1", session=session)
-        provider.complete(make_request("p"))
-        assert session.posts[0]["headers"]["Authorization"] == "Bearer sk-env"
-
-    def test_posts_chat_completions_body(self):
-        session = FakeSession([FakeHTTPResponse(payload=chat_payload("True."))])
-        provider, _ = make_live(session)
-        response = provider.complete(
-            CompletionRequest(model="gpt-x", prompt="True or False: p",
-                              max_tokens=64)
-        )
-        assert response.text == "True."
-        post = session.posts[0]
-        assert post["url"] == "https://api.example.test/v1/chat/completions"
-        assert post["json"] == {
-            "model": "gpt-x",
-            "messages": [{"role": "user", "content": "True or False: p"}],
-            "temperature": 0.0,
-            "max_tokens": 64,
-        }
-        assert post["timeout"] == 60.0
-
-    def test_retries_network_then_succeeds(self):
-        session = FakeSession(
-            [
-                ConnectionError("boom"),
-                FakeHTTPResponse(status_code=502),
-                FakeHTTPResponse(payload=chat_payload("ok")),
-            ]
-        )
-        provider, sleeps = make_live(session)
-        assert provider.complete(make_request("p")).text == "ok"
-        assert len(session.posts) == 3
-        assert len(sleeps) == 2
-        assert all(0.0 <= delay <= 30.0 for delay in sleeps)
-
-    def test_rate_limit_retries(self):
-        session = FakeSession(
-            [
-                FakeHTTPResponse(status_code=429, headers={"retry-after": "7"}),
-                FakeHTTPResponse(payload=chat_payload("ok")),
-            ]
-        )
-        provider, sleeps = make_live(session)
-        assert provider.complete(make_request("p")).text == "ok"
-        assert sleeps == [7.0]
-
-    def test_auth_failure_is_not_retried(self):
-        session = FakeSession([FakeHTTPResponse(status_code=401)])
-        provider, sleeps = make_live(session)
-        with pytest.raises(ProviderError) as excinfo:
-            provider.complete(make_request("p"))
-        assert excinfo.value.kind is ProviderErrorKind.AUTH
-        assert len(session.posts) == 1
-        assert sleeps == []
-
-    def test_client_error_is_not_retried(self):
-        session = FakeSession(
-            [FakeHTTPResponse(status_code=400, text="bad request body")]
-        )
-        provider, _ = make_live(session)
-        with pytest.raises(ProviderError) as excinfo:
-            provider.complete(make_request("p"))
-        assert str(excinfo.value) == "other: HTTP 400: bad request body"
-        assert len(session.posts) == 1
-
-    def test_exhausted_attempts_raise_last_error(self):
-        session = FakeSession([FakeHTTPResponse(status_code=503)] * 3)
-        provider, sleeps = make_live(session, max_attempts=3)
-        with pytest.raises(ProviderError) as excinfo:
-            provider.complete(make_request("p"))
-        assert excinfo.value.kind is ProviderErrorKind.NETWORK
-        assert len(session.posts) == 3
-        assert len(sleeps) == 2
 
     def test_fewer_than_one_attempt_is_refused(self):
         with pytest.raises(ValueError, match="max_attempts must be >= 1, got 0"):
             LiveProvider("https://api.example.test/v1", api_key="sk-test",
-                         session=FakeSession([]), max_attempts=0)
-
-    def test_default_sleep_is_the_time_sleep_of_construction(self, monkeypatch):
-        sleeps = []
-        monkeypatch.setattr(time, "sleep", sleeps.append)
-        session = FakeSession([FakeHTTPResponse(status_code=503),
-                               FakeHTTPResponse(payload=chat_payload("True."))])
-        provider = LiveProvider("https://api.example.test/v1", api_key="sk-test",
-                                session=session)
-        assert provider.complete(make_request("p")).text == "True."
-        assert len(sleeps) == 1
-
-    def test_malformed_body_is_other(self):
-        session = FakeSession([FakeHTTPResponse(payload={"choices": []})])
-        provider, _ = make_live(session)
-        with pytest.raises(ProviderError) as excinfo:
-            provider.complete(make_request("p"))
-        assert excinfo.value.kind is ProviderErrorKind.OTHER
-
-    @pytest.mark.parametrize("content", [None, ["True."]], ids=["null", "list"])
-    def test_non_string_content_is_other_and_not_cached(self, tmp_path, content):
-        session = FakeSession([FakeHTTPResponse(payload=chat_payload(content))])
-        provider, sleeps = make_live(session)
-        cache = ResponseCache(tmp_path)
-        with pytest.raises(ProviderError) as excinfo:
-            CachingProvider(provider, cache).complete(make_request("p"))
-        assert excinfo.value.kind is ProviderErrorKind.OTHER
-        assert "malformed response body" in str(excinfo.value)
-        assert len(session.posts) == 1
-        assert sleeps == []
-        assert list(tmp_path.iterdir()) == []
-
-    def test_length_finish_reason_is_preserved(self):
-        session = FakeSession(
-            [FakeHTTPResponse(payload=chat_payload("cut off", "length"))]
-        )
-        provider, _ = make_live(session)
-        response = provider.complete(make_request("p"))
-        assert response.finish_reason is FinishReason.LENGTH
-
-    def test_list_finish_reason_is_other_and_not_cached(self, tmp_path):
-        session = FakeSession(
-            [FakeHTTPResponse(payload=chat_payload("True.", ["stop"]))]
-        )
-        provider, sleeps = make_live(session)
-        cache = ResponseCache(tmp_path)
-        with pytest.raises(ProviderError) as excinfo:
-            CachingProvider(provider, cache).complete(make_request("p"))
-        assert excinfo.value.kind is ProviderErrorKind.OTHER
-        assert "malformed response body" in str(excinfo.value)
-        assert len(session.posts) == 1
-        assert sleeps == []
-        assert list(tmp_path.iterdir()) == []
-
-    def test_redirect_is_other_and_not_followed(self):
-        session = FakeSession([FakeHTTPResponse(status_code=302)])
-        provider, sleeps = make_live(session)
-        with pytest.raises(ProviderError) as excinfo:
-            provider.complete(make_request("p"))
-        assert excinfo.value.kind is ProviderErrorKind.OTHER
-        assert str(excinfo.value) == "other: HTTP 302"
-        assert len(session.posts) == 1
-        assert sleeps == []
-
-    def test_empty_stop_completion_is_other(self):
-        session = FakeSession([FakeHTTPResponse(payload=chat_payload(""))])
-        provider, _ = make_live(session)
-        response = provider.complete(make_request("p"))
-        assert (response.text, response.finish_reason) == ("", FinishReason.OTHER)
-
-    def test_filtered_empty_completion_raises(self):
-        session = FakeSession(
-            [FakeHTTPResponse(payload=chat_payload("", "content_filter"))]
-        )
-        provider, _ = make_live(session)
-        with pytest.raises(ProviderError) as excinfo:
-            provider.complete(make_request("p"))
-        assert excinfo.value.kind is ProviderErrorKind.FILTERED
+                         max_attempts=0)
 
 
-# ---------------------------------------------------------------------------
-# LiveProvider's own stdlib transport against a loopback server
+def malformed(detail: str) -> tuple[str, None]:
+    return f"other: malformed response body: {detail}", None
 
 
-# The providers ``stdlib_live`` built, which the ``loopback`` fixture closes.
+# By name: the status, headers and body ``_reply`` is given, and the
+# completion it returns or the message and ``retry_after`` of the error it
+# raises. A message starts with the error's kind, which decides a retry.
+REPLIES = {
+    "200": (200, {}, chat_body("True."), CompletionResponse("True.")),
+    "no-finish-reason-is-stop": (200, {}, b'{"choices": [{"message": {"content": "T"}}]}',
+                                 CompletionResponse("T")),
+    "length": (200, {}, chat_body("cut off", "length"),
+               CompletionResponse("cut off", FinishReason.LENGTH)),
+    "content-filter-with-text": (200, {}, chat_body("par", "content_filter"),
+                                 CompletionResponse("par", FinishReason.FILTERED)),
+    "unknown-finish-reason": (200, {}, chat_body("True.", "tool_calls"),
+                              CompletionResponse("True.", FinishReason.OTHER)),
+    "empty-stop": (200, {}, chat_body(""), CompletionResponse("", FinishReason.OTHER)),
+    "content-filter-without-text": (200, {}, chat_body("", "content_filter"),
+                                    ("filtered: completion was filtered", None)),
+    "302": (302, {"location": "/v2"}, chat_body("True."), ("other: HTTP 302", None)),
+    "401": (401, {}, b"", ("auth: HTTP 401", None)),
+    "403": (403, {}, b"", ("auth: HTTP 403", None)),
+    "400-with-its-body": (400, {}, b"bad request body",
+                          ("other: HTTP 400: bad request body", None)),
+    "404-body-cut-at-200-characters": (404, {}, b"x" * 300,
+                                       ("other: HTTP 404: " + "x" * 200, None)),
+    "422-body-not-utf-8": (422, {}, b"caf\xe9", ("other: HTTP 422: caf\ufffd", None)),
+    "429-with-retry-after": (429, {"retry-after": "7"}, b"",
+                             ("rate_limited: HTTP 429", 7.0)),
+    "429-without-retry-after": (429, {}, b'{"error": "slow down"}',
+                                ("rate_limited: HTTP 429", None)),
+    "500": (500, {}, b"", ("network: HTTP 500", None)),
+    "503-retry-after-not-read": (503, {"retry-after": "7"}, b"", ("network: HTTP 503", None)),
+    "not-json": (200, {}, b"<html>",
+                 malformed("Expecting value: line 1 column 1 (char 0)")),
+    "not-utf-8": (200, {}, b"\xff", malformed(
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")),
+    "no-choices": (200, {}, b'{"choices": []}', malformed("list index out of range")),
+    "null-content": (200, {}, chat_body(None),
+                     malformed("response text must be a string, got None")),
+    "list-content": (200, {}, chat_body(["True."]),
+                     malformed("response text must be a string, got ['True.']")),
+    "list-finish-reason": (200, {}, chat_body("True.", ["stop"]),
+                           malformed("unhashable type: 'list'")),
+}
+
+
+@pytest.mark.parametrize("name", REPLIES)
+def test_reply(name):
+    status, headers, body, expected = REPLIES[name]
+    if isinstance(expected, CompletionResponse):
+        assert _reply(status, headers, body) == expected
+        return
+    with pytest.raises(ProviderError) as excinfo:
+        _reply(status, headers, body)
+    assert (str(excinfo.value), excinfo.value.retry_after) == expected
+
+
+# The providers a test built, which the ``loopback`` fixture closes.
 LIVE_PROVIDERS: list[LiveProvider] = []
 
 
 @pytest.fixture
 def loopback(monkeypatch):
-    """Starts scripted servers; after the test it closes every provider
-    ``stdlib_live`` built, then stops the servers. The proxy variables are
+    """Starts scripted servers; after the test it closes every provider in
+    ``LIVE_PROVIDERS``, then stops the servers. The proxy variables are
     cleared so the requests go straight to loopback."""
     for name in PROXY_ENV_VARS:
         monkeypatch.delenv(name, raising=False)
@@ -617,74 +472,126 @@ def stdlib_live(base_url, **kwargs):
     return provider, sleeps
 
 
-class TestStdlibTransport:
-    def test_calls_on_one_thread_share_one_connection(self, loopback):
-        server = loopback([http_response(body=chat_body(f"r{i}")) for i in range(5)])
-        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1/")
-        for i in range(5):
-            assert provider.complete(make_request(f"p{i}")).text == f"r{i}"
-        assert server.connections == 1
-        assert server.request_lines == ["POST /v1/chat/completions HTTP/1.1"] * 5
-        _, _, head, body = server.requests[0]
-        assert json.loads(body) == {
-            "model": "default",
-            "messages": [{"role": "user", "content": "p0"}],
-            "temperature": 0.0,
-            "max_tokens": 16,
-        }
-        assert b"\r\nAuthorization: Bearer sk-test" in head
+def backoff(n: int) -> list[float]:
+    """The first *n* jittered waits of a provider built with ``random.Random(0)``."""
+    rng = random.Random(0)
+    return [rng.uniform(0.0, 2.0 ** attempt) for attempt in range(n)]
+
+
+class Exchange(NamedTuple):
+    """Calls that each send ``REQUEST`` to a ``LoopbackServer`` that sends
+    *responses* in turn."""
+
+    responses: list[bytes]
+    outcomes: tuple[str, ...]  # each call's completion text, or its error's message
+    sleeps: list[float]
+    connections: list[int]  # the connection that each request arrived on
+    close_after_each: bool = False
+    max_attempts: int = 5
+    default_sleep: bool = False  # waits go to time.sleep, not to sleep_fn
+
+
+REQUEST = CompletionRequest(model="gpt-x", prompt="True or False: p", max_tokens=64)
+STATUS_503 = http_response("503 Service Unavailable", b"")
+OK_10_17 = b"HTTP/1.1 200 OK\r\nContent-Length: 100000000000000000\r\n\r\n"
+HTTP_DATE = "Wed, 21 Oct 2026 07:28:00 GMT"
+EXCHANGES = {
+    "one-socket-for-a-thread": Exchange(
+        [http_response(body=chat_body(f"r{i}")) for i in range(3)],
+        ("r0", "r1", "r2"), [], [1, 1, 1]),
+    "socket-closed-by-server-is-network-then-fresh-socket": Exchange(
+        [http_response(body=chat_body("first")), http_response(body=chat_body("second"))],
+        ("first", "second"), backoff(1), [1, 2], close_after_each=True),
+    "connection-close-means-a-new-socket-without-a-retry": Exchange(
+        [http_response(headers="Connection: close\r\n")] * 2,
+        ("ok", "ok"), [], [1, 2], close_after_each=True),
+    # A framing error is a network error, and the next post opens a fresh
+    # socket; ``tests/test_http_reader.py`` checks the framing itself.
+    "10**17-content-length-short-body": Exchange(
+        [OK_10_17 + chat_body("x"), http_response()],
+        ("ok",), backoff(1), [1, 2], close_after_each=True),
+    "204-has-no-body-and-keeps-the-socket": Exchange(
+        [b"HTTP/1.1 204 No Content\r\n\r\n", http_response()],
+        (malformed("Expecting value: line 1 column 1 (char 0)")[0], "ok"), [], [1, 1]),
+    "5xx-retried": Exchange(
+        [http_response("502 Bad Gateway", b""), STATUS_503, http_response()],
+        ("ok",), backoff(2), [1, 1, 1]),
+    "429-retried": Exchange(
+        [http_response("429 Too Many Requests", b'{"error": "slow down"}'), http_response()],
+        ("ok",), backoff(1), [1, 1]),
+    # A delta-seconds Retry-After raises the wait, capped like the backoff;
+    # any other value, an HTTP-date too, leaves the jittered backoff.
+    **{f"retry-after={'http-date' if value == HTTP_DATE else value}": Exchange(
+        [http_response("429 Too Many Requests", b"{}", f"Retry-After: {value}\r\n"),
+         http_response()], ("ok",), sleeps, [1, 1])
+       for value, sleeps in [("7", [7.0]), ("999", [30.0]), ("1e3", [30.0]),
+                             ("inf", [30.0]), ("-3", backoff(1)), ("nan", backoff(1)),
+                             ("soon", backoff(1)), ("", backoff(1)),
+                             (HTTP_DATE, backoff(1))]},
+    "401-not-retried": Exchange(
+        [http_response("401 Unauthorized", b"")], ("auth: HTTP 401",), [], [1]),
+    "400-body-in-the-message-and-not-retried": Exchange(
+        [http_response("400 Bad Request", b"unknown model")],
+        ("other: HTTP 400: unknown model",), [], [1]),
+    "307-not-followed": Exchange(
+        [b"HTTP/1.1 307 Temporary Redirect\r\nLocation: /v2/chat/completions"
+         b"\r\nContent-Length: 0\r\n\r\n", http_response()],
+        ("other: HTTP 307",), [], [1]),
+    "exhausted-attempts-raise-the-last-error": Exchange(
+        [STATUS_503] * 3, ("network: HTTP 503",), backoff(2), [1, 1, 1], max_attempts=3),
+    "waits-go-to-the-time-sleep-of-construction": Exchange(
+        [STATUS_503, http_response()], ("ok",), backoff(1), [1, 1], default_sleep=True),
+}
+
+
+def outcome(provider: LiveProvider) -> str:
+    try:
+        return provider.complete(REQUEST).text
+    except ProviderError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", EXCHANGES)
+def test_exchange(loopback, monkeypatch, caplog, name):
+    """Each row's calls, as a run makes them: the key from the environment,
+    the default timeout and the default transport."""
+    row = EXCHANGES[name]
+    server = loopback(row.responses, row.close_after_each)
+    monkeypatch.setenv(API_KEY_ENV_VAR, "sk-env")
+    timeouts, create_connection = [], socket.create_connection
+
+    def connect(address, timeout):
+        timeouts.append(timeout)
+        return create_connection(address, timeout)
+
+    monkeypatch.setattr(socket, "create_connection", connect)
+    slept, sleeps = [], []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    provider = LiveProvider(f"http://127.0.0.1:{server.port}/v1/", rng=random.Random(0),
+                            max_attempts=row.max_attempts,
+                            sleep_fn=None if row.default_sleep else sleeps.append)
+    LIVE_PROVIDERS.append(provider)
+    caplog.set_level(logging.INFO, logger="abcd_eval.providers")
+
+    assert tuple(outcome(provider) for _ in row.outcomes) == row.outcomes
+    assert (slept if row.default_sleep else sleeps) == row.sleeps
+    assert sleeps + slept == row.sleeps  # and no wait went to the other
+    assert caplog.text.count("retrying after") == len(row.sleeps)
+    assert [conn for conn, *_ in server.requests] == row.connections
+    assert timeouts == [60.0] * server.connections
+    for _, line, head, body in server.requests:
+        assert line == "POST /v1/chat/completions HTTP/1.1"
+        assert b"\r\nAuthorization: Bearer sk-env" in head
         assert b"\r\nContent-Type: application/json" in head
-        assert sleeps == []
+        assert json.loads(body) == {
+            "model": "gpt-x",
+            "messages": [{"role": "user", "content": "True or False: p"}],
+            "temperature": 0.0,
+            "max_tokens": 64,
+        }
 
-    def test_socket_closed_by_server_is_network_then_fresh_socket(
-        self, loopback, caplog
-    ):
-        server = loopback(
-            [http_response(body=chat_body("first")),
-             http_response(body=chat_body("second"))],
-            close_after_each=True,
-        )
-        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
-        caplog.set_level(logging.INFO, logger="abcd_eval.providers")
-        assert provider.complete(make_request("p1")).text == "first"
-        assert provider.complete(make_request("p2")).text == "second"
-        assert "retrying after network" in caplog.text
-        assert len(sleeps) == 1
-        assert server.connections == 2
-        assert [conn for conn, *_ in server.requests] == [1, 2]
 
-    def test_rate_limit_then_success_sleeps_once(self, loopback):
-        server = loopback([
-            http_response("429 Too Many Requests", body=b'{"error": "slow down"}'),
-            http_response(),
-        ])
-        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
-        assert provider.complete(make_request("p")).text == "ok"
-        assert len(sleeps) == 1
-        assert server.connections == 1
-
-    @pytest.mark.parametrize(
-        "retry_after, sleeps_expected",
-        [
-            ("7", [7.0]),
-            ("999", [30.0]),  # capped like the backoff
-            ("soon", [random.Random(0).uniform(0.0, 1.0)]),  # the jittered backoff
-        ],
-    )
-    def test_rate_limit_waits_for_a_capped_retry_after(
-        self, loopback, retry_after, sleeps_expected
-    ):
-        server = loopback([
-            http_response("429 Too Many Requests", body=b"{}",
-                          headers=f"Retry-After: {retry_after}\r\n"),
-            http_response(),
-        ])
-        provider, sleeps = stdlib_live(
-            f"http://127.0.0.1:{server.port}/v1", rng=random.Random(0)
-        )
-        assert provider.complete(make_request("p")).text == "ok"
-        assert sleeps == sleeps_expected
-
+class TestStdlibTransport:
     def test_close_ends_the_connection_and_a_later_call_reconnects(self, loopback):
         server = loopback([http_response()] * 2)
         provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
@@ -694,18 +601,6 @@ class TestStdlibTransport:
         provider.close()
         assert [conn for conn, *_ in server.requests] == [1, 2]
         assert sleeps == []
-
-    def test_redirect_is_not_followed(self, loopback):
-        server = loopback([
-            b"HTTP/1.1 307 Temporary Redirect\r\nLocation: /v2/chat/completions"
-            b"\r\nContent-Length: 0\r\n\r\n",
-        ])
-        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
-        with pytest.raises(ProviderError) as excinfo:
-            provider.complete(make_request("p"))
-        assert (excinfo.value.kind, str(excinfo.value)) == \
-            (ProviderErrorKind.OTHER, "other: HTTP 307")
-        assert server.request_lines == ["POST /v1/chat/completions HTTP/1.1"]
 
     def test_http_proxy_gets_the_absolute_url(self, loopback, monkeypatch):
         server = loopback([http_response()])
@@ -735,56 +630,6 @@ class TestStdlibTransport:
         provider, _ = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
         assert provider.complete(make_request("p")).text == "ok"
         assert server.request_lines == ["POST /v1/chat/completions HTTP/1.1"]
-
-    def test_204_has_no_body_and_keeps_the_connection(self, loopback):
-        server = loopback([b"HTTP/1.1 204 No Content\r\n\r\n", http_response()])
-        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
-        with pytest.raises(ProviderError) as excinfo:
-            provider.complete(make_request("p1"))
-        assert "malformed response body" in str(excinfo.value)
-        assert provider.complete(make_request("p2")).text == "ok"
-        assert [conn for conn, *_ in server.requests] == [1, 1]
-        assert sleeps == []
-
-    def test_connection_close_means_a_new_connection_without_a_retry(
-        self, loopback
-    ):
-        server = loopback(
-            [http_response(headers="Connection: close\r\n")] * 2,
-            close_after_each=True,
-        )
-        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
-        assert provider.complete(make_request("p1")).text == "ok"
-        assert provider.complete(make_request("p2")).text == "ok"
-        assert [conn for conn, *_ in server.requests] == [1, 2]
-        assert sleeps == []
-
-    # A framing error is a network error, and the next post opens a fresh
-    # socket; ``tests/test_http_reader.py`` checks the framing itself.
-    @pytest.mark.parametrize(
-        "bad_response",
-        [b"HTTP/1.1 200 OK\r\nContent-Length: 100000000000000000\r\n\r\n" + chat_body("x")],
-        ids=["10**17-content-length-short-body"],
-    )
-    def test_malformed_response_is_network_then_fresh_socket(
-        self, loopback, caplog, bad_response
-    ):
-        server = loopback([bad_response, http_response()], close_after_each=True)
-        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
-        caplog.set_level(logging.INFO, logger="abcd_eval.providers")
-        assert provider.complete(make_request("p")).text == "ok"
-        assert "retrying after network" in caplog.text
-        assert len(sleeps) == 1
-        assert [conn for conn, *_ in server.requests] == [1, 2]
-
-    def test_client_error_body_is_in_the_message_and_not_retried(self, loopback):
-        server = loopback([http_response("400 Bad Request", b"unknown model")])
-        provider, sleeps = stdlib_live(f"http://127.0.0.1:{server.port}/v1")
-        with pytest.raises(ProviderError) as excinfo:
-            provider.complete(make_request("p"))
-        assert str(excinfo.value) == "other: HTTP 400: unknown model"
-        assert len(server.requests) == 1
-        assert sleeps == []
 
     def test_url_without_a_port_means_port_80(self, loopback, monkeypatch):
         server = loopback([http_response()])
