@@ -201,14 +201,13 @@ _FINISH_REASON_MAP = {
 
 
 def _retry_after(headers) -> Optional[float]:
-    """The delta-seconds ``Retry-After`` in *headers*, or None when there is
-    no such field or its value is not a number; an HTTP-date counts as no
-    value. Names are looked up lowercased, which a ``requests.Response``'s
+    """The delay-seconds ``Retry-After`` in *headers* (RFC 9110: ``1*DIGIT``),
+    or None when there is no such field or its value is any other form, an
+    HTTP-date too; ``float`` alone would also take ``1e3``, ``inf``, a sign
+    and ``_``. Names are looked up lowercased, which a ``requests.Response``'s
     headers also answer."""
-    try:
-        return float(headers.get("retry-after"))
-    except (TypeError, ValueError):
-        return None
+    value = headers.get("retry-after") or ""
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 def _reply(status: int, headers, content: bytes) -> CompletionResponse:
@@ -221,7 +220,8 @@ def _reply(status: int, headers, content: bytes) -> CompletionResponse:
     if status in (401, 403):
         raise ProviderError(ProviderErrorKind.AUTH, f"HTTP {status}")
     if status >= 500:
-        raise ProviderError(ProviderErrorKind.NETWORK, f"HTTP {status}")
+        raise ProviderError(ProviderErrorKind.NETWORK, f"HTTP {status}",
+                            _retry_after(headers) if status == 503 else None)
     if 300 <= status < 400:
         raise ProviderError(ProviderErrorKind.OTHER, f"HTTP {status}")
     if status >= 400:
@@ -251,15 +251,15 @@ class LiveProvider:
     Reads the API key from the ``ABCD_API_KEY`` environment variable unless
     one is passed explicitly. Retries rate-limit and network failures with
     exponential backoff and full jitter, up to ``max_attempts`` (at least 1)
-    tries total. A 429's delta-seconds ``Retry-After`` raises the wait to
-    that value, capped like the backoff. The wait goes to *sleep_fn*, by
-    default the ``time.sleep`` of when the provider is built. Posts through
-    a :class:`~abcd_eval.transport.HTTPSession` with one keep-alive
-    connection per thread, which :meth:`close` closes, and :func:`_reply`
-    maps each status and body to a completion or an error. *session*, the
-    ``post`` of a ``requests.Session``, stays only for the benchmark's
-    ``requests.Session`` test, until that test uses this transport
-    (ROADMAP item 1).
+    tries total. The delay-seconds ``Retry-After`` of a 429 or a 503 raises
+    the wait to that value, capped like the backoff. The wait goes to
+    *sleep_fn*, by default the ``time.sleep`` of when the provider is built.
+    Posts through a :class:`~abcd_eval.transport.HTTPSession` with one
+    keep-alive connection per thread, which :meth:`close` closes, and
+    :func:`_reply` maps each status and body to a completion or an error.
+    *session*, the ``post`` of a ``requests.Session``, stays only for the
+    benchmark's ``requests.Session`` test, until that test uses this
+    transport (ROADMAP item 1).
     """
 
     def __init__(

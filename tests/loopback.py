@@ -97,10 +97,11 @@ class LoopbackServer:
 
 
 # Faults a live run retries, each spoiling one attempt at a prompt: a 429
-# asking for a 7 s wait, a 429 without a wait, a 503, a reset after half the
-# body, and a keep-alive socket closed before any response byte, as a server
-# closes an idle one.
-RETRYABLE_FAULTS = ("429-retry-after-7", "429", "503", "reset-mid-body", "idle-close")
+# asking for a 7 s wait, a 429 without a wait, a 503 with and without one, a
+# reset after half the body, and a keep-alive socket closed before any
+# response byte, as a server closes an idle one.
+RETRYABLE_FAULTS = ("429-retry-after-7", "429", "503-retry-after-7", "503", "reset-mid-body",
+                    "idle-close")
 # A reply with the scripted text and finish reason ``length``: an answer,
 # so it ends the call.
 LENGTH = "length"
@@ -121,10 +122,10 @@ class _ScriptHandler(BaseHTTPRequestHandler):
         if fault == "idle-close":
             self.close_connection = True
             return
-        if fault in ("429-retry-after-7", "429", "503", BAD_REQUEST):
+        if fault in ("429-retry-after-7", "429", "503-retry-after-7", "503", BAD_REQUEST):
             payload = BAD_REQUEST_BODY if fault == BAD_REQUEST else b""
             self.send_response(int(fault[:3]))
-            if fault == "429-retry-after-7":
+            if fault.endswith("-retry-after-7"):
                 self.send_header("Retry-After", "7")
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()

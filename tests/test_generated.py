@@ -118,7 +118,8 @@ SENDING_STAGES = EVALUATE_STAGES[:4]
 DAMAGE = ("corrupt", "copied", "deleted")
 # What the ProviderError of a call a fault ends says (a reset's is the transport's).
 FAILS = {"429-retry-after-7": "rate_limited: HTTP 429", "429": "rate_limited: HTTP 429",
-         "503": "network: HTTP 503", "reset-mid-body": "network: ", "idle-close": "network: ",
+         "503-retry-after-7": "network: HTTP 503", "503": "network: HTTP 503",
+         "reset-mid-body": "network: ", "idle-close": "network: ",
          BAD_REQUEST: f"other: HTTP 400: {BAD_REQUEST_BODY.decode()}"}
 # A claim that failed under --lenient: a non-response with an empty reply.
 LENIENT = "-"
@@ -203,7 +204,7 @@ class Oracle:
                 self.events.add((BAD_REQUEST if fault == BAD_REQUEST else EVERY_ATTEMPT, stage))
                 return False, FAILS[fault]
             self.sleeps += 1
-            if fault == "429-retry-after-7":
+            if fault.endswith("-retry-after-7"):
                 self.retry_afters.append(attempt)
 
     def outcome(self, q, prompts: dict, lenient: bool):

@@ -6,8 +6,10 @@ type with the same text, only ``records`` writes files, a handler of
 ``BaseException`` re-raises and only ``cli.main`` catches
 ``KeyboardInterrupt``, the request queue synchronizes only as its schedule
 explorer models, every HTTP framing error has a pinned example, no test
-passes ``LiveProvider`` a ``session=``, each command loads only what it
-runs, and a live run closes the sockets it opens.
+passes ``LiveProvider`` a ``session=``, and each command, a live run at one
+and two threads too, loads only what it runs (never ``requests``,
+``http.client``, ``email``, ``ssl`` or ``urllib.request``) and leaves no
+socket unclosed.
 
 A stdlib AST scan stands in for a linter. Package ``__init__.py`` files are
 skipped by the unused-import scan (their imports are re-exports), and so is
@@ -26,7 +28,7 @@ import pytest
 from abcd_eval.cli import main
 from abcd_eval.providers import API_KEY_ENV_VAR, load_script_rules
 from e2e_fixture import write_fixture
-from loopback import PROXY_ENV_VARS, LoopbackServer, ScriptServer, http_response
+from loopback import ScriptServer
 from test_http_reader import PINNED
 from test_queue_schedules import Schedule
 
@@ -349,94 +351,45 @@ def test_no_test_passes_a_session():
     assert found == {}
 
 
-# Blocks ``requests``, then runs the fixture ``evaluate`` and one live call.
-WITHOUT_REQUESTS = """
-import sys
-sys.modules["requests"] = None
-from abcd_eval import cli
-from abcd_eval.providers import CompletionRequest, LiveProvider
-port, *evaluate = sys.argv[1:]
-assert cli.main(evaluate) == 0, "evaluate failed"
-provider = LiveProvider(f"http://127.0.0.1:{port}/v1", api_key="k", timeout=5.0)
-print(provider.complete(CompletionRequest(model="m", prompt="p", max_tokens=8)).text)
-"""
-
-
 def child_env() -> dict:
     """This environment without proxy variables, with the checkout's source
     on the path."""
-    env = {k: v for k, v in os.environ.items() if k not in PROXY_ENV_VARS}
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     )
     return env
 
 
-def test_cli_runs_with_requests_blocked(tmp_path):
-    paths = write_fixture(tmp_path / "fixture")
-    env = child_env()
-    server = LoopbackServer([http_response()])
-    try:
-        completed = subprocess.run(
-            [sys.executable, "-c", WITHOUT_REQUESTS, str(server.port),
-             "evaluate", "--questions", str(paths["questions"]),
-             "--labels", str(paths["labels"]), "--script", str(paths["rules"]),
-             "--ground-truth", "--out-dir", str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
-    finally:
-        server.close()
-    assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.splitlines()[-1] == "ok"
-    assert server.request_lines == ["POST /v1/chat/completions HTTP/1.1"]
-    assert (tmp_path / "out" / "evaluations.jsonl").is_file()
-
-
-# Imports the CLI and builds a live provider, then names the modules a live
-# run no longer needs that were loaded anyway.
-TRANSPORT_IMPORTS = """
-import sys
-from abcd_eval import cli
-from abcd_eval.providers import LiveProvider
-LiveProvider("http://127.0.0.1:9/v1", api_key="k").close()
-print(*sorted({"http.client", "email", "ssl", "urllib.request"} & set(sys.modules)))
-"""
-
-
-def test_live_provider_loads_no_http_client_email_or_ssl():
-    env = {k: v for k, v in child_env().items() if not k.lower().endswith("_proxy")}
-    completed = subprocess.run(
-        [sys.executable, "-c", TRANSPORT_IMPORTS],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
-    assert completed.returncode == 0, completed.stderr
-    assert completed.stdout.split() == []
-
-
 # Imports a module and runs the CLI on the remaining arguments, if any, then
-# names the modules loaded that only a live or a concurrent run needs.
+# names the modules loaded that only a live or a concurrent run needs, and
+# those that no run needs.
 LOADED_BY = """
 import importlib, sys
 importlib.import_module(sys.argv[1])
 if sys.argv[2:]:
     assert sys.modules["abcd_eval.cli"].main(sys.argv[2:]) == 0
-print(*sorted({"socket", "abcd_eval.transport", "concurrent.futures", "_hashlib"}
-              & set(sys.modules)))
+print(*sorted({"socket", "abcd_eval.transport", "concurrent.futures", "_hashlib", "requests",
+               "http.client", "email", "ssl", "urllib.request"} & set(sys.modules)))
 """
 
 
 @pytest.fixture(scope="module")
 def recorded_run(tmp_path_factory):
     """The fixture's files, and the output and cache of a scripted
-    ``evaluate`` over them."""
+    ``evaluate --ground-truth`` over them."""
     root = tmp_path_factory.mktemp("recorded")
     paths = write_fixture(root / "fixture")
     assert main(
         ["evaluate", "--questions", str(paths["questions"]),
-         "--labels", str(paths["labels"]), "--script", str(paths["rules"]),
+         "--labels", str(paths["labels"]), "--ground-truth", "--script", str(paths["rules"]),
          "--cache-dir", str(root / "cache"), "--out-dir", str(root / "run")]
     ) == 0
     return paths, root
+
+
+LIVE = ["abcd_eval.cli", "evaluate", "--questions", "{questions}", "--labels", "{labels}",
+        "--ground-truth", "--provider", "live", "--base-url", "{url}", "--out-dir", "{out}"]
 
 
 @pytest.mark.parametrize(
@@ -459,28 +412,32 @@ def recorded_run(tmp_path_factory):
         (["abcd_eval.cli", "evaluate", "--questions", "{questions}",
           "--provider", "replay", "--cache-dir", "{cache}", "--out-dir", "{out}",
           "--concurrency", "8"], ["_hashlib"]),
-        (["abcd_eval.cli", "evaluate", "--questions", "{questions}",
-          "--provider", "live", "--base-url", "{url}", "--out-dir", "{out}"],
-         ["abcd_eval.transport", "socket"]),
+        (LIVE, ["abcd_eval.transport", "socket"]),
+        ([*LIVE, "--concurrency", "2"], ["abcd_eval.transport", "concurrent.futures", "socket"]),
         (["abcd_eval.cli", "verify", "--questions", "{questions}",
           "--claims", "{run}/claim_sets.jsonl",
           "--assignments", "{run}/assignments.jsonl",
           "--provider", "replay", "--cache-dir", "{cache}", "--concurrency", "8",
           "--out", "{out}/verifications.jsonl"], ["_hashlib"]),
     ],
-    ids=["import-abcd_eval", "import-cli", "report", "score", "annotate",
-         "evaluate-replay", "evaluate-replay-8", "evaluate-live", "verify-replay-8"],
+    ids=["import-abcd_eval", "import-cli", "report", "score", "annotate", "evaluate-replay",
+         "evaluate-replay-8", "evaluate-live", "evaluate-live-2", "verify-replay-8"],
 )
 def test_each_command_loads_only_what_it_runs(recorded_run, tmp_path, argv, loaded):
+    """Each command, with every unclosed socket made an error, warns of none
+    and loads only the watched modules it needs; a live run also writes what
+    the scripted run wrote."""
     paths, root = recorded_run
     server = ScriptServer(load_script_rules(paths["rules"])) if "{url}" in argv else None
     values = {
-        "questions": paths["questions"], "run": root / "run", "cache": root / "cache",
-        "out": tmp_path, "url": server and f"http://127.0.0.1:{server.port}/v1",
+        "questions": paths["questions"], "labels": paths["labels"], "run": root / "run",
+        "cache": root / "cache", "out": tmp_path,
+        "url": server and f"http://127.0.0.1:{server.port}/v1",
     }
     try:
         completed = subprocess.run(
-            [sys.executable, "-c", LOADED_BY, *(arg.format(**values) for arg in argv)],
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c", LOADED_BY,
+             *(arg.format(**values) for arg in argv)],
             capture_output=True, text=True, timeout=60, stdin=subprocess.DEVNULL,
             env={**child_env(), API_KEY_ENV_VAR: "k"},
         )
@@ -488,32 +445,8 @@ def test_each_command_loads_only_what_it_runs(recorded_run, tmp_path, argv, load
         if server:
             server.close()
     assert completed.returncode == 0, completed.stderr
+    assert "ResourceWarning" not in completed.stderr
     assert completed.stdout.splitlines()[-1].split() == loaded
-
-
-def test_live_run_leaves_no_socket_unclosed(tmp_path):
-    """A live evaluate on two worker threads, with every unclosed socket
-    made an error, warns of none and writes what the scripted run writes."""
-    paths = write_fixture(tmp_path / "fixture")
-    common = ["evaluate", "--questions", str(paths["questions"]),
-              "--labels", str(paths["labels"]), "--ground-truth"]
-    assert main(
-        [*common, "--script", str(paths["rules"]),
-         "--out-dir", str(tmp_path / "scripted")]
-    ) == 0
-    server = ScriptServer(load_script_rules(paths["rules"]))
-    try:
-        live = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
-             "-m", "abcd_eval.cli", *common, "--provider", "live",
-             "--base-url", f"http://127.0.0.1:{server.port}/v1",
-             "--concurrency", "2", "--out-dir", str(tmp_path / "live")],
-            capture_output=True, text=True, timeout=60,
-            env={**child_env(), API_KEY_ENV_VAR: "k"},
-        )
-    finally:
-        server.close()
-    assert live.returncode == 0, live.stderr
-    assert "ResourceWarning" not in live.stderr
-    assert (tmp_path / "live" / "evaluations.jsonl").read_bytes() == \
-        (tmp_path / "scripted" / "evaluations.jsonl").read_bytes()
+    if server:
+        for name in ("evaluations.jsonl", "gt_verifications.jsonl"):
+            assert (tmp_path / name).read_bytes() == (root / "run" / name).read_bytes(), name

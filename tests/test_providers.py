@@ -414,7 +414,8 @@ REPLIES = {
     "429-without-retry-after": (429, {}, b'{"error": "slow down"}',
                                 ("rate_limited: HTTP 429", None)),
     "500": (500, {}, b"", ("network: HTTP 500", None)),
-    "503-retry-after-not-read": (503, {"retry-after": "7"}, b"", ("network: HTTP 503", None)),
+    "500-retry-after-not-read": (500, {"retry-after": "7"}, b"", ("network: HTTP 500", None)),
+    "503-with-retry-after": (503, {"retry-after": "7"}, b"", ("network: HTTP 503", 7.0)),
     "not-json": (200, {}, b"<html>",
                  malformed("Expecting value: line 1 column 1 (char 0)")),
     "not-utf-8": (200, {}, b"\xff", malformed(
@@ -519,15 +520,19 @@ EXCHANGES = {
     "429-retried": Exchange(
         [http_response("429 Too Many Requests", b'{"error": "slow down"}'), http_response()],
         ("ok",), backoff(1), [1, 1]),
-    # A delta-seconds Retry-After raises the wait, capped like the backoff;
-    # any other value, an HTTP-date too, leaves the jittered backoff.
+    # A delay-seconds Retry-After (digits only) raises the wait, capped like
+    # the backoff; any other value, an HTTP-date too, leaves the jittered backoff.
     **{f"retry-after={'http-date' if value == HTTP_DATE else value}": Exchange(
         [http_response("429 Too Many Requests", b"{}", f"Retry-After: {value}\r\n"),
          http_response()], ("ok",), sleeps, [1, 1])
-       for value, sleeps in [("7", [7.0]), ("999", [30.0]), ("1e3", [30.0]),
-                             ("inf", [30.0]), ("-3", backoff(1)), ("nan", backoff(1)),
+       for value, sleeps in [("7", [7.0]), ("999", [30.0]), ("1e3", backoff(1)),
+                             ("inf", backoff(1)), ("1_0", backoff(1)), ("+5", backoff(1)),
+                             ("-3", backoff(1)), ("nan", backoff(1)),
                              ("soon", backoff(1)), ("", backoff(1)),
                              (HTTP_DATE, backoff(1))]},
+    "503-retry-after": Exchange(
+        [http_response("503 Service Unavailable", b"", "Retry-After: 7\r\n"), http_response()],
+        ("ok",), [7.0], [1, 1]),
     "401-not-retried": Exchange(
         [http_response("401 Unauthorized", b"")], ("auth: HTTP 401",), [], [1]),
     "400-body-in-the-message-and-not-retried": Exchange(
