@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from typing import Optional
 
 from abcd_eval.model import (
@@ -82,12 +83,24 @@ def build_evaluation(
 
 
 class RecordingProvider:
-    """Returns a fixed response and remembers the requests it saw."""
+    """Returns a fixed response and remembers the requests it saw and the
+    threads that sent them. Each call runs *hold* on its request before it
+    answers."""
 
-    def __init__(self, text="True."):
+    def __init__(self, text="True.", hold=lambda request: None):
         self.text = text
+        self.hold = hold
         self.requests = []
+        self.threads = set()
+        self._lock = threading.Lock()
+
+    @property
+    def sent(self) -> list[str]:
+        return [request.prompt for request in self.requests]
 
     def complete(self, request):
-        self.requests.append(request)
+        with self._lock:
+            self.requests.append(request)
+            self.threads.add(threading.get_ident())
+        self.hold(request)
         return CompletionResponse(text=self.text)

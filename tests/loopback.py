@@ -1,4 +1,5 @@
-"""A scripted HTTP/1.1 server on 127.0.0.1 for tests of the live transport."""
+"""A chat-completions server on 127.0.0.1 for tests of the live transport,
+and the scripts it answers from."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import socket
 import struct
 import threading
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from contextlib import suppress
 
 from abcd_eval.providers import CompletionRequest, ScriptedProvider
 
@@ -17,6 +18,10 @@ PROXY_ENV_VARS = tuple(
     for scheme in ("http", "https", "all", "no")
     for name in (f"{scheme}_proxy", f"{scheme.upper()}_PROXY")
 )
+
+# How a connection goes on after a response: it stays open for the next
+# request, it is closed (a FIN), or it is reset (an RST).
+KEEP, CLOSE, RESET = "keep", "close", "reset"
 
 
 def chat_body(content: str, finish_reason: str = "stop") -> bytes:
@@ -35,65 +40,89 @@ def http_response(
 
 
 class LoopbackServer:
-    """Answers each request with the next scripted response, one connection
-    at a time, and stops once the script is used up.
-
-    With ``close_after_each`` it closes the connection after every response
-    without saying so, as a server does to an idle keep-alive socket.
-    ``requests`` logs (connection number, request line, head, body).
+    """Reads HTTP/1.1 requests on 127.0.0.1, one thread per connection,
+    until closed. ``respond(body)`` answers each request: it returns the
+    bytes to send (None sends nothing) and how the connection goes on
+    (``KEEP``, ``CLOSE`` or ``RESET``); it is called for one request at
+    a time. ``requests`` logs (connection number, request line, head, body).
     """
 
-    def __init__(self, responses, close_after_each: bool = False):
-        self.responses = list(responses)
-        self.close_after_each = close_after_each
+    def __init__(self, respond):
+        self.respond = respond
         self.connections = 0
         self.requests: list[tuple[int, str, bytes, bytes]] = []
+        self._sockets: list[socket.socket] = []
+        self._lock = threading.Lock()
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.port = self._listener.getsockname()[1]
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
+        self._threads = [threading.Thread(target=self._accept, daemon=True)]
+        self._threads[0].start()
+
+    @classmethod
+    def replaying(cls, responses, close_after_each: bool = False) -> LoopbackServer:
+        """Sends *responses* in turn, then closes the connection. With
+        ``close_after_each`` it closes the connection after every response
+        without saying so, as a server does to an idle keep-alive socket."""
+        pending = list(responses)
+
+        def respond(body):
+            response = pending.pop(0) if pending else None
+            return response, CLOSE if close_after_each or not pending else KEEP
+
+        return cls(respond)
 
     @property
     def request_lines(self) -> list[str]:
         return [line for _, line, _, _ in self.requests]
 
-    def _serve(self) -> None:
-        while self.responses:
+    def _accept(self) -> None:
+        while True:
             try:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
             self.connections += 1
-            with conn:
-                buffer = b""
-                while self.responses:
-                    while b"\r\n\r\n" not in buffer:
-                        chunk = conn.recv(65536)
-                        if not chunk:
-                            break
+            self._sockets.append(conn)
+            self._threads.append(threading.Thread(
+                target=self._serve, args=(conn, self.connections), daemon=True))
+            self._threads[-1].start()
+
+    def _serve(self, conn: socket.socket, number: int) -> None:
+        with conn:
+            buffer, how = b"", KEEP
+            with suppress(OSError):  # the client went away
+                while how == KEEP:
+                    while b"\r\n\r\n" not in buffer and (chunk := conn.recv(65536)):
                         buffer += chunk
                     if b"\r\n\r\n" not in buffer:
-                        break
+                        return
                     head, _, buffer = buffer.partition(b"\r\n\r\n")
                     found = re.search(rb"(?im)^content-length: *(\d+)", head)
                     length = int(found.group(1)) if found else 0
-                    while len(buffer) < length:
-                        buffer += conn.recv(65536)
+                    while len(buffer) < length and (chunk := conn.recv(65536)):
+                        buffer += chunk
                     body, buffer = buffer[:length], buffer[length:]
                     line = head.split(b"\r\n", 1)[0].decode("latin-1")
-                    self.requests.append((self.connections, line, head, body))
-                    conn.sendall(self.responses.pop(0))
-                    if self.close_after_each:
-                        break
+                    with self._lock:
+                        self.requests.append((number, line, head, body))
+                        response, how = self.respond(body)
+                    if response:
+                        conn.sendall(response)
+            if how == RESET:
+                # A zero linger makes the close a reset.
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
 
     def close(self) -> None:
-        try:
+        with suppress(OSError):
             self._listener.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept()
-        except OSError:
-            pass
         self._listener.close()
-        self._thread.join(timeout=5)
-        assert not self._thread.is_alive()
+        self._threads[0].join(timeout=5)
+        for conn in self._sockets:
+            with suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)  # wakes a blocked recv()
+        for thread in self._threads:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
 
 
 # Faults a live run retries, each spoiling one attempt at a prompt: a 429
@@ -111,49 +140,9 @@ BAD_REQUEST = "400"
 BAD_REQUEST_BODY = b"bad request"
 
 
-class _ScriptHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"  # keep-alive
-    disable_nagle_algorithm = True  # the body would wait for the head's ACK
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        prompt = body["messages"][0]["content"]
-        fault = self.server.next_fault(prompt)
-        if fault == "idle-close":
-            self.close_connection = True
-            return
-        if fault in ("429-retry-after-7", "429", "503-retry-after-7", "503", BAD_REQUEST):
-            payload = BAD_REQUEST_BODY if fault == BAD_REQUEST else b""
-            self.send_response(int(fault[:3]))
-            if fault.endswith("-retry-after-7"):
-                self.send_header("Retry-After", "7")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-            return
-        request = CompletionRequest(model=body["model"], prompt=prompt, max_tokens=1)
-        reply = chat_body(self.server.script.complete(request).text,
-                          "length" if fault == LENGTH else "stop")
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(reply)))
-        self.end_headers()
-        if fault == "reset-mid-body":
-            self.wfile.write(reply[:len(reply) // 2])
-            # A zero linger makes the close a reset.
-            self.connection.setsockopt(
-                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-            )
-            self.close_connection = True
-            return
-        self.wfile.write(reply)
-
-    def log_message(self, *args):
-        pass
-
-
-class ScriptServer(ThreadingHTTPServer):
-    """A chat-completions server on 127.0.0.1 that answers every prompt from
-    scripted-provider rules, one thread per connection, until closed.
+class Script:
+    """The ``respond`` of a server that answers every prompt from
+    scripted-provider rules.
 
     *faults* maps a prompt to its schedule: the faults that its attempts
     meet, in order, over the whole run, and later attempts are answered.
@@ -163,31 +152,27 @@ class ScriptServer(ThreadingHTTPServer):
     attempt the run can make. ``attempts`` counts the requests for each
     prompt."""
 
-    daemon_threads = True
-
     def __init__(self, rules, faults=None):
-        super().__init__(("127.0.0.1", 0), _ScriptHandler)
         self.script = ScriptedProvider(rules)
         self.faults = faults or {}
         self.attempts: Counter[str] = Counter()
-        self._lock = threading.Lock()
-        self.port = self.server_address[1]
-        # A short poll keeps close() from waiting out the default half second.
-        self._thread = threading.Thread(
-            target=self.serve_forever, args=(0.01,), daemon=True
-        )
-        self._thread.start()
 
-    def next_fault(self, prompt: str):
-        """The fault for this attempt at *prompt*, or None to answer it."""
-        with self._lock:
-            attempt = self.attempts[prompt]
-            self.attempts[prompt] += 1
-            faults = self.faults.get(prompt, ())
-        return faults[attempt] if attempt < len(faults) else None
-
-    def close(self) -> None:
-        self.shutdown()
-        self.server_close()
-        self._thread.join(timeout=5)
-        assert not self._thread.is_alive()
+    def __call__(self, body: bytes):
+        request = json.loads(body)
+        prompt = request["messages"][0]["content"]
+        attempt = self.attempts[prompt]
+        self.attempts[prompt] += 1
+        fault = (self.faults.get(prompt, ())[attempt:] or [None])[0]
+        if fault == "idle-close":
+            return None, CLOSE
+        if fault in ("429-retry-after-7", "429", "503-retry-after-7", "503", BAD_REQUEST):
+            retry_after = "Retry-After: 7\r\n" if fault.endswith("-retry-after-7") else ""
+            payload = BAD_REQUEST_BODY if fault == BAD_REQUEST else b""
+            return http_response(f"{fault[:3]} Fault", payload, retry_after), KEEP
+        completion = self.script.complete(
+            CompletionRequest(model=request["model"], prompt=prompt, max_tokens=1))
+        reply = chat_body(completion.text, "length" if fault == LENGTH else "stop")
+        response = http_response(body=reply)
+        if fault == "reset-mid-body":
+            return response[:len(response) - len(reply) // 2], RESET
+        return response, KEEP

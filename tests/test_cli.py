@@ -829,6 +829,11 @@ CONFIG_ERRORS = [
     row("bad_fractions", "build-obscureqa", "error: split fractions must sum to 1",
         ("--dump", '{"clues": ["This painter made a mural"], "answer": "Painter"}\n'),
         args=("--train", "0.5", "--valid", "0.1", "--test", "0.2")),
+    row("blank_dump", "build-obscureqa", "error: {bad}: no usable records",
+        ("--dump", "\n\n\n")),
+    row("every_record_dropped", "build-obscureqa",
+        "error: {bad}: every record was dropped during cleaning",
+        ("--dump", '{"clues": ["Note to moderator: read slowly"], "answer": "x"}\n')),
 ]
 
 

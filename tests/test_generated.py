@@ -5,12 +5,14 @@ built from ``endpoint.build_table``, must score the generator's exact
 ``Fraction``s and write the same record bytes at ``--concurrency`` 1 and 4,
 with ``--cache-dir``, in a replay of that cache and as the stage commands.
 On the failure paths, :class:`Oracle` works out each run's outcome from the
-seeded fault plan that ``ScriptServer`` serves.
+seeded fault plan that a ``LoopbackServer``'s ``Script`` serves.
 """
 
+import errno
 import itertools
 import json
 import logging
+import os
 import random
 import re
 import tempfile
@@ -35,7 +37,7 @@ from abcd_eval.providers import API_KEY_ENV_VAR, DEFAULT_MAX_ATTEMPTS, load_scri
 from abcd_eval.verify import VERIFY_PROMPT_PREFIX
 from helpers import RECORD_FILES
 from loopback import (BAD_REQUEST, BAD_REQUEST_BODY, LENGTH, PROXY_ENV_VARS, RETRYABLE_FAULTS,
-                      ScriptServer)
+                      LoopbackServer, Script)
 
 
 def run(*argv) -> None:
@@ -116,10 +118,11 @@ EVERY_ATTEMPT = "every-attempt"
 FAULT_KINDS = (*RETRYABLE_FAULTS, LENGTH, BAD_REQUEST, EVERY_ATTEMPT)
 SENDING_STAGES = EVALUATE_STAGES[:4]
 DAMAGE = ("corrupt", "copied", "deleted")
-# What the ProviderError of a call a fault ends says (a reset's is the transport's).
+# What the ProviderError of a call a fault ends says.
 FAILS = {"429-retry-after-7": "rate_limited: HTTP 429", "429": "rate_limited: HTTP 429",
          "503-retry-after-7": "network: HTTP 503", "503": "network: HTTP 503",
-         "reset-mid-body": "network: ", "idle-close": "network: ",
+         "reset-mid-body": f"network: [Errno {errno.ECONNRESET}] {os.strerror(errno.ECONNRESET)}",
+         "idle-close": "network: connection closed before the response ended",
          BAD_REQUEST: f"other: HTTP 400: {BAD_REQUEST_BODY.decode()}"}
 # A claim that failed under --lenient: a non-response with an empty reply.
 LENIENT = "-"
@@ -239,12 +242,14 @@ class Oracle:
 
 def check_evaluate(case, name: str, oracle: Oracle, *extra, lenient: bool, faults=None):
     """Run ``evaluate --ground-truth`` over *case*, live against a
-    ``ScriptServer`` serving *faults* when given, with ``time.sleep`` patched
-    out. Check that it did what *oracle* predicts, that every record line
-    without a --lenient non-response is the fault-free reference run's, and
-    that neither stderr nor a log record holds a traceback."""
+    ``LoopbackServer`` whose ``Script`` serves *faults* when given, with
+    ``time.sleep`` patched out. Check that it did what *oracle* predicts,
+    that every record line without a --lenient non-response is the
+    fault-free reference run's, and that neither stderr nor a log record
+    holds a traceback."""
     out_dir, questions = case.root / name, case.questions
-    server = None if faults is None else ScriptServer(load_script_rules(case.rules), faults)
+    server = None if faults is None else LoopbackServer(
+        Script(load_script_rules(case.rules), faults))
     log, sleeps = BufferingHandler(10**6), []
     source = () if server is None else (
         "--provider", "live", "--base-url", f"http://127.0.0.1:{server.port}/v1")
@@ -298,7 +303,7 @@ def check_evaluate(case, name: str, oracle: Oracle, *extra, lenient: bool, fault
     if len(clean) == len(questions):
         for file in RECORD_FILES[5:]:
             assert (out_dir / file).read_bytes() == (case.reference / file).read_bytes(), file
-    assert (server.attempts if server else Counter()) == oracle.attempts
+    assert (server.respond.attempts if server else Counter()) == oracle.attempts
     # A Retry-After wait is 7 s, or the backoff's jitter (up to 2 ** (attempt - 1) s) if longer.
     longest = 2 ** (DEFAULT_MAX_ATTEMPTS - 2)
     assert len(sleeps) == oracle.sleeps and max(sleeps, default=0) <= longest

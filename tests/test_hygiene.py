@@ -6,7 +6,8 @@ type with the same text, only ``records`` writes files, a handler of
 ``BaseException`` re-raises and only ``cli.main`` catches
 ``KeyboardInterrupt``, the request queue synchronizes only as its schedule
 explorer models, every HTTP framing error has a pinned example, no test
-passes ``LiveProvider`` a ``session=``, and each command, a live run at one
+passes ``LiveProvider`` a ``session=``, no test starts a server but
+``tests/loopback.py``'s, and each command, a live run at one
 and two threads too, loads only what it runs (never ``requests``,
 ``http.client``, ``email``, ``ssl`` or ``urllib.request``) and leaves no
 socket unclosed.
@@ -28,7 +29,7 @@ import pytest
 from abcd_eval.cli import main
 from abcd_eval.providers import API_KEY_ENV_VAR, load_script_rules
 from e2e_fixture import write_fixture
-from loopback import ScriptServer
+from loopback import LoopbackServer, Script
 from test_http_reader import PINNED
 from test_queue_schedules import Schedule
 
@@ -351,6 +352,37 @@ def test_no_test_passes_a_session():
     assert found == {}
 
 
+def server_code(source: str) -> tuple[list[int], list[int]]:
+    """Lines of each import of ``http.server`` or ``socketserver``, and of
+    each ``create_server(...)`` or ``listen(...)`` call."""
+    imports, calls = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) in ("create_server", "listen"):
+                calls.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            if any(f"{prefix}{alias.name}.".startswith(("http.server.", "socketserver."))
+                   for alias in node.names):
+                imports.append(node.lineno)
+    return imports, calls
+
+
+def test_loopback_server_is_the_only_server_the_tests_start():
+    """A fake chat-completions server lives only in ``tests/loopback.py``: no
+    test module imports ``http.server`` or ``socketserver``, and no other
+    calls ``create_server`` or ``listen``."""
+    assert server_code("import socketserver\nfrom http import server\nfrom http import client"
+                       "\ns.listen(1)\ncreate_server(a)\nlisten") == ([1, 2], [4, 5])
+    found = {}
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        imports, calls = server_code(path.read_text(encoding="utf-8"))
+        if lines := imports + (calls if path.name != "loopback.py" else []):
+            found[str(path.relative_to(ROOT))] = lines
+    assert found == {}
+
+
 def child_env() -> dict:
     """This environment without proxy variables, with the checkout's source
     on the path."""
@@ -428,7 +460,7 @@ def test_each_command_loads_only_what_it_runs(recorded_run, tmp_path, argv, load
     and loads only the watched modules it needs; a live run also writes what
     the scripted run wrote."""
     paths, root = recorded_run
-    server = ScriptServer(load_script_rules(paths["rules"])) if "{url}" in argv else None
+    server = LoopbackServer(Script(load_script_rules(paths["rules"]))) if "{url}" in argv else None
     values = {
         "questions": paths["questions"], "labels": paths["labels"], "run": root / "run",
         "cache": root / "cache", "out": tmp_path,

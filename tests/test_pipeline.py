@@ -33,21 +33,11 @@ from abcd_eval.providers import (
     Upstream,
     cache_key,
 )
+from helpers import RecordingProvider
 
 
 def make_request(prompt: str) -> CompletionRequest:
     return CompletionRequest(model="default", prompt=prompt, max_tokens=16)
-
-
-class Endpoint:
-    """The base provider: answers every prompt and keeps the prompts sent."""
-
-    def __init__(self):
-        self.sent = []
-
-    def complete(self, request):
-        self.sent.append(request.prompt)
-        return CompletionResponse(text=f"re: {request.prompt}")
 
 
 class WatchedCache(ResponseCache):
@@ -96,19 +86,16 @@ def run_questions(monkeypatch, upstream, n_questions, concurrency=1, **stages):
 
 
 def test_failed_call_is_not_counted_and_its_resend_is(monkeypatch):
-    class Flaky(Endpoint):
-        def complete(self, request):
-            if not self.sent:
-                self.sent.append(request.prompt)
-                raise ProviderError(ProviderErrorKind.NETWORK, "first fails")
-            return super().complete(request)
+    def first_fails(request):
+        if len(base.requests) == 1:
+            raise ProviderError(ProviderErrorKind.NETWORK, "first fails")
 
     def send_twice(run, outcome, provider):
         with pytest.raises(ProviderError):
             provider.complete(make_request("p"))
         provider.complete(make_request("p"))
 
-    base = Flaky()
+    base = RecordingProvider(hold=first_fails)
     upstream = Upstream(base)
     run_questions(monkeypatch, upstream, 1, verify=send_twice)
     assert base.sent == ["p", "p"]
@@ -116,7 +103,7 @@ def test_failed_call_is_not_counted_and_its_resend_is(monkeypatch):
 
 
 def test_counts_from_eight_threads_add_up(monkeypatch):
-    upstream = Upstream(Endpoint())
+    upstream = Upstream(RecordingProvider())
     prompts = [f"p{n}" for n in range(50)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a lost update shows
@@ -133,7 +120,7 @@ def test_eight_threads_write_every_reply_and_hold_none(monkeypatch, tmp_path):
     """Eight questions at N = 8 send the same 50 prompts with a cache:
     each send is counted, every reply is written when its question ends,
     and none is left for close to write."""
-    base, cache = Endpoint(), WatchedCache(tmp_path)
+    base, cache = RecordingProvider(), WatchedCache(tmp_path)
     upstream = Upstream(base, cache)
     prompts = [f"p{n}" for n in range(50)]
     interval = sys.getswitchinterval()
@@ -150,7 +137,7 @@ def test_eight_threads_write_every_reply_and_hold_none(monkeypatch, tmp_path):
 
 
 def test_cache_hit_is_not_counted(monkeypatch, tmp_path):
-    base = Endpoint()
+    base = RecordingProvider()
     upstream = Upstream(base, ResponseCache(tmp_path))
     run_questions(monkeypatch, upstream, 3, verify=sending("same prompt"))
     assert base.sent == ["same prompt"]
@@ -173,7 +160,7 @@ def test_a_held_reply_serves_another_question(monkeypatch, tmp_path):
         else:
             asked.set()
 
-    base = Endpoint()
+    base = RecordingProvider()
     upstream = Upstream(base, ResponseCache(tmp_path))
     run_questions(monkeypatch, upstream, 2, concurrency=2, verify=verify)
     assert base.sent == ["shared"]
@@ -188,21 +175,13 @@ def test_a_stop_keeps_every_received_reply(monkeypatch, tmp_path, concurrency):
     is closed the cache holds an entry for each of the six replies received
     and no temp file. At N = 1, q2's decompose reply is written when q2
     stops, and its first batch reply, which never reached q2, at close."""
-    stop_at = 7
+    stop_at, lock, returned = 7, threading.Lock(), []
 
-    class Stopping(Endpoint):
-        def __init__(self):
-            super().__init__()
-            self.lock = threading.Lock()
-            self.returned = []
-
-        def complete(self, request):
-            with self.lock:
-                self.sent.append(request.prompt)
-                if len(self.sent) >= stop_at:
-                    raise KeyboardInterrupt
-                self.returned.append(request.prompt)
-            return CompletionResponse(text="True")
+    def stop_at_seventh(request):
+        with lock:
+            if len(returned) == stop_at - 1:
+                raise KeyboardInterrupt
+            returned.append(request.prompt)
 
     def decompose(run, outcome, provider):
         provider.complete(make_request(f"{outcome.question.id} d"))
@@ -214,20 +193,21 @@ def test_a_stop_keeps_every_received_reply(monkeypatch, tmp_path, concurrency):
     monkeypatch.setitem(STAGES, "verify", verify)
     outcomes = [QuestionOutcome(Question(f"q{n}", f"question {n}?", "gold", Dataset.CUSTOM))
                 for n in (1, 2, 3)]
-    base, threads = Stopping(), set(threading.enumerate())
-    run = Run(RunConfig(concurrency=concurrency), Upstream(base, ResponseCache(tmp_path)))
+    threads = set(threading.enumerate())
+    upstream = Upstream(RecordingProvider(hold=stop_at_seventh), ResponseCache(tmp_path))
+    run = Run(RunConfig(concurrency=concurrency), upstream)
     with pytest.raises(KeyboardInterrupt):
         run_stages(run, outcomes, ["decompose", "verify"])
     assert set(threading.enumerate()) <= threads
-    assert len(base.returned) == stop_at - 1
+    assert len(returned) == stop_at - 1
     written = sorted(path.name for path in tmp_path.iterdir())
     if concurrency == 1:
-        assert base.returned == ["q1 d", "q1 a", "q1 b", "q1 c", "q2 d", "q2 a"]
-        assert written == entry_names(base.returned[:-1])
+        assert returned == ["q1 d", "q1 a", "q1 b", "q1 c", "q2 d", "q2 a"]
+        assert written == entry_names(returned[:-1])
     else:
-        assert set(written) <= set(entry_names(base.returned))
+        assert set(written) <= set(entry_names(returned))
     run.close()
-    assert sorted(path.name for path in tmp_path.iterdir()) == entry_names(base.returned)
+    assert sorted(path.name for path in tmp_path.iterdir()) == entry_names(returned)
 
 
 def test_a_failed_write_fails_only_a_question_that_had_not_failed(monkeypatch, tmp_path):
@@ -249,7 +229,7 @@ def test_a_failed_write_fails_only_a_question_that_had_not_failed(monkeypatch, t
     monkeypatch.setitem(STAGES, "verify", lambda run, outcome, provider: None)
     outcomes = [QuestionOutcome(Question(f"q{n}", f"question {n}?", "gold", Dataset.CUSTOM))
                 for n in (1, 2)]
-    run = Run(RunConfig(), Upstream(Endpoint(), FullCache(tmp_path)))
+    run = Run(RunConfig(), Upstream(RecordingProvider(), FullCache(tmp_path)))
     done = run_stages(run, outcomes, ["decompose", "answer", "verify"])
     assert [(outcome.failed_stage, outcome.failure_reason) for outcome in done] == [
         ("answer", "ValueError: no answer"), ("verify", "OSError: disk full")]
@@ -259,7 +239,7 @@ def test_a_failed_write_fails_only_a_question_that_had_not_failed(monkeypatch, t
 def test_request_is_reused_within_a_question_and_sent_again_for_the_next(
     monkeypatch,
 ):
-    base = Endpoint()
+    base = RecordingProvider()
     upstream = Upstream(base)
     run_questions(
         monkeypatch, upstream, 2, verify=sending("p", "p"), verify_gt=sending("p")
@@ -269,7 +249,7 @@ def test_request_is_reused_within_a_question_and_sent_again_for_the_next(
 
 
 def test_reused_request_is_neither_counted_nor_looked_up(monkeypatch, tmp_path):
-    base = Endpoint()
+    base = RecordingProvider()
     cache = WatchedCache(tmp_path)
     upstream = Upstream(base, cache)
     run_questions(
@@ -281,7 +261,7 @@ def test_reused_request_is_neither_counted_nor_looked_up(monkeypatch, tmp_path):
 
 
 def test_counts_land_under_the_stage_being_run(monkeypatch):
-    upstream = Upstream(Endpoint())
+    upstream = Upstream(RecordingProvider())
     run_questions(
         monkeypatch, upstream, 2, concurrency=2,
         decompose=sending("a"),
@@ -296,7 +276,7 @@ def test_counts_land_under_the_stage_being_run(monkeypatch):
 
 
 def test_close_closes_the_base_provider():
-    class Closable(Endpoint):
+    class Closable(RecordingProvider):
         closed = False
 
         def close(self):
@@ -305,11 +285,11 @@ def test_close_closes_the_base_provider():
     base = Closable()
     Upstream(base).close()
     assert base.closed
-    Upstream(Endpoint()).close()  # a base without close() is fine
+    Upstream(RecordingProvider()).close()  # a base without close() is fine
 
 
 def test_question_responses_do_not_outlive_run_stages(monkeypatch):
-    base = Endpoint()
+    base = RecordingProvider()
     upstream = Upstream(base)
     run_questions(monkeypatch, upstream, 1, verify=sending("p"))
     upstream.complete(make_request("p"))
@@ -318,7 +298,7 @@ def test_question_responses_do_not_outlive_run_stages(monkeypatch):
 
 
 def test_a_truncated_reply_names_every_stage_that_used_it(monkeypatch, tmp_path):
-    class Cutting(Endpoint):
+    class Cutting(RecordingProvider):
         """Answers the prompt "cut" with finish reason ``length``."""
 
         def complete(self, request):
@@ -342,24 +322,6 @@ def test_a_truncated_reply_names_every_stage_that_used_it(monkeypatch, tmp_path)
 
 # --------------------------------------------------------------------------
 # the request queue
-
-
-class InFlight(Endpoint):
-    """A base provider that keeps the threads that call it; each call runs
-    *hold* on its request before it answers."""
-
-    def __init__(self, hold=lambda request: None):
-        super().__init__()
-        self.hold = hold
-        self.lock = threading.Lock()
-        self.threads = set()
-
-    def complete(self, request):
-        with self.lock:
-            self.threads.add(threading.get_ident())
-            self.sent.append(request.prompt)
-        self.hold(request)
-        return CompletionResponse(text="True")
 
 
 def failing(word):
@@ -388,7 +350,7 @@ def verifying(upstream, claim_lists, concurrency, **config):
 
 @pytest.mark.parametrize("concurrency", [1, 4])
 def test_a_prompt_repeated_in_a_batch_goes_out_once(concurrency):
-    base = InFlight()
+    base = RecordingProvider()
     upstream = Upstream(base)
     claims = ["<answer> is red", "<answer> is round", "<answer> is red"]
     (done,) = verifying(upstream, [claims], concurrency)
@@ -404,7 +366,7 @@ def test_failing_claims_send_the_whole_batch_once(concurrency, lenient):
     """The batch semantics hold at every concurrency: every claim is sent
     once, a failed call is not sent again, and the lowest failing claim
     names the question's failure."""
-    base = InFlight(hold=failing("fails"))
+    base = RecordingProvider(hold=failing("fails"))
     upstream = Upstream(base)
     claims = ["<answer> is one", "<answer> fails two", "<answer> is three",
               "<answer> fails four"]
@@ -423,7 +385,7 @@ def test_failing_claims_send_the_whole_batch_once(concurrency, lenient):
 
 @pytest.mark.parametrize("concurrency", [1, 2, 8])
 def test_any_other_exception_fails_the_owning_question_alone(concurrency):
-    base = InFlight(hold=failing("error"))
+    base = RecordingProvider(hold=failing("error"))
     claim_lists = [[f"<answer> has property {i}" for i in range(4)] for _ in range(8)]
     claim_lists[4] = ["<answer> is fine", "<answer> raises an error", "<answer> is fine too"]
     done = verifying(Upstream(base), claim_lists, concurrency, lenient=True)

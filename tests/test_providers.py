@@ -28,6 +28,7 @@ from abcd_eval.providers import (
     cache_key,
     load_script_rules,
 )
+from helpers import RecordingProvider
 from loopback import PROXY_ENV_VARS, LoopbackServer, chat_body, http_response
 
 # Regression pin for the on-disk cache layout. If this digest moves, every
@@ -256,36 +257,23 @@ class TestResponseCache:
         assert list(tmp_path.iterdir()) == []
 
 
-class Spy:
-    """Counts the calls that come back from the provider it wraps."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.call_count = 0
-
-    def complete(self, request):
-        response = self.inner.complete(request)
-        self.call_count += 1
-        return response
-
-
 class TestCachingProvider:
     def test_second_call_skips_inner(self, tmp_path):
-        inner = Spy(ScriptedProvider([ScriptRule("p", "pong")]))
+        inner = RecordingProvider("pong")
         provider = CachingProvider(inner, ResponseCache(tmp_path))
         request = make_request("ping p")
         first = provider.complete(request)
         second = provider.complete(request)
         assert first == second
-        assert inner.call_count == 1
+        assert len(inner.requests) == 1
 
     def test_distinct_requests_miss_separately(self, tmp_path):
-        inner = Spy(ScriptedProvider([ScriptRule("", "any")]))
+        inner = RecordingProvider("any")
         provider = CachingProvider(inner, ResponseCache(tmp_path))
         provider.complete(make_request("one"))
         provider.complete(make_request("two"))
         provider.complete(make_request("one"))
-        assert inner.call_count == 2
+        assert len(inner.requests) == 2
 
     def test_failed_call_is_not_cached(self, tmp_path):
         class Failing:
@@ -306,11 +294,11 @@ class TestCachingProvider:
         cache.put(digest, request, CompletionResponse(text="stale"))
         entry = tmp_path / f"{digest}.json"
         entry.write_text(entry.read_text("utf-8")[:40], encoding="utf-8")
-        inner = Spy(ScriptedProvider([ScriptRule("p", "pong")]))
+        inner = RecordingProvider("pong")
 
         response = CachingProvider(inner, cache).complete(request)
         assert response.text == "pong"
-        assert inner.call_count == 1
+        assert len(inner.requests) == 1
         assert cache.get(digest) == response
 
 
@@ -455,7 +443,7 @@ def loopback(monkeypatch):
     servers = []
 
     def start(responses, close_after_each=False):
-        servers.append(LoopbackServer(responses, close_after_each))
+        servers.append(LoopbackServer.replaying(responses, close_after_each))
         return servers[-1]
 
     yield start

@@ -116,6 +116,10 @@ class TestIncompleteBeta:
             regularized_incomplete_beta(-1.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             regularized_incomplete_beta(1.0, 2.0, 1.5)
+        with pytest.raises(ValueError, match="^degrees of freedom must be positive, got 0.0$"):
+            two_sided_p_value(1.0, 0.0)
+        with pytest.raises(ValueError, match="^t statistic is NaN$"):
+            two_sided_p_value(math.nan, 3.0)
 
     def test_p_value_monotone_in_t(self):
         previous = 1.0 + 1e-12
