@@ -387,6 +387,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _write_stage_records(out_dir / "verifications.jsonl", outcomes, "results")
     if config.ground_truth:
         _write_stage_records(out_dir / "gt_verifications.jsonl", outcomes, "gt_results")
+    else:  # so no earlier run's gold results sit beside this run's files
+        records.remove_file(out_dir / "gt_verifications.jsonl")
     n_ok = _write_stage_records(out_dir / "evaluations.jsonl", outcomes, "evaluation")
 
     report_text = _write_reports(
@@ -628,10 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Options that differ from the OPTIONS entry of the same name.
     commands.choices["annotate"].add_argument("--labels", type=Path, required=True)
     build_cmd = commands.choices["build-obscureqa"]
-    build_cmd.add_argument("--train", type=float, default=0.7)
-    build_cmd.add_argument("--valid", type=float, default=0.1)
-    build_cmd.add_argument("--test", type=float, default=0.2)
-    build_cmd.add_argument("--seed", type=int, default=0)
+    for spec in fields(SplitSpec):  # SplitSpec declares each default
+        build_cmd.add_argument(f"--{spec.name}", type=type(spec.default), default=spec.default)
     return parser
 
 

@@ -360,3 +360,8 @@ def write_json_atomic(path: str | Path, obj) -> None:
 
 def write_text_atomic(path: str | Path, text: str) -> None:
     _write_text(path, text)
+
+
+def remove_file(path: str | Path) -> None:
+    """Remove *path*, a file an earlier run wrote, if it is there."""
+    Path(path).unlink(missing_ok=True)

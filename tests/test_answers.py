@@ -4,7 +4,6 @@ import pytest
 
 from abcd_eval.answers import (
     ANSWER_INSTRUCTIONS,
-    AnswerParseError,
     build_answer_prompt,
     clean_answer,
     generate_answers,
@@ -41,11 +40,6 @@ class TestBuildAnswerPrompt:
             "<answer>:\n<city>:"
         )
         assert prompt == expected
-
-    def test_requires_answer_tag(self):
-        with pytest.raises(ValueError, match="answer"):
-            build_answer_prompt(QUESTION, [Tag("city")])
-
 
 class TestCleanAnswer:
     @pytest.mark.parametrize(
@@ -108,22 +102,6 @@ class TestParseAnswers:
         raw = '<answer>: "Frank Gehry."\n<city>: Bilbao'
         assignment = parse_answers(raw, self.TAGS)
         assert assignment.answer == "Frank Gehry"
-
-    def test_missing_tag_raises(self):
-        with pytest.raises(AnswerParseError, match="no usable answer for <city>"):
-            parse_answers("<answer>: Frank Gehry", self.TAGS)
-
-    def test_empty_value_counts_as_missing(self):
-        raw = "<answer>: Frank Gehry\n<city>:   "
-        with pytest.raises(AnswerParseError, match="no usable answer for <city>"):
-            parse_answers(raw, self.TAGS)
-
-    def test_bracketed_value_counts_as_missing(self):
-        # A model echoing the slot placeholder back must not produce an
-        # assignment that would re-introduce tags at instantiation time.
-        raw = "<answer>: <answer>\n<city>: Bilbao"
-        with pytest.raises(AnswerParseError, match="no usable answer for <answer>"):
-            parse_answers(raw, self.TAGS)
 
     def test_multiword_tag_round_trip(self):
         tags = (ANSWER_TAG, Tag("record label"))

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from abcd_eval import cli, records
 from abcd_eval.datasets import QuestionFormat, load_questions
-from abcd_eval.model import AnswerAssignment, Dataset, Question
+from abcd_eval.model import AnswerAssignment
 from abcd_eval.pipeline import QuestionOutcome, RunConfig
 from abcd_eval.providers import (
     CompletionRequest,
@@ -130,36 +130,36 @@ def write_line(path, record):
     return path
 
 
-EVALUATION = build_evaluation(
-    "q1", "TF", correct=False, gt_verdict_symbols="TT", error_category="wrong"
-)
-OUTCOME = QuestionOutcome(
-    EVALUATION.question,
-    claim_set=EVALUATION.claim_set,
-    assignment=EVALUATION.assignment,
-    results=list(EVALUATION.results),
-    gt_results=list(EVALUATION.results),
-)
+@pytest.fixture(scope="module")
+def evaluation():
+    return build_evaluation(
+        "q1", "TF", correct=False, gt_verdict_symbols="TT", error_category="wrong"
+    )
 
 
 @pytest.mark.parametrize("option", list(cli._STAGE_INPUTS))
 @BOUNDED
 @given(value=JSON_VALUES)
-def test_stage_inputs(workdir, option, value):
+def test_stage_inputs(workdir, evaluation, option, value):
     field, reader = cli._STAGE_INPUTS[option]
     path = workdir / f"{option}.jsonl"
+    outcome = QuestionOutcome(
+        evaluation.question, claim_set=evaluation.claim_set,
+        assignment=evaluation.assignment, results=list(evaluation.results),
+        gt_results=list(evaluation.results),
+    )
 
     def read(record):
         return cli._load_records(write_line(path, record), reader, itemgetter(0))
 
-    check_reader(read, cli._STAGE_RECORDS[field](OUTCOME), value, str(path))
+    check_reader(read, cli._STAGE_RECORDS[field](outcome), value, str(path))
 
 
 @BOUNDED
 @given(value=JSON_VALUES)
-def test_records(workdir, value):
+def test_records(workdir, evaluation, value):
     path = workdir / "evaluations.jsonl"
-    base = records.evaluation_to_record(EVALUATION)
+    base = records.evaluation_to_record(evaluation)
     check_reader(
         lambda record: cli._load_evaluations(write_line(path, record)),
         base, value, str(path),
@@ -185,10 +185,10 @@ QUESTION_ROWS = {
         "_id": "h1", "type": "bridge", "level": "easy",
         "question": "Which city?", "answer": "Paris",
     },
-    QuestionFormat.OBSCUREQA: records.question_to_record(Question(
-        "obscureqa-00001", "What city?", "Paris", Dataset.OBSCUREQA,
-        category="Geography", subcategory="Cities",
-    )),
+    QuestionFormat.OBSCUREQA: {  # as records.question_to_record writes a question
+        "id": "obscureqa-00001", "text": "What city?", "gold_answer": "Paris",
+        "dataset": "obscureqa", "category": "Geography", "subcategory": "Cities",
+    },
     QuestionFormat.GENERIC: {
         "id": "g1", "question": "Which city?", "answer": "Paris",
         "dataset": "custom", "category": "Geography", "subcategory": "Cities",

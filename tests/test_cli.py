@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -9,6 +10,7 @@ import shutil
 import stat
 import tempfile
 import threading
+from contextlib import redirect_stderr
 from fractions import Fraction
 from pathlib import Path
 
@@ -361,6 +363,15 @@ class TestSelectionFlags:
         assert code == EXIT_OK
         assert sorted(read_evaluations(out_dir)) == ["q01", "q02", "q03"]
 
+    def test_a_rerun_without_ground_truth_removes_the_gold_file(self, fixture_paths, tmp_path):
+        out_dir = tmp_path / "run"
+        assert main(evaluate_args(fixture_paths, out_dir)) == EXIT_OK
+        rerun = evaluate_args(fixture_paths, out_dir, "--limit", "6")
+        rerun.remove("--ground-truth")
+        assert main(rerun) == EXIT_OK
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(
+            {*RECORD_FILES, "manifest.json"} - {"gt_verifications.jsonl"})
+
     def test_sample_is_seeded(self, fixture_paths, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         args = ["--sample", "4", "--seed", "9"]
@@ -692,13 +703,21 @@ OPTIONAL = {
 MISTYPED = {str: 5, int: "1", bool: "true", list: {}, dict: [], type(None): 5}
 
 
+def run_fixture(root):
+    """The fixture written under *root* and evaluated into ``root / "run"``;
+    a run that fails raises what it printed."""
+    paths = write_fixture(root / "fixture")
+    with redirect_stderr(io.StringIO()) as err:
+        code = main(evaluate_args(paths, root / "run"))
+    assert code == EXIT_OK, err.getvalue()
+    return paths, root / "run"
+
+
 def first_records():
     """The first record of each swept file, from an evaluate run of the
     fixture like the reference run's, in a directory removed again."""
     with tempfile.TemporaryDirectory() as root:
-        paths = write_fixture(Path(root) / "fixture")
-        assert main(evaluate_args(paths, Path(root) / "run")) == EXIT_OK
-        files = input_files((paths, Path(root) / "run"))
+        files = input_files(run_fixture(Path(root)))
         return {flag: records.read_jsonl(files[flag])[0] for flag in SWEPT}
 
 
@@ -717,8 +736,14 @@ def walk(document, skip, path=()):
 
 def swept_rows():
     """The sweep's rows; each key listed in DERIVED or OPTIONAL must be in
-    its record, so the lists cannot go stale."""
-    for flag, record in first_records().items():
+    its record, so the lists cannot go stale. A fixture run that fails is one
+    failing row, so it does not hide the table's rows in a collection error."""
+    try:
+        first = first_records()
+    except Exception as exc:
+        yield row("sweep-fixture-run", "evaluate", exc)
+        return
+    for flag, record in first.items():
         derived, optional = DERIVED.get(flag, ()), OPTIONAL.get(flag, ())
         keys = {path[-1] for path, _ in walk(record, ())}
         assert {*derived, *optional} <= keys, flag
@@ -824,6 +849,8 @@ CONFIG_ERRORS = [
           ("baseline_needs_records", "baseline", "--records"),
           ("missing_dump", "build-obscureqa", "--dump"),
       ]),
+    *(row(f"no_evaluations-{command}", command, "error: {bad}: no evaluations",
+          ("--records", "")) for command in ("report", "baseline")),
     row("verify_ground_truth_without_gt_out", "verify",
         "error: --ground-truth needs --gt-out", args=("--ground-truth",)),
     row("bad_fractions", "build-obscureqa", "error: split fractions must sum to 1",
@@ -850,6 +877,8 @@ def test_config_error(
 ):
     """Each row stops its command with exit 1 and its one ``error:`` line:
     no traceback, no model call, and no file but the row's bad input."""
+    if isinstance(expected, Exception):
+        raise expected
     calls = []
     for provider in (ScriptedProvider, LiveProvider):
         monkeypatch.setattr(
@@ -947,10 +976,7 @@ def test_usage_errors_exit_config(capsys):
 @pytest.fixture(scope="module")
 def reference_run(tmp_path_factory):
     """The fixture's paths and the stage files of one evaluate run."""
-    root = tmp_path_factory.mktemp("reference")
-    paths = write_fixture(root / "fixture")
-    assert main(evaluate_args(paths, root / "run")) == EXIT_OK
-    return paths, root / "run"
+    return run_fixture(tmp_path_factory.mktemp("reference"))
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,7 @@
 """Decomposition prompt building, completion parsing, prompt packs."""
 
-import pytest
-
 from abcd_eval.decompose import (
-    DecompositionParseError,
     PromptPack,
-    PromptPackError,
     build_decomposition_prompt,
     decompose,
     default_pack_path,
@@ -121,18 +117,6 @@ class TestParseWarnings:
         )
 
 
-class TestParseErrors:
-    def test_missing_step_marker(self):
-        with pytest.raises(DecompositionParseError) as excinfo:
-            parse_decomposition("1. <answer> is a planet.", "q9")
-        assert "no 'Step 3:' marker" in str(excinfo.value)
-        assert "q9" in str(excinfo.value)
-
-    def test_empty_step3_section(self):
-        with pytest.raises(DecompositionParseError, match="contains no claims"):
-            parse_decomposition("Step 3:\n\n", "q")
-
-
 VALID_EXAMPLE = (
     "Question: Who wrote Dracula?\n"
     "Step 1: The answer is a person, an author.\n"
@@ -146,26 +130,6 @@ VALID_EXAMPLE = (
 
 def pack_of(n: int) -> PromptPack:
     return PromptPack(instructions="Decompose.", examples=(VALID_EXAMPLE,) * n)
-
-
-class TestPromptPack:
-    def test_accepts_five_to_seven_examples(self):
-        for n in (5, 6, 7):
-            assert len(pack_of(n).examples) == n
-
-    @pytest.mark.parametrize("n", [0, 4, 8])
-    def test_rejects_wrong_example_count(self, n):
-        with pytest.raises(PromptPackError, match="5 to 7"):
-            pack_of(n)
-
-    def test_rejects_blank_instructions(self):
-        with pytest.raises(PromptPackError, match="instructions"):
-            PromptPack(instructions="  \n", examples=(VALID_EXAMPLE,) * 5)
-
-    def test_rejects_unparseable_example(self):
-        examples = (VALID_EXAMPLE,) * 4 + ("this example has no steps",)
-        with pytest.raises(PromptPackError, match="example 5"):
-            PromptPack(instructions="Decompose.", examples=examples)
 
 
 class TestLoadPromptPack:
@@ -184,12 +148,6 @@ class TestLoadPromptPack:
         pack = load_prompt_pack(tmp_path)
         assert len(pack.examples) == 5
         assert pack.examples[0] == VALID_EXAMPLE
-
-    def test_missing_file_is_reported(self, tmp_path):
-        (tmp_path / "instructions.txt").write_text("Decompose.", encoding="utf-8")
-        with pytest.raises(PromptPackError, match="examples.txt"):
-            load_prompt_pack(tmp_path)
-
 
 class TestBuildPrompt:
     def test_layout(self):

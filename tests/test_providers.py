@@ -41,24 +41,6 @@ FROZEN_REQUEST = CompletionRequest(
 )
 
 
-class TestCompletionRequest:
-    def test_rejects_empty_model(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(model="", prompt="p", max_tokens=5)
-
-    def test_rejects_nonpositive_max_tokens(self):
-        with pytest.raises(ValueError, match="max_tokens"):
-            CompletionRequest(model="m", prompt="p", max_tokens=0)
-
-
-class TestCompletionResponse:
-    def test_empty_text_needs_non_stop_finish(self):
-        with pytest.raises(ValueError):
-            CompletionResponse(text="")
-        response = CompletionResponse(text="", finish_reason=FinishReason.OTHER)
-        assert response.text == ""
-
-
 class TestCacheKey:
     def test_frozen_digest(self):
         assert cache_key(FROZEN_REQUEST) == FROZEN_DIGEST
@@ -117,25 +99,12 @@ class TestScriptedProvider:
             [ScriptRule(match="Paris", response="hit", mode="exact")]
         )
         assert provider.complete(make_request("Paris")).text == "hit"
-        with pytest.raises(ProviderError) as excinfo:
-            provider.complete(make_request("Paris is a city"))
-        assert excinfo.value.kind is ProviderErrorKind.OTHER
-
-    def test_unmatched_prompt_error_includes_preview(self):
-        provider = ScriptedProvider([])
-        with pytest.raises(ProviderError, match="no script rule"):
-            provider.complete(make_request("unexpected\nprompt"))
 
     def test_empty_response_becomes_non_stop_finish(self):
         provider = ScriptedProvider([ScriptRule(match="x", response="")])
         response = provider.complete(make_request("x"))
         assert response.text == ""
         assert response.finish_reason is FinishReason.OTHER
-
-    def test_bad_rule_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            ScriptRule(match="x", response="y", mode="regex")
-
 
 class TestLoadScriptRules:
     def test_loads_rows_and_skips_blanks(self, tmp_path):
@@ -152,13 +121,6 @@ class TestLoadScriptRules:
             ("a", "1", "substring"),
             ("b", "2", "exact"),
         ]
-
-    def test_bad_row_names_line(self, tmp_path):
-        path = tmp_path / "rules.jsonl"
-        path.write_text('{"match": "a"}\n', encoding="utf-8")
-        with pytest.raises(ValueError, match=r":1:"):
-            load_script_rules(path)
-
 
 class TestResponseCache:
     def test_round_trip_and_delete(self, tmp_path):
@@ -344,29 +306,6 @@ class TestReplayProvider:
 # ---------------------------------------------------------------------------
 # LiveProvider: each status and body in ``_reply``, each exchange over a
 # loopback socket
-
-
-class TestLiveProvider:
-    def test_missing_key_fails_at_construction(self, monkeypatch):
-        monkeypatch.delenv(API_KEY_ENV_VAR, raising=False)
-        with pytest.raises(ProviderError) as excinfo:
-            LiveProvider("https://api.example.test/v1")
-        assert excinfo.value.kind is ProviderErrorKind.AUTH
-
-    @pytest.mark.parametrize(
-        "key", ["\u043a\u043b\u044e\u0447", "sk-a\rb", "sk-a\nb"],
-        ids=["not-latin-1", "carriage-return", "line-feed"],
-    )
-    def test_key_http_cannot_carry_fails_at_construction(self, key):
-        with pytest.raises(ProviderError) as excinfo:
-            LiveProvider("https://api.example.test/v1", api_key=key)
-        assert excinfo.value.kind is ProviderErrorKind.AUTH
-        assert key not in str(excinfo.value)
-
-    def test_fewer_than_one_attempt_is_refused(self):
-        with pytest.raises(ValueError, match="max_attempts must be >= 1, got 0"):
-            LiveProvider("https://api.example.test/v1", api_key="sk-test",
-                         max_attempts=0)
 
 
 def malformed(detail: str) -> tuple[str, None]:

@@ -164,48 +164,6 @@ class TestRoundTrips:
         }
 
 
-class TestRecordChecks:
-    def test_evaluation_with_another_questions_claim_set_is_rejected(self):
-        record = evaluation_to_record(build_evaluation("q1", "TF"))
-        record["claim_set"]["question_id"] = "q999"
-        with pytest.raises(ValueError, match="of 'q999' under 'q1'"):
-            evaluation_from_record(record)
-
-    def test_single_claim_evaluation_with_a_gold_score_is_rejected(self):
-        record = evaluation_to_record(build_evaluation("q1", "T"))
-        record["gt_score_true"] = "1/2"
-        with pytest.raises(ValueError, match="given for a single claim"):
-            evaluation_from_record(record)
-
-    @pytest.mark.parametrize("numbers", [[2, 1], [1, 3], [0, 1]])
-    @pytest.mark.parametrize(
-        "to_record, from_record, rows_at, field",
-        [
-            (lambda e: claim_set_to_record(e.claim_set), claim_set_from_record,
-             ("claims",), "index"),
-            (lambda e: verifications_to_record("q1", e.results),
-             verifications_from_record, ("results",), "claim_index"),
-            (evaluation_to_record, evaluation_from_record,
-             ("results",), "claim_index"),
-            (evaluation_to_record, evaluation_from_record,
-             ("claim_set", "claims"), "index"),
-        ],
-        ids=["claim_set", "verifications", "evaluation-results",
-             "evaluation-claims"],
-    )
-    def test_claims_line_and_id_out_of_order_are_rejected(
-        self, to_record, from_record, rows_at, field, numbers
-    ):
-        record = to_record(build_evaluation("q1", "TF"))
-        rows = record
-        for key in rows_at:
-            rows = rows[key]
-        for row, number in zip(rows, numbers):
-            row[field] = number
-        with pytest.raises(ValueError, match=f"^{field} "):
-            from_record(record)
-
-
 class TestLabels:
     def test_append_and_load(self, tmp_path):
         path = tmp_path / "labels.jsonl"
@@ -260,21 +218,6 @@ class TestReadJsonl:
         rows, errors = scan_jsonl(path, _line_and_id, key=itemgetter(1))
         assert rows == [None, None, (3, "a")]
         assert errors == []
-
-    def test_read_jsonl_raises_the_first_error(self, tmp_path):
-        path = self.write(tmp_path, '{"id": "a"}\n{"id": "a"}\nnot json\n')
-        with pytest.raises(ValueError) as excinfo:
-            read_jsonl(path, _line_and_id, key=itemgetter(1))
-        assert str(excinfo.value) == f"{path}:2: duplicate question id 'a'"
-        with pytest.raises(ValueError, match=r":3: bad record: JSONDecodeError: "):
-            read_jsonl(path)
-
-    def test_not_utf8_is_an_error_naming_the_file(self, tmp_path):
-        path = tmp_path / "rows.jsonl"
-        path.write_bytes(b'{"a": "caf\xe9"}\n')
-        with pytest.raises(ValueError, match="not UTF-8"):
-            scan_jsonl(path, _line_and_id)
-
 
 class TestAtomicWrites:
     def test_jsonl_round_trip(self, tmp_path):

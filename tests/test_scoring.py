@@ -3,18 +3,12 @@
 import itertools
 from fractions import Fraction
 
-import pytest
-
 from abcd_eval.model import Verdict
 from abcd_eval.scoring import aggregate, ground_truth_comparison, score_true
 from helpers import build_evaluation, verdicts_from
 
 
 class TestScoreTrue:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            score_true([])
-
     def test_single_claim_has_no_score(self):
         assert score_true([Verdict.TRUE]) is None
         assert score_true([Verdict.NON_RESPONSE]) is None

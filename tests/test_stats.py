@@ -11,7 +11,6 @@ import random
 import pytest
 
 from abcd_eval.stats import (
-    DegenerateInputError,
     regularized_incomplete_beta,
     two_sided_p_value,
     welch_t_test,
@@ -59,16 +58,6 @@ class TestWelchAgainstOracle:
 
 
 class TestWelchEdges:
-    def test_too_small_samples(self):
-        with pytest.raises(DegenerateInputError):
-            welch_t_test([1.0], [1.0, 2.0])
-        with pytest.raises(DegenerateInputError):
-            welch_t_test([1.0, 2.0], [])
-
-    def test_both_zero_variance(self):
-        with pytest.raises(DegenerateInputError):
-            welch_t_test([2.0, 2.0, 2.0], [1.0, 1.0])
-
     def test_one_zero_variance_is_fine(self):
         result = welch_t_test([1.0, 1.0, 1.0], [0.0, 0.5, 1.0])
         assert math.isfinite(result.t_stat)
@@ -110,16 +99,6 @@ class TestIncompleteBeta:
             assert regularized_incomplete_beta(a, b, x) == pytest.approx(
                 ref, abs=1e-12
             )
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(-1.0, 2.0, 0.5)
-        with pytest.raises(ValueError):
-            regularized_incomplete_beta(1.0, 2.0, 1.5)
-        with pytest.raises(ValueError, match="^degrees of freedom must be positive, got 0.0$"):
-            two_sided_p_value(1.0, 0.0)
-        with pytest.raises(ValueError, match="^t statistic is NaN$"):
-            two_sided_p_value(math.nan, 3.0)
 
     def test_p_value_monotone_in_t(self):
         previous = 1.0 + 1e-12

@@ -1,6 +1,5 @@
 """Tests for claim-template instantiation."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from abcd_eval.model import AnswerAssignment, ClaimTemplate
@@ -24,23 +23,10 @@ class TestInstantiate:
         text = instantiate(ClaimTemplate("<answer> is <answer>"), assignment)
         assert text == "Mars is Mars"
 
-    def test_missing_assignment(self):
-        assignment = AnswerAssignment.from_dict({"answer": "Shakespeare"})
-        with pytest.raises(InstantiationError, match="no answer assigned for <play>"):
-            instantiate(ClaimTemplate("<answer> wrote <play>"), assignment)
-
     def test_non_tag_angle_spans_pass_through(self):
         assignment = AnswerAssignment.from_dict({"answer": "5"})
         text = instantiate(ClaimTemplate("<answer> satisfies x < y and y > z"), assignment)
         assert text == "5 satisfies x < y and y > z"
-
-    def test_answers_are_not_rescanned(self):
-        # An answer value cannot smuggle a tag in, because assignments refuse
-        # angle brackets; the grammar-level guarantee is that substitution is
-        # a single pass.
-        with pytest.raises(ValueError, match="angle brackets"):
-            AnswerAssignment.from_dict({"answer": "sneaky <play>"})
-
 
 class TestInstantiateWithOverride:
     def test_overrides_only_answer(self):
@@ -53,16 +39,6 @@ class TestInstantiateWithOverride:
             "Frank Gehry",
         )
         assert text == "Frank Gehry designed a museum in Bilbao"
-
-    def test_override_is_validated(self):
-        assignment = AnswerAssignment.from_dict({"answer": "x"})
-        with pytest.raises(InstantiationError, match="override answer is empty"):
-            instantiate_with_override(ClaimTemplate("<answer> is real"), assignment, "  ")
-        with pytest.raises(InstantiationError):
-            instantiate_with_override(
-                ClaimTemplate("<answer> is real"), assignment, "a <b>"
-            )
-
 
 # ---------------------------------------------------------------------------
 # property: instantiation is reversible when answers are unique markers
@@ -132,9 +108,3 @@ def test_no_silent_tag_survival(text):
         assert not TAG_RE.search(rendered)
         if not claim.tags:
             assert rendered == text
-
-
-def test_bracket_welding_raises_leftover():
-    assignment = AnswerAssignment.from_dict({"answer": "v"})
-    with pytest.raises(InstantiationError, match="survived substitution"):
-        instantiate(ClaimTemplate("<<answer>>"), assignment)
