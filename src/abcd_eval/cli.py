@@ -345,7 +345,7 @@ def _write_reports(
     reports = build_reports(evaluations)
     if out_json is not None:
         records.write_json_atomic(
-            out_json, [records.report_to_record(r) for r in reports]
+            out_json, [records.to_record(r) for r in reports]
         )
     text = render_report_text(reports)
     if out_text is not None:
@@ -382,6 +382,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         outcomes = run_stages(run, outcomes, EVALUATE_STAGES)
     finished_at = datetime.now(timezone.utc).isoformat()
 
+    # The manifest, written last, marks a complete set of one run's files;
+    # a temp file there is a crashed write's.
+    for stale in (out_dir / "manifest.json", *out_dir.glob(".tmp-*.part")):
+        records.remove_file(stale)
     _write_stage_records(out_dir / "claim_sets.jsonl", outcomes, "claim_set")
     _write_stage_records(out_dir / "assignments.jsonl", outcomes, "assignment")
     _write_stage_records(out_dir / "verifications.jsonl", outcomes, "results")
@@ -399,7 +403,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     n_failed = len(outcomes) - n_ok
     manifest = {
-        "config": config.to_record(),
+        "config": records.to_record(config),
         "started_at": started_at,
         "finished_at": finished_at,
         "n_questions": len(outcomes),
@@ -536,7 +540,7 @@ def cmd_build_obscureqa(args: argparse.Namespace) -> int:
     ):
         records.write_jsonl_atomic(
             out_dir / f"obscureqa_{name}.jsonl",
-            (records.question_to_record(q) for q in questions),
+            (records.to_record(q) for q in questions),
         )
     stats = {
         "input_records": len(raw_records),

@@ -358,7 +358,7 @@ def load_questions(path: str | Path, fmt: QuestionFormat) -> LoadReport:
     ``ValueError`` naming it. The hotpotqa format keeps bridge-type records
     at the easy and medium levels and counts everything else as skipped.
     The obscureqa format reads the question records :func:`build_obscureqa`'s
-    splits are written as (``records.question_to_record``).
+    splits are written as (``records.to_record``).
     """
     rows, line_errors = scan_jsonl(path, _PARSERS[fmt], key=attrgetter("id"))
     questions = [question for question in rows if question is not None]

@@ -78,7 +78,8 @@ class MissingInputError(Exception):
 
 @dataclass
 class RunConfig:
-    """Every setting of a run; the values are checked when it is built."""
+    """Every setting of a run; the values are checked when it is built. The
+    manifest's ``config`` is :func:`~abcd_eval.records.to_record` of it."""
 
     provider_mode: str = "scripted"
     script_path: Optional[Path] = None
@@ -119,32 +120,6 @@ class RunConfig:
             match_mode=self.match_mode,
             restatement_override=self.restatement_override,
         )
-
-    def to_record(self) -> dict:
-        return {
-            "provider_mode": self.provider_mode,
-            "script": str(self.script_path) if self.script_path else None,
-            "cache_dir": str(self.cache_dir) if self.cache_dir else None,
-            "base_url": self.base_url,
-            "models": {
-                "decompose": self.decompose_model,
-                "answer": self.answer_model,
-                "verify": self.verify_model,
-            },
-            "match_mode": self.match_mode.value,
-            "restatement_override": self.restatement_override,
-            "max_tokens": {
-                "decompose": self.decompose_max_tokens,
-                "answer": self.answer_max_tokens,
-                "verify": self.verify_max_tokens,
-            },
-            "ground_truth": self.ground_truth,
-            "lenient": self.lenient,
-            "concurrency": self.concurrency,
-            "limit": self.limit,
-            "sample": self.sample,
-            "seed": self.seed,
-        }
 
 
 def build_upstream(config: RunConfig) -> Upstream:

@@ -17,14 +17,14 @@ import contextlib
 import json
 import os
 import re
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
 
 from .model import (
     OPTIONAL_STR,
-    AggregateReport,
     AnswerAssignment,
     ClaimSet,
     ClaimTemplate,
@@ -63,15 +63,21 @@ def fraction_from_str(value: Optional[str]) -> Optional[Fraction]:
 # per-type record conversion
 
 
-def question_to_record(question: Question) -> dict:
-    return {
-        "id": question.id,
-        "text": question.text,
-        "gold_answer": question.gold_answer,
-        "dataset": question.dataset.value,
-        "category": question.category,
-        "subcategory": question.subcategory,
-    }
+def to_record(value) -> dict:
+    """A dataclass's fields by name, in declaration order: a nested
+    dataclass as its own record, an enum as its value, a path or a rational
+    as a string, anything else as it is. This is the record of a question,
+    of an aggregate report and of a run's settings (the manifest's
+    ``config``)."""
+    return {field.name: _field_value(getattr(value, field.name)) for field in fields(value)}
+
+
+def _field_value(value):
+    if is_dataclass(value):
+        return to_record(value)
+    if isinstance(value, Enum):
+        return value.value
+    return str(value) if isinstance(value, (Path, Fraction)) else value
 
 
 def question_from_record(record: dict) -> Question:
@@ -168,7 +174,7 @@ def verifications_from_record(record: dict) -> tuple[str, list[VerificationResul
 
 def evaluation_to_record(evaluation: QuestionEvaluation) -> dict:
     return {
-        "question": question_to_record(evaluation.question),
+        "question": to_record(evaluation.question),
         "claim_set": claim_set_to_record(evaluation.claim_set),
         "assignment": evaluation.assignment.as_dict(),
         "results": _results_to_record(evaluation.results),
@@ -211,14 +217,6 @@ def baseline_to_record(evaluation: QuestionEvaluation, baseline) -> dict:
         "verdict": baseline.verdict.value,
         "raw_response": baseline.raw_response,
         "score_true": fraction_to_str(evaluation.score_true),
-    }
-
-
-def report_to_record(report: AggregateReport) -> dict:
-    """*report*'s fields in declaration order, rationals as strings."""
-    return {
-        name: fraction_to_str(value) if isinstance(value, Fraction) else value
-        for name, value in asdict(report).items()
     }
 
 

@@ -73,9 +73,9 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Compute I_x(a, b) for a, b > 0 and 0 <= x <= 1."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"beta parameters must be positive, got a={a}, b={b}")
+    """Compute I_x(a, b) for finite a, b > 0 and 0 <= x <= 1."""
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError(f"beta parameters must be positive and finite, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x}")
     if x == 0.0:
@@ -98,8 +98,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def two_sided_p_value(t_stat: float, degrees_freedom: float) -> float:
     """P(|T| >= |t|) for T distributed as Student's t."""
-    if degrees_freedom <= 0:
-        raise ValueError(f"degrees of freedom must be positive, got {degrees_freedom}")
+    if not 0 < degrees_freedom < math.inf:
+        raise ValueError(
+            f"degrees of freedom must be positive and finite, got {degrees_freedom}")
     if math.isnan(t_stat):
         raise ValueError("t statistic is NaN")
     x = degrees_freedom / (degrees_freedom + t_stat * t_stat)

@@ -20,6 +20,7 @@ from abcd_eval import records
 from abcd_eval.cli import (
     COMMANDS,
     EXIT_CONFIG,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_PARTIAL,
     EXIT_TOTAL,
@@ -164,7 +165,7 @@ class TestEvaluateEndToEnd:
         assert 0.0 < report["p_value"] < 0.01
 
     def test_manifest(self, reference_run):
-        _, out_dir = reference_run
+        paths, out_dir = reference_run
         manifest = json.loads((out_dir / "manifest.json").read_text("utf-8"))
         assert manifest["n_questions"] == 12
         assert manifest["n_ok"] == 12
@@ -173,8 +174,12 @@ class TestEvaluateEndToEnd:
             entry == {"status": "ok"} for entry in manifest["questions"].values()
         )
         assert manifest["provider_calls"] == EXPECTED_CALLS
-        assert manifest["config"]["provider_mode"] == "scripted"
-        assert manifest["config"]["ground_truth"] is True
+        config = manifest["config"]
+        assert list(config) == [field.name for field in dataclasses.fields(RunConfig)]
+        assert config["provider_mode"] == "scripted"
+        assert config["script_path"] == str(paths["rules"])
+        assert config["match_mode"] == "substring"
+        assert config["ground_truth"] is True
         assert manifest["started_at"] <= manifest["finished_at"]
 
     def test_record_files_are_timestamp_free(self, reference_run):
@@ -371,6 +376,55 @@ class TestSelectionFlags:
         assert main(rerun) == EXIT_OK
         assert sorted(path.name for path in out_dir.iterdir()) == sorted(
             {*RECORD_FILES, "manifest.json"} - {"gt_verifications.jsonl"})
+
+    # A manifest marks a complete set of one run's files: a rerun that stops
+    # in its write phase leaves two runs' files and no manifest.
+    def test_a_rerun_stopped_after_two_record_files_leaves_no_manifest(
+        self, fixture_paths, tmp_path, monkeypatch
+    ):
+        out_dir = tmp_path / "run"
+        assert main(evaluate_args(fixture_paths, out_dir)) == EXIT_OK
+        write, written = records.atomic_write, []
+
+        def stopped_after_two(path, data):
+            if len(written) == 2:
+                raise KeyboardInterrupt
+            write(path, data)
+            written.append(Path(path).name)
+
+        monkeypatch.setattr(records, "atomic_write", stopped_after_two)
+        with redirect_stderr(io.StringIO()):
+            assert main(evaluate_args(fixture_paths, out_dir, "--limit", "6")) == \
+                EXIT_INTERRUPTED
+        assert written == ["claim_sets.jsonl", "assignments.jsonl"]
+        assert len(records.read_jsonl(out_dir / "claim_sets.jsonl")) == 6
+        assert len(read_evaluations(out_dir)) == 12
+        assert not (out_dir / "manifest.json").exists()
+
+    def test_a_rerun_failing_to_write_leaves_no_manifest(self, fixture_paths, tmp_path):
+        out_dir = tmp_path / "run"
+        assert main(evaluate_args(fixture_paths, out_dir)) == EXIT_OK
+        (out_dir / "evaluations.jsonl").unlink()
+        (out_dir / "evaluations.jsonl").mkdir()
+        with redirect_stderr(io.StringIO()) as err:
+            assert main(evaluate_args(fixture_paths, out_dir, "--limit", "6")) == EXIT_CONFIG
+        assert err.getvalue().startswith("error: [Errno 21] Is a directory: ")
+        assert len(records.read_jsonl(out_dir / "verifications.jsonl")) == 6
+        assert json.loads((out_dir / "report.json").read_text("utf-8"))[0]["n_total"] == 12
+        assert not (out_dir / "manifest.json").exists()
+
+    def test_a_run_removes_temp_files_in_its_out_dir_but_not_the_cache(
+        self, fixture_paths, tmp_path
+    ):
+        out_dir, cache_dir = tmp_path / "run", tmp_path / "cache"
+        part = ".tmp-" + "0" * 24 + ".part"
+        for directory in (out_dir, cache_dir):
+            directory.mkdir()
+            (directory / part).write_bytes(b'{"request"')
+        assert main(evaluate_args(fixture_paths, out_dir, "--cache-dir", str(cache_dir))) \
+            == EXIT_OK
+        assert not (out_dir / part).exists()
+        assert (cache_dir / part).exists()
 
     def test_sample_is_seeded(self, fixture_paths, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -1065,7 +1119,7 @@ def test_reports_without_gold_answers_render_every_cell_kind():
         "empty                1     0     0      1        -        -        -"
         "         -        -          -       -       -\n"
     )
-    assert [records.report_to_record(report) for report in reports] == [
+    assert [records.to_record(report) for report in reports] == [
         {"dataset": "a_dataset_name_longer_than_16", "n_total": 3, "n_correct": 2,
          "n_incorrect": 1, "n_unlabeled": 0, "mean_correct": "2/3",
          "mean_incorrect": "1", "diff": "-1/3", "t_stat": 123456.7,

@@ -115,6 +115,9 @@ class TestParseWarnings:
         assert parsed.warnings == (
             "claim 2 has no <answer> tag: 'The sky is blue.'",
         )
+        # A long claim is quoted by its first 80 characters.
+        parsed = parse_decomposition(f"Step 3:\n1. {'x' * 80}yz", "q")
+        assert parsed.warnings == (f"claim 1 has no <answer> tag: '{'x' * 80}'",)
 
 
 VALID_EXAMPLE = (

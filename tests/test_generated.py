@@ -5,7 +5,9 @@ built from ``endpoint.build_table``, must score the generator's exact
 ``Fraction``s and write the same record bytes at ``--concurrency`` 1 and 4,
 with ``--cache-dir``, in a replay of that cache and as the stage commands.
 On the failure paths, :class:`Oracle` works out each run's outcome from the
-seeded fault plan that a ``LoopbackServer``'s ``Script`` serves.
+seeded fault plan that a ``LoopbackServer``'s ``Script`` serves. At the
+crash points, a run killed at any of its writes must leave a state that a
+rerun completes.
 """
 
 import errno
@@ -15,6 +17,9 @@ import logging
 import os
 import random
 import re
+import shutil
+import subprocess
+import sys
 import tempfile
 import time
 from collections import Counter
@@ -33,7 +38,8 @@ import endpoint
 import workload
 from abcd_eval.cli import EXIT_OK, EXIT_PARTIAL, EXIT_TOTAL, main
 from abcd_eval.pipeline import EVALUATE_STAGES, PROVIDER_STAGES
-from abcd_eval.providers import API_KEY_ENV_VAR, DEFAULT_MAX_ATTEMPTS, load_script_rules
+from abcd_eval.providers import (API_KEY_ENV_VAR, DEFAULT_MAX_ATTEMPTS, ResponseCache,
+                                 load_script_rules)
 from abcd_eval.verify import VERIFY_PROMPT_PREFIX
 from helpers import RECORD_FILES
 from loopback import (BAD_REQUEST, BAD_REQUEST_BODY, LENGTH, PROXY_ENV_VARS, RETRYABLE_FAULTS,
@@ -376,3 +382,111 @@ def test_every_fault_ends_in_the_outcome_the_plan_implies(tmp_path_factory, conc
     assert ({*DAMAGE, ("replay_miss", "verify")} if caching else {
         *itertools.product(FAULT_KINDS, SENDING_STAGES), *[("sent again", "verify_gt")] * lenient
     }) <= seen
+
+
+# --------------------------------------------------------------------------
+# the crash points
+
+# Runs two ``evaluate`` argument lists under an audit hook that counts the
+# write-side file operations under each run's root: an ``open`` for writing,
+# an ``os.rename`` (which ``os.replace`` raises) and an ``os.mkdir``. It
+# prints the first run's count, reads K from stdin, and ends the second run
+# at its K-th operation with ``os._exit(9)``, as a crash would.
+CRASH_CHILD = """
+import io, json, os, sys
+from contextlib import redirect_stdout
+from abcd_eval.cli import main
+WRITING = os.O_WRONLY | os.O_RDWR | os.O_CREAT
+runs = json.loads(sys.argv[1])
+seen = {"root": runs[0]["root"], "count": 0, "crash_at": 0}
+
+def hook(event, args):
+    if event in ("os.rename", "os.mkdir") or event == "open" and isinstance(
+            args[2], int) and args[2] & WRITING:
+        if str(args[0]).startswith(seen["root"]):
+            seen["count"] += 1
+            if seen["count"] == seen["crash_at"]:
+                os._exit(9)
+
+sys.addaudithook(hook)
+with redirect_stdout(io.StringIO()):
+    assert main(runs[0]["argv"]) == 0
+print(seen["count"], flush=True)
+seen.update(root=runs[1]["root"], count=0, crash_at=int(sys.stdin.readline()))
+with redirect_stdout(io.StringIO()):
+    main(runs[1]["argv"])
+"""
+
+
+def record_set(out_dir: Path) -> dict:
+    """The record files in *out_dir*, by name."""
+    return {name: (out_dir / name).read_bytes() for name in RECORD_FILES
+            if (out_dir / name).exists()}
+
+
+def crash_and_rerun(root: Path, seed: int, n: int, cache: bool, earlier, crash_at) -> int:
+    """Run ``evaluate --ground-truth`` on the first *n* of five generated
+    questions in a child: clean under ``root / "clean"``, then under
+    ``root / "crashed"`` until the write operation K that ``crash_at`` picks
+    from the clean run's count. Each starts over the ``--out-dir`` of an
+    *earlier* run of that many questions, if given. Check what the crash
+    left and a rerun over it; return K."""
+    questions = workload.generate(seed, 5)
+    paths = workload.write_inputs(questions, root / "inputs")
+    rules = write_rules(seed, questions, root / "rules.jsonl")
+
+    def argv(run_root: Path, limit: int, cached: bool) -> list[str]:
+        return [str(arg) for arg in (
+            "evaluate", "--questions", paths["questions"], "--labels", paths["labels"],
+            "--ground-truth", "--script", rules, "--limit", limit,
+            "--out-dir", run_root / "out", *("--cache-dir", run_root / "cache") * cached)]
+
+    references = []
+    if earlier:
+        run(*argv(root / "earlier", earlier, False))
+        references.append(record_set(root / "earlier" / "out"))
+        for name in ("clean", "crashed"):
+            shutil.copytree(root / "earlier" / "out", root / name / "out")
+    runs = [{"root": str(root / name), "argv": argv(root / name, n, cache)}
+            for name in ("clean", "crashed")]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    with subprocess.Popen([sys.executable, "-S", "-B", "-c", CRASH_CHILD, json.dumps(runs)],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=env) as child:
+        count = child.stdout.readline()
+        assert count, child.communicate(timeout=60)[1]
+        k = crash_at(int(count))
+        _, err = child.communicate(f"{k}\n", timeout=60)
+    assert child.returncode == 9, err
+    references.append(record_set(root / "clean" / "out"))
+
+    crashed = root / "crashed"
+    if cache and (crashed / "cache").exists():
+        entries = ResponseCache(crashed / "cache")
+        for path in (crashed / "cache").glob("*.json"):
+            assert entries.get(path.stem) is not None, path
+    if (crashed / "out" / "manifest.json").exists():
+        assert record_set(crashed / "out") in references
+    run(*runs[1]["argv"])
+    assert not list((crashed / "out").glob(".tmp-*.part"))
+    assert record_set(crashed / "out") == references[-1]
+    return k
+
+
+@pytest.mark.parametrize("earlier", (False, True), ids=("fresh", "over-an-earlier-run"))
+@pytest.mark.parametrize("cache", (False, True), ids=("no-cache", "cache"))
+def test_every_crash_point_leaves_a_set_a_rerun_completes(cache, earlier):
+    """A crash at any write of a run, with or without a cache and an earlier
+    run of another size in its --out-dir, leaves cache entries that read and
+    a directory whose manifest marks one run's whole set; a rerun over what
+    it left removes its temp files and writes the clean run's records."""
+    @settings(max_examples=5, phases=set(Phase) - {Phase.explain})
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), data=st.data())
+    def check(seed, n, data):
+        size = data.draw(st.sampled_from([m for m in range(1, 6) if m != n]),
+                         label="earlier") if earlier else None
+        with tempfile.TemporaryDirectory() as tmp:
+            crash_and_rerun(Path(tmp), seed, n, cache, size,
+                            lambda count: data.draw(st.integers(1, count), label="K"))
+
+    check()

@@ -7,7 +7,7 @@ import socket
 import sys
 import threading
 import time
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -415,7 +415,7 @@ class Exchange(NamedTuple):
     sleeps: list[float]
     connections: list[int]  # the connection that each request arrived on
     close_after_each: bool = False
-    max_attempts: int = 5
+    max_attempts: Optional[int] = None  # None: LiveProvider's default
     default_sleep: bool = False  # waits go to time.sleep, not to sleep_fn
 
 
@@ -471,6 +471,8 @@ EXCHANGES = {
         ("other: HTTP 307",), [], [1]),
     "exhausted-attempts-raise-the-last-error": Exchange(
         [STATUS_503] * 3, ("network: HTTP 503",), backoff(2), [1, 1, 1], max_attempts=3),
+    "five-attempts-by-default": Exchange(
+        [STATUS_503] * 5, ("network: HTTP 503",), backoff(4), [1] * 5),
     "waits-go-to-the-time-sleep-of-construction": Exchange(
         [STATUS_503, http_response()], ("ok",), backoff(1), [1, 1], default_sleep=True),
 }
@@ -499,9 +501,9 @@ def test_exchange(loopback, monkeypatch, caplog, name):
     monkeypatch.setattr(socket, "create_connection", connect)
     slept, sleeps = [], []
     monkeypatch.setattr(time, "sleep", slept.append)
+    attempts = {} if row.max_attempts is None else {"max_attempts": row.max_attempts}
     provider = LiveProvider(f"http://127.0.0.1:{server.port}/v1/", rng=random.Random(0),
-                            max_attempts=row.max_attempts,
-                            sleep_fn=None if row.default_sleep else sleeps.append)
+                            sleep_fn=None if row.default_sleep else sleeps.append, **attempts)
     LIVE_PROVIDERS.append(provider)
     caplog.set_level(logging.INFO, logger="abcd_eval.providers")
 
@@ -552,6 +554,7 @@ class TestStdlibTransport:
         with pytest.raises(ProviderError) as excinfo:
             provider.complete(make_request("p"))
         assert excinfo.value.kind is ProviderErrorKind.NETWORK
+        assert str(excinfo.value) == "network: proxy refused the tunnel: HTTP 403"
         [line] = server.request_lines
         assert line.startswith("CONNECT 127.0.0.2:9 HTTP/1.")
 

@@ -24,10 +24,9 @@ from abcd_eval.records import (
     fraction_to_str,
     label_from_record,
     question_from_record,
-    question_to_record,
     read_jsonl,
-    report_to_record,
     scan_jsonl,
+    to_record,
     verifications_from_record,
     verifications_to_record,
     write_json_atomic,
@@ -62,7 +61,9 @@ class TestFractionStrings:
 class TestRoundTrips:
     def test_question(self):
         evaluation = build_evaluation("q1", "TTF", correct=True)
-        record = question_to_record(evaluation.question)
+        record = to_record(evaluation.question)
+        assert list(record) == ["id", "text", "gold_answer", "dataset", "category",
+                                "subcategory"]
         assert question_from_record(record) == evaluation.question
         assert json.loads(json.dumps(record)) == record
 
@@ -130,7 +131,7 @@ class TestRoundTrips:
             p_incorrect=Fraction(2, 5),
             gt_comparison=GroundTruthComparison(1, 2, 1),
         )
-        record = report_to_record(report)
+        record = to_record(report)
         assert record == {
             "dataset": "custom",
             "n_total": 12,
@@ -156,7 +157,7 @@ class TestRoundTrips:
             diff=None, t_stat=None, degrees_freedom=None, p_value=None,
             p_correct=Fraction(1), p_incorrect=None, gt_comparison=None,
         )
-        assert report_to_record(report) == {
+        assert to_record(report) == {
             "dataset": "custom", "n_total": 1, "n_correct": 1, "n_incorrect": 0,
             "n_unlabeled": 0, "mean_correct": "1", "mean_incorrect": None,
             "diff": None, "t_stat": None, "degrees_freedom": None, "p_value": None,

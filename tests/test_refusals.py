@@ -78,6 +78,8 @@ EXAMPLE = "Step 3:\n1. <answer> was an author.\n2. <answer> wrote <novel>."  # i
 URL = "https://api.example.test/v1"
 NOT_JSON = "bad record: JSONDecodeError: Expecting value: line 1 column 1 (char 0)"
 BRACKETS = [("both", "a <b>"), ("only-open", "a < b"), ("only-close", "b > a")]
+NAN, INF = float("nan"), float("inf")
+BETA = "beta parameters must be positive and finite"
 
 
 def written(content, name="in.jsonl"):
@@ -235,13 +237,19 @@ REFUSALS = {
     **{f"stats-domain_errors-{case}": (
         lambda args=args: regularized_incomplete_beta(*args), (ValueError, message))
        for case, args, message in [
-           ("a-negative", (-1.0, 2.0, 0.5), "beta parameters must be positive, got a=-1.0, b=2.0"),
-           ("a-0", (0.0, 2.0, 0.5), "beta parameters must be positive, got a=0.0, b=2.0"),
-           ("b-0", (2.0, 0.0, 0.5), "beta parameters must be positive, got a=2.0, b=0.0"),
+           ("a-negative", (-1.0, 2.0, 0.5), f"{BETA}, got a=-1.0, b=2.0"),
+           ("a-0", (0.0, 2.0, 0.5), f"{BETA}, got a=0.0, b=2.0"),
+           ("b-0", (2.0, 0.0, 0.5), f"{BETA}, got a=2.0, b=0.0"),
+           ("a-nan", (NAN, 2.0, 0.5), f"{BETA}, got a=nan, b=2.0"),
+           ("b-nan", (2.0, NAN, 0.5), f"{BETA}, got a=2.0, b=nan"),
+           ("a-inf", (INF, 2.0, 0.5), f"{BETA}, got a=inf, b=2.0"),
+           ("b-inf", (2.0, INF, 0.5), f"{BETA}, got a=2.0, b=inf"),
            ("x-above-1", (1.0, 2.0, 1.5), "x must lie in [0, 1], got 1.5"),
        ]},
-    "stats-domain_errors-df-0": (lambda: two_sided_p_value(1.0, 0.0),
-                                 (ValueError, "degrees of freedom must be positive, got 0.0")),
+    **{f"stats-domain_errors-df-{case}": (
+        lambda df=df: two_sided_p_value(1.0, df),
+        (ValueError, f"degrees of freedom must be positive and finite, got {df}"))
+       for case, df in [("0", 0.0), ("nan", NAN), ("inf", INF)]},
     "stats-domain_errors-t-nan": (lambda: two_sided_p_value(float("nan"), 3.0),
                                   (ValueError, "t statistic is NaN")),
     "decompose-missing_step_marker": (
@@ -364,6 +372,7 @@ REFUSALS = {
         (ProviderError, "auth: the API key must be Latin-1 text without line breaks")
         if case != "latin-1" else ACCEPTED)
        for case, key in [("not-latin-1", "ключ"), ("latin-1", "sk-\xff"),
+                         ("chr-256", "sk-\u0100"),
                          ("carriage-return", "sk-a\rb"), ("line-feed", "sk-a\nb")]},
     "providers-fewer_than_one_attempt_is_refused": (
         lambda: LiveProvider(URL, api_key="sk-test", max_attempts=0),
