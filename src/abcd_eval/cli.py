@@ -1,13 +1,17 @@
 """Command-line interface for the evaluation pipeline.
 
 Subcommands mirror the stages of :mod:`abcd_eval.pipeline`. ``evaluate``
-runs every stage for a question file; ``decompose``, ``answer``, ``verify``
-and ``score`` share one handler that runs the command's stages on outcomes
-filled from the previous stages' output files, so a question fails, and is
-logged, the same way in both; ``report`` renders stored evaluations;
-``annotate`` collects manual correctness labels; ``baseline`` asks the
-whole-question control question; ``build-obscureqa`` constructs the
-obscure-question dataset from a raw quizbowl dump.
+runs every stage for a question file; ``decompose``, ``answer``, ``verify``,
+``score`` and ``baseline`` (the whole-question control question, asked of
+stored evaluations) share one handler that runs the command's stages on
+outcomes filled from the previous stages' output files, so a question
+fails, and is logged, the same way in both; ``report`` renders stored
+evaluations; ``annotate`` collects manual correctness labels;
+``build-obscureqa`` constructs the obscure-question dataset from a raw
+quizbowl dump.
+
+Each stage record file, the option that reads it and its record's
+converters are declared once, in :data:`_STAGE_FILES`.
 
 An input error travels unchanged to :func:`main`, the one place that
 reports it: a bad option value or a file that does not decode or parse
@@ -240,46 +244,59 @@ def _load_questions_for_cli(args: argparse.Namespace, config: RunConfig) -> list
     return questions
 
 
-def _load_records(
-    path: Path,
-    from_record: Callable[[dict], object],
-    question_id: Optional[Callable[[object], str]] = None,
-) -> list:
-    """Read a JSONL file through a ``records.*_from_record`` function.
-
-    Text that is not UTF-8, a line that is not a JSON object or does not
-    convert, and a repeated *question_id* of the converted records, when
-    that is given, is a ``ValueError`` naming the file and line.
-    """
-    return records.read_jsonl(path, lambda row, _: from_record(row), question_id)
-
-
 def _load_labels_for_cli(path: Optional[Path]) -> dict:
     """Later lines for a question win, so ``annotate`` corrects by appending."""
     if path is None:
         return {}
-    return dict(_load_records(path, records.label_from_record))
+    return dict(records.read_jsonl(path, lambda row, _: records.label_from_record(row)))
 
 
-def _load_evaluations(path: Path) -> list[QuestionEvaluation]:
-    evaluations = _load_records(
-        path, records.evaluation_from_record, attrgetter("question.id")
-    )
-    if not evaluations:
-        raise ValueError(f"{path}: no evaluations")
-    return evaluations
+def _read_evaluation(record: dict) -> tuple[str, QuestionEvaluation]:
+    evaluation = records.evaluation_from_record(record)
+    return evaluation.question.id, evaluation
 
 
-# Stage input option (its dest) -> (the outcome field it fills, the reader
-# of one record into (question id, value)), in the order they are read.
-_STAGE_INPUTS = {
-    "claims": (
-        "claim_set", lambda r: (r["question_id"], records.claim_set_from_record(r))
-    ),
-    "assignments": ("assignment", records.assignment_from_record),
-    "verifications": ("results", records.verifications_from_record),
-    "gt_verifications": ("gt_results", records.verifications_from_record),
+# Outcome field -> (its file in evaluate's --out-dir, the option (its dest)
+# that reads that file, the record of an outcome's result, the reader of one
+# record into (question id, result)), in the order evaluate writes them.
+# baseline's record goes only to its command's --out.
+_STAGE_FILES = {
+    "claim_set": ("claim_sets.jsonl", "claims",
+                  lambda o: records.claim_set_to_record(o.claim_set),
+                  lambda r: (r["question_id"], records.claim_set_from_record(r))),
+    "assignment": ("assignments.jsonl", "assignments",
+                   lambda o: records.assignment_to_record(o.question.id, o.assignment),
+                   records.assignment_from_record),
+    "results": ("verifications.jsonl", "verifications",
+                lambda o: records.verifications_to_record(o.question.id, o.results),
+                records.verifications_from_record),
+    "gt_results": ("gt_verifications.jsonl", "gt_verifications",
+                   lambda o: records.verifications_to_record(o.question.id, o.gt_results),
+                   records.verifications_from_record),
+    "evaluation": ("evaluations.jsonl", "records",
+                   lambda o: records.evaluation_to_record(o.evaluation),
+                   _read_evaluation),
+    "baseline": (None, None,
+                 lambda o: records.baseline_to_record(o.evaluation, o.baseline), None),
 }
+
+
+def _read_stage_file(path: Path, field: str) -> dict:
+    """Question id -> result of each record in a file of *field* records.
+
+    Text that is not UTF-8, a line that is not a JSON object or does not
+    convert, and a repeated question id is a ``ValueError`` naming the file
+    and line.
+    """
+    read = _STAGE_FILES[field][3]
+    return dict(records.read_jsonl(path, lambda row, _: read(row), itemgetter(0)))
+
+
+def _evaluations(by_id: dict, path: Path) -> list[QuestionEvaluation]:
+    """The evaluations read from the ``--records`` file *path*, one at least."""
+    if not by_id:
+        raise ValueError(f"{path}: no evaluations")
+    return list(by_id.values())
 
 
 def _prepare(
@@ -294,12 +311,14 @@ def _prepare(
     """
     options = vars(args)
     config = config_from_args(args)
-    questions = _load_questions_for_cli(args, config)
+    questions = _load_questions_for_cli(args, config) if "questions" in options else None
     inputs = {
-        field: dict(_load_records(options[option], reader, itemgetter(0)))
-        for option, (field, reader) in _STAGE_INPUTS.items()
+        field: _read_stage_file(options[option], field)
+        for field, (_, option, _, _) in _STAGE_FILES.items()
         if options.get(option) is not None
     }
+    if questions is None:  # baseline's: those its --records evaluates
+        questions = [e.question for e in _evaluations(inputs["evaluation"], args.records)]
     labels = _load_labels_for_cli(options.get("labels"))
     pack = None
     if "decompose" in stages:
@@ -312,29 +331,12 @@ def _prepare(
     ]
 
 
-# The record written for each stage result, by outcome field.
-_STAGE_RECORDS = {
-    "claim_set": lambda o: records.claim_set_to_record(o.claim_set),
-    "assignment": lambda o: records.assignment_to_record(o.question.id, o.assignment),
-    "results": lambda o: records.verifications_to_record(o.question.id, o.results),
-    "gt_results": lambda o: records.verifications_to_record(
-        o.question.id, o.gt_results
-    ),
-    "evaluation": lambda o: records.evaluation_to_record(o.evaluation),
-    "baseline": lambda o: records.baseline_to_record(o.evaluation, o.baseline),
-}
-
-
 def _write_stage_records(path: Path, outcomes, field: str) -> int:
     """Write the *field* record of every successful outcome; return how many."""
     ok = [outcome for outcome in outcomes if outcome.ok]
-    records.write_jsonl_atomic(path, (_STAGE_RECORDS[field](o) for o in ok))
+    to_record = _STAGE_FILES[field][2]
+    records.write_jsonl_atomic(path, (to_record(o) for o in ok))
     return len(ok)
-
-
-def _stage_summary(verb: str, n_ok: int, outcomes: list, out: Path) -> int:
-    print(f"{verb} {n_ok}/{len(outcomes)} questions -> {out}")
-    return _exit_code(n_ok, len(outcomes) - n_ok)
 
 
 def _write_reports(
@@ -386,14 +388,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # a temp file there is a crashed write's.
     for stale in (out_dir / "manifest.json", *out_dir.glob(".tmp-*.part")):
         records.remove_file(stale)
-    _write_stage_records(out_dir / "claim_sets.jsonl", outcomes, "claim_set")
-    _write_stage_records(out_dir / "assignments.jsonl", outcomes, "assignment")
-    _write_stage_records(out_dir / "verifications.jsonl", outcomes, "results")
-    if config.ground_truth:
-        _write_stage_records(out_dir / "gt_verifications.jsonl", outcomes, "gt_results")
-    else:  # so no earlier run's gold results sit beside this run's files
-        records.remove_file(out_dir / "gt_verifications.jsonl")
-    n_ok = _write_stage_records(out_dir / "evaluations.jsonl", outcomes, "evaluation")
+    for field, (name, _, _, _) in _STAGE_FILES.items():
+        if field == "gt_results" and not config.ground_truth:
+            # so no earlier run's gold results sit beside this run's files
+            records.remove_file(out_dir / name)
+        elif name is not None:
+            n_ok = _write_stage_records(out_dir / name, outcomes, field)
 
     report_text = _write_reports(
         [outcome.evaluation for outcome in outcomes if outcome.ok],
@@ -430,6 +430,7 @@ _STAGE_COMMANDS = {
     "answer": (("answer",), "assignment", "answered"),
     "verify": (("verify", "verify_gt"), "results", "verified"),
     "score": (("score",), "evaluation", "scored"),
+    "baseline": (("baseline",), "baseline", "baseline checked"),
 }
 
 
@@ -444,11 +445,13 @@ def cmd_stage(args: argparse.Namespace) -> int:
     n_ok = _write_stage_records(args.out, outcomes, field)
     if run.config.ground_truth:
         _write_stage_records(args.gt_out, outcomes, "gt_results")
-    return _stage_summary(verb, n_ok, outcomes, args.out)
+    print(f"{verb} {n_ok}/{len(outcomes)} questions -> {args.out}")
+    return _exit_code(n_ok, len(outcomes) - n_ok)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    text = _write_reports(_load_evaluations(args.records), args.out_json, args.out_text)
+    evaluations = _evaluations(_read_stage_file(args.records, "evaluation"), args.records)
+    text = _write_reports(evaluations, args.out_json, args.out_text)
     print(text, end="")
     return EXIT_OK
 
@@ -458,9 +461,7 @@ def cmd_annotate(
     input_fn: Callable[[str], str] = input,
     print_fn: Callable[[str], None] = print,
 ) -> int:
-    evaluations = _load_records(
-        args.records, records.evaluation_from_record, attrgetter("question.id")
-    )
+    evaluations = list(_read_stage_file(args.records, "evaluation").values())
     labels_path = Path(args.labels)
     existing = _load_labels_for_cli(labels_path) if labels_path.is_file() else {}
 
@@ -504,19 +505,6 @@ def cmd_annotate(
     final = _load_labels_for_cli(labels_path) if labels_path.is_file() else {}
     print_fn(f"\n{len(final)} labels now in {labels_path}")
     return EXIT_OK
-
-
-def cmd_baseline(args: argparse.Namespace) -> int:
-    config = config_from_args(args)
-    evaluations = _load_evaluations(args.records)
-    with closing(Run(config, build_upstream(config))) as run:
-        outcomes = run_stages(
-            run,
-            [QuestionOutcome(e.question, evaluation=e) for e in evaluations],
-            ("baseline",),
-        )
-    n_ok = _write_stage_records(args.out, outcomes, "baseline")
-    return _stage_summary("baseline checked", n_ok, outcomes, args.out)
 
 
 def cmd_build_obscureqa(args: argparse.Namespace) -> int:
@@ -602,7 +590,7 @@ COMMANDS = {
     "annotate": (cmd_annotate, "interactively label evaluations correct/incorrect", (
         "--records",
     )),
-    "baseline": (cmd_baseline, "whole-question correctness check for comparison", (
+    "baseline": (cmd_stage, "whole-question correctness check for comparison", (
         "--records", "--out", "--verify-max-tokens", *_PROVIDER,
     )),
     "build-obscureqa": (cmd_build_obscureqa, "construct the obscure-question dataset", (

@@ -22,7 +22,6 @@ The expected aggregate values below are hand-derived:
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -347,9 +346,6 @@ EXPECTED_REPORT = {
     "p_incorrect": Fraction(2, 5),
     "gt_comparison": (1, 2, 1),
 }
-
-EXPECTED_T_STAT = 7.0 * math.sqrt(2.0 / 5.0)
-EXPECTED_DF = 125.0 / 19.0
 
 # Upstream calls per stage: one decomposition and one answer call per
 # question, one verification call per claim. The ground-truth pass

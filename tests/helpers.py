@@ -5,6 +5,7 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
+from abcd_eval.cli import _STAGE_FILES
 from abcd_eval.model import (
     AnswerAssignment,
     ClaimSet,
@@ -18,10 +19,11 @@ from abcd_eval.model import (
 from abcd_eval.providers import CompletionResponse
 from abcd_eval.scoring import score_true
 
-# The files of an evaluate run that must reproduce byte for byte.
+# The files of an evaluate run that must reproduce byte for byte: the stage
+# record files, then the reports.
 RECORD_FILES = (
-    "claim_sets.jsonl", "assignments.jsonl", "verifications.jsonl",
-    "gt_verifications.jsonl", "evaluations.jsonl", "report.json", "report.txt",
+    *(name for name, _, _, _ in _STAGE_FILES.values() if name),
+    "report.json", "report.txt",
 )
 
 _VERDICTS = {"T": Verdict.TRUE, "F": Verdict.FALSE, "N": Verdict.NON_RESPONSE}

@@ -1,13 +1,15 @@
 """Every reader of outside input either gives typed model objects or fails
 with an error that names the place.
 
-The readers are the stage input files (``cli._STAGE_INPUTS``), ``--records``,
-``--labels``, ``--questions`` in each format, the ``build-obscureqa`` dump,
-script rules, cache entries and live response bodies. For each one a valid
-record is taken apart field by field: every field, in turn, is replaced by
-a generated JSON value or removed, and the record goes through the reader. The outcome must be a
-value whose string fields all hold ``str``, or a ``ValueError`` or
-``ProviderError`` naming the file, the cache digest or the response body.
+The readers are the stage record files that an option reads
+(``cli._STAGE_FILES``, ``--records`` among them), ``--labels``,
+``--questions`` in each format, the ``build-obscureqa`` dump, script rules,
+cache entries and live response bodies. For each one a valid record is
+taken apart field by field: every field, in turn, is replaced by a
+generated JSON value or removed, and the record goes through the reader.
+The outcome must be a value whose string fields all hold ``str``, or a
+``ValueError`` or ``ProviderError`` naming the file, the cache digest or the
+response body.
 Any other exception fails the test.
 """
 
@@ -16,12 +18,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abcd_eval import cli, records
+from abcd_eval import cli
 from abcd_eval.datasets import QuestionFormat, load_questions
 from abcd_eval.model import AnswerAssignment
 from abcd_eval.pipeline import QuestionOutcome, RunConfig
@@ -137,32 +138,23 @@ def evaluation():
     )
 
 
-@pytest.mark.parametrize("option", list(cli._STAGE_INPUTS))
+@pytest.mark.parametrize("field", [
+    pytest.param(field, id=option)
+    for field, (_, option, _, _) in cli._STAGE_FILES.items() if option
+])
 @BOUNDED
 @given(value=JSON_VALUES)
-def test_stage_inputs(workdir, evaluation, option, value):
-    field, reader = cli._STAGE_INPUTS[option]
+def test_stage_inputs(workdir, evaluation, field, value):
+    _, option, to_record, _ = cli._STAGE_FILES[field]
     path = workdir / f"{option}.jsonl"
     outcome = QuestionOutcome(
         evaluation.question, claim_set=evaluation.claim_set,
         assignment=evaluation.assignment, results=list(evaluation.results),
-        gt_results=list(evaluation.results),
+        gt_results=list(evaluation.results), evaluation=evaluation,
     )
-
-    def read(record):
-        return cli._load_records(write_line(path, record), reader, itemgetter(0))
-
-    check_reader(read, cli._STAGE_RECORDS[field](outcome), value, str(path))
-
-
-@BOUNDED
-@given(value=JSON_VALUES)
-def test_records(workdir, evaluation, value):
-    path = workdir / "evaluations.jsonl"
-    base = records.evaluation_to_record(evaluation)
     check_reader(
-        lambda record: cli._load_evaluations(write_line(path, record)),
-        base, value, str(path),
+        lambda record: cli._read_stage_file(write_line(path, record), field),
+        to_record(outcome), value, str(path),
     )
 
 

@@ -98,6 +98,9 @@ class TestParseWarnings:
         assert parsed.warnings == (
             "skipped line without claim number: 'Here are the final claims:'",
         )
+        # A long line is quoted by its first 80 characters, once stripped.
+        parsed = parse_decomposition(f"Step 3:\n  {'p' * 80}qr\n1. <answer> is red.", "q")
+        assert parsed.warnings == (f"skipped line without claim number: '{'p' * 80}'",)
 
     def test_gapped_numbering_is_renumbered(self):
         raw = "Step 3:\n2. <answer> is a planet.\n5. <answer> is red."

@@ -122,8 +122,12 @@ PINNED = {name: Draw(*case) for name, case in {
     "closed-before-the-status-line": (b"", "connection closed before the response ended"),
     "malformed-status-line": (b"HTTP/1.1 OK\r\n\r\n",
                               "malformed status line: b'HTTP/1.1 OK\\r\\n'"),
+    "over-80-byte-status-line": (b"HTTP/1.1 OK %s\r\n\r\n" % (b"x" * 100),
+                                 f"malformed status line: b'HTTP/1.1 OK {'x' * 68}'"),
     **{name: (OK + line + b"\r\n2\r\nab\r\n0\r\n\r\n", f"malformed header line: {line!r}")
        for name, line in BAD_FIELD_LINES.items()},
+    "over-80-byte-header-line": (OK + b"No colon %s\r\n\r\n" % (b"y" * 100),
+                                 f"malformed header line: b'No colon {'y' * 71}'"),
     "65536-byte-header-line": (
         OK + b"X-Long: %s\r\nContent-Length: 0\r\n\r\n" % (b"a" * (65536 - 10)),),
     "over-long-header-line": (OK + b"X-Long: %s\r\n\r\n" % (b"a" * (65537 - 10)),

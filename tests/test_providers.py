@@ -547,16 +547,20 @@ class TestStdlibTransport:
         ]
         assert b"\r\nHost: 127.0.0.2:9\r\n" in server.requests[0][2]
 
-    def test_https_proxy_is_asked_for_a_tunnel(self, loopback, monkeypatch):
+    @pytest.mark.parametrize("url, target", [
+        ("https://127.0.0.2:9/v1", "127.0.0.2:9"),
+        ("https://127.0.0.2/v1", "127.0.0.2:443"),
+    ], ids=["port", "default-port"])
+    def test_https_proxy_is_asked_for_a_tunnel(self, loopback, monkeypatch, url, target):
         server = loopback([b"HTTP/1.1 403 Forbidden\r\nContent-Length: 0\r\n\r\n"])
         monkeypatch.setenv("HTTPS_PROXY", f"127.0.0.1:{server.port}")
-        provider, _ = stdlib_live("https://127.0.0.2:9/v1", max_attempts=1)
+        provider, _ = stdlib_live(url, max_attempts=1)
         with pytest.raises(ProviderError) as excinfo:
             provider.complete(make_request("p"))
         assert excinfo.value.kind is ProviderErrorKind.NETWORK
         assert str(excinfo.value) == "network: proxy refused the tunnel: HTTP 403"
         [line] = server.request_lines
-        assert line.startswith("CONNECT 127.0.0.2:9 HTTP/1.")
+        assert line.startswith(f"CONNECT {target} HTTP/1.")
 
     def test_no_proxy_goes_direct(self, loopback, monkeypatch):
         server = loopback([http_response()])
@@ -566,8 +570,14 @@ class TestStdlibTransport:
         assert provider.complete(make_request("p")).text == "ok"
         assert server.request_lines == ["POST /v1/chat/completions HTTP/1.1"]
 
-    def test_url_without_a_port_means_port_80(self, loopback, monkeypatch):
+    @pytest.mark.parametrize("proxy, address", [
+        (None, ("api.example.test", 80)),
+        ("http://proxy.example.test", ("proxy.example.test", 80)),
+    ], ids=["origin", "proxy"])
+    def test_url_without_a_port_means_port_80(self, loopback, monkeypatch, proxy, address):
         server = loopback([http_response()])
+        if proxy:
+            monkeypatch.setenv("HTTP_PROXY", proxy)
         addresses = []
         create_connection = socket.create_connection
 
@@ -578,6 +588,6 @@ class TestStdlibTransport:
         monkeypatch.setattr(socket, "create_connection", to_loopback)
         provider, _ = stdlib_live("http://api.example.test/v1")
         assert provider.complete(make_request("p")).text == "ok"
-        assert addresses == [("api.example.test", 80)]
+        assert addresses == [address]
         assert b"\r\nHost: api.example.test\r\n" in server.requests[0][2]
 
