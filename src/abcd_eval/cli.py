@@ -466,10 +466,12 @@ def cmd_annotate(
     existing = _load_labels_for_cli(labels_path) if labels_path.is_file() else {}
 
     pending = [e for e in evaluations if e.question.id not in existing]
-    print_fn(
-        f"{len(pending)} unlabeled of {len(evaluations)} records "
-        f"({len(existing)} labels already in {labels_path})"
-    )
+
+    def count(items, noun: str) -> str:
+        return f"{len(items)} {noun}{'' if len(items) == 1 else 's'}"
+
+    print_fn(f"{len(pending)} unlabeled of {count(evaluations, 'record')} "
+             f"({count(existing, 'label')} already in {labels_path})")
     for position, evaluation in enumerate(pending, start=1):
         question = evaluation.question
         print_fn("")
@@ -503,7 +505,7 @@ def cmd_annotate(
             error_category=error_category,
         )
     final = _load_labels_for_cli(labels_path) if labels_path.is_file() else {}
-    print_fn(f"\n{len(final)} labels now in {labels_path}")
+    print_fn(f"\n{count(final, 'label')} now in {labels_path}")
     return EXIT_OK
 
 

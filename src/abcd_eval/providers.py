@@ -422,7 +422,7 @@ class Upstream:
 
     ``calls`` counts, per stage, the completions *base* returned, or in
     replay the completions the cache served; a call without a stage counts
-    under ``library``. A call that raises is counted and stored nowhere.
+    under ``library``. A call that raises is neither counted nor stored.
     """
 
     def __init__(self, base: Optional[Provider], cache: Optional[ResponseCache] = None):

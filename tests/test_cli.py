@@ -1174,20 +1174,20 @@ class ScriptedInput:
 
 
 class TestAnnotate:
-    def write_records(self, tmp_path):
+    def write_records(self, tmp_path, n_records=3):
         evaluations = [
             build_evaluation("q1", "TTT"),
             build_evaluation("q2", "TFF"),
             build_evaluation("q3", "TT"),
-        ]
+        ][:n_records]
         path = tmp_path / "evaluations.jsonl"
         records.write_jsonl_atomic(
             path, (records.evaluation_to_record(e) for e in evaluations)
         )
         return path
 
-    def run(self, tmp_path, answers, labels_name="labels.jsonl"):
-        records_path = self.write_records(tmp_path)
+    def run(self, tmp_path, answers, labels_name="labels.jsonl", n_records=3):
+        records_path = self.write_records(tmp_path, n_records)
         labels_path = tmp_path / labels_name
         args = build_parser().parse_args(
             ["annotate", "--records", str(records_path),
@@ -1204,7 +1204,7 @@ class TestAnnotate:
         code, _, output = self.run(tmp_path, ["x", "i", "confused the entity", "s"])
         assert code == EXIT_OK
         assert output == (
-            f"2 unlabeled of 3 records (1 labels already in {labels_path})\n"
+            f"2 unlabeled of 3 records (1 label already in {labels_path})\n"
             "\n"
             "[1/2] q2 (custom)\n"
             "  question:  What is thing q2?\n"
@@ -1225,6 +1225,13 @@ class TestAnnotate:
             "q1": (True, None),
             "q2": (False, "confused the entity"),
         }
+
+    def test_a_count_of_one_is_singular(self, tmp_path):
+        code, labels_path, output = self.run(tmp_path, ["c"], n_records=1)
+        lines = output.splitlines()
+        assert (code, lines[0], lines[-1]) == (
+            EXIT_OK, f"1 unlabeled of 1 record (0 labels already in {labels_path})",
+            f"1 label now in {labels_path}")
 
     def test_quit_stops_early(self, tmp_path):
         code, labels_path, _ = self.run(tmp_path, ["c", "q"])

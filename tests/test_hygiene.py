@@ -6,8 +6,9 @@ type with the same text, only ``records`` writes files, a handler of
 ``BaseException`` re-raises and only ``cli.main`` catches
 ``KeyboardInterrupt``, the request queue synchronizes only as its schedule
 explorer models, every HTTP framing error has a pinned example, no test
-passes ``LiveProvider`` a ``session=``, no test starts a server but
-``tests/loopback.py``'s, and each command, a live run at one
+passes ``LiveProvider`` a ``session=``, no test module but
+``tests/test_pipeline.py`` builds an ``Upstream``, no test starts a server
+but ``tests/loopback.py``'s, and each command, a live run at one
 and two threads too, loads only what it runs (never ``requests``,
 ``http.client``, ``email``, ``ssl`` or ``urllib.request``) and leaves no
 socket unclosed.
@@ -350,6 +351,25 @@ def test_no_test_passes_a_session():
         if (lines := session_keywords(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def upstream_calls(source: str) -> list[int]:
+    """Lines of each call that constructs ``Upstream``, ``CachingProvider``
+    or ``ReplayProvider``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(
+                node.func, "id", None)) in ("Upstream", "CachingProvider", "ReplayProvider")]
+
+
+def test_only_the_run_table_builds_an_upstream():
+    """A cache, reuse, count or truncation case of a run's requests is a row
+    of ``RUNS`` in ``tests/test_pipeline.py``: no other test module
+    constructs an ``Upstream`` or one of its subclasses."""
+    assert upstream_calls("Upstream(b)\nproviders.ReplayProvider(c)\nUpstream\n"
+                          "CachingProvider(b, c)\nbuild_upstream(config)") == [1, 2, 4]
+    assert {str(path.relative_to(ROOT)): lines for path in sorted((ROOT / "tests").rglob("*.py"))
+            if path.name != "test_pipeline.py"
+            and (lines := upstream_calls(path.read_text(encoding="utf-8")))} == {}
 
 
 def server_code(source: str) -> tuple[list[int], list[int]]:

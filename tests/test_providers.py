@@ -1,4 +1,6 @@
-"""Provider stack tests: request hashing, scripting, cache, replay, retry."""
+"""Provider stack tests: request hashing, scripting, the cache's files, and
+the live provider's replies and retries. Cache, reuse and replay cases are
+rows of ``RUNS`` in ``tests/test_pipeline.py``."""
 
 import json
 import logging
@@ -13,14 +15,13 @@ import pytest
 
 from abcd_eval.providers import (
     API_KEY_ENV_VAR,
-    CachingProvider,
+    DEFAULT_MAX_ATTEMPTS,
     CompletionRequest,
     CompletionResponse,
     FinishReason,
     LiveProvider,
     ProviderError,
     ProviderErrorKind,
-    ReplayProvider,
     ResponseCache,
     ScriptRule,
     ScriptedProvider,
@@ -28,7 +29,6 @@ from abcd_eval.providers import (
     cache_key,
     load_script_rules,
 )
-from helpers import RecordingProvider
 from loopback import PROXY_ENV_VARS, LoopbackServer, chat_body, http_response
 
 # Regression pin for the on-disk cache layout. If this digest moves, every
@@ -202,7 +202,6 @@ class TestResponseCache:
         indented = json.dumps(json.loads(written), ensure_ascii=False, indent=2)
         (tmp_path / f"{digest}.json").write_text(indented, encoding="utf-8")
         assert cache.get(digest) == CompletionResponse(text="True.")
-        assert ReplayProvider(cache).complete(request).text == "True."
 
     def test_failed_rename_leaves_no_entry_and_no_temp_file(
         self, tmp_path, monkeypatch
@@ -217,90 +216,6 @@ class TestResponseCache:
         with pytest.raises(OSError, match="rename refused"):
             cache.put(cache_key(request), request, CompletionResponse(text="ok"))
         assert list(tmp_path.iterdir()) == []
-
-
-class TestCachingProvider:
-    def test_second_call_skips_inner(self, tmp_path):
-        inner = RecordingProvider("pong")
-        provider = CachingProvider(inner, ResponseCache(tmp_path))
-        request = make_request("ping p")
-        first = provider.complete(request)
-        second = provider.complete(request)
-        assert first == second
-        assert len(inner.requests) == 1
-
-    def test_distinct_requests_miss_separately(self, tmp_path):
-        inner = RecordingProvider("any")
-        provider = CachingProvider(inner, ResponseCache(tmp_path))
-        provider.complete(make_request("one"))
-        provider.complete(make_request("two"))
-        provider.complete(make_request("one"))
-        assert len(inner.requests) == 2
-
-    def test_failed_call_is_not_cached(self, tmp_path):
-        class Failing:
-            def complete(self, request):
-                raise ProviderError(ProviderErrorKind.NETWORK, "down")
-
-        cache = ResponseCache(tmp_path)
-        provider = CachingProvider(Failing(), cache)
-        with pytest.raises(ProviderError):
-            provider.complete(make_request("p"))
-        assert cache.get(cache_key(make_request("p"))) is None
-
-
-    def test_unreadable_entry_is_a_miss_and_overwritten(self, tmp_path):
-        cache = ResponseCache(tmp_path)
-        request = make_request("ping p")
-        digest = cache_key(request)
-        cache.put(digest, request, CompletionResponse(text="stale"))
-        entry = tmp_path / f"{digest}.json"
-        entry.write_text(entry.read_text("utf-8")[:40], encoding="utf-8")
-        inner = RecordingProvider("pong")
-
-        response = CachingProvider(inner, cache).complete(request)
-        assert response.text == "pong"
-        assert len(inner.requests) == 1
-        assert cache.get(digest) == response
-
-
-class TestReplayProvider:
-    def test_hit_returns_cached_response(self, tmp_path):
-        cache = ResponseCache(tmp_path)
-        request = make_request("seen before")
-        cache.put(cache_key(request), request, CompletionResponse(text="False."))
-        provider = ReplayProvider(cache)
-        assert provider.complete(request).text == "False."
-
-    def test_miss_names_the_digest(self, tmp_path):
-        provider = ReplayProvider(ResponseCache(tmp_path))
-        request = make_request("never recorded")
-        with pytest.raises(ProviderError) as excinfo:
-            provider.complete(request)
-        assert excinfo.value.kind is ProviderErrorKind.REPLAY_MISS
-        assert cache_key(request) in str(excinfo.value)
-
-    @pytest.mark.parametrize(
-        "content",
-        [
-            b'{"request": {',
-            b"[]",
-            b'{"response": {"text": null}}',
-            b'{"response": {"text": "caf\xe9"}}',
-            b'\xef\xbb\xbf{"response": {"text": "True.", "finish_reason": "stop"}}',
-        ],
-        ids=["truncated", "list", "null-text", "not-utf-8", "utf-8-bom"],
-    )
-    def test_unreadable_entry_names_the_digest(self, tmp_path, content):
-        request = make_request("recorded, then corrupted")
-        digest = cache_key(request)
-        (tmp_path / f"{digest}.json").write_bytes(content)
-        provider = ReplayProvider(ResponseCache(tmp_path))
-        with pytest.raises(ProviderError) as excinfo:
-            provider.complete(request)
-        assert excinfo.value.kind is ProviderErrorKind.REPLAY_MISS
-        assert digest in str(excinfo.value)
-        assert "unreadable" in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +425,10 @@ def test_exchange(loopback, monkeypatch, caplog, name):
     assert tuple(outcome(provider) for _ in row.outcomes) == row.outcomes
     assert (slept if row.default_sleep else sleeps) == row.sleeps
     assert sleeps + slept == row.sleeps  # and no wait went to the other
-    assert caplog.text.count("retrying after") == len(row.sleeps)
+    kind = "rate_limited" if row.responses[0].startswith(b"HTTP/1.1 429") else "network"
+    assert [r.getMessage() for r in caplog.records if r.name == "abcd_eval.providers"] == [
+        f"retrying after {kind} (attempt {n}/{row.max_attempts or DEFAULT_MAX_ATTEMPTS}, "
+        f"sleeping {sleep:.2f}s)" for n, sleep in enumerate(row.sleeps, start=2)]
     assert [conn for conn, *_ in server.requests] == row.connections
     assert timeouts == [60.0] * server.connections
     for _, line, head, body in server.requests:
