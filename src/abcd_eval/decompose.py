@@ -125,17 +125,6 @@ def build_decomposition_prompt(question: Question, pack: PromptPack) -> str:
     return "\n\n".join(parts)
 
 
-def _section(raw: str, start_marker: str, end_markers: list[str]) -> str:
-    start = raw.find(start_marker)
-    begin = start + len(start_marker) if start != -1 else 0
-    end = len(raw)
-    for marker in end_markers:
-        pos = raw.find(marker, begin)
-        if pos != -1:
-            end = min(end, pos)
-    return raw[begin:end]
-
-
 def parse_decomposition(raw: str, question_id: str) -> ParsedDecomposition:
     """Parse one decomposition completion into a claim set.
 
@@ -143,7 +132,9 @@ def parse_decomposition(raw: str, question_id: str) -> ParsedDecomposition:
     the first blank line (once a claim has been seen) or at an example
     boundary. A claim's number is its position in reading order; numbers
     the model wrote with gaps or repeats get a warning. The entity-type
-    rationale is whatever prose sits in the step-1 section.
+    rationale is whatever prose sits in the step-1 section, looked for only
+    before the step-3 marker: a completion that runs on into a new example
+    does not lend this one its reasoning.
     """
     warnings: list[str] = []
 
@@ -190,7 +181,8 @@ def parse_decomposition(raw: str, question_id: str) -> ParsedDecomposition:
             warnings.append(f"claim {position} has no <answer> tag: {text[:80]!r}")
         claims.append(claim)
 
-    reasoning_section = _section(raw, STEP1_MARKER, [STEP2_MARKER, STEP3_MARKER])
+    before, step1, after = raw[:step3_at].partition(STEP1_MARKER)
+    reasoning_section = (after if step1 else before).partition(STEP2_MARKER)[0]
     reasoning_lines = []
     for line in reasoning_section.splitlines():
         stripped = line.strip()

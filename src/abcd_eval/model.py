@@ -28,7 +28,7 @@ from typing import Optional
 # what lets prose like "x < y and y > z" pass through untouched.
 _TAG_NAME_PATTERN = r"[a-zA-Z0-9_-]+(?: [a-zA-Z0-9_-]+)*"
 TAG_RE = re.compile(rf"<({_TAG_NAME_PATTERN})>")
-_TAG_NAME_RE = re.compile(rf"^{_TAG_NAME_PATTERN}$")
+_TAG_NAME_RE = re.compile(_TAG_NAME_PATTERN)
 
 ANSWER_TAG_NAME = "answer"
 
@@ -77,7 +77,7 @@ class Tag:
 
     def __post_init__(self):
         normalized = self.name.lower()
-        if not _TAG_NAME_RE.match(normalized):
+        if not _TAG_NAME_RE.fullmatch(normalized):
             raise ValueError(f"invalid tag name: {self.name!r}")
         object.__setattr__(self, "name", normalized)
 

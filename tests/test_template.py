@@ -1,44 +1,11 @@
-"""Tests for claim-template instantiation."""
+"""Properties of claim-template instantiation; its cases are rows of
+``TEXTS`` in ``tests/test_texts.py``."""
 
 from hypothesis import given, strategies as st
 
 from abcd_eval.model import AnswerAssignment, ClaimTemplate
-from abcd_eval.template import (
-    InstantiationError,
-    instantiate,
-    instantiate_with_override,
-)
+from abcd_eval.template import InstantiationError, instantiate
 
-
-class TestInstantiate:
-    def test_substitutes_all_tags(self):
-        assignment = AnswerAssignment.from_dict(
-            {"answer": "Shakespeare", "play": "Hamlet"}
-        )
-        text = instantiate(ClaimTemplate("<answer> wrote <play>"), assignment)
-        assert text == "Shakespeare wrote Hamlet"
-
-    def test_repeated_tag_uses_same_value(self):
-        assignment = AnswerAssignment.from_dict({"answer": "Mars"})
-        text = instantiate(ClaimTemplate("<answer> is <answer>"), assignment)
-        assert text == "Mars is Mars"
-
-    def test_non_tag_angle_spans_pass_through(self):
-        assignment = AnswerAssignment.from_dict({"answer": "5"})
-        text = instantiate(ClaimTemplate("<answer> satisfies x < y and y > z"), assignment)
-        assert text == "5 satisfies x < y and y > z"
-
-class TestInstantiateWithOverride:
-    def test_overrides_only_answer(self):
-        assignment = AnswerAssignment.from_dict(
-            {"answer": "Frank Lloyd Wright", "city": "Bilbao"}
-        )
-        text = instantiate_with_override(
-            ClaimTemplate("<answer> designed a museum in <city>"),
-            assignment,
-            "Frank Gehry",
-        )
-        assert text == "Frank Gehry designed a museum in Bilbao"
 
 # ---------------------------------------------------------------------------
 # property: instantiation is reversible when answers are unique markers
