@@ -436,8 +436,6 @@ _STAGE_COMMANDS = {
 
 def cmd_stage(args: argparse.Namespace) -> int:
     """Run one stage command over the files earlier stages wrote."""
-    if vars(args).get("ground_truth") and args.gt_out is None:
-        raise ValueError("--ground-truth needs --gt-out")
     stages, field, verb = _STAGE_COMMANDS[args.command]
     run, outcomes = _prepare(args, stages)
     with closing(run):
@@ -629,6 +627,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(options: dict) -> None:
+    """Refuse output options that cannot be written, before any input is read:
+    an existing path must be a directory for ``--out-dir`` and not for the rest."""
+    if "gt_out" in options and bool(options.get("ground_truth")) != (options["gt_out"] is not None):
+        raise ValueError("--ground-truth needs --gt-out" if options["gt_out"] is None
+                         else "--gt-out needs --ground-truth")
+    for flag, is_dir in {"--out": False, "--gt-out": False, "--out-json": False,
+                         "--out-text": False, "--out-dir": True}.items():
+        path = options.get(flag[2:].replace("-", "_"))
+        if path is not None and path.exists() and path.is_dir() != is_dir:
+            raise ValueError(f"{flag} {'is not' if is_dir else 'is'} a directory: {path}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -637,6 +648,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         stream=sys.stderr,
     )
     try:
+        _check_outputs(vars(args))
         return args.handler(args)
     except (ValueError, OSError, ProviderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
