@@ -459,8 +459,10 @@ def cmd_annotate(
     input_fn: Callable[[str], str] = input,
     print_fn: Callable[[str], None] = print,
 ) -> int:
-    evaluations = list(_read_stage_file(args.records, "evaluation").values())
     labels_path = Path(args.labels)
+    if labels_path.is_dir():
+        raise ValueError(f"--labels is a directory: {labels_path}")
+    evaluations = list(_read_stage_file(args.records, "evaluation").values())
     existing = _load_labels_for_cli(labels_path) if labels_path.is_file() else {}
 
     pending = [e for e in evaluations if e.question.id not in existing]
@@ -629,7 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_outputs(options: dict) -> None:
     """Refuse output options that cannot be written, before any input is read:
-    an existing path must be a directory for ``--out-dir`` and not for the rest."""
+    an existing path must be a directory for ``--out-dir`` and not for the rest,
+    and no two output files may be one file."""
     if "gt_out" in options and bool(options.get("ground_truth")) != (options["gt_out"] is not None):
         raise ValueError("--ground-truth needs --gt-out" if options["gt_out"] is None
                          else "--gt-out needs --ground-truth")
@@ -638,6 +641,11 @@ def _check_outputs(options: dict) -> None:
         path = options.get(flag[2:].replace("-", "_"))
         if path is not None and path.exists() and path.is_dir() != is_dir:
             raise ValueError(f"{flag} {'is not' if is_dir else 'is'} a directory: {path}")
+    seen: dict = {}
+    for flag in ("--out", "--gt-out", "--out-json", "--out-text"):
+        path = options.get(flag[2:].replace("-", "_"))
+        if path is not None and seen.setdefault(path.resolve(), flag) != flag:
+            raise ValueError(f"{seen[path.resolve()]} and {flag} name one file: {path}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -856,6 +856,12 @@ CONFIG_ERRORS = [
         "error: --ground-truth needs --gt-out", args=("--ground-truth",)),
     row("verify_gt_out_without_ground_truth", "verify",
         "error: --gt-out needs --ground-truth", args=("--gt-out", "gt.jsonl")),
+    row("one_output_file-verify", "verify", "error: --out and --gt-out name one file: out",
+        args=("--ground-truth", "--gt-out", "out")),
+    row("one_output_file-report", "report", "error: --out-json and --out-text name one file: r",
+        args=("--out-json", "r", "--out-text", "r")),
+    row("labels_directory-annotate", "annotate", "error: --labels is a directory: {bad}",
+        ("--labels", {})),
     *(row(f"unwritable_output-{command}-{flag}", command,
           f"error: {flag} {'is not' if flag == '--out-dir' else 'is'} a directory: {{bad}}",
           (flag, "" if flag == "--out-dir" else {}), args)
